@@ -126,10 +126,6 @@ class ShapeBank:
         self.name = name
         self.templates = templates
 
-    @property
-    def trainable(self) -> bool:
-        return self.templates.requires_grad
-
     def as_params(self) -> LayerParams:
         return LayerParams(self.name, self.templates)
 
@@ -170,9 +166,11 @@ class FutureSet:
 class ConvEncoder:
     """Conv/ReLU/MaxPool blocks ending in Conv/ReLU/AdaptiveAvgPool.
 
-    There are ``floor(log2(n_p))`` blocks; padding keeps convolutions
-    length-preserving so only the pooling halves the sequence, and the final
-    adaptive pool collapses whatever length remains to 1.
+    There are ``floor(log2(n_p))`` blocks, each one fused
+    :func:`~multifuture.nn.ops.encoder_block` on channels-last
+    ``(batch, length, channels)`` data.  Padding keeps convolutions
+    length-preserving so only the max pooling halves the sequence, and the
+    last block's mean pool collapses whatever length remains to 1.
     """
 
     def __init__(self, name: str, config: ModelConfig,
@@ -189,13 +187,13 @@ class ConvEncoder:
             in_ch = config.channels
 
     def forward(self, x: Tensor) -> Tensor:
-        """(batch, d, n_p) -> (batch, channels)."""
+        """(batch, n_p, d) -> (batch, channels)."""
         h = x
         last = len(self.convs) - 1
         for b, conv in enumerate(self.convs):
-            h = ops.relu(layers.conv1d(h, conv, padding=self.padding))
-            h = ops.adaptive_avgpool1d(h) if b == last else ops.maxpool1d(h)
-        return h.reshape(h.shape[0], h.shape[1])
+            h = ops.encoder_block(h, conv.weight, conv.bias, self.padding,
+                                  "mean" if b == last else "max")
+        return h.reshape(h.shape[0], h.shape[2])
 
     def layer_params(self) -> list[LayerParams]:
         return list(self.convs)
@@ -424,7 +422,7 @@ class Forecaster:
                 f"expected input of shape ({self.config.n_p}, {self.config.d}),"
                 f" got {np.asarray(inputs).shape}"
             )
-        return Tensor(arr.transpose(0, 2, 1))  # channels-first
+        return Tensor(arr)
 
     def forward_tensors(self, inputs: np.ndarray) -> _ForwardTensors:
         """Batched forward pass returning graph-connected tensors.
@@ -519,8 +517,7 @@ class ExpertClassifier:
         arr = np.asarray(inputs, dtype=self.dtype)
         if arr.ndim == 2:
             arr = arr[None]
-        x = Tensor(arr.transpose(0, 2, 1))
-        return layers.linear(self.encoder.forward(x), self.head)
+        return layers.linear(self.encoder.forward(Tensor(arr)), self.head)
 
     def predict_proba(self, window: np.ndarray) -> np.ndarray:
         """Probability over the f futures for one (n_p, d) window."""

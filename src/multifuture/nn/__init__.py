@@ -5,6 +5,7 @@ from .layers import LayerParams, conv1d, init_conv, init_linear, linear, tconv1d
 from .ops import (
     adaptive_avgpool1d,
     cross_entropy,
+    encoder_block,
     maxpool1d,
     relu,
     softmax,
@@ -25,6 +26,7 @@ __all__ = [
     "softmax",
     "maxpool1d",
     "adaptive_avgpool1d",
+    "encoder_block",
     "upsample_nearest",
     "cross_entropy",
     "init_conv",

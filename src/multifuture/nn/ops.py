@@ -5,10 +5,14 @@ weights; the :class:`~multifuture.nn.layers.LayerParams` wrappers in
 :mod:`multifuture.nn.layers` are the parameter-bundle entry points used by
 the models.
 
-Convolutions accept either an unbatched ``(channels, length)`` input or a
-batched ``(batch, channels, length)`` one.  Internally everything runs
-batched: the convolution is lowered to a single GEMM over an im2col matrix,
-which is what keeps full training runs at desk scale.
+The reference convolution and pooling ops accept either an unbatched
+``(channels, length)`` input or a batched ``(batch, channels, length)``
+one, and the convolution is lowered to a single GEMM over an im2col
+matrix.  The encoders use :func:`encoder_block` instead: one op for
+conv1d + ReLU + pooling on channels-last ``(batch, length, channels)``
+data, with a hand-written backward pass.  Fusing the three keeps one
+intermediate and one backward closure per block instead of three, which
+is what keeps full training runs at desk scale.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "tconv1d",
     "maxpool1d",
     "adaptive_avgpool1d",
+    "encoder_block",
     "linear",
     "upsample_nearest",
     "cross_entropy",
@@ -47,9 +52,20 @@ def softmax(x: Tensor) -> Tensor:
     e = np.exp(shifted)
     out_data = e / e.sum(axis=-1, keepdims=True)
 
+    # Saturated probabilities give gradients in or just above the subnormal
+    # range; one multiplication by a weight below 1 upstream makes them
+    # subnormal, and subnormal operands slow down every GEMM they reach.
+    # Gradients below tiny/eps (about 1e-31 in float32) are flushed to
+    # zero: far too small to move an Adam step, and flushing only below
+    # tiny would let the subnormals reappear one layer upstream.
+    finfo = np.finfo(x.data.dtype)
+    flush_below = finfo.tiny / finfo.eps
+
     def bwd(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
-        _accumulate(x, out_data * (g - inner))
+        gx = out_data * (g - inner)
+        gx[np.abs(gx) < flush_below] = 0
+        _accumulate(x, gx, owned=True)
 
     return _from_op(out_data, (x,), bwd)
 
@@ -179,6 +195,89 @@ def adaptive_avgpool1d(x: Tensor) -> Tensor:
         _accumulate(x, dx if batched else dx[0])
 
     return _from_op(out if batched else out[0], (x,), bwd)
+
+
+def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
+                  pool: str) -> Tensor:
+    """Fused conv1d + ReLU + pooling on channels-last data.
+
+    ``x`` is ``(batch, length, channels_in)``; ``weight`` and ``bias`` are
+    laid out as for :func:`conv1d`.  The convolution (stride 1, symmetric
+    zero padding) has ``l_conv = length + 2*padding - kernel + 1`` outputs.
+    ``pool="max"`` returns ``(batch, l_conv // 2, channels_out)`` and equals
+    ``maxpool1d(relu(conv1d(...)))``: an odd trailing element is dropped
+    and ties route the gradient to the first index.  ``pool="mean"``
+    returns ``(batch, 1, channels_out)`` and equals
+    ``adaptive_avgpool1d(relu(conv1d(...)))``.
+    """
+    xd = x.data
+    if xd.ndim != 3:
+        raise ValueError(
+            f"expected (batch, length, channels) input, got shape {xd.shape}")
+    n, length, c_in = xd.shape
+    c_out, w_cin, kernel = weight.data.shape
+    if c_in != w_cin:
+        raise ValueError(
+            f"input has {c_in} channels but weight expects {w_cin}"
+        )
+    if pool not in ("max", "mean"):
+        raise ValueError(f"pool must be 'max' or 'mean', got {pool!r}")
+    l_conv = length + 2 * padding - kernel + 1
+    min_conv = 2 if pool == "max" else 1
+    if l_conv < min_conv:
+        raise ValueError(
+            f"kernel {kernel} and padding {padding} leave {l_conv} conv outputs "
+            f"from length {length}; {pool} pooling needs at least {min_conv}"
+        )
+    if padding:
+        xp = np.zeros((n, length + 2 * padding, c_in), dtype=xd.dtype)
+        xp[:, padding:padding + length] = xd
+    else:
+        xp = xd
+    # Kernel-major im2col: row (i, t) is the contiguous run xp[i, t:t+kernel].
+    windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=1)
+    cols = windows.swapaxes(2, 3).reshape(n * l_conv, kernel * c_in)
+    w2 = weight.data.transpose(2, 1, 0).reshape(kernel * c_in, c_out)
+    z = (cols @ w2).reshape(n, l_conv, c_out)
+    z += bias.data
+
+    if pool == "max":
+        # Max-pool before the ReLU: max commutes with a monotone function.
+        half = l_conv // 2
+        left = z[:, 0:2 * half:2]
+        right = z[:, 1:2 * half:2]
+        right_wins = right > left  # strict: ties take the left
+        pooled = np.maximum(left, right)
+        active = pooled > 0
+        out = np.maximum(pooled, 0)
+    else:
+        active = z > 0
+        out = np.maximum(z, 0).mean(axis=1, keepdims=True)
+
+    def bwd(g):
+        if pool == "max":
+            g_act = g * active
+            gz = np.zeros((n, l_conv, c_out), dtype=g_act.dtype)
+            odd = gz[:, 1:2 * half:2]
+            np.multiply(g_act, right_wins, out=odd)
+            np.subtract(g_act, odd, out=gz[:, 0:2 * half:2])
+        else:
+            gz = (g / l_conv) * active
+        g2 = gz.reshape(n * l_conv, c_out)
+        if weight.requires_grad:
+            dw = (cols.T @ g2).reshape(kernel, c_in, c_out).transpose(2, 1, 0)
+            _accumulate(weight, np.ascontiguousarray(dw), owned=True)
+        if bias.requires_grad:
+            _accumulate(bias, g2.sum(axis=0), owned=True)
+        if x.requires_grad:
+            dcols = (g2 @ w2.T).reshape(n, l_conv, kernel, c_in)
+            dxp = np.zeros(xp.shape, dtype=xd.dtype)
+            for k in range(kernel):
+                dxp[:, k:k + l_conv] += dcols[:, :, k]
+            dx = dxp[:, padding:padding + length] if padding else dxp
+            _accumulate(x, dx, owned=True)
+
+    return _from_op(out, (x, weight, bias), bwd)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

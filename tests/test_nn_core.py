@@ -193,6 +193,116 @@ class TestSoftmax:
             assert np.all(out.data >= 0)
             np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
 
+    def test_saturated_float32_gradient_has_no_subnormals(self):
+        # p = (1, e^-87, e^-100, 0) in float32: e^-87 is just above the
+        # subnormal range and e^-100 inside it
+        h = Tensor(np.ones((1, 2), dtype=np.float32), requires_grad=True)
+        w = Tensor(np.array([[0.5, 0.25]] * 4, dtype=np.float32),
+                   requires_grad=True)
+        b = Tensor(np.array([0.0, -87.0, -100.0, -200.0], dtype=np.float32),
+                   requires_grad=True)
+        probe = Tensor(np.array([0.0, 1.0, 1.0, 0.0], dtype=np.float32))
+        (ops.softmax(ops.linear(h, w, b)) * probe).sum().backward()
+        tiny = np.finfo(np.float32).tiny
+        for t in (b, w, h):  # the softmax's input and one layer upstream
+            assert t.grad.dtype == np.float32
+            assert np.all((t.grad == 0) | (np.abs(t.grad) >= tiny))
+
+
+def _composed_block(x, w, b, padding, pool):
+    """relu(conv1d) then pooling on channels-first data: the reference."""
+    h = ops.relu(ops.conv1d(x, w, b, padding=padding))
+    return ops.maxpool1d(h) if pool == "max" else ops.adaptive_avgpool1d(h)
+
+
+class TestEncoderBlock:
+    @pytest.mark.parametrize("pool", ["max", "mean"])
+    @pytest.mark.parametrize("kernel", [3, 5])
+    @pytest.mark.parametrize("batch,length", [(1, 5), (3, 21), (2, 8)])
+    def test_grad_check(self, pool, kernel, batch, length):
+        rng = np.random.default_rng(kernel * 100 + length)
+        x = Tensor(rng.standard_normal((batch, length, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, kernel)) * 0.5, requires_grad=True)
+        b = Tensor(rng.standard_normal(4) * 0.1, requires_grad=True)
+        out_len = length // 2 if pool == "max" else 1
+        probe = Tensor(rng.standard_normal((batch, out_len, 4)))
+
+        def closure(x, w, b):
+            out = ops.encoder_block(x, w, b, kernel // 2, pool)
+            assert out.shape == (batch, out_len, 4)
+            return (out * probe).sum()
+
+        assert grad_check(closure, [x, w, b]) < 1e-3
+
+    @pytest.mark.parametrize("pool", ["max", "mean"])
+    @pytest.mark.parametrize("kernel,padding,length", [(3, 1, 21), (5, 2, 5),
+                                                       (3, 0, 9)])
+    def test_matches_composed_ops(self, pool, kernel, padding, length):
+        rng = np.random.default_rng(length)
+        x = rng.standard_normal((3, length, 4))
+        w = rng.standard_normal((5, 4, kernel))
+        b = rng.standard_normal(5)
+        fused = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+        ref = [Tensor(a.copy(), requires_grad=True)
+               for a in (np.ascontiguousarray(x.transpose(0, 2, 1)), w, b)]
+        out = ops.encoder_block(*fused, padding, pool)
+        out_ref = _composed_block(*ref, padding, pool)
+        probe = rng.standard_normal(out.shape)
+        (out * Tensor(probe)).sum().backward()
+        (out_ref * Tensor(probe.transpose(0, 2, 1))).sum().backward()
+
+        tol = dict(rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data, out_ref.data.transpose(0, 2, 1),
+                                   **tol)
+        np.testing.assert_allclose(fused[0].grad,
+                                   ref[0].grad.transpose(0, 2, 1), **tol)
+        np.testing.assert_allclose(fused[1].grad, ref[1].grad, **tol)
+        np.testing.assert_allclose(fused[2].grad, ref[2].grad, **tol)
+
+    def test_tie_routes_to_first(self):
+        # identity kernel: the pre-activations are the input itself
+        x = Tensor(np.array([[[2.0], [2.0], [1.0], [3.0]]]), requires_grad=True)
+        w = Tensor(np.ones((1, 1, 1)), requires_grad=True)
+        b = Tensor(np.zeros(1), requires_grad=True)
+        out = ops.encoder_block(x, w, b, 0, "max")
+        np.testing.assert_array_equal(out.data, [[[2.0], [3.0]]])
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad, [[[1.0], [0.0], [0.0], [1.0]]])
+
+    def test_negative_window_gets_no_gradient(self):
+        x = Tensor(np.array([[[-1.0], [-2.0], [0.5], [-3.0]]]),
+                   requires_grad=True)
+        w = Tensor(np.ones((1, 1, 1)), requires_grad=True)
+        b = Tensor(np.zeros(1), requires_grad=True)
+        out = ops.encoder_block(x, w, b, 0, "max")
+        np.testing.assert_array_equal(out.data, [[[0.0], [0.5]]])
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad, [[[0.0], [0.0], [1.0], [0.0]]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool", ["max", "mean"])
+    def test_dtype_preserved(self, dtype, pool):
+        rng = np.random.default_rng(0)
+        tensors = [Tensor(rng.standard_normal(shape).astype(dtype),
+                          requires_grad=True)
+                   for shape in ((2, 10, 3), (4, 3, 3), (4,))]
+        out = ops.encoder_block(*tensors, 1, pool)
+        assert out.dtype == dtype
+        out.sum().backward()
+        assert all(t.grad.dtype == dtype for t in tensors)
+
+    def test_bad_arguments_raise(self):
+        x = Tensor(np.zeros((1, 4, 2)))
+        w, b = Tensor(np.zeros((3, 2, 3))), Tensor(np.zeros(3))
+        with pytest.raises(ValueError, match="pool"):
+            ops.encoder_block(x, w, b, 1, "sum")
+        with pytest.raises(ValueError, match="channels"):
+            ops.encoder_block(Tensor(np.zeros((1, 4, 5))), w, b, 1, "max")
+        with pytest.raises(ValueError, match="channels"):
+            ops.encoder_block(Tensor(np.zeros((4, 2))), w, b, 1, "max")
+        with pytest.raises(ValueError, match="at least 2"):
+            ops.encoder_block(Tensor(np.zeros((1, 3, 2))), w, b, 0, "max")
+
 
 class TestTConv1d:
     def test_delta_input_reproduces_kernel(self):
