@@ -25,8 +25,6 @@ from .model import (
     FutureSet,
     ModelConfig,
     count_parameters,
-    expert_classifier_forward,
-    model_forward,
 )
 from .persistence import load, load_shape_banks, save, save_shape_banks
 from .training import (
@@ -48,8 +46,6 @@ __all__ = [
     "Forecaster",
     "FutureSet",
     "ExpertClassifier",
-    "model_forward",
-    "expert_classifier_forward",
     "count_parameters",
     "TrainConfig",
     "LossRecord",

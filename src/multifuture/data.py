@@ -329,9 +329,12 @@ def load_csv(path, merchant_id: str | None = None) -> MultivariateSeries:
                         f"row {row_no}: gap of {delta} before {row[0]}; "
                         "series must be hourly with no gaps")
             try:
-                rows.append([float(cell) for cell in row[1:]])
+                values = [float(cell) for cell in row[1:]]
             except ValueError as exc:
                 raise CsvFormatError(f"row {row_no}: non-numeric cell") from exc
+            if not all(map(math.isfinite, values)):
+                raise CsvFormatError(f"row {row_no}: non-finite cell")
+            rows.append(values)
             timestamps.append(ts)
     if not rows:
         raise CsvFormatError("no data rows")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import MultivariateSeries
 from .model import FutureSet
-from .training import z_normalize
+from .training import window_rmse, z_normalize
 
 __all__ = [
     "WindowRecord",
@@ -27,8 +27,6 @@ __all__ = [
     "evaluate_rolling",
     "NearestNeighborBaseline",
     "RidgeBaseline",
-    "baseline_nearest_neighbor",
-    "baseline_ridge",
     "compare",
     "ComparisonTable",
 ]
@@ -112,15 +110,8 @@ def _window_errors(futures: FutureSet, truth: np.ndarray,
                    epsilon: float) -> tuple[list[float], list[float]]:
     truth = np.asarray(truth, dtype=np.float64)
     truth_z = z_normalize(truth, epsilon, axis=-1)
-    rmses = [
-        float(np.sqrt(np.mean((futures.futures[j] - truth) ** 2)))
-        for j in range(futures.f)
-    ]
-    nrmses = [
-        float(np.sqrt(np.mean((futures.shape_preds[j] - truth_z) ** 2)))
-        for j in range(futures.f)
-    ]
-    return rmses, nrmses
+    return (window_rmse(futures.futures, truth).tolist(),
+            window_rmse(futures.shape_preds, truth_z).tolist())
 
 
 def evaluate_rolling(predictor, test: MultivariateSeries, n_p: int, n_h: int,
@@ -230,8 +221,9 @@ class NearestNeighborBaseline:
         if window.shape != (self.n_p, self._values.shape[1]):
             raise ValueError(f"query must be (n_p, d), got {window.shape}")
         query = z_normalize(window, self.epsilon, axis=0).T  # (d, n_p)
-        dist = np.sqrt(((self._normalized - query[None]) ** 2).sum(axis=2)) \
-            .sum(axis=1)
+        sq = np.subtract(self._normalized, query)  # the only full-size temporary
+        np.square(sq, out=sq)
+        dist = np.sqrt(sq.sum(axis=2)).sum(axis=1)
         best = int(np.argmin(dist))
         continuation = self._values[best + self.n_p:best + self.n_p + self.n_h]
         return _single_future_set(continuation.T, self.epsilon)
@@ -283,20 +275,6 @@ class RidgeBaseline:
 
     def predict_futures(self, window: np.ndarray) -> FutureSet:
         return _single_future_set(self.predict_raw(window), self.epsilon)
-
-
-def baseline_nearest_neighbor(train: MultivariateSeries, query: np.ndarray,
-                              n_h: int, epsilon: float = 1e-8) -> np.ndarray:
-    """One-shot nearest-neighbor prediction; returns (d, n_h) raw units."""
-    query = np.asarray(query, dtype=np.float64)
-    baseline = NearestNeighborBaseline(train, query.shape[0], n_h, epsilon)
-    return baseline.predict_futures(query).futures[0]
-
-
-def baseline_ridge(train: MultivariateSeries, lam: float = 1.0,
-                   n_p: int = 168, n_h: int = 24) -> RidgeBaseline:
-    """Fit the ridge baseline (closed-form normal equations)."""
-    return RidgeBaseline(train, n_p, n_h, lam)
 
 
 # -- method comparison ---------------------------------------------------------

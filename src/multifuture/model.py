@@ -21,6 +21,15 @@ Variants:
     Shape decoders replaced by a deep transposed-convolution stack.
 ``model_ensemble``
     ``f`` independent single-future copies of the full network.
+
+All six are one network wired by a routing table built in
+:class:`Forecaster`'s constructor, the only code that reads the variant.
+Row ``i`` of the table is future ``i``: ``shape_encoders[i]`` feeds
+``shape_decoders[i]`` and ``scale_encoders[i]`` feeds ``scale_decoders[i]``.
+A shared encoder sits in several rows and runs once per forward pass;
+``non_separated`` has no scale decoders (``None``) and gets the unit
+multiplier and zero offset instead.  The forward pass returns every output
+stacked over futures on a leading axis.
 """
 
 from __future__ import annotations
@@ -42,8 +51,6 @@ __all__ = [
     "FutureSet",
     "Forecaster",
     "ExpertClassifier",
-    "model_forward",
-    "expert_classifier_forward",
     "shape_encoder_forward",
     "shape_decoder_forward",
     "scale_forward",
@@ -303,37 +310,24 @@ class ScaleDecoder:
         return [self.linear]
 
 
-class _EnsembleMember:
-    """One single-future copy of the full network (model-ensemble scheme)."""
-
-    def __init__(self, name: str, config: ModelConfig,
-                 rng: np.random.Generator, dtype):
-        self.shape_encoder = ConvEncoder(f"{name}.shape_encoder", config, rng, dtype)
-        self.scale_encoder = ConvEncoder(f"{name}.scale_encoder", config, rng, dtype)
-        self.shape_decoder = BankShapeDecoder(f"{name}.shape_decoder0", config,
-                                              rng, dtype)
-        self.scale_decoder = ScaleDecoder(f"{name}.scale_decoder0", config,
-                                          rng, dtype)
-
-    def layer_params(self) -> list[LayerParams]:
-        return (self.shape_encoder.layer_params()
-                + self.scale_encoder.layer_params()
-                + self.shape_decoder.layer_params()
-                + self.scale_decoder.layer_params())
-
-
 class _ForwardTensors(NamedTuple):
-    """Graph-connected per-future outputs of one batched forward pass."""
+    """Graph-connected outputs of one batched forward pass, stacked over futures."""
 
-    futures: list[Tensor]       # f tensors of (batch, d, n_h)
-    shape_preds: list[Tensor]   # f tensors of (batch, d, n_h)
-    scale_mul: list            # f of (batch, d) Tensor, or None
-    scale_add: list
-    activations: list          # f of (batch, d, n_s) Tensor, or None
+    futures: Tensor             # (f, batch, d, n_h)
+    shape_preds: Tensor         # (f, batch, d, n_h)
+    scale_mul: Tensor           # (f, batch, d)
+    scale_add: Tensor           # (f, batch, d)
+    activations: Tensor | None  # (f, batch, d, n_s), None for tconv decoders
 
 
 class Forecaster:
-    """A configured multi-future model; weights are seeded at construction."""
+    """A configured multi-future model; weights are seeded at construction.
+
+    ``shape_encoders``, ``scale_encoders``, ``shape_decoders`` and
+    ``scale_decoders`` are the columns of the routing table described in
+    the module docstring.  ``parameters()`` lists modules in construction
+    order, so RNG draws and checkpoint layout follow from the configuration.
+    """
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32,
                  model_id: str | None = None):
@@ -341,75 +335,51 @@ class Forecaster:
         self.dtype = np.dtype(dtype).type
         self.model_id = model_id or f"{config.variant}_f{config.f}"
         rng = np.random.default_rng(seed)
+        self._modules: list = []  # construction order = parameter order
 
-        self.members: list[_EnsembleMember] = []
-        self.shape_encoder = self.scale_encoder = None
-        self.shape_decoders: list = []
-        self.scale_decoders: list[ScaleDecoder] = []
+        def build(cls, name):
+            module = cls(name, config, rng, dtype)
+            self._modules.append(module)
+            return module
 
-        variant = config.variant
+        f, variant = config.f, config.variant
         if variant == "model_ensemble":
-            self.members = [
-                _EnsembleMember(f"member{i}", config, rng, dtype)
-                for i in range(config.f)
-            ]
-        elif variant in ("shared_encoder", "non_separated"):
-            self.shape_encoder = ConvEncoder("encoder", config, rng, dtype)
-            self.scale_encoder = self.shape_encoder
-            self.shape_decoders = [
-                BankShapeDecoder(f"shape_decoder{i}", config, rng, dtype)
-                for i in range(config.f)
-            ]
-            if variant == "shared_encoder":
-                self.scale_decoders = [
-                    ScaleDecoder(f"scale_decoder{i}", config, rng, dtype)
-                    for i in range(config.f)
-                ]
-        else:  # full, one_loss, tconv_decoder
-            self.shape_encoder = ConvEncoder("shape_encoder", config, rng, dtype)
-            self.scale_encoder = ConvEncoder("scale_encoder", config, rng, dtype)
+            rows = [(build(ConvEncoder, f"member{i}.shape_encoder"),
+                     build(ConvEncoder, f"member{i}.scale_encoder"),
+                     build(BankShapeDecoder, f"member{i}.shape_decoder0"),
+                     build(ScaleDecoder, f"member{i}.scale_decoder0"))
+                    for i in range(f)]
+        else:
+            if variant in ("shared_encoder", "non_separated"):
+                shape_encoder = scale_encoder = build(ConvEncoder, "encoder")
+            else:  # full, one_loss, tconv_decoder
+                shape_encoder = build(ConvEncoder, "shape_encoder")
+                scale_encoder = build(ConvEncoder, "scale_encoder")
             decoder_cls = (TConvShapeDecoder if variant == "tconv_decoder"
                            else BankShapeDecoder)
-            self.shape_decoders = [
-                decoder_cls(f"shape_decoder{i}", config, rng, dtype)
-                for i in range(config.f)
-            ]
-            self.scale_decoders = [
-                ScaleDecoder(f"scale_decoder{i}", config, rng, dtype)
-                for i in range(config.f)
-            ]
+            shape_decoders = [build(decoder_cls, f"shape_decoder{i}")
+                              for i in range(f)]
+            scale_decoders = (
+                [None] * f if variant == "non_separated"
+                else [build(ScaleDecoder, f"scale_decoder{i}") for i in range(f)])
+            rows = [(shape_encoder, scale_encoder, shape_dec, scale_dec)
+                    for shape_dec, scale_dec in zip(shape_decoders, scale_decoders)]
+        (self.shape_encoders, self.scale_encoders,
+         self.shape_decoders, self.scale_decoders) = map(list, zip(*rows))
 
     # -- parameters ---------------------------------------------------------
 
     def parameters(self) -> list[LayerParams]:
         """All trainable parameter bundles in a stable, serializable order."""
-        if self.members:
-            out = []
-            for member in self.members:
-                out.extend(member.layer_params())
-        else:
-            out = self.shape_encoder.layer_params()
-            if self.scale_encoder is not self.shape_encoder:
-                out.extend(self.scale_encoder.layer_params())
-            for dec in self.shape_decoders:
-                out.extend(dec.layer_params())
-            for dec in self.scale_decoders:
-                out.extend(dec.layer_params())
+        out = [p for module in self._modules for p in module.layer_params()]
         names = [p.name for p in out]
         if len(set(names)) != len(names):
             raise ValueError("parameter names are not unique within the model")
         return out
 
     def shape_banks(self) -> list[ShapeBank]:
-        banks = []
-        if self.members:
-            for member in self.members:
-                banks.extend(member.shape_decoder.banks)
-        else:
-            for dec in self.shape_decoders:
-                if isinstance(dec, BankShapeDecoder):
-                    banks.extend(dec.banks)
-        return banks
+        return [bank for dec in self.shape_decoders
+                if isinstance(dec, BankShapeDecoder) for bank in dec.banks]
 
     # -- forward passes -------------------------------------------------
 
@@ -422,6 +392,9 @@ class Forecaster:
                 f"expected input of shape ({self.config.n_p}, {self.config.d}),"
                 f" got {np.asarray(inputs).shape}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(
+                f"input windows contain non-finite values in {self.dtype.__name__}")
         return Tensor(arr)
 
     def forward_tensors(self, inputs: np.ndarray) -> _ForwardTensors:
@@ -429,69 +402,43 @@ class Forecaster:
 
         ``inputs`` is ``(batch, n_p, d)`` (or a single ``(n_p, d)`` window).
         """
-        x = self._as_batch(inputs)
-        cfg = self.config
-        futures, shapes, muls, adds, acts = [], [], [], [], []
+        return self._forward(self._as_batch(inputs))
 
-        if cfg.variant == "model_ensemble":
-            for member in self.members:
-                hs = member.shape_encoder.forward(x)
-                hc = member.scale_encoder.forward(x)
-                alpha, r = member.shape_decoder.forward(hs)
-                mul, add = member.scale_decoder.forward(hc)
-                n = alpha.shape[0]
-                fut = (mul.reshape(n, cfg.d, 1) * alpha
-                       + add.reshape(n, cfg.d, 1))
-                futures.append(fut)
-                shapes.append(alpha)
-                muls.append(mul)
-                adds.append(add)
-                acts.append(r)
-            return _ForwardTensors(futures, shapes, muls, adds, acts)
-
-        hs = self.shape_encoder.forward(x)
-        hc = hs if self.scale_encoder is self.shape_encoder \
-            else self.scale_encoder.forward(x)
-        for i in range(cfg.f):
-            alpha, r = self.shape_decoders[i].forward(hs)
-            shapes.append(alpha)
-            acts.append(r)
-            if cfg.variant == "non_separated":
-                futures.append(alpha)
-                muls.append(None)
-                adds.append(None)
+    def _forward(self, x: Tensor) -> _ForwardTensors:
+        """Forward pass from a validated ``(batch, n_p, d)`` tensor."""
+        hidden = {m: m.forward(x) for m in self._modules
+                  if isinstance(m, ConvEncoder)}
+        n, d = x.shape[0], self.config.d
+        rows = []
+        for shape_enc, scale_enc, shape_dec, scale_dec in zip(
+                self.shape_encoders, self.scale_encoders,
+                self.shape_decoders, self.scale_decoders):
+            alpha, r = shape_dec.forward(hidden[shape_enc])
+            if scale_dec is None:  # raw-unit shapes
+                mul = Tensor(np.ones((n, d), self.dtype))
+                add = Tensor(np.zeros((n, d), self.dtype))
             else:
-                mul, add = self.scale_decoders[i].forward(hc)
-                n = alpha.shape[0]
-                futures.append(mul.reshape(n, cfg.d, 1) * alpha
-                               + add.reshape(n, cfg.d, 1))
-                muls.append(mul)
-                adds.append(add)
-        return _ForwardTensors(futures, shapes, muls, adds, acts)
+                mul, add = scale_dec.forward(hidden[scale_enc])
+            future = mul.reshape(n, d, 1) * alpha + add.reshape(n, d, 1)
+            rows.append((future, alpha, mul, add, r))
+        futures, shapes, muls, adds, acts = zip(*rows)
+        return _ForwardTensors(stack(futures), stack(shapes), stack(muls),
+                               stack(adds),
+                               None if acts[0] is None else stack(acts))
 
     def predict_futures(self, window: np.ndarray) -> FutureSet:
         """Predict the future set for one ``(n_p, d)`` input window."""
         window = np.asarray(window)
         if window.ndim != 2:
             raise ValueError(f"expected a single (n_p, d) window, got {window.shape}")
-        cfg = self.config
         with no_grad():
             fwd = self.forward_tensors(window)
-        shape_preds = np.stack(
-            [t.data[0].astype(np.float64) for t in fwd.shape_preds])
-        if cfg.variant == "non_separated":
-            scale_mul = np.ones((cfg.f, cfg.d))
-            scale_add = np.zeros((cfg.f, cfg.d))
-        else:
-            scale_mul = np.stack(
-                [t.data[0].astype(np.float64) for t in fwd.scale_mul])
-            scale_add = np.stack(
-                [t.data[0].astype(np.float64) for t in fwd.scale_add])
+        shape_preds, scale_mul, scale_add = (
+            t.data[:, 0].astype(np.float64)
+            for t in (fwd.shape_preds, fwd.scale_mul, fwd.scale_add))
         futures = scale_mul[:, :, None] * shape_preds + scale_add[:, :, None]
-        activations = None
-        if fwd.activations[0] is not None:
-            activations = np.stack(
-                [t.data[0].astype(np.float64) for t in fwd.activations])
+        activations = (None if fwd.activations is None
+                       else fwd.activations.data[:, 0].astype(np.float64))
         return FutureSet(futures, shape_preds, scale_mul, scale_add, activations)
 
 
@@ -533,12 +480,10 @@ class ExpertClassifier:
 
 
 def shape_encoder_forward(model: Forecaster, window: np.ndarray) -> np.ndarray:
-    """Run the shape encoder on one (n_p, d) window; returns the h vector."""
+    """Run the first future's shape encoder on one (n_p, d) window; returns h."""
     with no_grad():
         x = model._as_batch(np.asarray(window))
-        encoder = (model.members[0].shape_encoder if model.members
-                   else model.shape_encoder)
-        return encoder.forward(x).data[0].copy()
+        return model.shape_encoders[0].forward(x).data[0].copy()
 
 
 def shape_decoder_forward(model: Forecaster, h: np.ndarray,
@@ -549,8 +494,7 @@ def shape_decoder_forward(model: Forecaster, h: np.ndarray,
     prediction can be re-derived externally from the activations and the
     banks alone.
     """
-    decoder = (model.members[decoder_index].shape_decoder if model.members
-               else model.shape_decoders[decoder_index])
+    decoder = model.shape_decoders[decoder_index]
     if not isinstance(decoder, BankShapeDecoder):
         raise ValueError("decoder does not expose template activations")
     with no_grad():
@@ -560,20 +504,14 @@ def shape_decoder_forward(model: Forecaster, h: np.ndarray,
 
 def scale_forward(model: Forecaster, window: np.ndarray,
                   decoder_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scale sub-network output (multiplier, offset) for one future."""
-    if model.config.variant == "non_separated":
-        d = model.config.d
-        return np.ones(d), np.zeros(d)
+    """Scale sub-network output (multiplier, offset) for one future.
+
+    ``non_separated`` models report the unit multiplier and zero offset.
+    """
     with no_grad():
-        x = model._as_batch(np.asarray(window))
-        if model.members:
-            member = model.members[decoder_index]
-            h = member.scale_encoder.forward(x)
-            mul, add = member.scale_decoder.forward(h)
-        else:
-            h = model.scale_encoder.forward(x)
-            mul, add = model.scale_decoders[decoder_index].forward(h)
-    return mul.data[0].copy(), add.data[0].copy()
+        fwd = model.forward_tensors(window)
+    return (fwd.scale_mul.data[decoder_index, 0].copy(),
+            fwd.scale_add.data[decoder_index, 0].copy())
 
 
 def combine(shape_pred: np.ndarray, scale_mul: np.ndarray,
@@ -582,17 +520,6 @@ def combine(shape_pred: np.ndarray, scale_mul: np.ndarray,
     shape_pred = np.asarray(shape_pred)
     return (np.asarray(scale_mul)[:, None] * shape_pred
             + np.asarray(scale_add)[:, None])
-
-
-def model_forward(window: np.ndarray, model: Forecaster) -> FutureSet:
-    """Predict the full future set for one (n_p, d) window."""
-    return model.predict_futures(window)
-
-
-def expert_classifier_forward(window: np.ndarray,
-                              classifier: ExpertClassifier) -> np.ndarray:
-    """Probabilities over the f futures for one (n_p, d) window."""
-    return classifier.predict_proba(window)
 
 
 class ParameterCount(NamedTuple):

@@ -111,7 +111,12 @@ class Tensor:
                     work.append((parent, False))
         _accumulate(self, np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward_fn is not None:
+            if node.grad is None:
+                # No gradient reached this node (see stack): skip its
+                # subgraph, and give a reachable leaf an exact zero.
+                if node._backward_fn is None:
+                    node.grad = np.zeros_like(node.data)
+            elif node._backward_fn is not None:
                 node._backward_fn(node.grad)
 
     # -- arithmetic -----------------------------------------------------
@@ -249,7 +254,10 @@ def stack(tensors, axis: int = 0) -> Tensor:
     def bwd(g):
         pieces = np.moveaxis(g, axis, 0)
         for t, piece in zip(tensors, pieces):
-            _accumulate(t, piece)
+            # An all-zero slice (a future that won no oracle row) is not
+            # sent, so backward does no work on the graph behind it.
+            if piece.any():
+                _accumulate(t, piece)
 
     return _from_op(out_data, tuple(tensors), bwd)
 

@@ -134,9 +134,17 @@ def _read_entries(directory, manifest) -> dict[str, np.ndarray]:
             blob = fh.read()
     except FileNotFoundError:
         raise CheckpointError(f"no parameter blob at {path}") from None
+    entries = manifest.get("parameters")
+    if not isinstance(entries, list):
+        raise CheckpointError("manifest field 'parameters' is missing or not a list")
     expected_offset = 0
     arrays: dict[str, np.ndarray] = {}
-    for entry in manifest["parameters"]:
+    for k, entry in enumerate(entries):
+        for key, kind in (("name", str), ("shape", list), ("offset_bytes", int)):
+            if not isinstance(entry, dict) or not isinstance(entry.get(key), kind):
+                raise CheckpointError(
+                    f"manifest parameters[{k}] field {key!r} is missing or "
+                    f"not a {kind.__name__}")
         name, shape = entry["name"], tuple(entry["shape"])
         if any(not isinstance(s, int) or s < 1 for s in shape):
             raise CheckpointError(f"parameter {name!r} has invalid shape {shape}")
@@ -183,13 +191,32 @@ def _named_entries_for(model):
         yield from params.named_tensors()
 
 
+def _model_config(manifest) -> ModelConfig:
+    """Build the ModelConfig a manifest records, naming any bad field."""
+    fields = manifest.get("config")
+    if not isinstance(fields, dict):
+        raise CheckpointError("manifest field 'config' is missing or not an object")
+    defaults = asdict(ModelConfig())
+    for key, value in fields.items():
+        if key not in defaults:
+            raise CheckpointError(f"manifest config has unknown field {key!r}")
+        if type(value) is not type(defaults[key]):
+            raise CheckpointError(
+                f"manifest config field {key!r} must be "
+                f"{type(defaults[key]).__name__}, got {value!r}")
+    try:
+        return ModelConfig(**fields)
+    except ValueError as exc:
+        raise CheckpointError(f"manifest config is invalid: {exc}") from None
+
+
 def load(directory):
     """Rebuild a model from a checkpoint; predictions are bit-identical."""
     manifest = _read_manifest(directory)
     if manifest["kind"] == "shape_banks":
         raise CheckpointError(
             "directory holds a shape-bank file; use load_shape_banks")
-    config = ModelConfig(**manifest["config"])
+    config = _model_config(manifest)
     arrays = _read_entries(directory, manifest)
     if manifest["kind"] == "expert_classifier":
         model = ExpertClassifier(config, seed=0)

@@ -28,6 +28,7 @@ __all__ = [
     "z_normalize",
     "rmse",
     "nrmse",
+    "window_rmse",
     "oracle_index",
     "compute_loss",
     "sample_minibatch",
@@ -38,7 +39,12 @@ __all__ = [
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss stops being finite.
+
+    The reported terms mask every future's error by whether it won, so a
+    non-finite error in any future stops training (NaN times 0 is NaN),
+    whether or not that future won a row.
+    """
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,22 @@ def nrmse(shape_pred, truth, epsilon: float = 1e-8) -> float:
     return rmse(shape_pred, z_normalize(truth, epsilon, axis=-1))
 
 
+def window_rmse(pred, truth) -> np.ndarray:
+    """RMSE over the last two axes, one value per leading index.
+
+    ``truth`` is ``(d, n_h)`` or ``(batch, d, n_h)`` and broadcasts against
+    the trailing axes of ``pred`` (for example ``(f, d, n_h)`` or
+    ``(f, batch, d, n_h)``).  The arithmetic runs in the inputs' dtype.
+    """
+    pred = np.asarray(pred)
+    truth = np.asarray(truth)
+    if truth.ndim < 2 or pred.shape[pred.ndim - truth.ndim:] != truth.shape:
+        raise ValueError(
+            f"truth {truth.shape} does not match the trailing axes of "
+            f"predictions {pred.shape}")
+    return np.sqrt(np.mean((pred - truth) ** 2, axis=(-2, -1)))
+
+
 def oracle_index(future_set: FutureSet, truth, epsilon: float = 1e-8) -> int:
     """1-based index of the future whose shape best matches the truth.
 
@@ -105,9 +127,7 @@ def oracle_index(future_set: FutureSet, truth, epsilon: float = 1e-8) -> int:
     lowest index.
     """
     truth_z = z_normalize(np.asarray(truth, dtype=np.float64), epsilon, axis=-1)
-    errors = np.sqrt(
-        np.mean((future_set.shape_preds - truth_z[None]) ** 2, axis=(1, 2)))
-    return int(np.argmin(errors)) + 1
+    return int(np.argmin(window_rmse(future_set.shape_preds, truth_z))) + 1
 
 
 def compute_loss(future_set: FutureSet, truth, i_oc: int,
@@ -168,29 +188,14 @@ def sample_minibatch(series, n_p: int, n_h: int, n_b: int,
 
 
 def _per_instance_error(pred: Tensor, target: np.ndarray) -> Tensor:
-    """sqrt(mean((pred - target)^2)) per batch row, as a (batch,) tensor."""
+    """sqrt(mean((pred - target)^2)) over the last two axes, as a tensor."""
     diff = pred - Tensor(target)
-    return (diff * diff).mean(axis=(1, 2)).sqrt()
+    return (diff * diff).mean(axis=(-2, -1)).sqrt()
 
 
 def _oracle_rows(shape_values: np.ndarray, truth_z: np.ndarray) -> np.ndarray:
     """0-based oracle index per batch row from detached shape predictions."""
-    errors = np.sqrt(
-        np.mean((shape_values - truth_z[None]) ** 2, axis=(2, 3)))  # (f, batch)
-    return errors.argmin(axis=0)
-
-
-def _fill_missing_grads(params) -> None:
-    """Zero-fill grads of parameters untouched by the loss.
-
-    A decoder that wins no instance in a batch contributes exactly zero
-    loss, so its true gradient is zero; materializing it keeps the strict
-    adam_step contract satisfied.
-    """
-    for p in params:
-        for t in p.tensors():
-            if t.requires_grad and t.grad is None:
-                t.grad = np.zeros_like(t.data)
+    return window_rmse(shape_values, truth_z).argmin(axis=0)
 
 
 def train(series, model_config: ModelConfig, train_config: TrainConfig,
@@ -218,26 +223,19 @@ def train(series, model_config: ModelConfig, train_config: TrainConfig,
         truth_z = z_normalize(truth, eps, axis=-1).astype(model.dtype)
 
         fwd = model.forward_tensors(inputs)
-        rmse_rows = [_per_instance_error(t, truth) for t in fwd.futures]
-        nrmse_rows = [_per_instance_error(t, truth_z) for t in fwd.shape_preds]
+        rmse_rows = _per_instance_error(fwd.futures, truth)        # (f, batch)
+        nrmse_rows = _per_instance_error(fwd.shape_preds, truth_z)
+        i_oc = _oracle_rows(fwd.shape_preds.data, truth_z)
+        winners = np.arange(cfg.f)[:, None] == i_oc               # one-hot
+        mask = Tensor(winners.astype(model.dtype))
 
-        shape_values = np.stack([t.data for t in fwd.shape_preds])
-        i_oc = _oracle_rows(shape_values, truth_z)
-
-        loss = None
-        rmse_term = 0.0
-        nrmse_term = 0.0
-        for j in range(cfg.f):
-            mask = (i_oc == j)
-            if not mask.any():
-                continue
-            mask_t = Tensor(mask.astype(model.dtype))
-            term = (mask_t * rmse_rows[j]).sum()
-            rmse_term += float((rmse_rows[j].data * mask).sum())
-            nrmse_term += float((nrmse_rows[j].data * mask).sum())
-            if gamma != 0.0:
-                term = term + gamma * (mask_t * nrmse_rows[j]).sum()
-            loss = term if loss is None else loss + term
+        loss = (mask * rmse_rows).sum()
+        if gamma != 0.0:
+            loss = loss + gamma * (mask * nrmse_rows).sum()
+        # Per-future float32 sums added in future order; a non-finite
+        # error in any future, winning or not, makes the total non-finite.
+        rmse_term = sum(map(float, (rmse_rows.data * winners).sum(axis=1)), 0.0)
+        nrmse_term = sum(map(float, (nrmse_rows.data * winners).sum(axis=1)), 0.0)
         total = rmse_term + gamma * nrmse_term
         if not np.isfinite(total):
             raise TrainingDiverged(
@@ -245,7 +243,6 @@ def train(series, model_config: ModelConfig, train_config: TrainConfig,
                 f"(rmse={rmse_term}, nrmse={nrmse_term}, seed={train_config.seed})"
             )
         loss.backward()
-        _fill_missing_grads(params)
         adam_step(params, state)
 
         record = LossRecord(
@@ -295,8 +292,7 @@ def train_expert(series, model: Forecaster,
         truth_z = z_normalize(truth, eps, axis=-1)
         with no_grad():
             fwd = model.forward_tensors(inputs)
-        shape_values = np.stack([t.data for t in fwd.shape_preds])
-        labels = _oracle_rows(shape_values, truth_z)
+        labels = _oracle_rows(fwd.shape_preds.data, truth_z)
 
         loss = ops.cross_entropy(classifier.forward_logits(inputs), labels)
         if not np.isfinite(float(loss.data)):

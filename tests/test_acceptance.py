@@ -100,11 +100,11 @@ def test_criterion_01_gradient_correctness():
             x = Tensor(inputs, requires_grad=True)
 
             def oracle_loss(*_):
-                # forward wired to the shared tensors so every input in the
-                # grad_check list participates in the same graph
-                fwd = _forward_from(model, x)
+                # the production forward pass on the shared input tensor, so
+                # every input in the grad_check list is in the same graph
+                fwd = model._forward(x)
                 loss = None
-                shape_vals = np.stack([t.data for t in fwd["shape_preds"]])
+                shape_vals = fwd.shape_preds.data
                 errs = np.sqrt(np.mean(
                     (shape_vals - truth_z[None]) ** 2, axis=(2, 3)))
                 i_oc = errs.argmin(axis=0)
@@ -112,9 +112,9 @@ def test_criterion_01_gradient_correctness():
                     mask = (i_oc == j).astype(np.float64)
                     if not mask.any():
                         continue
-                    diff_r = fwd["futures"][j] - Tensor(truth)
+                    diff_r = fwd.futures[j] - Tensor(truth)
                     rmse_rows = (diff_r * diff_r).mean(axis=(1, 2)).sqrt()
-                    diff_n = fwd["shape_preds"][j] - Tensor(truth_z)
+                    diff_n = fwd.shape_preds[j] - Tensor(truth_z)
                     nrmse_rows = (diff_n * diff_n).mean(axis=(1, 2)).sqrt()
                     term = (Tensor(mask) * (rmse_rows + nrmse_rows)).sum()
                     loss = term if loss is None else loss + term
@@ -132,27 +132,11 @@ def test_criterion_01_gradient_correctness():
         c.detail = f"max rel err {worst:.2e}, {elapsed:.1f}s"
 
 
-def _forward_from(model, x):
-    """Forward pass wired to an existing input tensor (for grad checks)."""
-    cfg = model.config
-    hs = model.shape_encoder.forward(x)
-    hc = model.scale_encoder.forward(x)
-    futures, shapes = [], []
-    for i in range(cfg.f):
-        alpha, _ = model.shape_decoders[i].forward(hs)
-        mul, add = model.scale_decoders[i].forward(hc)
-        n = alpha.shape[0]
-        futures.append(mul.reshape(n, cfg.d, 1) * alpha
-                       + add.reshape(n, cfg.d, 1))
-        shapes.append(alpha)
-    return {"futures": futures, "shape_preds": shapes}
-
-
 def test_criterion_02_architecture_arithmetic():
     with _Criterion(2, "7 encoder blocks -> 64-vector; tconv lengths "
                        "1->2->4->8->16->24") as c:
         model = Forecaster(ModelConfig(), seed=0)
-        assert len(model.shape_encoder.convs) == 7
+        assert len(model.shape_encoders[0].convs) == 7
 
         # observe the real pooled lengths, not just the declared schedule
         seen_lengths = []

@@ -174,6 +174,15 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError, match="row 1.*non-numeric"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected_with_row(self, tmp_path, cell):
+        path = tmp_path / "inf.csv"
+        path.write_text(
+            CSV_HEADER + "\n2023-01-02T00:00:00Z,1,1,1,0.5\n"
+            f"2023-01-02T01:00:00Z,1,{cell},1,0.5\n")
+        with pytest.raises(CsvFormatError, match="row 2.*non-finite"):
+            load_csv(path)
+
     def test_rate_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "rate.csv"
         path.write_text(

@@ -7,8 +7,6 @@ from multifuture.data import GeneratorConfig, generate
 from multifuture.evaluation import (
     NearestNeighborBaseline,
     RidgeBaseline,
-    baseline_nearest_neighbor,
-    baseline_ridge,
     compare,
     evaluate_rolling,
 )
@@ -144,7 +142,8 @@ class TestNearestNeighbor:
     def test_exact_match_returns_continuation(self, month_series):
         values = month_series.values
         query = values[100:100 + 168]
-        pred = baseline_nearest_neighbor(month_series, query, 24)
+        pred = NearestNeighborBaseline(month_series, 168, 24) \
+            .predict_futures(query).futures[0]
         np.testing.assert_allclose(pred, values[268:292].T, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -165,9 +164,9 @@ class TestNearestNeighbor:
 
     def test_deterministic(self, month_series):
         query = month_series.values[5:5 + 96]
-        a = baseline_nearest_neighbor(month_series, query, 24)
-        b = baseline_nearest_neighbor(month_series, query, 24)
-        assert np.array_equal(a, b)
+        a = NearestNeighborBaseline(month_series, 96, 24).predict_futures(query)
+        b = NearestNeighborBaseline(month_series, 96, 24).predict_futures(query)
+        assert np.array_equal(a.futures, b.futures)
 
     def test_insufficient_history_raises(self):
         with pytest.raises(ValueError, match="shorter"):
@@ -214,13 +213,13 @@ class TestRidge:
             RidgeBaseline(month_series, 24, 6, lam=0.0)
 
     def test_future_set_contract(self, month_series):
-        model = baseline_ridge(month_series, n_p=48, n_h=24)
+        model = RidgeBaseline(month_series, n_p=48, n_h=24)
         fs = model.predict_futures(month_series.values[:48])
         fs.validate()
         assert fs.futures.shape == (1, 4, 24)
 
     def test_default_horizons_are_canonical(self, month_series):
-        model = baseline_ridge(month_series)
+        model = RidgeBaseline(month_series, 168, 24)
         # 168 x 4 flattened input (plus intercept), 96 output coordinates
         assert model.coefficients.shape == (1 + 672, 96)
 

@@ -11,8 +11,6 @@ from multifuture.model import (
     combine,
     count_parameters,
     encoder_length_schedule,
-    expert_classifier_forward,
-    model_forward,
     scale_forward,
     shape_decoder_forward,
     shape_encoder_forward,
@@ -56,7 +54,7 @@ class TestModelConfig:
 class TestShapeEncoder:
     def test_default_architecture_emits_64_vector(self):
         model = Forecaster(ModelConfig(), seed=0)
-        assert len(model.shape_encoder.convs) == 7
+        assert len(model.shape_encoders[0].convs) == 7
         h = shape_encoder_forward(model, np.zeros((168, 4)))
         assert h.shape == (64,)
         assert np.all(np.isfinite(h))
@@ -78,11 +76,20 @@ class TestShapeEncoder:
         with pytest.raises(ValueError, match="shape"):
             model.predict_futures(np.zeros((7, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])
+    def test_non_finite_window_raises(self, bad):
+        model = Forecaster(small_config(), seed=0)
+        window = np.zeros((16, 2))
+        window[5, 1] = bad  # 1e39 overflows float32
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="non-finite"):
+            model.predict_futures(window)
+
     @pytest.mark.parametrize("n_p,blocks", [(2, 1), (3, 1), (4, 2), (17, 4)])
     def test_minimum_depth_encoders(self, n_p, blocks):
         cfg = small_config(n_p=n_p)
         model = Forecaster(cfg, seed=0)
-        assert len(model.shape_encoder.convs) == blocks
+        assert len(model.shape_encoders[0].convs) == blocks
         h = shape_encoder_forward(model, np.ones((n_p, cfg.d)))
         assert h.shape == (cfg.channels,)
         assert np.all(np.isfinite(h))
@@ -156,7 +163,7 @@ class TestScaleAndCombine:
         from multifuture.nn.tensor import no_grad
         with no_grad():
             x = model._as_batch(window)
-            h = model.scale_encoder.forward(x).data[0]
+            h = model.scale_encoders[0].forward(x).data[0]
         w = model.scale_decoders[0].linear.weight.data
         b = model.scale_decoders[0].linear.bias.data
         expected = np.array([
@@ -189,21 +196,21 @@ class TestModelForward:
     def test_future_set_contract(self, variant):
         cfg = small_config(variant=variant, n_h=16 if variant == "tconv_decoder" else 8)
         model = Forecaster(cfg, seed=0)
-        fs = model_forward(random_window(cfg, 2), model)
+        fs = model.predict_futures(random_window(cfg, 2))
         assert fs.futures.shape == (cfg.f, cfg.d, cfg.n_h)
         assert fs.shape_preds.shape == (cfg.f, cfg.d, cfg.n_h)
         fs.validate()
 
     def test_f3_default(self):
         model = Forecaster(ModelConfig(n_p=16, d=2, f=3, n_s=4, channels=8), seed=0)
-        fs = model_forward(np.zeros((16, 2)), model)
+        fs = model.predict_futures(np.zeros((16, 2)))
         assert fs.f == 3
 
     def test_eq5_consistency_random(self):
         cfg = small_config()
         model = Forecaster(cfg, seed=1)
         for seed in range(10):
-            fs = model_forward(random_window(cfg, seed), model)
+            fs = model.predict_futures(random_window(cfg, seed))
             recombined = (fs.scale_mul[:, :, None] * fs.shape_preds
                           + fs.scale_add[:, :, None])
             np.testing.assert_allclose(fs.futures, recombined, atol=1e-6)
@@ -211,7 +218,7 @@ class TestModelForward:
     def test_non_separated_unit_scales(self):
         cfg = small_config(variant="non_separated")
         model = Forecaster(cfg, seed=0)
-        fs = model_forward(random_window(cfg), model)
+        fs = model.predict_futures(random_window(cfg))
         np.testing.assert_allclose(fs.scale_mul, 1.0)
         np.testing.assert_allclose(fs.scale_add, 0.0)
         np.testing.assert_allclose(fs.futures, fs.shape_preds)
@@ -219,7 +226,9 @@ class TestModelForward:
     def test_shared_encoder_has_one_encoder(self):
         cfg = small_config(variant="shared_encoder")
         model = Forecaster(cfg, seed=0)
-        assert model.scale_encoder is model.shape_encoder
+        encoder = model.shape_encoders[0]
+        assert all(e is encoder
+                   for e in model.shape_encoders + model.scale_encoders)
         names = [p.name for p in model.parameters()]
         assert not any(name.startswith("shape_encoder") for name in names)
 
@@ -228,7 +237,7 @@ class TestModelForward:
                           variant="tconv_decoder")
         model = Forecaster(cfg, seed=0)
         assert model.shape_decoders[0].length_schedule() == [1, 2, 4, 8, 16, 24]
-        fs = model_forward(np.zeros((16, 2)), model)
+        fs = model.predict_futures(np.zeros((16, 2)))
         assert fs.futures.shape == (1, 2, 24)
         assert fs.activations is None
 
@@ -262,7 +271,7 @@ class TestExpertClassifier:
     def test_probabilities_sum_to_one(self):
         cfg = small_config(f=3)
         clf = ExpertClassifier(cfg, seed=0)
-        probs = expert_classifier_forward(random_window(cfg), clf)
+        probs = clf.predict_proba(random_window(cfg))
         assert probs.shape == (3,)
         assert np.all(probs >= 0)
         np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-6)
@@ -271,7 +280,7 @@ class TestExpertClassifier:
         cfg = small_config(f=1)
         clf = ExpertClassifier(cfg, seed=0)
         np.testing.assert_allclose(
-            expert_classifier_forward(random_window(cfg), clf), [1.0])
+            clf.predict_proba(random_window(cfg)), [1.0])
 
 
 class TestCountParameters:
@@ -313,7 +322,7 @@ class TestInterpretabilityContract:
         cfg = small_config()
         model = Forecaster(cfg, seed=2)
         window = random_window(cfg, 7)
-        fs = model_forward(window, model)
+        fs = model.predict_futures(window)
         for i, decoder in enumerate(model.shape_decoders):
             for j, bank in enumerate(decoder.banks):
                 rebuilt = fs.activations[i, j] @ bank.templates.data.astype(np.float64)

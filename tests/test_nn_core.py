@@ -8,6 +8,7 @@ from multifuture.nn import (
     LayerParams,
     Tensor,
     adam_step,
+    stack,
     grad_check,
     init_conv,
 )
@@ -466,6 +467,16 @@ class TestTensorBasics:
         y = x * x  # x appears twice as parent
         y.sum().backward()
         np.testing.assert_allclose(x.grad, [6.0])
+
+    def test_stack_skips_graph_behind_zero_slice(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        scaled_b = b * 3.0
+        mask = Tensor(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        (stack([a * 2.0, scaled_b]) * mask).sum().backward()
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+        assert scaled_b.grad is None  # its backward closure never ran
+        np.testing.assert_array_equal(b.grad, [0.0, 0.0])
 
     def test_dtype_preserved(self):
         assert Tensor(np.zeros(3, dtype=np.float64)).dtype == np.float64

@@ -127,6 +127,23 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="manifest"):
             load(tmp_path)
 
+    @pytest.mark.parametrize("corrupt,field", [
+        (lambda m: m["config"].update(extra=1), "extra"),
+        (lambda m: m["config"].update(n_p="16"), "n_p"),
+        (lambda m: m.pop("config"), "config"),
+        (lambda m: m.pop("parameters"), "parameters"),
+        (lambda m: m["parameters"][2].pop("name"), "name"),
+    ], ids=["extra_config_key", "string_n_p", "no_config", "no_parameters",
+            "entry_without_name"])
+    def test_malformed_manifest_names_the_field(self, tmp_path, corrupt, field):
+        save(Forecaster(CFG, seed=0), tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        corrupt(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=f"'{field}'"):
+            load(tmp_path / "ckpt")
+
     def test_offset_gap_rejected(self, tmp_path):
         model = Forecaster(CFG, seed=0)
         save(model, tmp_path / "ckpt")

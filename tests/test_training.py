@@ -10,6 +10,7 @@ from multifuture.model import Forecaster, FutureSet, ModelConfig
 from multifuture.training import (
     LossRecord,
     TrainConfig,
+    TrainingDiverged,
     compute_loss,
     nrmse,
     oracle_index,
@@ -275,6 +276,14 @@ class TestTrain:
         first = np.mean([r.total_loss for r in trace[:20]])
         last = np.mean([r.total_loss for r in trace[-20:]])
         assert last < first
+
+    def test_float32_overflow_raises_diverged_at_first_iteration(self):
+        # inputs fit float32, but squared errors near 1e60 overflow to inf
+        series = np.random.default_rng(0).uniform(1e30, 2e30, size=(64, 4))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDiverged, match="at iteration 0 "):
+            train(series, ModelConfig(**SMALL_MODEL),
+                  TrainConfig(n_iter=3, batch_size=4, seed=0))
 
     @pytest.mark.parametrize("variant", ["shared_encoder", "non_separated",
                                          "model_ensemble"])
