@@ -140,8 +140,10 @@ def _read_entries(directory, manifest) -> dict[str, np.ndarray]:
     expected_offset = 0
     arrays: dict[str, np.ndarray] = {}
     for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"manifest parameters[{k}] is not an object")
         for key, kind in (("name", str), ("shape", list), ("offset_bytes", int)):
-            if not isinstance(entry, dict) or not isinstance(entry.get(key), kind):
+            if not isinstance(entry.get(key), kind):
                 raise CheckpointError(
                     f"manifest parameters[{k}] field {key!r} is missing or "
                     f"not a {kind.__name__}")
