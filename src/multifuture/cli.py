@@ -10,12 +10,11 @@ when a command fails.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import timedelta
 
 import numpy as np
@@ -24,10 +23,10 @@ from . import persistence
 from .data import (
     GeneratorConfig,
     MultivariateSeries,
-    RegimeSpec,
     generate,
     load_csv,
     save_csv,
+    split_by_date,
 )
 from .evaluation import (
     NearestNeighborBaseline,
@@ -67,7 +66,6 @@ class PathsSection:
 @dataclass(frozen=True)
 class SplitSection:
     train_hours: int = 552          # 23 days
-    warmup_hours: int | None = None  # defaults to the model's n_p
 
 
 @dataclass(frozen=True)
@@ -78,65 +76,38 @@ class DataSection:
 
     def __post_init__(self):
         if self.scope not in ("merchant", "category"):
-            raise CliError(f"data.scope must be merchant|category, got {self.scope!r}")
+            raise ValueError(f"scope must be merchant|category, got {self.scope!r}")
         if self.merchants < 1:
-            raise CliError("data.merchants must be >= 1")
+            raise ValueError("merchants must be >= 1")
 
 
-def _build_section(cls, payload, section):
-    if not isinstance(payload, dict):
-        raise CliError(f"section {section!r} must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise CliError(f"unknown keys in {section!r}: {unknown}")
-    try:
-        return cls(**payload)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid {section!r} section: {exc}") from exc
+@dataclass(frozen=True)
+class _DatasetFile:
+    merchant_id: str
+    file: str
+    seed: int
 
 
-def _build_generator(payload) -> GeneratorConfig:
-    payload = dict(payload)
-    regimes = payload.pop("regimes", None)
-    if regimes is not None:
-        specs = []
-        for i, entry in enumerate(regimes):
-            specs.append(_build_section(RegimeSpec, entry, f"generator.regimes[{i}]"))
-        payload["regimes"] = tuple(specs)
-    if "base_levels" in payload:
-        payload["base_levels"] = tuple(payload["base_levels"])
-    return _build_section(GeneratorConfig, payload, "generator")
+@dataclass(frozen=True)
+class _DatasetManifest:  # dataset_manifest.json, as `generate` writes it
+    files: tuple[_DatasetFile, ...]
+    generator: GeneratorConfig
 
 
 @dataclass
 class RunConfig:
     """The validated contents of a run-configuration file."""
 
-    model: ModelConfig
-    train: TrainConfig
-    generator: GeneratorConfig
-    paths: PathsSection
-    split: SplitSection
-    data: DataSection
-
-    _SECTIONS = ("model", "train", "generator", "paths", "split", "data")
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    generator: GeneratorConfig = field(default_factory=GeneratorConfig)
+    paths: PathsSection = field(default_factory=PathsSection)
+    split: SplitSection = field(default_factory=SplitSection)
+    data: DataSection = field(default_factory=DataSection)
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "RunConfig":
-        if not isinstance(payload, dict):
-            raise CliError("run configuration must be a JSON object")
-        unknown = sorted(set(payload) - set(cls._SECTIONS))
-        if unknown:
-            raise CliError(f"unknown configuration sections: {unknown}")
-        return cls(
-            model=_build_section(ModelConfig, payload.get("model", {}), "model"),
-            train=_build_section(TrainConfig, payload.get("train", {}), "train"),
-            generator=_build_generator(payload.get("generator", {})),
-            paths=_build_section(PathsSection, payload.get("paths", {}), "paths"),
-            split=_build_section(SplitSection, payload.get("split", {}), "split"),
-            data=_build_section(DataSection, payload.get("data", {}), "data"),
-        )
+    def from_payload(cls, payload) -> "RunConfig":
+        return persistence.from_payload(cls, payload, "config", CliError)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -149,23 +120,10 @@ class RunConfig:
             raise CliError(f"config file {path} is not valid JSON: {exc}") from None
         return cls.from_payload(payload)
 
-    def to_payload(self) -> dict:
-        payload = dataclasses.asdict(self)
-        payload["generator"]["regimes"] = [
-            dataclasses.asdict(r) for r in self.generator.regimes
-        ]
-        payload["generator"]["base_levels"] = list(self.generator.base_levels)
-        return payload
-
     def data_dir(self) -> str:
         if self.paths.data_dir:
             return self.paths.data_dir
         return os.environ.get(DATA_ROOT_ENV, "data")
-
-    def warmup_hours(self) -> int:
-        if self.split.warmup_hours is not None:
-            return self.split.warmup_hours
-        return self.model.n_p
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
@@ -183,7 +141,7 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
             trainc = replace(trainc, seed=args.seed)
     if model.variant == "one_loss":
         trainc = replace(trainc, gamma=0.0)
-    return RunConfig(model, trainc, gen, config.paths, config.split, config.data)
+    return replace(config, model=model, train=trainc, generator=gen)
 
 
 # -- output helpers -----------------------------------------------------------
@@ -195,7 +153,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _echo_config(config: RunConfig, out_dir: str) -> None:
     _write_text(os.path.join(out_dir, "effective_config.json"),
-                json.dumps(config.to_payload(), indent=2) + "\n")
+                json.dumps(asdict(config), indent=2) + "\n")
 
 
 def _say(message: str) -> None:
@@ -220,10 +178,10 @@ def _load_training_series(config: RunConfig):
             raise CliError(
                 f"category scope needs {manifest_path} (run `generate` first)"
             ) from None
-        return [
-            load_csv(os.path.join(data_dir, entry["file"]), entry["merchant_id"])
-            for entry in manifest["files"]
-        ]
+        files = persistence.from_payload(_DatasetManifest, manifest,
+                                         "dataset_manifest", CliError).files
+        return [load_csv(os.path.join(data_dir, entry.file), entry.merchant_id)
+                for entry in files]
     path = _merchant_path(data_dir, config.data.merchant)
     if not os.path.exists(path):
         raise CliError(f"no data for {config.data.merchant!r} at {path}")
@@ -231,10 +189,9 @@ def _load_training_series(config: RunConfig):
 
 
 def _train_test_split(series: MultivariateSeries, config: RunConfig):
+    # n_p warm-up hours make the first scored target start at the boundary.
     boundary = series.start_timestamp + timedelta(hours=config.split.train_hours)
-    from .data import split_by_date
-
-    return split_by_date(series, boundary, warmup_hours=config.warmup_hours())
+    return split_by_date(series, boundary, warmup_hours=config.model.n_p)
 
 
 # -- commands -------------------------------------------------------------------
@@ -252,8 +209,7 @@ def cmd_generate(config: RunConfig, out_dir: str) -> int:
         save_csv(series, os.path.join(out_dir, filename))
         entries.append({"merchant_id": merchant_id, "file": filename, "seed": seed})
         _say(f"wrote {filename} ({len(series)} hours)")
-    manifest = {"files": entries,
-                "generator": config.to_payload()["generator"]}
+    manifest = {"files": entries, "generator": asdict(config.generator)}
     _write_text(os.path.join(out_dir, "dataset_manifest.json"),
                 json.dumps(manifest, indent=2) + "\n")
     _echo_config(config, out_dir)
@@ -368,9 +324,6 @@ def cmd_predict(checkpoint: str, input_csv: str, expert: str | None,
         raise CliError("checkpoint does not hold a forecaster")
     series = load_csv(input_csv)
     n_p, n_h = model.config.n_p, model.config.n_h
-    if len(series) < n_p:
-        raise CliError(
-            f"input has {len(series)} hours; need at least n_p = {n_p}")
     window = series.values[-n_p:]
     futures = model.predict_futures(window)
 
@@ -456,12 +409,9 @@ def cmd_ablate(config: RunConfig, scalability: bool, out_dir: str) -> int:
     reports = []
     for variant in _ABLATION_VARIANTS:
         model_cfg = replace(config.model, variant=variant)
-        train_cfg = config.train
-        if variant == "one_loss":
-            train_cfg = replace(train_cfg, gamma=0.0)
-        model, _ = train(train_split, model_cfg, train_cfg)
+        model, _ = train(train_split, model_cfg, config.train)
         report = evaluate_rolling(model, test_split, model_cfg.n_p, model_cfg.n_h,
-                                  epsilon=train_cfg.znorm_epsilon)
+                                  epsilon=config.train.znorm_epsilon)
         report.model_id = variant
         reports.append(report)
         _say(f"{variant}: oracle_rmse {report.oracle_rmse:.4f} "

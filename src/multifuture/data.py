@@ -303,7 +303,8 @@ def load_csv(path, merchant_id: str | None = None) -> MultivariateSeries:
     hourly, sorted, and gap-free.  Errors carry the offending row number
     (1-based, header excluded).
     """
-    with open(path, newline="") as fh:
+    # An undecodable byte becomes U+FFFD, which fails its cell's parse.
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -338,12 +339,12 @@ def load_csv(path, merchant_id: str | None = None) -> MultivariateSeries:
             timestamps.append(ts)
     if not rows:
         raise CsvFormatError("no data rows")
-    series = MultivariateSeries(
-        np.asarray(rows),
-        start_timestamp=timestamps[0],
-        merchant_id=merchant_id or "",
-    )
-    series.validate()
+    try:
+        series = MultivariateSeries(np.asarray(rows), start_timestamp=timestamps[0],
+                                    merchant_id=merchant_id or "")
+        series.validate()
+    except ValueError as exc:
+        raise CsvFormatError(str(exc)) from None
     return series
 
 

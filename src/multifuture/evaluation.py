@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import MultivariateSeries
-from .model import FutureSet
+from .model import FutureSet, check_windows
 from .training import window_rmse, z_normalize
 
 __all__ = [
@@ -217,9 +217,8 @@ class NearestNeighborBaseline:
         self._normalized = (windows - mean) / std
 
     def predict_futures(self, window: np.ndarray) -> FutureSet:
-        window = np.asarray(window, dtype=np.float64)
-        if window.shape != (self.n_p, self._values.shape[1]):
-            raise ValueError(f"query must be (n_p, d), got {window.shape}")
+        window = check_windows(window, self.n_p, self._values.shape[1],
+                               np.float64, single=True)[0]
         query = z_normalize(window, self.epsilon, axis=0).T  # (d, n_p)
         sq = np.subtract(self._normalized, query)  # the only full-size temporary
         np.square(sq, out=sq)
@@ -267,9 +266,7 @@ class RidgeBaseline:
         self.coefficients = np.linalg.solve(x.T @ x + penalty, x.T @ y)
 
     def predict_raw(self, window: np.ndarray) -> np.ndarray:
-        window = np.asarray(window, dtype=np.float64)
-        if window.shape != (self.n_p, self.d):
-            raise ValueError(f"query must be (n_p, d), got {window.shape}")
+        window = check_windows(window, self.n_p, self.d, np.float64, single=True)
         features = np.concatenate(([1.0], window.reshape(-1)))
         return (features @ self.coefficients).reshape(self.n_h, self.d).T
 

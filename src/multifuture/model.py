@@ -49,6 +49,7 @@ __all__ = [
     "ModelConfig",
     "ShapeBank",
     "FutureSet",
+    "check_windows",
     "Forecaster",
     "ExpertClassifier",
     "shape_encoder_forward",
@@ -168,6 +169,19 @@ class FutureSet:
             sums = self.activations.sum(axis=-1)
             if np.any(self.activations < -atol) or np.any(np.abs(sums - 1) > atol):
                 raise ValueError("activations are not on the probability simplex")
+
+
+def check_windows(inputs, n_p: int, d: int, dtype, single: bool = False) -> np.ndarray:
+    """One ``(n_p, d)`` window or, unless ``single``, a ``(batch, n_p, d)``
+    batch as a ``(batch, n_p, d)`` array of ``dtype``, finite after the cast.
+    """
+    arr = np.asarray(inputs, dtype=dtype)
+    if arr.shape[-2:] != (n_p, d) or arr.ndim not in ((2,) if single else (2, 3)):
+        raise ValueError(f"expected a ({n_p}, {d}) window, got shape {np.shape(inputs)}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"({n_p}, {d}) input window holds non-finite values "
+                         f"in {np.dtype(dtype).name}")
+    return arr.reshape(-1, n_p, d)
 
 
 class ConvEncoder:
@@ -383,26 +397,13 @@ class Forecaster:
 
     # -- forward passes -------------------------------------------------
 
-    def _as_batch(self, inputs: np.ndarray) -> Tensor:
-        arr = np.asarray(inputs, dtype=self.dtype)
-        if arr.ndim == 2:
-            arr = arr[None]
-        if arr.ndim != 3 or arr.shape[1:] != (self.config.n_p, self.config.d):
-            raise ValueError(
-                f"expected input of shape ({self.config.n_p}, {self.config.d}),"
-                f" got {np.asarray(inputs).shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(
-                f"input windows contain non-finite values in {self.dtype.__name__}")
-        return Tensor(arr)
-
     def forward_tensors(self, inputs: np.ndarray) -> _ForwardTensors:
         """Batched forward pass returning graph-connected tensors.
 
         ``inputs`` is ``(batch, n_p, d)`` (or a single ``(n_p, d)`` window).
         """
-        return self._forward(self._as_batch(inputs))
+        return self._forward(Tensor(check_windows(
+            inputs, self.config.n_p, self.config.d, self.dtype)))
 
     def _forward(self, x: Tensor) -> _ForwardTensors:
         """Forward pass from a validated ``(batch, n_p, d)`` tensor."""
@@ -428,9 +429,8 @@ class Forecaster:
 
     def predict_futures(self, window: np.ndarray) -> FutureSet:
         """Predict the future set for one ``(n_p, d)`` input window."""
-        window = np.asarray(window)
-        if window.ndim != 2:
-            raise ValueError(f"expected a single (n_p, d) window, got {window.shape}")
+        window = check_windows(window, self.config.n_p, self.config.d,
+                               self.dtype, single=True)
         with no_grad():
             fwd = self.forward_tensors(window)
         shape_preds, scale_mul, scale_add = (
@@ -461,16 +461,13 @@ class ExpertClassifier:
         return self.encoder.layer_params() + [self.head]
 
     def forward_logits(self, inputs: np.ndarray) -> Tensor:
-        arr = np.asarray(inputs, dtype=self.dtype)
-        if arr.ndim == 2:
-            arr = arr[None]
-        return layers.linear(self.encoder.forward(Tensor(arr)), self.head)
+        x = check_windows(inputs, self.config.n_p, self.config.d, self.dtype)
+        return layers.linear(self.encoder.forward(Tensor(x)), self.head)
 
     def predict_proba(self, window: np.ndarray) -> np.ndarray:
         """Probability over the f futures for one (n_p, d) window."""
-        window = np.asarray(window)
-        if window.ndim != 2:
-            raise ValueError(f"expected a single (n_p, d) window, got {window.shape}")
+        window = check_windows(window, self.config.n_p, self.config.d,
+                               self.dtype, single=True)
         with no_grad():
             logits = self.forward_logits(window)
         return ops.softmax(logits).data[0].astype(np.float64)
@@ -481,9 +478,9 @@ class ExpertClassifier:
 
 def shape_encoder_forward(model: Forecaster, window: np.ndarray) -> np.ndarray:
     """Run the first future's shape encoder on one (n_p, d) window; returns h."""
+    x = check_windows(window, model.config.n_p, model.config.d, model.dtype)
     with no_grad():
-        x = model._as_batch(np.asarray(window))
-        return model.shape_encoders[0].forward(x).data[0].copy()
+        return model.shape_encoders[0].forward(Tensor(x)).data[0].copy()
 
 
 def shape_decoder_forward(model: Forecaster, h: np.ndarray,

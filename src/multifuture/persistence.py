@@ -5,22 +5,32 @@ model configuration plus every parameter's name, shape, and byte offset,
 and ``params.f32``, the raw little-endian float32 concatenation of the
 parameters in manifest order.  The blob carries no header or timestamps,
 so identical models serialize to identical bytes.
+
+:func:`from_payload` type-checks every JSON payload the program reads
+(manifests and run configurations) against a dataclass schema.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
+import sys
 import tempfile
-from dataclasses import asdict
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .model import ExpertClassifier, Forecaster, ModelConfig
+from .nn.tensor import Tensor
 
 __all__ = [
     "CheckpointError",
+    "from_payload",
     "save",
     "load",
     "save_shape_banks",
@@ -41,6 +51,63 @@ class CheckpointError(ValueError):
     """A checkpoint is missing, malformed, or inconsistent."""
 
 
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def from_payload(cls, payload, where: str, error: type[Exception]):
+    """Build dataclass ``cls`` from decoded JSON, checking every field's type.
+
+    Nested dataclasses, ``tuple[X, ...]`` fields (JSON lists) and ``X | None``
+    fields are converted recursively; a float field accepts a JSON integer,
+    and a bool is never a number.  Unknown keys, missing or wrongly typed
+    fields and the dataclass's own ``ValueError`` raise ``error`` naming the
+    field's path (``where`` is the path of ``payload``).
+    """
+    if not isinstance(payload, dict):
+        raise error(f"{where} must be an object, got {payload!r}")
+    schema = _schema(cls)
+    unknown = ", ".join(map(repr, sorted(payload.keys() - schema.keys())))
+    if unknown:
+        raise error(f"{where} has unknown field {unknown}")
+    values = {}
+    for name, (tp, required) in schema.items():
+        if name in payload:
+            values[name] = _convert(tp, payload[name], where, name, error)
+        elif required:
+            raise error(f"{where} field {name!r} is missing")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise error(f"{where}: {exc}") from None
+
+
+@functools.cache  # resolving string annotations dominates a manifest read
+def _schema(cls) -> dict[str, tuple[object, bool]]:
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
+def _convert(tp, value, where: str, name: str, error: type[Exception]):
+    if tp is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif tp in _TYPE_NAMES:
+        if type(value) is tp:
+            return value
+    elif is_dataclass(tp):
+        return from_payload(tp, value, f"{where}.{name}", error)
+    elif isinstance(tp, types.UnionType):  # X | None
+        item = typing.get_args(tp)[0]
+        return None if value is None else _convert(item, value, where, name, error)
+    elif isinstance(value, list):  # tuple[X, ...]; the dataclass checks a length
+        item = typing.get_args(tp)[0]
+        return tuple(_convert(item, v, where, f"{name}[{i}]", error)
+                     for i, v in enumerate(value))
+    expected = _TYPE_NAMES.get(tp, "a list")
+    raise error(f"{where} field {name!r} must be {expected}, got {value!r}")
+
+
 def _write_atomic(path: str, payload: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
@@ -54,28 +121,51 @@ def _write_atomic(path: str, payload: bytes) -> None:
         raise
 
 
-def _named_arrays(model) -> list[tuple[str, np.ndarray]]:
-    out = []
-    for params in model.parameters():
-        for name, tensor in params.named_tensors():
-            out.append((name, tensor.data))
-    return out
+@dataclass(frozen=True)
+class _Entry:  # one manifest parameter: a float32 array at offset_bytes in the blob
+    name: str
+    shape: tuple[int, ...]
+    offset_bytes: int
+
+    def __post_init__(self):
+        if any(s < 1 for s in self.shape):
+            raise ValueError(f"parameter {self.name!r} has invalid shape {self.shape}")
+
+
+@dataclass(frozen=True)
+class _Manifest:
+    format_version: int
+    kind: str
+    config: ModelConfig
+    parameters: tuple[_Entry, ...]
+    variant: str = ""
+    training_seed: int | None = None
+    created_utc: str = ""
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown checkpoint kind {self.kind!r}")
+
+
+def _named_tensors(model) -> list[tuple[str, Tensor]]:
+    return [pair for params in model.parameters() for pair in params.named_tensors()]
 
 
 def _write_checkpoint(directory, kind: str, config: ModelConfig,
-                      entries: list[tuple[str, np.ndarray]],
+                      tensors: list[tuple[str, Tensor]],
                       training_seed: int | None) -> None:
-    os.makedirs(directory, exist_ok=True)
     blob = bytearray()
     manifest_params = []
-    for name, array in entries:
-        data = np.ascontiguousarray(array, dtype="<f4").tobytes()
+    for name, tensor in tensors:
+        if tensor.data.dtype != np.float32:
+            raise CheckpointError(
+                f"parameter {name!r} is {tensor.data.dtype}, not float32")
         manifest_params.append({
             "name": name,
-            "shape": list(array.shape),
+            "shape": list(tensor.data.shape),
             "offset_bytes": len(blob),
         })
-        blob.extend(data)
+        blob.extend(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -85,84 +175,73 @@ def _write_checkpoint(directory, kind: str, config: ModelConfig,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "parameters": manifest_params,
     }
+    os.makedirs(directory, exist_ok=True)
     _write_atomic(os.path.join(directory, MANIFEST_NAME),
                   (json.dumps(manifest, indent=2) + "\n").encode())
     _write_atomic(os.path.join(directory, BLOB_NAME), bytes(blob))
 
 
 def save(model, directory, training_seed: int | None = None) -> None:
-    """Write a model checkpoint (manifest + parameter blob)."""
+    """Write a float32 model checkpoint (manifest + parameter blob)."""
     kind = ("expert_classifier" if isinstance(model, ExpertClassifier)
             else "forecaster")
-    _write_checkpoint(directory, kind, model.config, _named_arrays(model),
+    _write_checkpoint(directory, kind, model.config, _named_tensors(model),
                       training_seed)
 
 
 def save_shape_banks(model: Forecaster, directory) -> None:
     """Write only the shape-bank templates (user-suppliable banks)."""
-    entries = [(f"{bank.name}.weight", bank.templates.data)
+    entries = [(f"{bank.name}.weight", bank.templates)
                for bank in model.shape_banks()]
     if not entries:
         raise CheckpointError("model has no shape banks to save")
     _write_checkpoint(directory, "shape_banks", model.config, entries, None)
 
 
-def _read_manifest(directory) -> dict:
+def _read_manifest(directory) -> _Manifest:
     path = os.path.join(directory, MANIFEST_NAME)
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             manifest = json.load(fh)
     except FileNotFoundError:
         raise CheckpointError(f"no manifest at {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text encoding
         raise CheckpointError(f"corrupt manifest at {path}: {exc}") from None
-    version = manifest.get("format_version")
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint format_version {version!r} "
             f"(expected {FORMAT_VERSION})")
-    if manifest.get("kind") not in _KINDS:
-        raise CheckpointError(f"unknown checkpoint kind {manifest.get('kind')!r}")
-    return manifest
+    return from_payload(_Manifest, manifest, "manifest", CheckpointError)
 
 
-def _read_entries(directory, manifest) -> dict[str, np.ndarray]:
-    """Validate offsets/shapes against the blob and slice it up."""
+def _read_entries(directory, entries: tuple[_Entry, ...]) -> dict[str, np.ndarray]:
+    """Validate offsets, shapes and values against the blob and slice it up."""
     path = os.path.join(directory, BLOB_NAME)
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except FileNotFoundError:
         raise CheckpointError(f"no parameter blob at {path}") from None
-    entries = manifest.get("parameters")
-    if not isinstance(entries, list):
-        raise CheckpointError("manifest field 'parameters' is missing or not a list")
     expected_offset = 0
     arrays: dict[str, np.ndarray] = {}
-    for k, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise CheckpointError(f"manifest parameters[{k}] is not an object")
-        for key, kind in (("name", str), ("shape", list), ("offset_bytes", int)):
-            if not isinstance(entry.get(key), kind):
-                raise CheckpointError(
-                    f"manifest parameters[{k}] field {key!r} is missing or "
-                    f"not a {kind.__name__}")
-        name, shape = entry["name"], tuple(entry["shape"])
-        if any(not isinstance(s, int) or s < 1 for s in shape):
-            raise CheckpointError(f"parameter {name!r} has invalid shape {shape}")
-        if entry["offset_bytes"] != expected_offset:
+    for entry in entries:
+        if entry.offset_bytes != expected_offset:
             raise CheckpointError(
-                f"parameter {name!r} offset {entry['offset_bytes']} is not "
+                f"parameter {entry.name!r} offset {entry.offset_bytes} is not "
                 f"contiguous (expected {expected_offset})")
-        count = int(np.prod(shape))
+        count = math.prod(entry.shape)
         nbytes = 4 * count
         if expected_offset + nbytes > len(blob):
             raise CheckpointError(
                 f"blob truncated: expected at least {expected_offset + nbytes} "
                 f"bytes, found {len(blob)}")
-        arrays[name] = np.frombuffer(
+        array = np.frombuffer(
             blob, dtype="<f4", count=count, offset=expected_offset
-        ).reshape(shape)
+        ).reshape(entry.shape)
+        if not np.isfinite(array).all():
+            raise CheckpointError(f"parameter {entry.name!r} holds non-finite values")
+        arrays[entry.name] = array
         expected_offset += nbytes
     if expected_offset != len(blob):
         raise CheckpointError(
@@ -172,7 +251,7 @@ def _read_entries(directory, manifest) -> dict[str, np.ndarray]:
 
 
 def _apply_entries(model, arrays: dict[str, np.ndarray]) -> None:
-    expected = dict(_named_entries_for(model))
+    expected = dict(_named_tensors(model))
     if set(expected) != set(arrays):
         missing = sorted(set(expected) - set(arrays))
         extra = sorted(set(arrays) - set(expected))
@@ -188,42 +267,17 @@ def _apply_entries(model, arrays: dict[str, np.ndarray]) -> None:
         tensor.data = stored.astype(tensor.data.dtype)
 
 
-def _named_entries_for(model):
-    for params in model.parameters():
-        yield from params.named_tensors()
-
-
-def _model_config(manifest) -> ModelConfig:
-    """Build the ModelConfig a manifest records, naming any bad field."""
-    fields = manifest.get("config")
-    if not isinstance(fields, dict):
-        raise CheckpointError("manifest field 'config' is missing or not an object")
-    defaults = asdict(ModelConfig())
-    for key, value in fields.items():
-        if key not in defaults:
-            raise CheckpointError(f"manifest config has unknown field {key!r}")
-        if type(value) is not type(defaults[key]):
-            raise CheckpointError(
-                f"manifest config field {key!r} must be "
-                f"{type(defaults[key]).__name__}, got {value!r}")
-    try:
-        return ModelConfig(**fields)
-    except ValueError as exc:
-        raise CheckpointError(f"manifest config is invalid: {exc}") from None
-
-
 def load(directory):
     """Rebuild a model from a checkpoint; predictions are bit-identical."""
     manifest = _read_manifest(directory)
-    if manifest["kind"] == "shape_banks":
+    if manifest.kind == "shape_banks":
         raise CheckpointError(
             "directory holds a shape-bank file; use load_shape_banks")
-    config = _model_config(manifest)
-    arrays = _read_entries(directory, manifest)
-    if manifest["kind"] == "expert_classifier":
-        model = ExpertClassifier(config, seed=0)
+    arrays = _read_entries(directory, manifest.parameters)
+    if manifest.kind == "expert_classifier":
+        model = ExpertClassifier(manifest.config, seed=0)
     else:
-        model = Forecaster(config, seed=0)
+        model = Forecaster(manifest.config, seed=0)
     _apply_entries(model, arrays)
     return model
 
@@ -234,10 +288,10 @@ def load_shape_banks(model: Forecaster, directory) -> Forecaster:
     Only the banks change; every other parameter is left untouched.
     """
     manifest = _read_manifest(directory)
-    if manifest["kind"] != "shape_banks":
+    if manifest.kind != "shape_banks":
         raise CheckpointError(
-            f"expected a shape_banks checkpoint, found {manifest['kind']!r}")
-    arrays = _read_entries(directory, manifest)
+            f"expected a shape_banks checkpoint, found {manifest.kind!r}")
+    arrays = _read_entries(directory, manifest.parameters)
     banks = {f"{bank.name}.weight": bank for bank in model.shape_banks()}
     for name, stored in arrays.items():
         bank = banks.get(name)

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 
 import pytest
 
@@ -261,6 +262,56 @@ class TestConfigValidation:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"modle": {}}))
         assert main(["generate", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("generator", "regimes", 5, "config.generator field 'regimes' must be a list"),
+        ("generator", "base_levels", 5,
+         "config.generator field 'base_levels' must be a list"),
+        ("model", "f", 3.5, "config.model field 'f' must be an integer"),
+        ("train", "n_iter", 2.5, "config.train field 'n_iter' must be an integer"),
+        ("generator", "n_hours", 1000.0,
+         "config.generator field 'n_hours' must be an integer"),
+        ("split", "warmup_hours", "a", "config.split has unknown field 'warmup_hours'"),
+        ("paths", "data_dir", 5, "config.paths field 'data_dir' must be a string"),
+        ("generator", "regimes", [{"amplitude": 1}, {"amplitude": "x"}],
+         r"config.generator.regimes\[1\] field 'amplitude' must be a finite number"),
+    ])
+    def test_wrongly_typed_value_names_the_field(self, workdir, capsys, section,
+                                                 key, value, message):
+        tmp_path, config = workdir
+        payload = json.loads(open(config).read())
+        payload[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["train", "--config", str(bad)]) == 1
+        assert re.search(f"error: {message}", capsys.readouterr().err)
+
+    def test_dataset_manifest_without_files(self, workdir, capsys):
+        tmp_path, config = workdir
+        data_dir = _generate(workdir)
+        (data_dir / "dataset_manifest.json").write_text('{"generator": {}}')
+        payload = json.loads(open(config).read())
+        payload["data"]["scope"] = "category"
+        category = tmp_path / "category.json"
+        category.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["train", "--config", str(category)]) == 1
+        assert "error: dataset_manifest field 'files' is missing" \
+            in capsys.readouterr().err
+
+    def test_integer_in_float_field_trains_identically(self, workdir):
+        tmp_path, config = workdir
+        _generate(workdir)
+        payload = json.loads(open(config).read())
+        traces = []
+        for gamma in (1.0, 1):
+            payload["train"]["gamma"] = gamma
+            path = tmp_path / "gamma.json"
+            path.write_text(json.dumps(payload))
+            out = tmp_path / f"gamma_{type(gamma).__name__}"
+            assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+            traces.append((out / "loss_trace.csv").read_bytes())
+        assert traces[0] == traces[1]
 
     def test_missing_config_file(self):
         assert main(["generate", "--config", "/nonexistent/c.json"]) == 1

@@ -10,7 +10,7 @@ from multifuture.evaluation import (
     compare,
     evaluate_rolling,
 )
-from multifuture.model import FutureSet
+from multifuture.model import ExpertClassifier, Forecaster, FutureSet, ModelConfig
 from multifuture.training import nrmse, rmse
 
 
@@ -222,6 +222,31 @@ class TestRidge:
         model = RidgeBaseline(month_series, 168, 24)
         # 168 x 4 flattened input (plus intercept), 96 output coordinates
         assert model.coefficients.shape == (1 + 672, 96)
+
+
+_N_P, _N_H = 16, 8
+_NAN_WINDOW = np.ones((_N_P, 4))
+_NAN_WINDOW[5, 1] = np.nan
+
+
+@pytest.mark.parametrize("make,predict", [
+    (lambda s: Forecaster(ModelConfig(n_p=_N_P, n_h=_N_H, n_s=4, channels=8)),
+     "predict_futures"),
+    (lambda s: ExpertClassifier(ModelConfig(n_p=_N_P, n_h=_N_H, channels=8)),
+     "predict_proba"),
+    (lambda s: NearestNeighborBaseline(s, _N_P, _N_H), "predict_futures"),
+    (lambda s: RidgeBaseline(s, _N_P, _N_H), "predict_futures"),
+], ids=["forecaster", "expert_classifier", "nearest_neighbor", "ridge"])
+@pytest.mark.parametrize("window,problem", [
+    (_NAN_WINDOW, "non-finite"),
+    (np.ones((_N_P, 3)), "got shape"),
+    (np.ones((2, _N_P, 4)), "got shape"),
+], ids=["nan", "wrong_d", "batch"])
+def test_every_predictor_rejects_a_bad_window(month_series, make, predict,
+                                              window, problem):
+    predictor = make(month_series)
+    with pytest.raises(ValueError, match=rf"\({_N_P}, 4\).*{problem}"):
+        getattr(predictor, predict)(window)
 
 
 class TestCompare:

@@ -1,0 +1,151 @@
+"""Property-based fuzzing of every input boundary.
+
+Mutated checkpoints, CSVs and run configurations may be rejected, but only
+with the boundary's typed error: a bare ``TypeError``, ``KeyError`` or
+``UnicodeDecodeError`` escaping from any of them is a bug.
+"""
+
+import json
+import os
+import tempfile
+from dataclasses import fields
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from multifuture.cli import CliError, RunConfig, main
+from multifuture.data import (
+    CsvFormatError,
+    GeneratorConfig,
+    generate,
+    load_csv,
+    save_csv,
+)
+from multifuture.model import Forecaster, ModelConfig
+from multifuture.persistence import BLOB_NAME, MANIFEST_NAME, CheckpointError, load, save
+
+CFG = ModelConfig(n_p=8, n_h=4, d=2, f=2, n_s=2, channels=2)
+
+
+def _checkpoint_files():
+    with tempfile.TemporaryDirectory() as tmp:
+        save(Forecaster(CFG, seed=0), tmp)
+        with open(os.path.join(tmp, MANIFEST_NAME), "rb") as fh:
+            manifest = fh.read()
+        with open(os.path.join(tmp, BLOB_NAME), "rb") as fh:
+            blob = fh.read()
+    return manifest, blob
+
+
+MANIFEST, BLOB = _checkpoint_files()
+
+
+def _csv_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        save_csv(generate(GeneratorConfig(n_hours=4)), path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+CSV = _csv_bytes()
+
+
+@st.composite
+def mutated(draw, original: bytes, max_edits: int = 3):
+    """``original`` with a few bytes replaced, inserted or deleted."""
+    data = bytearray(original)
+    for _ in range(draw(st.integers(1, max_edits))):
+        pos = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        byte = draw(st.integers(0, 255) | st.sampled_from(b'0123456789-.e,"[]{}'))
+        if op == "insert" or pos == len(data):
+            data.insert(pos, byte)
+        elif op == "replace":
+            data[pos] = byte
+        else:
+            del data[pos]
+    return bytes(data)
+
+
+def _load_checkpoint(manifest: bytes, blob: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, MANIFEST_NAME), "wb") as fh:
+            fh.write(manifest)
+        with open(os.path.join(tmp, BLOB_NAME), "wb") as fh:
+            fh.write(blob)
+        try:
+            return load(tmp)
+        except CheckpointError:
+            return None
+
+
+@settings(max_examples=150)
+@given(mutated(MANIFEST))
+def test_mutated_manifest_loads_or_raises_checkpoint_error(manifest):
+    _load_checkpoint(manifest, BLOB)
+
+
+@settings(max_examples=60)
+@given(mutated(BLOB))
+@example(b"\x00\x00\xc0\x7f" + BLOB[4:])  # a NaN first weight
+def test_mutated_blob_loads_or_raises_checkpoint_error(blob):
+    model = _load_checkpoint(MANIFEST, blob)
+    if model is not None:  # whatever loads holds finite parameters only
+        assert all(np.isfinite(t.data).all() for p in model.parameters()
+                   for t in p.tensors())
+
+
+@settings(max_examples=150)
+@given(mutated(CSV))
+@example(CSV.replace(b",0.", b",-0.", 1))  # negative approval rate
+@example(CSV.replace(b"T00:00:00Z", b"T00:30:00Z", 1))  # not a whole hour
+def test_mutated_csv_loads_or_raises_csv_format_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        try:
+            series = load_csv(path)
+        except CsvFormatError:
+            return
+    series.validate()
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 40)
+            | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4))
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                     max_leaves=8)
+# Keys of the real schema, one unknown key and the removed warmup_hours, so
+# that fuzzing gets past the unknown-key check.
+_KEYS = {section.name: [f.name for f in fields(section.default_factory)]
+         + ["x", "warmup_hours"] for section in fields(RunConfig)}
+# Values shaped like the nested fields, so that fuzzing gets past them.
+_VALUES = (_JSON | st.lists(_SCALARS, min_size=4, max_size=4)
+           | st.lists(st.dictionaries(st.sampled_from(["amplitude", "phase_hours", "x"]),
+                                      _SCALARS, max_size=2), max_size=3))
+_RUN_CONFIGS = _JSON | st.fixed_dictionaries({}, optional={
+    section: st.dictionaries(st.sampled_from(keys), _VALUES, max_size=3)
+    for section, keys in _KEYS.items()})
+
+
+@settings(max_examples=150)
+@given(_RUN_CONFIGS)
+def test_random_run_config_builds_or_raises_cli_error(payload):
+    try:
+        RunConfig.from_payload(payload)
+    except CliError:
+        pass
+
+
+@settings(max_examples=40)
+@given(_RUN_CONFIGS)
+def test_cli_main_returns_status_on_random_config(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        assert main(["generate", "--config", path,
+                     "--out", os.path.join(tmp, "data")]) in (0, 1)

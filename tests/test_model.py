@@ -8,6 +8,7 @@ from multifuture.model import (
     Forecaster,
     ExpertClassifier,
     ModelConfig,
+    check_windows,
     combine,
     count_parameters,
     encoder_length_schedule,
@@ -160,9 +161,9 @@ class TestScaleAndCombine:
         cfg = small_config()
         model = Forecaster(cfg, seed=4)
         window = random_window(cfg, 9)
-        from multifuture.nn.tensor import no_grad
+        from multifuture.nn.tensor import Tensor, no_grad
         with no_grad():
-            x = model._as_batch(window)
+            x = Tensor(check_windows(window, cfg.n_p, cfg.d, model.dtype))
             h = model.scale_encoders[0].forward(x).data[0]
         w = model.scale_decoders[0].linear.weight.data
         b = model.scale_decoders[0].linear.bias.data

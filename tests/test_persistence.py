@@ -144,6 +144,25 @@ class TestValidation:
         with pytest.raises(CheckpointError, match=f"'{field}'"):
             load(tmp_path / "ckpt")
 
+    def test_non_finite_parameter_named(self, tmp_path):
+        model = Forecaster(CFG, seed=0)
+        save(model, tmp_path / "ckpt")
+        manifest = json.loads((tmp_path / "ckpt" / MANIFEST_NAME).read_text())
+        entry = manifest["parameters"][3]
+        blob_path = tmp_path / "ckpt" / BLOB_NAME
+        blob = np.frombuffer(blob_path.read_bytes(), dtype="<f4").copy()
+        blob[entry["offset_bytes"] // 4 + 1] = np.nan
+        blob_path.write_bytes(blob.tobytes())
+        with pytest.raises(CheckpointError,
+                           match=f"'{entry['name']}' holds non-finite"):
+            load(tmp_path / "ckpt")
+
+    def test_float64_model_not_saved(self, tmp_path):
+        model = Forecaster(CFG, seed=0, dtype=np.float64)
+        with pytest.raises(CheckpointError, match="float64.*float32"):
+            save(model, tmp_path / "ckpt")
+        assert not (tmp_path / "ckpt").exists()
+
     def test_offset_gap_rejected(self, tmp_path):
         model = Forecaster(CFG, seed=0)
         save(model, tmp_path / "ckpt")
