@@ -284,11 +284,12 @@ def cmd_evaluate(config: RunConfig, checkpoint: str | None, baseline: str | None
         raise CliError("evaluate runs on a single merchant; set data.scope=merchant")
     train_split, test_split = _train_test_split(series, config)
     n_p, n_h = config.model.n_p, config.model.n_h
+    eps = config.train.znorm_epsilon
 
     if baseline == "nn":
-        predictor = NearestNeighborBaseline(train_split, n_p, n_h)
+        predictor = NearestNeighborBaseline(train_split, n_p, n_h, epsilon=eps)
     elif baseline == "ridge":
-        predictor = RidgeBaseline(train_split, n_p, n_h)
+        predictor = RidgeBaseline(train_split, n_p, n_h, epsilon=eps)
     elif baseline is not None:
         raise CliError(f"unknown baseline {baseline!r}; expected nn|ridge")
     else:
@@ -303,8 +304,7 @@ def cmd_evaluate(config: RunConfig, checkpoint: str | None, baseline: str | None
                 f"{predictor.config.n_h}) do not match config ({n_p}, {n_h})")
 
     report, predictions = evaluate_rolling(
-        predictor, test_split, n_p, n_h,
-        epsilon=config.train.znorm_epsilon, collect_predictions=True)
+        predictor, test_split, n_p, n_h, epsilon=eps, collect_predictions=True)
     _write_text(os.path.join(out_dir, "report.json"), report.to_json() + "\n")
     _write_text(os.path.join(out_dir, "report.csv"), report.to_csv())
     _write_text(os.path.join(out_dir, "predictions.csv"),

@@ -21,6 +21,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
+from .persistence import _write_atomic
+
 __all__ = [
     "FEATURE_NAMES",
     "CSV_HEADER",
@@ -287,13 +289,16 @@ def _parse_timestamp(text: str, row: int) -> datetime:
 
 
 def save_csv(series: MultivariateSeries, path) -> None:
-    """Write a series in the interchange format (17 significant digits)."""
-    timestamps = series.timestamps()
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for i, ts in enumerate(timestamps):
-            cells = ",".join(f"{v:.17g}" for v in series.values[i])
-            fh.write(f"{_format_timestamp(ts)},{cells}\n")
+    """Write a series in the interchange format (17 significant digits).
+
+    The file is replaced atomically, so a failed write leaves the previous
+    file, never a truncated series.
+    """
+    lines = [CSV_HEADER]
+    for ts, row in zip(series.timestamps(), series.values):
+        cells = ",".join(f"{v:.17g}" for v in row)
+        lines.append(f"{_format_timestamp(ts)},{cells}")
+    _write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def load_csv(path, merchant_id: str | None = None) -> MultivariateSeries:

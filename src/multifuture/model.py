@@ -4,7 +4,8 @@ The model predicts ``f`` candidate futures for the next ``n_h`` hours from
 the last ``n_p`` hours of a ``d``-feature series.  A shape sub-network
 synthesizes scale-free trajectories as convex combinations of learned
 template banks; a scale sub-network predicts a per-dimension multiplier and
-offset; the final futures are ``scale_mul * shape + scale_add`` row by row.
+offset; the final futures are ``scale_mul * shape + scale_add`` (see
+:func:`combine`), one multiplier and offset per (future, feature) row.
 
 Variants:
 
@@ -28,8 +29,8 @@ Row ``i`` of the table is future ``i``: ``shape_encoders[i]`` feeds
 ``shape_decoders[i]`` and ``scale_encoders[i]`` feeds ``scale_decoders[i]``.
 A shared encoder sits in several rows and runs once per forward pass;
 ``non_separated`` has no scale decoders (``None``) and gets the unit
-multiplier and zero offset instead.  The forward pass returns every output
-stacked over futures on a leading axis.
+multiplier and zero offset instead.  The forward pass stacks every decoder
+output over futures on a leading axis and recombines the stacks once.
 """
 
 from __future__ import annotations
@@ -40,14 +41,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .nn import layers, ops
-from .nn.layers import LayerParams
+from .nn import ops
+from .nn.layers import LayerParams, init_conv, init_linear
 from .nn.tensor import Tensor, no_grad, stack
 
 __all__ = [
     "VARIANTS",
     "ModelConfig",
-    "ShapeBank",
     "FutureSet",
     "check_windows",
     "Forecaster",
@@ -123,21 +123,6 @@ def encoder_length_schedule(n_p: int) -> list[int]:
     return lengths
 
 
-class ShapeBank:
-    """Learnable templates for one (future, feature) pair.
-
-    ``templates`` is ``(n_s, n_h)``: each row is a candidate trajectory of
-    the same length as the output horizon.
-    """
-
-    def __init__(self, name: str, templates: Tensor):
-        self.name = name
-        self.templates = templates
-
-    def as_params(self) -> LayerParams:
-        return LayerParams(self.name, self.templates)
-
-
 @dataclass
 class FutureSet:
     """One forward pass worth of predictions.
@@ -159,10 +144,7 @@ class FutureSet:
         return self.futures.shape[0]
 
     def validate(self, atol: float = 1e-6) -> None:
-        recombined = (
-            self.scale_mul[:, :, None] * self.shape_preds
-            + self.scale_add[:, :, None]
-        )
+        recombined = combine(self.shape_preds, self.scale_mul, self.scale_add)
         if not np.allclose(self.futures, recombined, atol=atol, rtol=0):
             raise ValueError("futures do not equal scale_mul*shape + scale_add")
         if self.activations is not None:
@@ -202,8 +184,8 @@ class ConvEncoder:
         in_ch = config.d
         for b in range(config.encoder_blocks):
             self.convs.append(
-                layers.init_conv(f"{name}.conv{b}", config.channels, in_ch,
-                                 config.kernel, rng, dtype)
+                init_conv(f"{name}.conv{b}", config.channels, in_ch,
+                          config.kernel, rng, dtype)
             )
             in_ch = config.channels
 
@@ -221,22 +203,25 @@ class ConvEncoder:
 
 
 class BankShapeDecoder:
-    """Softmax-regression mixture over per-feature template banks."""
+    """Softmax-regression mixture over per-feature template banks.
+
+    Bank ``j`` is a bias-free :class:`LayerParams` whose ``weight`` holds
+    the ``(n_s, n_h)`` templates: each row is a candidate trajectory of
+    the output horizon's length.
+    """
 
     def __init__(self, name: str, config: ModelConfig,
                  rng: np.random.Generator, dtype):
         self.name = name
         self.regressors = [
-            layers.init_linear(f"{name}.regressor{j}", config.n_s,
-                               config.channels, rng, dtype)
+            init_linear(f"{name}.regressor{j}", config.n_s, config.channels,
+                        rng, dtype)
             for j in range(config.d)
         ]
         self.banks = [
-            ShapeBank(
-                f"{name}.bank{j}",
-                Tensor(rng.normal(0.0, 0.1, size=(config.n_s, config.n_h))
-                       .astype(dtype), requires_grad=True),
-            )
+            LayerParams(f"{name}.bank{j}", Tensor(
+                rng.normal(0.0, 0.1, size=(config.n_s, config.n_h)).astype(dtype),
+                requires_grad=True))
             for j in range(config.d)
         ]
 
@@ -244,15 +229,13 @@ class BankShapeDecoder:
         """(batch, channels) -> shape prediction (batch, d, n_h), activations (batch, d, n_s)."""
         alphas, acts = [], []
         for reg, bank in zip(self.regressors, self.banks):
-            r = ops.softmax(layers.linear(h, reg))
-            alphas.append(r @ bank.templates)
+            r = ops.softmax(ops.linear(h, reg.weight, reg.bias))
+            alphas.append(r @ bank.weight)
             acts.append(r)
         return stack(alphas, axis=1), stack(acts, axis=1)
 
     def layer_params(self) -> list[LayerParams]:
-        out = list(self.regressors)
-        out.extend(bank.as_params() for bank in self.banks)
-        return out
+        return self.regressors + self.banks
 
 
 class TConvShapeDecoder:
@@ -269,14 +252,14 @@ class TConvShapeDecoder:
         self.name = name
         self.n_h = config.n_h
         self.padding = config.kernel // 2
-        self.input_linear = layers.init_linear(
+        self.input_linear = init_linear(
             f"{name}.input_linear", config.channels, config.channels, rng, dtype)
         self.tconvs = [
-            layers.init_conv(f"{name}.tconv{k}", config.channels,
-                             config.channels, config.kernel, rng, dtype)
+            init_conv(f"{name}.tconv{k}", config.channels, config.channels,
+                      config.kernel, rng, dtype)
             for k in range(_TCONV_BLOCKS)
         ]
-        self.output_conv = layers.init_conv(
+        self.output_conv = init_conv(
             f"{name}.output_conv", config.d, config.channels, config.kernel,
             rng, dtype)
 
@@ -289,16 +272,18 @@ class TConvShapeDecoder:
 
     def forward(self, h: Tensor) -> tuple[Tensor, None]:
         """(batch, channels) -> shape prediction (batch, d, n_h)."""
-        z = ops.relu(layers.linear(h, self.input_linear))
+        z = ops.relu(ops.linear(h, self.input_linear.weight,
+                                self.input_linear.bias))
         z = z.reshape(z.shape[0], z.shape[1], 1)
         schedule = self.length_schedule()[1:]
         crop = self.padding  # transposed padding: keeps tconv length-neutral
         for tconv, target in zip(self.tconvs, schedule):
-            z = layers.tconv1d(z, tconv)
+            z = ops.tconv1d(z, tconv.weight, tconv.bias)
             if crop:
                 z = z[:, :, crop:-crop]
             z = ops.upsample_nearest(ops.relu(z), target)
-        alpha = layers.conv1d(z, self.output_conv, padding=self.padding)
+        alpha = ops.conv1d(z, self.output_conv.weight, self.output_conv.bias,
+                           padding=self.padding)
         return alpha, None
 
     def layer_params(self) -> list[LayerParams]:
@@ -312,12 +297,12 @@ class ScaleDecoder:
                  rng: np.random.Generator, dtype):
         self.name = name
         self.d = config.d
-        self.linear = layers.init_linear(f"{name}.linear", 2 * config.d,
-                                         config.channels, rng, dtype)
+        self.linear = init_linear(f"{name}.linear", 2 * config.d,
+                                  config.channels, rng, dtype)
 
     def forward(self, h: Tensor) -> tuple[Tensor, Tensor]:
         """(batch, channels) -> multiplier (batch, d), offset (batch, d)."""
-        out = layers.linear(h, self.linear)
+        out = ops.linear(h, self.linear.weight, self.linear.bias)
         return out[:, :self.d], out[:, self.d:]
 
     def layer_params(self) -> list[LayerParams]:
@@ -343,11 +328,10 @@ class Forecaster:
     order, so RNG draws and checkpoint layout follow from the configuration.
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32,
-                 model_id: str | None = None):
+    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         self.config = config
         self.dtype = np.dtype(dtype).type
-        self.model_id = model_id or f"{config.variant}_f{config.f}"
+        self.model_id = f"{config.variant}_f{config.f}"
         rng = np.random.default_rng(seed)
         self._modules: list = []  # construction order = parameter order
 
@@ -391,7 +375,7 @@ class Forecaster:
             raise ValueError("parameter names are not unique within the model")
         return out
 
-    def shape_banks(self) -> list[ShapeBank]:
+    def shape_banks(self) -> list[LayerParams]:
         return [bank for dec in self.shape_decoders
                 if isinstance(dec, BankShapeDecoder) for bank in dec.banks]
 
@@ -409,23 +393,18 @@ class Forecaster:
         """Forward pass from a validated ``(batch, n_p, d)`` tensor."""
         hidden = {m: m.forward(x) for m in self._modules
                   if isinstance(m, ConvEncoder)}
-        n, d = x.shape[0], self.config.d
-        rows = []
-        for shape_enc, scale_enc, shape_dec, scale_dec in zip(
-                self.shape_encoders, self.scale_encoders,
-                self.shape_decoders, self.scale_decoders):
-            alpha, r = shape_dec.forward(hidden[shape_enc])
-            if scale_dec is None:  # raw-unit shapes
-                mul = Tensor(np.ones((n, d), self.dtype))
-                add = Tensor(np.zeros((n, d), self.dtype))
-            else:
-                mul, add = scale_dec.forward(hidden[scale_enc])
-            future = mul.reshape(n, d, 1) * alpha + add.reshape(n, d, 1)
-            rows.append((future, alpha, mul, add, r))
-        futures, shapes, muls, adds, acts = zip(*rows)
-        return _ForwardTensors(stack(futures), stack(shapes), stack(muls),
-                               stack(adds),
-                               None if acts[0] is None else stack(acts))
+        shapes, acts = zip(*(dec.forward(hidden[enc]) for enc, dec in zip(
+            self.shape_encoders, self.shape_decoders)))
+        shape_preds = stack(shapes)
+        if self.scale_decoders[0] is None:  # raw-unit shapes
+            ones = np.ones((self.config.f, x.shape[0], self.config.d), self.dtype)
+            mul, add = Tensor(ones), Tensor(np.zeros_like(ones))
+        else:
+            muls, adds = zip(*(dec.forward(hidden[enc]) for enc, dec in zip(
+                self.scale_encoders, self.scale_decoders)))
+            mul, add = stack(muls), stack(adds)
+        return _ForwardTensors(combine(shape_preds, mul, add), shape_preds,
+                               mul, add, None if acts[0] is None else stack(acts))
 
     def predict_futures(self, window: np.ndarray) -> FutureSet:
         """Predict the future set for one ``(n_p, d)`` input window."""
@@ -436,7 +415,7 @@ class Forecaster:
         shape_preds, scale_mul, scale_add = (
             t.data[:, 0].astype(np.float64)
             for t in (fwd.shape_preds, fwd.scale_mul, fwd.scale_add))
-        futures = scale_mul[:, :, None] * shape_preds + scale_add[:, :, None]
+        futures = combine(shape_preds, scale_mul, scale_add)
         activations = (None if fwd.activations is None
                        else fwd.activations.data[:, 0].astype(np.float64))
         return FutureSet(futures, shape_preds, scale_mul, scale_add, activations)
@@ -449,20 +428,22 @@ class ExpertClassifier:
     softmax head over the future indices.
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
+    dtype = np.float32
+
+    def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
-        self.dtype = np.dtype(dtype).type
         rng = np.random.default_rng(seed)
-        self.encoder = ConvEncoder("encoder", config, rng, dtype)
-        self.head = layers.init_linear("head", config.f, config.channels,
-                                       rng, dtype)
+        self.encoder = ConvEncoder("encoder", config, rng, self.dtype)
+        self.head = init_linear("head", config.f, config.channels, rng,
+                                self.dtype)
 
     def parameters(self) -> list[LayerParams]:
         return self.encoder.layer_params() + [self.head]
 
     def forward_logits(self, inputs: np.ndarray) -> Tensor:
         x = check_windows(inputs, self.config.n_p, self.config.d, self.dtype)
-        return layers.linear(self.encoder.forward(Tensor(x)), self.head)
+        return ops.linear(self.encoder.forward(Tensor(x)), self.head.weight,
+                          self.head.bias)
 
     def predict_proba(self, window: np.ndarray) -> np.ndarray:
         """Probability over the f futures for one (n_p, d) window."""
@@ -511,12 +492,16 @@ def scale_forward(model: Forecaster, window: np.ndarray,
             fwd.scale_add.data[decoder_index, 0].copy())
 
 
-def combine(shape_pred: np.ndarray, scale_mul: np.ndarray,
-            scale_add: np.ndarray) -> np.ndarray:
-    """Row j of the result is ``scale_mul[j] * shape_pred[j] + scale_add[j]``."""
-    shape_pred = np.asarray(shape_pred)
-    return (np.asarray(scale_mul)[:, None] * shape_pred
-            + np.asarray(scale_add)[:, None])
+def combine(shape_pred, scale_mul, scale_add):
+    """Futures ``scale_mul * shape_pred + scale_add``, one multiplier and
+    offset per trajectory.
+
+    ``shape_pred`` is ``(..., n_h)`` and the scale arrays are ``(...)``
+    with the same leading axes, for example ``(d,)``, ``(f, d)`` or
+    ``(f, batch, d)``.  Works on arrays and on tensors.
+    """
+    return (scale_mul.reshape(*scale_mul.shape, 1) * shape_pred
+            + scale_add.reshape(*scale_add.shape, 1))
 
 
 class ParameterCount(NamedTuple):

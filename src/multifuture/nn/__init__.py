@@ -1,14 +1,17 @@
 """Minimal reverse-mode differentiation engine and optimizer."""
 
 from .gradcheck import grad_check
-from .layers import LayerParams, conv1d, init_conv, init_linear, linear, tconv1d
+from .layers import LayerParams, init_conv, init_linear
 from .ops import (
     adaptive_avgpool1d,
+    conv1d,
     cross_entropy,
     encoder_block,
+    linear,
     maxpool1d,
     relu,
     softmax,
+    tconv1d,
     upsample_nearest,
 )
 from .optim import AdamState, adam_step

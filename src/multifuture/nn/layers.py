@@ -1,9 +1,10 @@
-"""Named parameter bundles and their functional application.
+"""Named parameter bundles.
 
 A :class:`LayerParams` couples a weight tensor (and optional bias) with the
 stable name used for optimizer bookkeeping and checkpoint serialization.
 Conv-style weights are ``(out_channels, in_channels, kernel)``; linear
-weights are ``(out_features, in_features)``.
+weights are ``(out_features, in_features)``.  Models apply them with the
+:mod:`~multifuture.nn.ops` functions, ``ops.linear(x, p.weight, p.bias)``.
 """
 
 from __future__ import annotations
@@ -12,17 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
 from .tensor import Tensor
 
-__all__ = [
-    "LayerParams",
-    "conv1d",
-    "tconv1d",
-    "linear",
-    "init_conv",
-    "init_linear",
-]
+__all__ = ["LayerParams", "init_conv", "init_linear"]
 
 
 @dataclass
@@ -43,43 +36,24 @@ class LayerParams:
         return out
 
 
-def conv1d(x: Tensor, params: LayerParams, padding: int = 0) -> Tensor:
-    return ops.conv1d(x, params.weight, params.bias, padding=padding)
-
-
-def tconv1d(x: Tensor, params: LayerParams) -> Tensor:
-    return ops.tconv1d(x, params.weight, params.bias)
-
-
-def linear(x: Tensor, params: LayerParams) -> Tensor:
-    return ops.linear(x, params.weight, params.bias)
-
-
-def _uniform_fan_in(rng: np.random.Generator, shape, fan_in: int, dtype):
+def _init_fan_in(name: str, shape: tuple[int, ...], fan_in: int,
+                 rng: np.random.Generator, dtype) -> LayerParams:
+    """Weights drawn uniform in +-sqrt(1/fan_in), zero bias over ``shape[0]``."""
     bound = float(np.sqrt(1.0 / fan_in))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    weight = rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return LayerParams(name, Tensor(weight, requires_grad=True),
+                       Tensor(np.zeros(shape[0], dtype=dtype), requires_grad=True))
 
 
 def init_conv(name: str, out_channels: int, in_channels: int, kernel: int,
-              rng: np.random.Generator, dtype=np.float32,
-              bias: bool = True) -> LayerParams:
+              rng: np.random.Generator, dtype=np.float32) -> LayerParams:
     """Conv weights drawn uniform in +-sqrt(1/fan_in), zero bias."""
-    weight = Tensor(
-        _uniform_fan_in(rng, (out_channels, in_channels, kernel),
-                        in_channels * kernel, dtype),
-        requires_grad=True,
-    )
-    b = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True) if bias else None
-    return LayerParams(name, weight, b)
+    return _init_fan_in(name, (out_channels, in_channels, kernel),
+                        in_channels * kernel, rng, dtype)
 
 
 def init_linear(name: str, out_features: int, in_features: int,
-                rng: np.random.Generator, dtype=np.float32,
-                bias: bool = True) -> LayerParams:
+                rng: np.random.Generator, dtype=np.float32) -> LayerParams:
     """Linear weights drawn uniform in +-sqrt(1/fan_in), zero bias."""
-    weight = Tensor(
-        _uniform_fan_in(rng, (out_features, in_features), in_features, dtype),
-        requires_grad=True,
-    )
-    b = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True) if bias else None
-    return LayerParams(name, weight, b)
+    return _init_fan_in(name, (out_features, in_features), in_features,
+                        rng, dtype)

@@ -1,9 +1,8 @@
 """Differentiable neural-network operations.
 
 Every function here takes plain :class:`~multifuture.nn.tensor.Tensor`
-weights; the :class:`~multifuture.nn.layers.LayerParams` wrappers in
-:mod:`multifuture.nn.layers` are the parameter-bundle entry points used by
-the models.
+weights; the models pass the ``weight`` and ``bias`` of a
+:class:`~multifuture.nn.layers.LayerParams` bundle.
 
 The reference convolution and pooling ops accept either an unbatched
 ``(channels, length)`` input or a batched ``(batch, channels, length)``

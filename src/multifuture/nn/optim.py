@@ -1,8 +1,9 @@
-"""Adam optimizer with bias correction (default hyperparameters)."""
+"""Adam optimizer with bias correction and the default hyperparameters."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -12,16 +13,8 @@ from .tensor import Tensor
 __all__ = ["AdamState", "adam_step"]
 
 
-def _flatten(params) -> list[Tensor]:
-    tensors: list[Tensor] = []
-    for p in params:
-        if isinstance(p, LayerParams):
-            tensors.extend(p.tensors())
-        elif isinstance(p, Tensor):
-            tensors.append(p)
-        else:
-            raise TypeError(f"expected LayerParams or Tensor, got {type(p)!r}")
-    return tensors
+def _flatten(params: list[LayerParams]) -> list[Tensor]:
+    return [t for p in params for t in p.tensors()]
 
 
 @dataclass
@@ -32,26 +25,23 @@ class AdamState:
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    epsilon: ClassVar[float] = 1e-8
 
     @classmethod
-    def init(cls, params, learning_rate: float = 1e-3, beta1: float = 0.9,
-             beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
+    def init(cls, params: list[LayerParams],
+             learning_rate: float = 1e-3) -> "AdamState":
         tensors = _flatten(params)
         return cls(
             step_count=0,
             first_moment=[np.zeros_like(t.data) for t in tensors],
             second_moment=[np.zeros_like(t.data) for t in tensors],
             learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
         )
 
 
-def adam_step(params, state: AdamState) -> AdamState:
+def adam_step(params: list[LayerParams], state: AdamState) -> AdamState:
     """One in-place Adam update over ``params``; gradients are consumed.
 
     Every trainable tensor must carry a populated gradient.  After the

@@ -147,8 +147,8 @@ class _Manifest:
             raise ValueError(f"unknown checkpoint kind {self.kind!r}")
 
 
-def _named_tensors(model) -> list[tuple[str, Tensor]]:
-    return [pair for params in model.parameters() for pair in params.named_tensors()]
+def _named_tensors(params) -> list[tuple[str, Tensor]]:
+    return [pair for p in params for pair in p.named_tensors()]
 
 
 def _write_checkpoint(directory, kind: str, config: ModelConfig,
@@ -185,14 +185,13 @@ def save(model, directory, training_seed: int | None = None) -> None:
     """Write a float32 model checkpoint (manifest + parameter blob)."""
     kind = ("expert_classifier" if isinstance(model, ExpertClassifier)
             else "forecaster")
-    _write_checkpoint(directory, kind, model.config, _named_tensors(model),
-                      training_seed)
+    _write_checkpoint(directory, kind, model.config,
+                      _named_tensors(model.parameters()), training_seed)
 
 
 def save_shape_banks(model: Forecaster, directory) -> None:
     """Write only the shape-bank templates (user-suppliable banks)."""
-    entries = [(f"{bank.name}.weight", bank.templates)
-               for bank in model.shape_banks()]
+    entries = _named_tensors(model.shape_banks())
     if not entries:
         raise CheckpointError("model has no shape banks to save")
     _write_checkpoint(directory, "shape_banks", model.config, entries, None)
@@ -226,6 +225,9 @@ def _read_entries(directory, entries: tuple[_Entry, ...]) -> dict[str, np.ndarra
     expected_offset = 0
     arrays: dict[str, np.ndarray] = {}
     for entry in entries:
+        if entry.name in arrays:
+            raise CheckpointError(
+                f"parameter {entry.name!r} is listed twice in the manifest")
         if entry.offset_bytes != expected_offset:
             raise CheckpointError(
                 f"parameter {entry.name!r} offset {entry.offset_bytes} is not "
@@ -250,21 +252,26 @@ def _read_entries(directory, entries: tuple[_Entry, ...]) -> dict[str, np.ndarra
     return arrays
 
 
+def _assign(tensors: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
+    """Copy each stored array into the tensor of its name, checking shapes."""
+    for name, stored in arrays.items():
+        tensor = tensors[name]
+        if stored.shape != tensor.data.shape:
+            raise CheckpointError(
+                f"parameter {name!r} has shape {stored.shape}, expected "
+                f"{tensor.data.shape}")
+        tensor.data = stored.astype(tensor.data.dtype)
+
+
 def _apply_entries(model, arrays: dict[str, np.ndarray]) -> None:
-    expected = dict(_named_tensors(model))
+    expected = dict(_named_tensors(model.parameters()))
     if set(expected) != set(arrays):
         missing = sorted(set(expected) - set(arrays))
         extra = sorted(set(arrays) - set(expected))
         raise CheckpointError(
             f"parameter names do not match the architecture "
             f"(missing: {missing}, unexpected: {extra})")
-    for name, tensor in expected.items():
-        stored = arrays[name]
-        if stored.shape != tensor.data.shape:
-            raise CheckpointError(
-                f"parameter {name!r} has shape {stored.shape}, expected "
-                f"{tensor.data.shape}")
-        tensor.data = stored.astype(tensor.data.dtype)
+    _assign(expected, arrays)
 
 
 def load(directory):
@@ -292,14 +299,9 @@ def load_shape_banks(model: Forecaster, directory) -> Forecaster:
         raise CheckpointError(
             f"expected a shape_banks checkpoint, found {manifest.kind!r}")
     arrays = _read_entries(directory, manifest.parameters)
-    banks = {f"{bank.name}.weight": bank for bank in model.shape_banks()}
-    for name, stored in arrays.items():
-        bank = banks.get(name)
-        if bank is None:
-            raise CheckpointError(f"model has no shape bank named {name!r}")
-        if stored.shape != bank.templates.data.shape:
-            raise CheckpointError(
-                f"bank {name!r} has shape {stored.shape}, expected "
-                f"{bank.templates.data.shape}")
-        bank.templates.data = stored.astype(bank.templates.data.dtype)
+    banks = dict(_named_tensors(model.shape_banks()))
+    unknown = sorted(arrays.keys() - banks.keys())
+    if unknown:
+        raise CheckpointError(f"model has no shape bank named {unknown[0]!r}")
+    _assign(banks, arrays)
     return model

@@ -11,6 +11,7 @@ applied per iteration.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,6 +21,7 @@ from .model import ExpertClassifier, Forecaster, FutureSet, ModelConfig
 from .nn import ops
 from .nn.optim import AdamState, adam_step
 from .nn.tensor import Tensor, no_grad
+from .persistence import _write_atomic
 
 __all__ = [
     "TrainConfig",
@@ -259,10 +261,7 @@ def train(series, model_config: ModelConfig, train_config: TrainConfig,
 
 
 def train_expert(series, model: Forecaster,
-                 classifier_config: ModelConfig | None = None,
-                 train_config: TrainConfig | None = None,
-                 seed_offset: int = 1,
-                 ) -> ExpertClassifier:
+                 train_config: TrainConfig | None = None) -> ExpertClassifier:
     """Fit an expert classifier against the trained model's oracle indices.
 
     Every sampled window gets labeled with the model's oracle future index
@@ -270,18 +269,20 @@ def train_expert(series, model: Forecaster,
     with cross-entropy on those labels.  With ``f == 1`` the untrained
     classifier is already exact, so it is returned as-is.
 
-    The classifier seed is offset from the training seed so its weights do
-    not replay the forecaster's initialization stream.
+    The classifier has the model's configuration.  Its seed is the training
+    seed plus one, so its weights do not replay the forecaster's
+    initialization stream.
     """
-    cfg = classifier_config or model.config
+    cfg = model.config
     train_config = train_config or TrainConfig()
-    classifier = ExpertClassifier(cfg, seed=train_config.seed + seed_offset)
+    seed = train_config.seed + 1
+    classifier = ExpertClassifier(cfg, seed=seed)
     if cfg.f == 1:
         return classifier
 
     params = classifier.parameters()
     state = AdamState.init(params, learning_rate=train_config.learning_rate)
-    rng = np.random.default_rng(train_config.seed + seed_offset)
+    rng = np.random.default_rng(seed)
     eps = train_config.znorm_epsilon
 
     for iteration in range(train_config.n_iter):
@@ -304,15 +305,19 @@ def train_expert(series, model: Forecaster,
 
 
 def write_loss_trace(trace: Sequence[LossRecord], path) -> None:
-    """Write a loss trace as CSV: iteration,total,rmse,nrmse,oracle_histogram."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "total", "rmse", "nrmse", "oracle_histogram"])
-        for rec in trace:
-            writer.writerow([
-                rec.iteration,
-                f"{rec.total_loss:.17g}",
-                f"{rec.rmse_term:.17g}",
-                f"{rec.nrmse_term:.17g}",
-                "|".join(str(c) for c in rec.oracle_index_histogram),
-            ])
+    """Write a loss trace as CSV: iteration,total,rmse,nrmse,oracle_histogram.
+
+    Rows end in the csv module's CRLF, and the file is replaced atomically.
+    """
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["iteration", "total", "rmse", "nrmse", "oracle_histogram"])
+    for rec in trace:
+        writer.writerow([
+            rec.iteration,
+            f"{rec.total_loss:.17g}",
+            f"{rec.rmse_term:.17g}",
+            f"{rec.nrmse_term:.17g}",
+            "|".join(str(c) for c in rec.oracle_index_histogram),
+        ])
+    _write_atomic(path, text.getvalue().encode())

@@ -240,8 +240,8 @@ def test_criterion_05_shape_bank_envelope():
             fs = model.predict_futures(window)
             for i, decoder in enumerate(model.shape_decoders):
                 for j, bank in enumerate(decoder.banks):
-                    lo = bank.templates.data.min(axis=0)
-                    hi = bank.templates.data.max(axis=0)
+                    lo = bank.weight.data.min(axis=0)
+                    hi = bank.weight.data.max(axis=0)
                     assert np.all(fs.shape_preds[i, j] >= lo - 1e-6)
                     assert np.all(fs.shape_preds[i, j] <= hi + 1e-6)
         c.detail = "100 random forwards"

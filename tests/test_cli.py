@@ -5,10 +5,17 @@ import json
 import os
 import re
 
+from datetime import timedelta
+
 import pytest
 
 from multifuture.cli import main
-from multifuture.data import load_csv
+from multifuture.data import load_csv, split_by_date
+from multifuture.evaluation import (
+    NearestNeighborBaseline,
+    RidgeBaseline,
+    evaluate_rolling,
+)
 
 SMALL_CONFIG = {
     "model": {"n_p": 48, "n_h": 24, "d": 4, "f": 2, "n_s": 8, "channels": 16},
@@ -150,6 +157,31 @@ class TestEvaluateAndPredict:
             report = json.loads((out / "report.json").read_text())
             assert report["f"] == 1
             assert report["oracle_rmse"] == pytest.approx(report["rmse"])
+
+    @pytest.mark.parametrize("name,cls", [("nn", NearestNeighborBaseline),
+                                          ("ridge", RidgeBaseline)])
+    def test_baseline_uses_run_znorm_epsilon(self, workdir, name, cls):
+        # An epsilon above every window's std floors both the shape
+        # predictions and the normalized truth, so a baseline built with
+        # the default floor reads a different NRMSE.
+        tmp_path, config = workdir
+        data_dir = _generate(workdir)
+        payload = json.loads(open(config).read())
+        payload["train"]["znorm_epsilon"] = 1e3
+        config_path = tmp_path / "eps.json"
+        config_path.write_text(json.dumps(payload))
+        out = tmp_path / "report_eps"
+        assert main(["evaluate", "--config", str(config_path), "--baseline",
+                     name, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+
+        series = load_csv(data_dir / "merchant_0000.csv")
+        train_split, test_split = split_by_date(
+            series, series.start_timestamp + timedelta(hours=552),
+            warmup_hours=48)
+        expected = evaluate_rolling(cls(train_split, 48, 24, epsilon=1e3),
+                                    test_split, 48, 24, epsilon=1e3)
+        assert report["nrmse"] == pytest.approx(expected.nrmse, rel=1e-12)
 
     def test_predict_outputs_reconstruct(self, trained):
         tmp_path, config, checkpoint = trained

@@ -1,5 +1,6 @@
 """Tests for the synthetic generator, CSV interchange, and splitting."""
 
+import os
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -142,6 +143,22 @@ class TestCsvRoundTrip:
         save_csv(series, a)
         save_csv(series, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_save_writes_lf_line_endings(self, tmp_path):
+        series = MultivariateSeries(np.array([[1.5, 1.0, 3.25, 0.9]]))
+        path = tmp_path / "one.csv"
+        save_csv(series, path)
+        assert path.read_bytes() == (
+            CSV_HEADER + "\n2023-01-02T00:00:00Z,1.5,1,3.25,0.90000000000000002\n"
+        ).encode()
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, fail_mid_write):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"previous")
+        with pytest.raises(OSError, match="mid-write"):
+            save_csv(generate(GeneratorConfig(n_hours=50, seed=1)), path)
+        assert path.read_bytes() == b"previous"
+        assert os.listdir(tmp_path) == ["m.csv"]
 
     def test_duplicate_timestamp_rejected_with_row(self, tmp_path):
         path = tmp_path / "dup.csv"

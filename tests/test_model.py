@@ -104,7 +104,7 @@ class TestShapeDecoder:
         alpha, r = shape_decoder_forward(model, h, 0)
         np.testing.assert_allclose(r, np.ones((cfg.d, 1)))
         templates = np.stack(
-            [bank.templates.data for bank in model.shape_decoders[0].banks])
+            [bank.weight.data for bank in model.shape_decoders[0].banks])
         np.testing.assert_allclose(alpha, templates[:, 0, :], rtol=1e-6)
 
     def test_hand_mixture(self):
@@ -115,7 +115,7 @@ class TestShapeDecoder:
         cfg = small_config(n_s=2, n_h=3, d=1)
         model = Forecaster(cfg, seed=0)
         bank = model.shape_decoders[0].banks[0]
-        bank.templates.data = s.astype(np.float32)
+        bank.weight.data = s.astype(np.float32)
         h = np.zeros(cfg.channels)
         # zero h and zero regressor weights give uniform r; force the
         # regressor bias to produce [0.25, 0.75]
@@ -134,8 +134,8 @@ class TestShapeDecoder:
             alpha, r = shape_decoder_forward(model, h, 1)
             np.testing.assert_allclose(r.sum(axis=-1), 1.0, atol=1e-6)
             for j, bank in enumerate(model.shape_decoders[1].banks):
-                lo = bank.templates.data.min(axis=0)
-                hi = bank.templates.data.max(axis=0)
+                lo = bank.weight.data.min(axis=0)
+                hi = bank.weight.data.max(axis=0)
                 assert np.all(alpha[j] >= lo - 1e-6)
                 assert np.all(alpha[j] <= hi + 1e-6)
 
@@ -326,6 +326,6 @@ class TestInterpretabilityContract:
         fs = model.predict_futures(window)
         for i, decoder in enumerate(model.shape_decoders):
             for j, bank in enumerate(decoder.banks):
-                rebuilt = fs.activations[i, j] @ bank.templates.data.astype(np.float64)
+                rebuilt = fs.activations[i, j] @ bank.weight.data.astype(np.float64)
                 np.testing.assert_allclose(fs.shape_preds[i, j], rebuilt,
                                            rtol=1e-4, atol=1e-6)

@@ -88,7 +88,7 @@ class TestConv1d:
         rng = np.random.default_rng(0)
         params = init_conv("conv", 4, 2, 3, rng)
         x = Tensor(rng.standard_normal((2, 8)).astype(np.float32))
-        out = layers.conv1d(x, params, padding=1)
+        out = ops.conv1d(x, params.weight, params.bias, padding=1)
         assert out.data.shape == (4, 8)
 
 

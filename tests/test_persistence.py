@@ -173,6 +173,23 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="contiguous"):
             load(tmp_path / "ckpt")
 
+    def test_duplicate_parameter_name_rejected(self, tmp_path):
+        # The repeated entry's bytes are appended, so offsets and the blob
+        # length stay consistent; only the repeated name is wrong.
+        save(Forecaster(CFG, seed=0), tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / MANIFEST_NAME
+        blob_path = tmp_path / "ckpt" / BLOB_NAME
+        manifest = json.loads(manifest_path.read_text())
+        blob = blob_path.read_bytes()
+        first = dict(manifest["parameters"][0], offset_bytes=len(blob))
+        manifest["parameters"].append(first)
+        manifest_path.write_text(json.dumps(manifest))
+        blob_path.write_bytes(
+            blob + np.full(int(np.prod(first["shape"])), 7.0, "<f4").tobytes())
+        with pytest.raises(CheckpointError,
+                           match=f"'{first['name']}' is listed twice"):
+            load(tmp_path / "ckpt")
+
 
 class TestShapeBankFiles:
     def test_bank_load_replaces_banks_only(self, tmp_path):
@@ -184,8 +201,8 @@ class TestShapeBankFiles:
         save_shape_banks(donor, tmp_path / "banks")
         load_shape_banks(receiver, tmp_path / "banks")
 
-        donor_banks = [b.templates.data for b in donor.shape_banks()]
-        receiver_banks = [b.templates.data for b in receiver.shape_banks()]
+        donor_banks = [b.weight.data for b in donor.shape_banks()]
+        receiver_banks = [b.weight.data for b in receiver.shape_banks()]
         for a, b in zip(donor_banks, receiver_banks):
             assert np.array_equal(a, b)
         # non-bank parameters untouched: encoder output identical
@@ -197,6 +214,21 @@ class TestShapeBankFiles:
         save_shape_banks(model, tmp_path / "banks")
         with pytest.raises(CheckpointError, match="shape-bank"):
             load(tmp_path / "banks")
+
+    def test_unknown_bank_rejected(self, tmp_path):
+        save_shape_banks(Forecaster(CFG, seed=0), tmp_path / "banks")
+        smaller = Forecaster(ModelConfig(n_p=16, n_h=8, d=2, f=1, n_s=4,
+                                         channels=8), seed=0)
+        with pytest.raises(CheckpointError,
+                           match="no shape bank named 'shape_decoder1.bank0.weight'"):
+            load_shape_banks(smaller, tmp_path / "banks")
+
+    def test_bank_shape_mismatch_rejected(self, tmp_path):
+        save_shape_banks(Forecaster(CFG, seed=0), tmp_path / "banks")
+        wider = Forecaster(ModelConfig(n_p=16, n_h=8, d=2, f=2, n_s=5,
+                                       channels=8), seed=0)
+        with pytest.raises(CheckpointError, match=r"bank0.weight' has shape \(4, 8\)"):
+            load_shape_banks(wider, tmp_path / "banks")
 
     def test_model_checkpoint_rejected_by_bank_load(self, tmp_path):
         model = Forecaster(CFG, seed=0)

@@ -1,5 +1,7 @@
 """Tests for normalization, the oracle loss, batching, and the train loop."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -344,3 +346,17 @@ class TestLossTraceCsv:
         assert lines[0] == "iteration,total,rmse,nrmse,oracle_histogram"
         assert lines[1].split(",")[-1] == "3|1"
         assert float(lines[2].split(",")[1]) == 1.25
+
+    def test_crlf_bytes(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_loss_trace([LossRecord(0, 1.5, 1.0, 0.5, [3, 1])], path)
+        assert path.read_bytes() == (
+            b"iteration,total,rmse,nrmse,oracle_histogram\r\n0,1.5,1,0.5,3|1\r\n")
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, fail_mid_write):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"previous")
+        with pytest.raises(OSError, match="mid-write"):
+            write_loss_trace([LossRecord(0, 1.5, 1.0, 0.5, [3, 1])], path)
+        assert path.read_bytes() == b"previous"
+        assert os.listdir(tmp_path) == ["trace.csv"]
