@@ -167,7 +167,8 @@ def _merchant_path(data_dir: str, merchant: str) -> str:
     return os.path.join(data_dir, f"{merchant}.csv")
 
 
-def _load_training_series(config: RunConfig):
+def _load_training_series(config: RunConfig) -> list[MultivariateSeries]:
+    """The merchant's series, or every generated merchant's in category scope."""
     data_dir = config.data_dir()
     if config.data.scope == "category":
         manifest_path = os.path.join(data_dir, "dataset_manifest.json")
@@ -185,7 +186,13 @@ def _load_training_series(config: RunConfig):
     path = _merchant_path(data_dir, config.data.merchant)
     if not os.path.exists(path):
         raise CliError(f"no data for {config.data.merchant!r} at {path}")
-    return load_csv(path, config.data.merchant)
+    return [load_csv(path, config.data.merchant)]
+
+
+def _merchant_series(config: RunConfig, command: str) -> MultivariateSeries:
+    if config.data.scope == "category":
+        raise CliError(f"{command} runs on a single merchant; set data.scope=merchant")
+    return _load_training_series(config)[0]
 
 
 def _train_test_split(series: MultivariateSeries, config: RunConfig):
@@ -207,11 +214,11 @@ def cmd_generate(config: RunConfig, out_dir: str) -> int:
         series = generate(gcfg)
         filename = f"{merchant_id}.csv"
         save_csv(series, os.path.join(out_dir, filename))
-        entries.append({"merchant_id": merchant_id, "file": filename, "seed": seed})
+        entries.append(_DatasetFile(merchant_id, filename, seed))
         _say(f"wrote {filename} ({len(series)} hours)")
-    manifest = {"files": entries, "generator": asdict(config.generator)}
+    manifest = _DatasetManifest(tuple(entries), config.generator)
     _write_text(os.path.join(out_dir, "dataset_manifest.json"),
-                json.dumps(manifest, indent=2) + "\n")
+                json.dumps(asdict(manifest), indent=2) + "\n")
     _echo_config(config, out_dir)
     print(out_dir)
     return 0
@@ -219,11 +226,7 @@ def cmd_generate(config: RunConfig, out_dir: str) -> int:
 
 def cmd_train(config: RunConfig, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    series = _load_training_series(config)
-    if isinstance(series, list):
-        split = [_train_test_split(s, config)[0] for s in series]
-    else:
-        split = _train_test_split(series, config)[0]
+    split = [_train_test_split(s, config)[0] for s in _load_training_series(config)]
 
     def progress(record):
         if record.iteration % 200 == 0:
@@ -244,8 +247,7 @@ def cmd_train(config: RunConfig, out_dir: str) -> int:
         "iterations": len(trace),
         "final_loss": trace[-1].total_loss if trace else None,
         "first_loss": trace[0].total_loss if trace else None,
-        "parameter_count": {"total": counts.total, "encoder": counts.encoder,
-                            "decoder": counts.decoder},
+        "parameter_count": counts._asdict(),
         "wall_time_s": wall,
     }
     _write_text(os.path.join(out_dir, "run_summary.json"),
@@ -279,10 +281,8 @@ def _predictions_csv(report, predictions, feature_names) -> str:
 def cmd_evaluate(config: RunConfig, checkpoint: str | None, baseline: str | None,
                  out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    series = _load_training_series(config)
-    if isinstance(series, list):
-        raise CliError("evaluate runs on a single merchant; set data.scope=merchant")
-    train_split, test_split = _train_test_split(series, config)
+    train_split, test_split = _train_test_split(
+        _merchant_series(config, "evaluate"), config)
     n_p, n_h = config.model.n_p, config.model.n_h
     eps = config.train.znorm_epsilon
 
@@ -381,10 +381,8 @@ def cmd_predict(checkpoint: str, input_csv: str, expert: str | None,
 
 def cmd_ablate(config: RunConfig, scalability: bool, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    series = _load_training_series(config)
-    if isinstance(series, list):
-        raise CliError("ablate runs on a single merchant; set data.scope=merchant")
-    train_split, test_split = _train_test_split(series, config)
+    train_split, test_split = _train_test_split(
+        _merchant_series(config, "ablate"), config)
 
     if scalability:
         rows = ["scheme,f,params_total,params_encoder,params_decoder,sec_per_iter"]

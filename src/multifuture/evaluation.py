@@ -13,13 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .data import MultivariateSeries
 from .model import FutureSet, check_windows
-from .training import window_rmse, z_normalize
+from .training import _series_values, window_rmse, z_normalize
 
 __all__ = [
     "WindowRecord",
@@ -76,16 +76,7 @@ class EvalReport:
             "nrmse": self.nrmse,
             "oracle_rmse": self.oracle_rmse,
             "oracle_nrmse": self.oracle_nrmse,
-            "per_window": [
-                {
-                    "window_index": w.window_index,
-                    "start_hour": w.start_hour,
-                    "oracle_index": w.oracle_index,
-                    "rmse_per_future": w.rmse_per_future,
-                    "nrmse_per_future": w.nrmse_per_future,
-                }
-                for w in self.per_window
-            ],
+            "per_window": [asdict(w) for w in self.per_window],
         }
         return json.dumps(payload, indent=2)
 
@@ -200,7 +191,7 @@ class NearestNeighborBaseline:
 
     def __init__(self, train: MultivariateSeries, n_p: int, n_h: int,
                  epsilon: float = 1e-8):
-        values = np.asarray(getattr(train, "values", train), dtype=np.float64)
+        values = _series_values(train)
         if len(values) < n_p + n_h:
             raise ValueError(
                 f"training history of {len(values)} hours is shorter than "
@@ -212,9 +203,7 @@ class NearestNeighborBaseline:
         n_starts = len(values) - n_p - n_h + 1
         windows = np.lib.stride_tricks.sliding_window_view(
             values, n_p, axis=0)[:n_starts]          # (starts, d, n_p)
-        mean = windows.mean(axis=2, keepdims=True)
-        std = np.maximum(windows.std(axis=2, keepdims=True), epsilon)
-        self._normalized = (windows - mean) / std
+        self._normalized = z_normalize(windows, epsilon, axis=2)
 
     def predict_futures(self, window: np.ndarray) -> FutureSet:
         window = check_windows(window, self.n_p, self._values.shape[1],
@@ -244,7 +233,7 @@ class RidgeBaseline:
                  lam: float = 1.0, epsilon: float = 1e-8):
         if lam <= 0:
             raise ValueError("lam must be positive")
-        values = np.asarray(getattr(train, "values", train), dtype=np.float64)
+        values = _series_values(train)
         n_windows = len(values) - n_p - n_h + 1
         if n_windows < 1:
             raise ValueError(
@@ -255,12 +244,14 @@ class RidgeBaseline:
         self.d = values.shape[1]
         self.lam = lam
         self.epsilon = epsilon
+        # Window w is values[w:w + n_p + n_h], time-major; flattening its
+        # input and target parts is a view, so only x and y are allocated.
+        windows = np.lib.stride_tricks.sliding_window_view(
+            values, n_p + n_h, axis=0).swapaxes(1, 2)
         x = np.empty((n_windows, 1 + n_p * self.d))
-        y = np.empty((n_windows, n_h * self.d))
         x[:, 0] = 1.0
-        for w in range(n_windows):
-            x[w, 1:] = values[w:w + n_p].reshape(-1)
-            y[w] = values[w + n_p:w + n_p + n_h].reshape(-1)
+        x[:, 1:] = windows[:, :n_p].reshape(n_windows, -1)
+        y = windows[:, n_p:].reshape(n_windows, -1).copy()
         penalty = lam * np.eye(x.shape[1])
         penalty[0, 0] = 0.0  # free intercept
         self.coefficients = np.linalg.solve(x.T @ x + penalty, x.T @ y)

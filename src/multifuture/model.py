@@ -79,7 +79,8 @@ class ModelConfig:
 
     ``n_p``/``n_h`` are the input/output horizons in hours, ``d`` the
     feature count, ``f`` the number of futures, ``n_s`` the number of
-    templates per shape bank.
+    templates per shape bank.  ``kernel`` is odd, so padding ``kernel // 2``
+    keeps convolutions length-preserving.
     """
 
     n_p: int = 168
@@ -97,6 +98,8 @@ class ModelConfig:
         for name in ("n_h", "d", "f", "n_s", "channels", "kernel"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.kernel % 2 == 0:
+            raise ValueError(f"kernel must be odd, got {self.kernel}")
         if self.variant not in VARIANTS:
             raise ValueError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
@@ -143,7 +146,8 @@ class FutureSet:
     def f(self) -> int:
         return self.futures.shape[0]
 
-    def validate(self, atol: float = 1e-6) -> None:
+    def validate(self) -> None:
+        atol = 1e-6
         recombined = combine(self.shape_preds, self.scale_mul, self.scale_add)
         if not np.allclose(self.futures, recombined, atol=atol, rtol=0):
             raise ValueError("futures do not equal scale_mul*shape + scale_add")

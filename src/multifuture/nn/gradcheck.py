@@ -17,18 +17,18 @@ from .tensor import Tensor
 __all__ = ["grad_check"]
 
 
-def grad_check(op_closure, inputs, h: float = 1e-4,
-               kink_threshold: float = 10.0) -> float:
+def grad_check(op_closure, inputs) -> float:
     """Return the worst relative error between AD and FD gradients.
 
     ``op_closure`` maps the given tensors to a scalar loss and is invoked
     repeatedly while the tensors' buffers are perturbed in place, so it must
-    be deterministic.  The error at each coordinate is
-    ``|g_ad - g_fd| / max(1, |g_fd|)``; a coordinate whose second
-    difference exceeds ``kink_threshold`` (rescaled by ``h**2``) is treated
-    as nondifferentiable and skipped.  Run with float64 inputs: float32
+    be deterministic.  Central differences use the step ``h = 1e-4``.  The
+    error at each coordinate is ``|g_ad - g_fd| / max(1, |g_fd|)``; a
+    coordinate whose second difference exceeds ``kink_threshold = 10``
+    (rescaled by ``h**2``) is treated as nondifferentiable and skipped.  Run with float64 inputs: float32
     cannot reach meaningful tolerances.
     """
+    h, kink_threshold = 1e-4, 10.0
     inputs = list(inputs)
     for t in inputs:
         if not isinstance(t, Tensor):

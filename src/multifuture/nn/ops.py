@@ -279,7 +279,7 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
     return _from_op(out, (x, weight, bias), bwd)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map ``weight @ x + bias`` with ``weight`` of shape (out, in).
 
     ``x`` may be ``(in,)`` or ``(batch, in)``.
@@ -290,22 +290,19 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             f"input has {xd.shape[1]} features but weight expects "
             f"{weight.data.shape[1]}"
         )
-    out = xd @ weight.data.T
-    if bias is not None:
-        out = out + bias.data
+    out = xd @ weight.data.T + bias.data
 
     def bwd(g):
         gd = g if batched else g[None]
         if weight.requires_grad:
             _accumulate(weight, gd.T @ xd, owned=True)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             _accumulate(bias, gd.sum(axis=0), owned=True)
         if x.requires_grad:
             dx = gd @ weight.data
             _accumulate(x, dx if batched else dx[0], owned=batched)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _from_op(out if batched else out[0], parents, bwd)
+    return _from_op(out if batched else out[0], (x, weight, bias), bwd)
 
 
 def upsample_nearest(x: Tensor, out_length: int) -> Tensor:

@@ -185,20 +185,20 @@ class Tensor:
 
     # -- reductions / shape -----------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
+    def sum(self, axis=None):
         axis = _normalize_axis(axis, self.data.ndim)
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        out_data = self.data.sum(axis=axis)
 
         def bwd(g):
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             _accumulate(self, np.broadcast_to(g, self.data.shape))
 
         return _from_op(out_data, (self,), bwd)
 
-    def mean(self, axis=None, keepdims: bool = False):
+    def mean(self, axis=None):
         axis = _normalize_axis(axis, self.data.ndim)
-        out_data = self.data.mean(axis=axis, keepdims=keepdims)
+        out_data = self.data.mean(axis=axis)
         if axis is None:
             count = self.data.size
         else:
@@ -206,7 +206,7 @@ class Tensor:
         inv = 1.0 / count
 
         def bwd(g):
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             _accumulate(self, np.broadcast_to(g * inv, self.data.shape))
 

@@ -132,15 +132,15 @@ class _Entry:  # one manifest parameter: a float32 array at offset_bytes in the 
             raise ValueError(f"parameter {self.name!r} has invalid shape {self.shape}")
 
 
-@dataclass(frozen=True)
-class _Manifest:
+@dataclass(frozen=True, kw_only=True)
+class _Manifest:  # field order is manifest.json's key order
     format_version: int
     kind: str
-    config: ModelConfig
-    parameters: tuple[_Entry, ...]
     variant: str = ""
+    config: ModelConfig
     training_seed: int | None = None
     created_utc: str = ""
+    parameters: tuple[_Entry, ...]
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -155,29 +155,21 @@ def _write_checkpoint(directory, kind: str, config: ModelConfig,
                       tensors: list[tuple[str, Tensor]],
                       training_seed: int | None) -> None:
     blob = bytearray()
-    manifest_params = []
+    entries = []
     for name, tensor in tensors:
         if tensor.data.dtype != np.float32:
             raise CheckpointError(
                 f"parameter {name!r} is {tensor.data.dtype}, not float32")
-        manifest_params.append({
-            "name": name,
-            "shape": list(tensor.data.shape),
-            "offset_bytes": len(blob),
-        })
+        entries.append(_Entry(name, tensor.data.shape, len(blob)))
         blob.extend(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "variant": config.variant,
-        "config": asdict(config),
-        "training_seed": training_seed,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "parameters": manifest_params,
-    }
+    manifest = _Manifest(
+        format_version=FORMAT_VERSION, kind=kind, variant=config.variant,
+        config=config, training_seed=training_seed,
+        created_utc=datetime.now(timezone.utc).isoformat(),
+        parameters=tuple(entries))
     os.makedirs(directory, exist_ok=True)
     _write_atomic(os.path.join(directory, MANIFEST_NAME),
-                  (json.dumps(manifest, indent=2) + "\n").encode())
+                  (json.dumps(asdict(manifest), indent=2) + "\n").encode())
     _write_atomic(os.path.join(directory, BLOB_NAME), bytes(blob))
 
 
@@ -253,14 +245,18 @@ def _read_entries(directory, entries: tuple[_Entry, ...]) -> dict[str, np.ndarra
 
 
 def _assign(tensors: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
-    """Copy each stored array into the tensor of its name, checking shapes."""
+    """Copy each stored array into the tensor of its name.
+
+    Every shape is checked before any tensor changes, so a failed load
+    leaves the model as it was.
+    """
     for name, stored in arrays.items():
-        tensor = tensors[name]
-        if stored.shape != tensor.data.shape:
+        if stored.shape != tensors[name].data.shape:
             raise CheckpointError(
                 f"parameter {name!r} has shape {stored.shape}, expected "
-                f"{tensor.data.shape}")
-        tensor.data = stored.astype(tensor.data.dtype)
+                f"{tensors[name].data.shape}")
+    for name, stored in arrays.items():
+        tensors[name].data = stored.astype(tensors[name].data.dtype)
 
 
 def _apply_entries(model, arrays: dict[str, np.ndarray]) -> None:

@@ -195,11 +195,6 @@ def _per_instance_error(pred: Tensor, target: np.ndarray) -> Tensor:
     return (diff * diff).mean(axis=(-2, -1)).sqrt()
 
 
-def _oracle_rows(shape_values: np.ndarray, truth_z: np.ndarray) -> np.ndarray:
-    """0-based oracle index per batch row from detached shape predictions."""
-    return window_rmse(shape_values, truth_z).argmin(axis=0)
-
-
 def train(series, model_config: ModelConfig, train_config: TrainConfig,
           progress: Callable[[LossRecord], None] | None = None,
           ) -> tuple[Forecaster, list[LossRecord]]:
@@ -227,7 +222,7 @@ def train(series, model_config: ModelConfig, train_config: TrainConfig,
         fwd = model.forward_tensors(inputs)
         rmse_rows = _per_instance_error(fwd.futures, truth)        # (f, batch)
         nrmse_rows = _per_instance_error(fwd.shape_preds, truth_z)
-        i_oc = _oracle_rows(fwd.shape_preds.data, truth_z)
+        i_oc = nrmse_rows.data.argmin(axis=0)                     # 0-based, per row
         winners = np.arange(cfg.f)[:, None] == i_oc               # one-hot
         mask = Tensor(winners.astype(model.dtype))
 
@@ -293,7 +288,7 @@ def train_expert(series, model: Forecaster,
         truth_z = z_normalize(truth, eps, axis=-1)
         with no_grad():
             fwd = model.forward_tensors(inputs)
-        labels = _oracle_rows(fwd.shape_preds.data, truth_z)
+        labels = window_rmse(fwd.shape_preds.data, truth_z).argmin(axis=0)
 
         loss = ops.cross_entropy(classifier.forward_logits(inputs), labels)
         if not np.isfinite(float(loss.data)):

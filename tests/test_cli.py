@@ -56,6 +56,28 @@ class TestGenerate:
         assert len(manifest["files"]) == 2
         assert manifest["files"][1]["seed"] == 1
 
+    def test_manifest_bytes(self, workdir):
+        data_dir = _generate(workdir)
+        expected = {
+            "files": [
+                {"merchant_id": "merchant_0000", "file": "merchant_0000.csv",
+                 "seed": 0},
+                {"merchant_id": "merchant_0001", "file": "merchant_0001.csv",
+                 "seed": 1},
+            ],
+            "generator": {
+                "n_hours": 720, "seed": 0, "daily_amp": 0.6,
+                "weekly_amp": 0.25, "noise_std": 0.05,
+                "regimes": [{"amplitude": 1.0, "phase_hours": 0.0},
+                            {"amplitude": 2.0, "phase_hours": 6.0}],
+                "regime_switch_prob": 0.3,
+                "base_levels": [1.5, 0.7, 1.0, 0.9],
+                "merchant_id": "merchant_0000",
+            },
+        }
+        assert (data_dir / "dataset_manifest.json").read_text() \
+            == json.dumps(expected, indent=2) + "\n"
+
     def test_rerun_byte_identical(self, workdir):
         tmp_path, config = workdir
         main(["generate", "--config", config])
@@ -329,6 +351,18 @@ class TestConfigValidation:
         capsys.readouterr()
         assert main(["train", "--config", str(category)]) == 1
         assert "error: dataset_manifest field 'files' is missing" \
+            in capsys.readouterr().err
+
+    def test_even_kernel_rejected(self, workdir, capsys):
+        tmp_path, config = workdir
+        _generate(workdir)
+        payload = json.loads(open(config).read())
+        payload["model"].update(kernel=4, variant="tconv_decoder")
+        bad = tmp_path / "even_kernel.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["train", "--config", str(bad)]) == 1
+        assert "error: config.model: kernel must be odd, got 4" \
             in capsys.readouterr().err
 
     def test_integer_in_float_field_trains_identically(self, workdir):

@@ -1,12 +1,16 @@
 """Tests for rolling evaluation, oracle metrics, and the baselines."""
 
+import json
+
 import numpy as np
 import pytest
 
 from multifuture.data import GeneratorConfig, generate
 from multifuture.evaluation import (
+    EvalReport,
     NearestNeighborBaseline,
     RidgeBaseline,
+    WindowRecord,
     compare,
     evaluate_rolling,
 )
@@ -197,6 +201,22 @@ class TestRidge:
         np.testing.assert_allclose(model.coefficients[1:], coefs, atol=1e-6)
         np.testing.assert_allclose(model.coefficients[0], intercept, atol=1e-6)
 
+    def test_coefficients_equal_loop_built_solve(self, month_series):
+        n_p, n_h, lam = 24, 6, 1.0
+        values = month_series.values[:240]
+        n_windows = len(values) - n_p - n_h + 1
+        x = np.empty((n_windows, 1 + n_p * 4))
+        y = np.empty((n_windows, n_h * 4))
+        x[:, 0] = 1.0
+        for w in range(n_windows):
+            x[w, 1:] = values[w:w + n_p].reshape(-1)
+            y[w] = values[w + n_p:w + n_p + n_h].reshape(-1)
+        penalty = lam * np.eye(x.shape[1])
+        penalty[0, 0] = 0.0
+        expected = np.linalg.solve(x.T @ x + penalty, x.T @ y)
+        assert np.array_equal(RidgeBaseline(values, n_p, n_h, lam).coefficients,
+                              expected)
+
     def test_infinite_lambda_predicts_training_means(self, month_series):
         n_p, n_h = 24, 6
         values = month_series.values[:240]
@@ -247,6 +267,23 @@ def test_every_predictor_rejects_a_bad_window(month_series, make, predict,
     predictor = make(month_series)
     with pytest.raises(ValueError, match=rf"\({_N_P}, 4\).*{problem}"):
         getattr(predictor, predict)(window)
+
+
+def test_report_json_bytes():
+    record = WindowRecord(window_index=0, start_hour=4, oracle_index=2,
+                          rmse_per_future=[1.5, 0.5], nrmse_per_future=[0.75, 0.25])
+    report = EvalReport("stub", f=2, n_p=4, n_h=3, d=1, rmse=0.5, nrmse=0.25,
+                        oracle_rmse=0.125, oracle_nrmse=0.0625, per_window=[record])
+    expected = {
+        "model_id": "stub", "f": 2, "n_p": 4, "n_h": 3, "d": 1, "n_windows": 1,
+        "aggregation": "mean over windows; rmse/nrmse fix future 1; "
+                       "oracle_* take the per-window minimum",
+        "rmse": 0.5, "nrmse": 0.25, "oracle_rmse": 0.125, "oracle_nrmse": 0.0625,
+        "per_window": [{"window_index": 0, "start_hour": 4, "oracle_index": 2,
+                        "rmse_per_future": [1.5, 0.5],
+                        "nrmse_per_future": [0.75, 0.25]}],
+    }
+    assert report.to_json() == json.dumps(expected, indent=2)
 
 
 class TestCompare:

@@ -170,7 +170,8 @@ class TestLinear:
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="features"):
-            ops.linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 4))))
+            ops.linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 4))),
+                       Tensor(np.zeros(2)))
 
 
 class TestSoftmax:

@@ -1,6 +1,7 @@
 """Checkpoint round-trip, validation, and scoped bank loading."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from multifuture.persistence import (
 )
 
 CFG = ModelConfig(n_p=16, n_h=8, d=2, f=2, n_s=4, channels=8)
+GOLDEN_CHECKPOINT = Path(__file__).parent / "fixtures" / "golden_full"
 
 
 def _window(seed=0):
@@ -62,6 +64,18 @@ class TestRoundTrip:
         window = _window(4)
         assert np.array_equal(clf.predict_proba(window),
                               loaded.predict_proba(window))
+
+    def test_golden_checkpoint_resaves_to_its_bytes(self, tmp_path):
+        def manifest_lines(directory):
+            return [line for line in (directory / MANIFEST_NAME).read_text().splitlines()
+                    if '"created_utc"' not in line]
+
+        stored = json.loads((GOLDEN_CHECKPOINT / MANIFEST_NAME).read_text())
+        save(load(GOLDEN_CHECKPOINT), tmp_path,
+             training_seed=stored["training_seed"])
+        assert manifest_lines(tmp_path) == manifest_lines(GOLDEN_CHECKPOINT)
+        assert ((tmp_path / BLOB_NAME).read_bytes()
+                == (GOLDEN_CHECKPOINT / BLOB_NAME).read_bytes())
 
     @pytest.mark.parametrize("variant", ["shared_encoder", "non_separated",
                                          "model_ensemble"])
@@ -142,6 +156,16 @@ class TestValidation:
         corrupt(manifest)
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match=f"'{field}'"):
+            load(tmp_path / "ckpt")
+
+    def test_even_kernel_rejected(self, tmp_path):
+        save(Forecaster(CFG, seed=0), tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["kernel"] = 4
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError,
+                           match="manifest.config: kernel must be odd, got 4"):
             load(tmp_path / "ckpt")
 
     def test_non_finite_parameter_named(self, tmp_path):
@@ -229,6 +253,20 @@ class TestShapeBankFiles:
                                        channels=8), seed=0)
         with pytest.raises(CheckpointError, match=r"bank0.weight' has shape \(4, 8\)"):
             load_shape_banks(wider, tmp_path / "banks")
+
+    def test_failed_bank_load_changes_no_bank(self, tmp_path):
+        # The last bank's shape is transposed: same byte count, wrong shape.
+        save_shape_banks(Forecaster(CFG, seed=10), tmp_path / "banks")
+        manifest_path = tmp_path / "banks" / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["parameters"][-1]["shape"].reverse()
+        manifest_path.write_text(json.dumps(manifest))
+        receiver = Forecaster(CFG, seed=20)
+        before = [bank.weight.data.copy() for bank in receiver.shape_banks()]
+        with pytest.raises(CheckpointError, match=r"has shape \(8, 4\)"):
+            load_shape_banks(receiver, tmp_path / "banks")
+        for old, bank in zip(before, receiver.shape_banks()):
+            assert np.array_equal(old, bank.weight.data)
 
     def test_model_checkpoint_rejected_by_bank_load(self, tmp_path):
         model = Forecaster(CFG, seed=0)
