@@ -97,12 +97,9 @@ class EvalReport:
         return buf.getvalue()
 
 
-def _window_errors(futures: FutureSet, truth: np.ndarray,
-                   epsilon: float) -> tuple[list[float], list[float]]:
-    truth = np.asarray(truth, dtype=np.float64)
-    truth_z = z_normalize(truth, epsilon, axis=-1)
-    return (window_rmse(futures.futures, truth).tolist(),
-            window_rmse(futures.shape_preds, truth_z).tolist())
+# Windows per forward pass: training's batch size.  Chunking bounds the
+# memory of one pass over a long test span.
+_EVAL_BATCH = 64
 
 
 def evaluate_rolling(predictor, test: MultivariateSeries, n_p: int, n_h: int,
@@ -110,9 +107,10 @@ def evaluate_rolling(predictor, test: MultivariateSeries, n_p: int, n_h: int,
                      collect_predictions: bool = False):
     """Evaluate a predictor over all rolling windows of a test series.
 
-    ``predictor`` needs ``predict_futures((n_p, d) array) -> FutureSet``
-    and a ``model_id`` attribute; the forecaster and both baselines
-    qualify.  With ``collect_predictions`` the return value is
+    ``predictor`` needs ``predict_batch((batch, n_p, d) array) ->
+    list[FutureSet]`` and a ``model_id`` attribute; the forecaster and both
+    baselines qualify.  Windows go to ``predict_batch`` in chunks of at
+    most 64.  With ``collect_predictions`` the return value is
     ``(report, predictions)`` where predictions is a list of per-window
     ``(truth (d, n_h), FutureSet)`` pairs.
     """
@@ -122,23 +120,28 @@ def evaluate_rolling(predictor, test: MultivariateSeries, n_p: int, n_h: int,
         raise ValueError(
             f"test span of {len(values)} hours is shorter than n_p + n_h "
             f"= {n_p + n_h}")
-    records: list[WindowRecord] = []
-    predictions = []
-    for w in range(n_windows):
-        start = w * n_h
-        window = values[start:start + n_p]
-        truth = values[start + n_p:start + n_p + n_h].T  # (d, n_h)
-        futures = predictor.predict_futures(window)
-        rmses, nrmses = _window_errors(futures, truth, epsilon)
-        records.append(WindowRecord(
+    # Window w is values[w * n_h:w * n_h + n_p + n_h]; (windows, d, n_p + n_h)
+    spans = np.lib.stride_tricks.sliding_window_view(
+        values, n_p + n_h, axis=0)[::n_h][:n_windows]
+    inputs = spans[:, :, :n_p].swapaxes(1, 2)                    # (windows, n_p, d)
+    truth = spans[:, :, n_p:]                                    # (windows, d, n_h)
+    future_sets = [fs for start in range(0, n_windows, _EVAL_BATCH)
+                   for fs in predictor.predict_batch(
+                       inputs[start:start + _EVAL_BATCH])]
+    futures = np.stack([fs.futures for fs in future_sets], axis=1)  # (f, windows, d, n_h)
+    shape_preds = np.stack([fs.shape_preds for fs in future_sets], axis=1)
+    rmses = window_rmse(futures, truth).T
+    nrmses = window_rmse(shape_preds, z_normalize(truth, epsilon, axis=-1)).T
+    records = [
+        WindowRecord(
             window_index=w,
-            start_hour=start + n_p,
-            oracle_index=int(np.argmin(nrmses)) + 1,
-            rmse_per_future=rmses,
-            nrmse_per_future=nrmses,
-        ))
-        if collect_predictions:
-            predictions.append((truth, futures))
+            start_hour=w * n_h + n_p,
+            oracle_index=int(np.argmin(nrmses[w])) + 1,
+            rmse_per_future=rmses[w].tolist(),
+            nrmse_per_future=nrmses[w].tolist(),
+        )
+        for w in range(n_windows)
+    ]
 
     report = EvalReport(
         model_id=getattr(predictor, "model_id", predictor.__class__.__name__),
@@ -153,7 +156,7 @@ def evaluate_rolling(predictor, test: MultivariateSeries, n_p: int, n_h: int,
         per_window=records,
     )
     if collect_predictions:
-        return report, predictions
+        return report, list(zip(truth, future_sets))
     return report
 
 
@@ -216,6 +219,16 @@ class NearestNeighborBaseline:
         continuation = self._values[best + self.n_p:best + self.n_p + self.n_h]
         return _single_future_set(continuation.T, self.epsilon)
 
+    def predict_batch(self, windows: np.ndarray) -> list[FutureSet]:
+        """One future set per window of a ``(batch, n_p, d)`` stack.
+
+        Every query scans all training windows, so batching saves nothing:
+        this is :meth:`predict_futures` per window.
+        """
+        windows = check_windows(windows, self.n_p, self._values.shape[1],
+                                np.float64)
+        return [self.predict_futures(w) for w in windows]
+
 
 class RidgeBaseline:
     """One closed-form ridge regressor per output coordinate.
@@ -252,17 +265,31 @@ class RidgeBaseline:
         x[:, 0] = 1.0
         x[:, 1:] = windows[:, :n_p].reshape(n_windows, -1)
         y = windows[:, n_p:].reshape(n_windows, -1).copy()
-        penalty = lam * np.eye(x.shape[1])
-        penalty[0, 0] = 0.0  # free intercept
-        self.coefficients = np.linalg.solve(x.T @ x + penalty, x.T @ y)
+        gram = x.T @ x
+        diagonal = np.arange(1, x.shape[1])  # the intercept is not penalized
+        gram[diagonal, diagonal] += lam
+        self.coefficients = np.linalg.solve(gram, x.T @ y)
+
+    def _predict_raw(self, windows: np.ndarray) -> np.ndarray:
+        """Checked ``(batch, n_p, d)`` windows -> ``(batch, d, n_h)``, in one GEMM."""
+        features = np.empty((len(windows), self.coefficients.shape[0]))
+        features[:, 0] = 1.0
+        features[:, 1:] = windows.reshape(len(windows), -1)
+        return (features @ self.coefficients).reshape(
+            -1, self.n_h, self.d).swapaxes(1, 2)
 
     def predict_raw(self, window: np.ndarray) -> np.ndarray:
-        window = check_windows(window, self.n_p, self.d, np.float64, single=True)
-        features = np.concatenate(([1.0], window.reshape(-1)))
-        return (features @ self.coefficients).reshape(self.n_h, self.d).T
+        """Raw ``(d, n_h)`` prediction for one ``(n_p, d)`` window."""
+        return self._predict_raw(check_windows(
+            window, self.n_p, self.d, np.float64, single=True))[0]
 
     def predict_futures(self, window: np.ndarray) -> FutureSet:
         return _single_future_set(self.predict_raw(window), self.epsilon)
+
+    def predict_batch(self, windows: np.ndarray) -> list[FutureSet]:
+        """One future set per window of a ``(batch, n_p, d)`` stack."""
+        raw = self._predict_raw(check_windows(windows, self.n_p, self.d, np.float64))
+        return [_single_future_set(pred, self.epsilon) for pred in raw]
 
 
 # -- method comparison ---------------------------------------------------------

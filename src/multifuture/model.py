@@ -128,7 +128,7 @@ def encoder_length_schedule(n_p: int) -> list[int]:
 
 @dataclass
 class FutureSet:
-    """One forward pass worth of predictions.
+    """One window's predictions.
 
     ``futures`` and ``shape_preds`` are ``(f, d, n_h)``; the scale arrays
     are ``(f, d)``.  ``activations`` is ``(f, d, n_s)`` for bank-based
@@ -410,19 +410,32 @@ class Forecaster:
         return _ForwardTensors(combine(shape_preds, mul, add), shape_preds,
                                mul, add, None if acts[0] is None else stack(acts))
 
+    def predict_batch(self, windows: np.ndarray) -> list[FutureSet]:
+        """Predict one future set per window of a ``(batch, n_p, d)`` stack.
+
+        The whole stack goes through one no-grad forward pass; the outputs
+        are cast to float64 and recombined once, and window ``i``'s
+        ``FutureSet`` holds slices of those arrays.  A single ``(n_p, d)``
+        window gives a list of one.
+        """
+        with no_grad():
+            fwd = self.forward_tensors(windows)
+        # (f, batch, ...) -> (batch, f, ...), so each window's slice is contiguous
+        shape_preds, scale_mul, scale_add = (
+            np.ascontiguousarray(t.data.swapaxes(0, 1), dtype=np.float64)
+            for t in (fwd.shape_preds, fwd.scale_mul, fwd.scale_add))
+        futures = combine(shape_preds, scale_mul, scale_add)
+        activations = ([None] * len(futures) if fwd.activations is None else
+                       np.ascontiguousarray(fwd.activations.data.swapaxes(0, 1),
+                                            dtype=np.float64))
+        return [FutureSet(*arrays) for arrays in zip(
+            futures, shape_preds, scale_mul, scale_add, activations)]
+
     def predict_futures(self, window: np.ndarray) -> FutureSet:
         """Predict the future set for one ``(n_p, d)`` input window."""
         window = check_windows(window, self.config.n_p, self.config.d,
                                self.dtype, single=True)
-        with no_grad():
-            fwd = self.forward_tensors(window)
-        shape_preds, scale_mul, scale_add = (
-            t.data[:, 0].astype(np.float64)
-            for t in (fwd.shape_preds, fwd.scale_mul, fwd.scale_add))
-        futures = combine(shape_preds, scale_mul, scale_add)
-        activations = (None if fwd.activations is None
-                       else fwd.activations.data[:, 0].astype(np.float64))
-        return FutureSet(futures, shape_preds, scale_mul, scale_add, activations)
+        return self.predict_batch(window)[0]
 
 
 class ExpertClassifier:

@@ -20,7 +20,7 @@ import sys
 import tempfile
 import types
 import typing
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -168,8 +168,10 @@ def _write_checkpoint(directory, kind: str, config: ModelConfig,
         created_utc=datetime.now(timezone.utc).isoformat(),
         parameters=tuple(entries))
     os.makedirs(directory, exist_ok=True)
+    # default=vars walks the dataclasses field by field; asdict would
+    # deep-copy every entry first and write the same bytes.
     _write_atomic(os.path.join(directory, MANIFEST_NAME),
-                  (json.dumps(asdict(manifest), indent=2) + "\n").encode())
+                  (json.dumps(manifest, default=vars, indent=2) + "\n").encode())
     _write_atomic(os.path.join(directory, BLOB_NAME), bytes(blob))
 
 

@@ -14,8 +14,19 @@ from multifuture.evaluation import (
     compare,
     evaluate_rolling,
 )
-from multifuture.model import ExpertClassifier, Forecaster, FutureSet, ModelConfig
-from multifuture.training import nrmse, rmse
+from multifuture.model import (
+    VARIANTS,
+    ExpertClassifier,
+    Forecaster,
+    FutureSet,
+    ModelConfig,
+)
+from multifuture.training import nrmse, rmse, window_rmse, z_normalize
+
+# Batched and single-window forwards differ only in float32 GEMM rounding.
+# Over 28 windows, the six variants and five seeds, the largest measured
+# gap was 0.25 float32 eps of max(|value|, 1); this bound allows 4.
+BATCH_TOL = 4 * np.finfo(np.float32).eps
 
 
 class StubPredictor:
@@ -33,6 +44,32 @@ class StubPredictor:
         shapes = (self._futures - mean[:, :, None]) / std[:, :, None]
         return FutureSet(std[:, :, None] * shapes + mean[:, :, None],
                          shapes, std, mean)
+
+    def predict_batch(self, windows):
+        return [self.predict_futures(w) for w in windows]
+
+
+def per_window_report(predictor, test, n_p, n_h, epsilon=1e-8):
+    """Reference: the rolling evaluation as one predict_futures call per window."""
+    values = test.values
+    records = []
+    for w in range((len(values) - n_p) // n_h):
+        start = w * n_h
+        futures = predictor.predict_futures(values[start:start + n_p])
+        truth = values[start + n_p:start + n_p + n_h].T
+        rmses = window_rmse(futures.futures, truth).tolist()
+        nrmses = window_rmse(futures.shape_preds,
+                             z_normalize(truth, epsilon, axis=-1)).tolist()
+        records.append(WindowRecord(w, start + n_p, int(np.argmin(nrmses)) + 1,
+                                    rmses, nrmses))
+    return EvalReport(
+        predictor.model_id, len(records[0].rmse_per_future), n_p, n_h,
+        values.shape[1],
+        rmse=float(np.mean([w.rmse_per_future[0] for w in records])),
+        nrmse=float(np.mean([w.nrmse_per_future[0] for w in records])),
+        oracle_rmse=float(np.mean([min(w.rmse_per_future) for w in records])),
+        oracle_nrmse=float(np.mean([min(w.nrmse_per_future) for w in records])),
+        per_window=records)
 
 
 def nn_oracle(train_values, query, n_p, n_h, epsilon=1e-8):
@@ -140,6 +177,78 @@ class TestEvaluateRolling:
         report = evaluate_rolling(StubPredictor(np.ones((1, 4, 24))),
                                   test, 168, 24)
         assert report.n_windows == 1
+
+
+class TestBatchedServing:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_28_window_batch_matches_per_window(self, variant):
+        cfg = ModelConfig(n_p=48, n_h=24, f=3, n_s=8, channels=16,
+                          variant=variant)
+        model = Forecaster(cfg, seed=1)
+        windows = np.random.default_rng(7).standard_normal((28, 48, 4)) * 3 + 5
+        batched = model.predict_batch(windows)
+        assert len(batched) == 28
+        for window, fs in zip(windows, batched):
+            single = model.predict_futures(window)
+            for name in ("futures", "shape_preds", "scale_mul", "scale_add",
+                         "activations"):
+                if getattr(single, name) is None:
+                    assert getattr(fs, name) is None
+                    continue
+                np.testing.assert_allclose(getattr(fs, name), getattr(single, name),
+                                           rtol=BATCH_TOL, atol=BATCH_TOL)
+            fs.validate()
+
+    def test_nearest_neighbor_report_equals_per_window(self, month_series):
+        train, test = month_series.slice(0, 480), month_series.slice(480, 720)
+        baseline = NearestNeighborBaseline(train, 72, 24)
+        report, predictions = evaluate_rolling(baseline, test, 72, 24,
+                                               collect_predictions=True)
+        assert report.to_json() == per_window_report(baseline, test, 72, 24).to_json()
+        for w, (truth, fs) in enumerate(predictions):
+            start = w * 24 + 72
+            single = baseline.predict_futures(test.values[start - 72:start])
+            assert np.array_equal(truth, test.values[start:start + 24].T)
+            assert np.array_equal(fs.futures, single.futures)
+
+    def test_ridge_report_matches_per_window(self, month_series):
+        train, test = month_series.slice(0, 480), month_series.slice(480, 720)
+        baseline = RidgeBaseline(train, 72, 24)
+        report = evaluate_rolling(baseline, test, 72, 24)
+        expected = per_window_report(baseline, test, 72, 24)
+        assert [w.oracle_index for w in report.per_window] == \
+            [w.oracle_index for w in expected.per_window]
+        for got, want in zip(report.per_window, expected.per_window):
+            np.testing.assert_allclose(got.rmse_per_future, want.rmse_per_future,
+                                       rtol=1e-12)
+
+    def test_forward_passes_are_chunks_of_64(self, monkeypatch):
+        n_p, n_h, n_windows = 16, 8, 130
+        series = generate(GeneratorConfig(n_hours=n_p + n_h * n_windows, seed=1))
+        model = Forecaster(ModelConfig(n_p=n_p, n_h=n_h, n_s=4, channels=8), seed=0)
+        forward = Forecaster.forward_tensors
+        batches = []
+
+        def counting_forward(self, inputs):
+            batches.append(len(inputs))
+            return forward(self, inputs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Forecaster, "forward_tensors", counting_forward)
+            report = evaluate_rolling(model, series, n_p, n_h)
+        assert batches == [64, 64, 2]  # ceil(130 / 64) passes
+        expected = per_window_report(model, series, n_p, n_h)
+        assert report.n_windows == expected.n_windows == n_windows
+        for got, want in zip(report.per_window, expected.per_window):
+            assert (got.window_index, got.start_hour, got.oracle_index) == \
+                (want.window_index, want.start_hour, want.oracle_index)
+            np.testing.assert_allclose(got.rmse_per_future, want.rmse_per_future,
+                                       rtol=BATCH_TOL)
+            np.testing.assert_allclose(got.nrmse_per_future, want.nrmse_per_future,
+                                       rtol=BATCH_TOL)
+        for metric in ("rmse", "nrmse", "oracle_rmse", "oracle_nrmse"):
+            assert getattr(report, metric) == pytest.approx(
+                getattr(expected, metric), rel=BATCH_TOL)
 
 
 class TestNearestNeighbor:
@@ -267,6 +376,21 @@ def test_every_predictor_rejects_a_bad_window(month_series, make, predict,
     predictor = make(month_series)
     with pytest.raises(ValueError, match=rf"\({_N_P}, 4\).*{problem}"):
         getattr(predictor, predict)(window)
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: Forecaster(ModelConfig(n_p=_N_P, n_h=_N_H, n_s=4, channels=8)),
+    lambda s: NearestNeighborBaseline(s, _N_P, _N_H),
+    lambda s: RidgeBaseline(s, _N_P, _N_H),
+], ids=["forecaster", "nearest_neighbor", "ridge"])
+@pytest.mark.parametrize("windows,problem", [
+    (np.stack([np.ones((_N_P, 4)), _NAN_WINDOW]), "non-finite"),
+    (np.ones((3, _N_P, 3)), "got shape"),
+], ids=["nan", "wrong_d"])
+def test_every_batch_predictor_rejects_a_bad_window(month_series, make,
+                                                    windows, problem):
+    with pytest.raises(ValueError, match=rf"\({_N_P}, 4\).*{problem}"):
+        make(month_series).predict_batch(windows)
 
 
 def test_report_json_bytes():

@@ -259,6 +259,23 @@ class TestModelForward:
         second = shape_encoder_forward(model, window)
         assert np.array_equal(first, second)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_single_window_is_the_batch_of_one(self, variant):
+        cfg = small_config(variant=variant,
+                           n_h=16 if variant == "tconv_decoder" else 8)
+        model = Forecaster(cfg, seed=0)
+        window = random_window(cfg, 4)
+        single = model.predict_futures(window)
+        (batched,) = model.predict_batch(window[None])
+        for name in ("futures", "shape_preds", "scale_mul", "scale_add",
+                     "activations"):
+            a, b = getattr(single, name), getattr(batched, name)
+            if a is None:
+                assert b is None and variant == "tconv_decoder"
+            else:
+                assert a.dtype == b.dtype == np.float64
+                assert np.array_equal(a, b), name
+
     def test_same_seed_same_model(self):
         cfg = small_config()
         a = Forecaster(cfg, seed=5)

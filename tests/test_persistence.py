@@ -1,6 +1,7 @@
 """Checkpoint round-trip, validation, and scoped bank loading."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from multifuture.persistence import (
     BLOB_NAME,
     CheckpointError,
     MANIFEST_NAME,
+    _read_manifest,
     load,
     load_shape_banks,
     save,
@@ -76,6 +78,20 @@ class TestRoundTrip:
         assert manifest_lines(tmp_path) == manifest_lines(GOLDEN_CHECKPOINT)
         assert ((tmp_path / BLOB_NAME).read_bytes()
                 == (GOLDEN_CHECKPOINT / BLOB_NAME).read_bytes())
+
+    @pytest.mark.parametrize("kind", ["forecaster", "expert_classifier",
+                                      "shape_banks"])
+    def test_manifest_bytes_equal_asdict_of_its_dataclass(self, tmp_path, kind):
+        if kind == "expert_classifier":
+            save(ExpertClassifier(CFG, seed=2), tmp_path, training_seed=3)
+        elif kind == "shape_banks":
+            save_shape_banks(Forecaster(CFG, seed=2), tmp_path)
+        else:
+            save(Forecaster(CFG, seed=2), tmp_path, training_seed=3)
+        manifest = _read_manifest(tmp_path)
+        assert manifest.kind == kind
+        assert ((tmp_path / MANIFEST_NAME).read_text()
+                == json.dumps(asdict(manifest), indent=2) + "\n")
 
     @pytest.mark.parametrize("variant", ["shared_encoder", "non_separated",
                                          "model_ensemble"])
