@@ -322,6 +322,16 @@ def cmd_predict(checkpoint: str, input_csv: str, expert: str | None,
     model = persistence.load(checkpoint)
     if not isinstance(model, Forecaster):
         raise CliError("checkpoint does not hold a forecaster")
+    if expert is not None:
+        classifier = persistence.load(expert)
+        if not isinstance(classifier, ExpertClassifier):
+            raise CliError("expert checkpoint does not hold an expert classifier")
+        ours, theirs = asdict(model.config), asdict(classifier.config)
+        differ = [f"{k}={theirs[k]!r} (forecaster: {ours[k]!r})"
+                  for k in ours if theirs[k] != ours[k]]
+        if differ:
+            raise CliError(f"expert checkpoint config differs from the "
+                           f"forecaster's: {', '.join(differ)}")
     series = load_csv(input_csv)
     n_p, n_h = model.config.n_p, model.config.n_h
     window = series.values[-n_p:]
@@ -359,9 +369,6 @@ def cmd_predict(checkpoint: str, input_csv: str, expert: str | None,
                 "\n".join(act_lines) + "\n")
 
     if expert is not None:
-        classifier = persistence.load(expert)
-        if not isinstance(classifier, ExpertClassifier):
-            raise CliError("expert checkpoint does not hold an expert classifier")
         probs = classifier.predict_proba(window)
         prob_lines = ["future,probability"]
         prob_lines.extend(f"{j + 1},{p:.17g}" for j, p in enumerate(probs))

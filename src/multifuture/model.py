@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .nn import ops
-from .nn.layers import LayerParams, init_conv, init_linear
+from .nn.layers import LayerParams, Take, initializer
 from .nn.tensor import Tensor, no_grad, stack
 
 __all__ = [
@@ -180,18 +180,12 @@ class ConvEncoder:
     last block's mean pool collapses whatever length remains to 1.
     """
 
-    def __init__(self, name: str, config: ModelConfig,
-                 rng: np.random.Generator, dtype):
+    def __init__(self, name: str, config: ModelConfig, take: Take):
         self.name = name
         self.padding = config.kernel // 2
-        self.convs: list[LayerParams] = []
-        in_ch = config.d
-        for b in range(config.encoder_blocks):
-            self.convs.append(
-                init_conv(f"{name}.conv{b}", config.channels, in_ch,
-                          config.kernel, rng, dtype)
-            )
-            in_ch = config.channels
+        in_channels = [config.d] + [config.channels] * (config.encoder_blocks - 1)
+        self.convs = [take(f"{name}.conv{b}", (config.channels, in_ch, config.kernel))
+                      for b, in_ch in enumerate(in_channels)]
 
     def forward(self, x: Tensor) -> Tensor:
         """(batch, n_p, d) -> (batch, channels)."""
@@ -214,20 +208,12 @@ class BankShapeDecoder:
     the output horizon's length.
     """
 
-    def __init__(self, name: str, config: ModelConfig,
-                 rng: np.random.Generator, dtype):
+    def __init__(self, name: str, config: ModelConfig, take: Take):
         self.name = name
-        self.regressors = [
-            init_linear(f"{name}.regressor{j}", config.n_s, config.channels,
-                        rng, dtype)
-            for j in range(config.d)
-        ]
-        self.banks = [
-            LayerParams(f"{name}.bank{j}", Tensor(
-                rng.normal(0.0, 0.1, size=(config.n_s, config.n_h)).astype(dtype),
-                requires_grad=True))
-            for j in range(config.d)
-        ]
+        self.regressors = [take(f"{name}.regressor{j}", (config.n_s, config.channels))
+                           for j in range(config.d)]
+        self.banks = [take(f"{name}.bank{j}", (config.n_s, config.n_h), bias=False)
+                      for j in range(config.d)]
 
     def forward(self, h: Tensor) -> tuple[Tensor, Tensor]:
         """(batch, channels) -> shape prediction (batch, d, n_h), activations (batch, d, n_s)."""
@@ -251,21 +237,15 @@ class TConvShapeDecoder:
     n_h progression, with the last upsample forced to the output horizon.
     """
 
-    def __init__(self, name: str, config: ModelConfig,
-                 rng: np.random.Generator, dtype):
+    def __init__(self, name: str, config: ModelConfig, take: Take):
         self.name = name
         self.n_h = config.n_h
         self.padding = config.kernel // 2
-        self.input_linear = init_linear(
-            f"{name}.input_linear", config.channels, config.channels, rng, dtype)
-        self.tconvs = [
-            init_conv(f"{name}.tconv{k}", config.channels, config.channels,
-                      config.kernel, rng, dtype)
-            for k in range(_TCONV_BLOCKS)
-        ]
-        self.output_conv = init_conv(
-            f"{name}.output_conv", config.d, config.channels, config.kernel,
-            rng, dtype)
+        c, k = config.channels, config.kernel
+        self.input_linear = take(f"{name}.input_linear", (c, c))
+        self.tconvs = [take(f"{name}.tconv{b}", (c, c, k))
+                       for b in range(_TCONV_BLOCKS)]
+        self.output_conv = take(f"{name}.output_conv", (config.d, c, k))
 
     def length_schedule(self) -> list[int]:
         lengths = [1]
@@ -297,12 +277,10 @@ class TConvShapeDecoder:
 class ScaleDecoder:
     """Linear map from the encoder vector to d (multiplier, offset) pairs."""
 
-    def __init__(self, name: str, config: ModelConfig,
-                 rng: np.random.Generator, dtype):
+    def __init__(self, name: str, config: ModelConfig, take: Take):
         self.name = name
         self.d = config.d
-        self.linear = init_linear(f"{name}.linear", 2 * config.d,
-                                  config.channels, rng, dtype)
+        self.linear = take(f"{name}.linear", (2 * config.d, config.channels))
 
     def forward(self, h: Tensor) -> tuple[Tensor, Tensor]:
         """(batch, channels) -> multiplier (batch, d), offset (batch, d)."""
@@ -324,23 +302,27 @@ class _ForwardTensors(NamedTuple):
 
 
 class Forecaster:
-    """A configured multi-future model; weights are seeded at construction.
+    """A configured multi-future model.
 
+    Every parameter comes from ``take``: by default
+    :func:`~multifuture.nn.initializer` seeded by ``seed``, while
+    :func:`~multifuture.persistence.load` passes a checkpoint reader.
     ``shape_encoders``, ``scale_encoders``, ``shape_decoders`` and
     ``scale_decoders`` are the columns of the routing table described in
     the module docstring.  ``parameters()`` lists modules in construction
     order, so RNG draws and checkpoint layout follow from the configuration.
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32,
+                 take: Take | None = None):
         self.config = config
         self.dtype = np.dtype(dtype).type
         self.model_id = f"{config.variant}_f{config.f}"
-        rng = np.random.default_rng(seed)
+        take = take or initializer(np.random.default_rng(seed), dtype)
         self._modules: list = []  # construction order = parameter order
 
         def build(cls, name):
-            module = cls(name, config, rng, dtype)
+            module = cls(name, config, take)
             self._modules.append(module)
             return module
 
@@ -447,12 +429,11 @@ class ExpertClassifier:
 
     dtype = np.float32
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0, take: Take | None = None):
         self.config = config
-        rng = np.random.default_rng(seed)
-        self.encoder = ConvEncoder("encoder", config, rng, self.dtype)
-        self.head = init_linear("head", config.f, config.channels, rng,
-                                self.dtype)
+        take = take or initializer(np.random.default_rng(seed), self.dtype)
+        self.encoder = ConvEncoder("encoder", config, take)
+        self.head = take("head", (config.f, config.channels))
 
     def parameters(self) -> list[LayerParams]:
         return self.encoder.layer_params() + [self.head]

@@ -1,7 +1,7 @@
 """Minimal reverse-mode differentiation engine and optimizer."""
 
 from .gradcheck import grad_check
-from .layers import LayerParams, init_conv, init_linear
+from .layers import LayerParams, initializer
 from .ops import (
     adaptive_avgpool1d,
     conv1d,
@@ -32,8 +32,7 @@ __all__ = [
     "encoder_block",
     "upsample_nearest",
     "cross_entropy",
-    "init_conv",
-    "init_linear",
+    "initializer",
     "AdamState",
     "adam_step",
     "grad_check",

@@ -4,18 +4,22 @@ A :class:`LayerParams` couples a weight tensor (and optional bias) with the
 stable name used for optimizer bookkeeping and checkpoint serialization.
 Conv-style weights are ``(out_channels, in_channels, kernel)``; linear
 weights are ``(out_features, in_features)``.  Models apply them with the
-:mod:`~multifuture.nn.ops` functions, ``ops.linear(x, p.weight, p.bias)``.
+:mod:`~multifuture.nn.ops` functions, ``ops.linear(x, p.weight, p.bias)``,
+and get them from a ``take(name, shape, bias=True)`` callable such as
+:func:`initializer`.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["LayerParams", "init_conv", "init_linear"]
+__all__ = ["LayerParams", "Take", "initializer"]
 
 
 @dataclass
@@ -36,24 +40,24 @@ class LayerParams:
         return out
 
 
-def _init_fan_in(name: str, shape: tuple[int, ...], fan_in: int,
-                 rng: np.random.Generator, dtype) -> LayerParams:
-    """Weights drawn uniform in +-sqrt(1/fan_in), zero bias over ``shape[0]``."""
-    bound = float(np.sqrt(1.0 / fan_in))
-    weight = rng.uniform(-bound, bound, size=shape).astype(dtype)
-    return LayerParams(name, Tensor(weight, requires_grad=True),
-                       Tensor(np.zeros(shape[0], dtype=dtype), requires_grad=True))
+# take(name, shape, bias=True): where a module constructor gets each parameter.
+Take = Callable[..., LayerParams]
 
 
-def init_conv(name: str, out_channels: int, in_channels: int, kernel: int,
-              rng: np.random.Generator, dtype=np.float32) -> LayerParams:
-    """Conv weights drawn uniform in +-sqrt(1/fan_in), zero bias."""
-    return _init_fan_in(name, (out_channels, in_channels, kernel),
-                        in_channels * kernel, rng, dtype)
+def initializer(rng: np.random.Generator, dtype=np.float32) -> Take:
+    """A ``take(name, shape, bias=True)`` that draws fresh parameters.
 
-
-def init_linear(name: str, out_features: int, in_features: int,
-                rng: np.random.Generator, dtype=np.float32) -> LayerParams:
-    """Linear weights drawn uniform in +-sqrt(1/fan_in), zero bias."""
-    return _init_fan_in(name, (out_features, in_features), in_features,
-                        rng, dtype)
+    With ``bias`` the weight is uniform in +-sqrt(1/fan_in), where fan_in
+    is ``prod(shape[1:])`` (in_channels * kernel for a conv, in_features
+    for a linear map), plus a zero bias over ``shape[0]``.  Without it the
+    weight is a bias-free N(0, 0.1) bank.  Draws follow the call order.
+    """
+    def take(name: str, shape: tuple[int, ...], bias: bool = True) -> LayerParams:
+        if not bias:
+            bank = rng.normal(0.0, 0.1, size=shape).astype(dtype)
+            return LayerParams(name, Tensor(bank, requires_grad=True))
+        bound = float(np.sqrt(1.0 / math.prod(shape[1:])))
+        weight = rng.uniform(-bound, bound, size=shape).astype(dtype)
+        return LayerParams(name, Tensor(weight, requires_grad=True),
+                           Tensor(np.zeros(shape[0], dtype=dtype), requires_grad=True))
+    return take

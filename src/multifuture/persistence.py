@@ -26,6 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .model import ExpertClassifier, Forecaster, ModelConfig
+from .nn.layers import LayerParams, Take
 from .nn.tensor import Tensor
 
 __all__ = [
@@ -145,6 +146,9 @@ class _Manifest:  # field order is manifest.json's key order
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown checkpoint kind {self.kind!r}")
+        if self.variant and self.variant != self.config.variant:
+            raise ValueError(f"variant {self.variant!r} contradicts "
+                             f"config.variant {self.config.variant!r}")
 
 
 def _named_tensors(params) -> list[tuple[str, Tensor]]:
@@ -246,44 +250,39 @@ def _read_entries(directory, entries: tuple[_Entry, ...]) -> dict[str, np.ndarra
     return arrays
 
 
-def _assign(tensors: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
-    """Copy each stored array into the tensor of its name.
-
-    Every shape is checked before any tensor changes, so a failed load
-    leaves the model as it was.
+def _reader(arrays: dict[str, np.ndarray]) -> Take:
+    """A ``take`` that pops each parameter the model asks for from ``arrays``
+    as a writable float32 copy, checking its name and shape first, so a
+    config the blob does not hold fails before its architecture is built.
     """
-    for name, stored in arrays.items():
-        if stored.shape != tensors[name].data.shape:
+    def tensor(name: str, shape: tuple[int, ...]) -> Tensor:
+        stored = arrays.pop(name, None)
+        if stored is None:
+            raise CheckpointError(f"checkpoint has no parameter {name!r}")
+        if stored.shape != shape:
             raise CheckpointError(
-                f"parameter {name!r} has shape {stored.shape}, expected "
-                f"{tensors[name].data.shape}")
-    for name, stored in arrays.items():
-        tensors[name].data = stored.astype(tensors[name].data.dtype)
+                f"parameter {name!r} has shape {stored.shape}, expected {shape}")
+        return Tensor(stored.astype(np.float32), requires_grad=True)
 
-
-def _apply_entries(model, arrays: dict[str, np.ndarray]) -> None:
-    expected = dict(_named_tensors(model.parameters()))
-    if set(expected) != set(arrays):
-        missing = sorted(set(expected) - set(arrays))
-        extra = sorted(set(arrays) - set(expected))
-        raise CheckpointError(
-            f"parameter names do not match the architecture "
-            f"(missing: {missing}, unexpected: {extra})")
-    _assign(expected, arrays)
+    def take(name: str, shape: tuple[int, ...], bias: bool = True) -> LayerParams:
+        return LayerParams(name, tensor(f"{name}.weight", shape),
+                           tensor(f"{name}.bias", shape[:1]) if bias else None)
+    return take
 
 
 def load(directory):
-    """Rebuild a model from a checkpoint; predictions are bit-identical."""
+    """Build the checkpoint's model from its blob, drawing nothing at random;
+    predictions are bit-identical."""
     manifest = _read_manifest(directory)
     if manifest.kind == "shape_banks":
         raise CheckpointError(
             "directory holds a shape-bank file; use load_shape_banks")
     arrays = _read_entries(directory, manifest.parameters)
-    if manifest.kind == "expert_classifier":
-        model = ExpertClassifier(manifest.config, seed=0)
-    else:
-        model = Forecaster(manifest.config, seed=0)
-    _apply_entries(model, arrays)
+    cls = ExpertClassifier if manifest.kind == "expert_classifier" else Forecaster
+    model = cls(manifest.config, take=_reader(arrays))
+    if arrays:  # what the architecture never asked for
+        raise CheckpointError(f"parameter {next(iter(arrays))!r} is not part of "
+                              f"the {manifest.config.variant} architecture")
     return model
 
 
@@ -301,5 +300,13 @@ def load_shape_banks(model: Forecaster, directory) -> Forecaster:
     unknown = sorted(arrays.keys() - banks.keys())
     if unknown:
         raise CheckpointError(f"model has no shape bank named {unknown[0]!r}")
-    _assign(banks, arrays)
+    # Every shape is checked before any bank changes, so a failed load
+    # leaves the model as it was.
+    for name, stored in arrays.items():
+        if stored.shape != banks[name].data.shape:
+            raise CheckpointError(
+                f"parameter {name!r} has shape {stored.shape}, expected "
+                f"{banks[name].data.shape}")
+    for name, stored in arrays.items():
+        banks[name].data = stored.astype(banks[name].data.dtype)
     return model

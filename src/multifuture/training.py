@@ -63,6 +63,10 @@ class TrainConfig:
             raise ValueError("znorm_epsilon must be positive")
         if self.n_iter < 0 or self.batch_size < 1:
             raise ValueError("n_iter must be >= 0 and batch_size >= 1")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.gamma < 0:
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 
 @dataclass

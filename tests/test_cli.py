@@ -255,6 +255,23 @@ class TestEvaluateAndPredict:
         total = sum(float(r["probability"]) for r in rows)
         assert total == pytest.approx(1.0, abs=1e-6)
 
+    def test_predict_rejects_expert_of_another_config(self, trained, capsys):
+        tmp_path, config, checkpoint = trained
+        from dataclasses import replace
+
+        from multifuture import ExpertClassifier, load, save
+
+        other = replace(load(checkpoint).config, f=3)
+        save(ExpertClassifier(other, seed=0), tmp_path / "expert_f3")
+        out = tmp_path / "pred_mismatch"
+        capsys.readouterr()
+        assert main(["predict", "--checkpoint", checkpoint,
+                     "--input", str(tmp_path / "data" / "merchant_0000.csv"),
+                     "--expert", str(tmp_path / "expert_f3"),
+                     "--out", str(out)]) == 1
+        assert "f=3 (forecaster: 2)" in capsys.readouterr().err
+        assert not (out / "futures.csv").exists()
+
     def test_train_artifacts_deterministic(self, workdir):
         tmp_path, config = workdir
         _generate(workdir)
@@ -329,6 +346,11 @@ class TestConfigValidation:
         ("paths", "data_dir", 5, "config.paths field 'data_dir' must be a string"),
         ("generator", "regimes", [{"amplitude": 1}, {"amplitude": "x"}],
          r"config.generator.regimes\[1\] field 'amplitude' must be a finite number"),
+        ("train", "learning_rate", -0.001,
+         "config.train: learning_rate must be positive, got -0.001"),
+        ("train", "learning_rate", 0.0,
+         "config.train: learning_rate must be positive, got 0.0"),
+        ("train", "gamma", -1.0, "config.train: gamma must be >= 0, got -1.0"),
     ])
     def test_wrongly_typed_value_names_the_field(self, workdir, capsys, section,
                                                  key, value, message):

@@ -22,15 +22,16 @@ from multifuture.data import (
     load_csv,
     save_csv,
 )
-from multifuture.model import Forecaster, ModelConfig
+from multifuture.model import VARIANTS, Forecaster, ModelConfig
 from multifuture.persistence import BLOB_NAME, MANIFEST_NAME, CheckpointError, load, save
 
 CFG = ModelConfig(n_p=8, n_h=4, d=2, f=2, n_s=2, channels=2)
+MODEL = Forecaster(CFG, seed=0)
 
 
 def _checkpoint_files():
     with tempfile.TemporaryDirectory() as tmp:
-        save(Forecaster(CFG, seed=0), tmp)
+        save(MODEL, tmp)
         with open(os.path.join(tmp, MANIFEST_NAME), "rb") as fh:
             manifest = fh.read()
         with open(os.path.join(tmp, BLOB_NAME), "rb") as fh:
@@ -95,6 +96,32 @@ def test_mutated_blob_loads_or_raises_checkpoint_error(blob):
     if model is not None:  # whatever loads holds finite parameters only
         assert all(np.isfinite(t.data).all() for p in model.parameters()
                    for t in p.tensors())
+
+
+def _weights(model):
+    return [(name, t.data.shape, t.data.tobytes())
+            for p in model.parameters() for name, t in p.named_tensors()]
+
+
+_CONFIG_EDITS = st.fixed_dictionaries({}, optional={
+    "channels": st.integers(0, 4), "f": st.integers(0, 3),
+    "n_s": st.integers(0, 3), "n_p": st.integers(0, 17), "d": st.integers(0, 3),
+    "kernel": st.integers(0, 5), "variant": st.sampled_from(VARIANTS)})
+
+
+@settings(max_examples=60)
+@given(_CONFIG_EDITS)
+@example({"n_p": 15})  # the same three encoder blocks as n_p=8
+@example({"variant": "one_loss"})  # the same architecture as full
+def test_edited_config_loads_the_same_weights_or_raises(edit):
+    manifest = json.loads(MANIFEST)
+    manifest["config"].update(edit)
+    # Keep the top-level variant in step, so that the architecture check
+    # is what judges the edit.
+    manifest["variant"] = manifest["config"]["variant"]
+    model = _load_checkpoint(json.dumps(manifest).encode(), BLOB)
+    if model is not None:  # a config with the same layout reads the same weights
+        assert _weights(model) == _weights(MODEL)
 
 
 @settings(max_examples=150)

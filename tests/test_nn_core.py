@@ -10,7 +10,7 @@ from multifuture.nn import (
     adam_step,
     stack,
     grad_check,
-    init_conv,
+    initializer,
 )
 from multifuture.nn import layers, ops
 
@@ -86,7 +86,7 @@ class TestConv1d:
 
     def test_layerparams_wrapper(self):
         rng = np.random.default_rng(0)
-        params = init_conv("conv", 4, 2, 3, rng)
+        params = initializer(rng)("conv", (4, 2, 3))
         x = Tensor(rng.standard_normal((2, 8)).astype(np.float32))
         out = ops.conv1d(x, params.weight, params.bias, padding=1)
         assert out.data.shape == (4, 8)

@@ -1,12 +1,14 @@
 """Checkpoint round-trip, validation, and scoped bank loading."""
 
 import json
-from dataclasses import asdict
+import tracemalloc
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from multifuture import model as model_module
 from multifuture.model import ExpertClassifier, Forecaster, ModelConfig, count_parameters
 from multifuture.persistence import (
     BLOB_NAME,
@@ -66,6 +68,28 @@ class TestRoundTrip:
         window = _window(4)
         assert np.array_equal(clf.predict_proba(window),
                               loaded.predict_proba(window))
+
+    def test_load_draws_nothing_and_copies_the_blob(self, tmp_path, monkeypatch):
+        models = [Forecaster(CFG, seed=1),
+                  Forecaster(replace(CFG, n_h=16, variant="tconv_decoder"), seed=1),
+                  ExpertClassifier(CFG, seed=2)]
+        for i, model in enumerate(models):
+            save(model, tmp_path / str(i))
+
+        def no_draws(*args):
+            raise AssertionError("load asked for fresh random weights")
+
+        monkeypatch.setattr(model_module, "initializer", no_draws)
+        for i, model in enumerate(models):
+            loaded = load(tmp_path / str(i))
+            assert type(loaded) is type(model)
+            for p, q in zip(model.parameters(), loaded.parameters(), strict=True):
+                assert p.name == q.name
+                for t, u in zip(p.tensors(), q.tensors(), strict=True):
+                    assert np.array_equal(t.data, u.data)
+                    # a fresh float32 array: writable, not a view of the blob
+                    assert u.data.dtype == np.float32 and u.requires_grad
+                    assert u.data.flags.writeable and u.data.base is None
 
     def test_golden_checkpoint_resaves_to_its_bytes(self, tmp_path):
         def manifest_lines(directory):
@@ -173,6 +197,52 @@ class TestValidation:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match=f"'{field}'"):
             load(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("edit,message", [
+        ({"f": 1}, "'shape_decoder1.regressor0.weight' is not part of the full "
+                   "architecture"),
+        ({"f": 3}, "no parameter 'shape_decoder2.regressor0.weight'"),
+        ({"n_s": 5}, r"'shape_decoder0.regressor0.weight' has shape \(4, 8\), "
+                     r"expected \(5, 8\)"),
+    ], ids=["fewer_futures", "more_futures", "more_templates"])
+    def test_edited_config_names_the_parameter(self, tmp_path, edit, message):
+        save(Forecaster(CFG, seed=0), tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"].update(edit)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=message):
+            load(tmp_path / "ckpt")
+
+    def test_top_level_variant_must_match_config(self, tmp_path):
+        save(Forecaster(CFG, seed=0), tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["variant"] = "model_ensemble"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="variant 'model_ensemble' "
+                                                  "contradicts config.variant 'full'"):
+            load(tmp_path / "ckpt")
+        manifest["variant"] = ""  # the field is optional
+        manifest_path.write_text(json.dumps(manifest))
+        assert load(tmp_path / "ckpt").config == CFG
+
+    def test_inflated_channels_rejected_before_allocation(self, tmp_path):
+        save(Forecaster(CFG, seed=0), tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["channels"] = 600
+        manifest_path.write_text(json.dumps(manifest))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError,
+                               match=r"'shape_encoder.conv0.weight' has shape "
+                                     r"\(8, 2, 3\), expected \(600, 2, 3\)"):
+                load(tmp_path / "ckpt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_even_kernel_rejected(self, tmp_path):
         save(Forecaster(CFG, seed=0), tmp_path / "ckpt")

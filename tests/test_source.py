@@ -40,3 +40,48 @@ def test_no_unused_module_level_import():
              for path in sorted(SRC.rglob("*.py"))
              for entry in unused_imports(path.read_text())]
     assert found == []
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions, classes and constants of ``sources``
+    (file name -> text) that no file of ``sources`` reads."""
+    defined, used = {}, set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[path, name] = node.lineno
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.alias):
+                used.add(n.name)
+    return [f"{path} line {line}: {name}"
+            for (path, name), line in defined.items() if name not in used]
+
+
+def test_guard_flags_an_unreferenced_private_name():
+    sources = {"a.py": "_LIMIT = 3\n_SEEN: int = 0\n"
+                       "def _helper():\n    return _LIMIT\n"
+                       "class _Old:\n    pass\n"
+                       "def public():\n    return b._shared()\n",
+               "b.py": "from a import _SEEN\ndef _shared():\n    return 1\n"}
+    assert unreferenced_private_names(sources) == ["a.py line 3: _helper",
+                                                   "a.py line 5: _Old"]
+
+
+def test_no_unreferenced_private_module_level_name():
+    sources = {str(path.relative_to(SRC)): path.read_text()
+               for path in sorted(SRC.rglob("*.py"))}
+    assert unreferenced_private_names(sources) == []
