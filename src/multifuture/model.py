@@ -19,7 +19,9 @@ Variants:
     A single encoder with bank decoders whose templates synthesize the
     futures directly in raw units (unit multiplier, zero offset).
 ``tconv_decoder``
-    Shape decoders replaced by a deep transposed-convolution stack.
+    Shape decoders replaced by a deep transposed-convolution stack; one
+    :class:`TConvShapeDecoder` runs the ``f`` stacks as one batched op per
+    layer.
 ``model_ensemble``
     ``f`` independent single-future copies of the full network.
 
@@ -27,10 +29,13 @@ All six are one network wired by a routing table built in
 :class:`Forecaster`'s constructor, the only code that reads the variant.
 Row ``i`` of the table is future ``i``: ``shape_encoders[i]`` feeds
 ``shape_decoders[i]`` and ``scale_encoders[i]`` feeds ``scale_decoders[i]``.
-A shared encoder sits in several rows and runs once per forward pass;
-``non_separated`` has no scale decoders (``None``) and gets the unit
-multiplier and zero offset instead.  The forward pass stacks every decoder
-output over futures on a leading axis and recombines the stacks once.
+A shared encoder sits in several rows and runs once per forward pass, and
+so does the ``tconv_decoder`` shape decoder, which sits in every row and
+returns all ``f`` futures.  Every shape decoder returns the futures of its
+rows on a leading axis (a bank decoder returns one), and the forward pass
+joins them in row order; ``non_separated`` has no scale decoders (``None``)
+and gets the unit multiplier and zero offset instead.  The stacks over
+futures are recombined once.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import numpy as np
 
 from .nn import ops
 from .nn.layers import LayerParams, Take, initializer
-from .nn.tensor import Tensor, no_grad, stack
+from .nn.tensor import Tensor, concat, no_grad, stack
 
 __all__ = [
     "VARIANTS",
@@ -216,36 +221,47 @@ class BankShapeDecoder:
                       for j in range(config.d)]
 
     def forward(self, h: Tensor) -> tuple[Tensor, Tensor]:
-        """(batch, channels) -> shape prediction (batch, d, n_h), activations (batch, d, n_s)."""
+        """(batch, channels) -> shape prediction (1, batch, d, n_h),
+        activations (1, batch, d, n_s): one future."""
         alphas, acts = [], []
         for reg, bank in zip(self.regressors, self.banks):
             r = ops.softmax(ops.linear(h, reg.weight, reg.bias))
             alphas.append(r @ bank.weight)
             acts.append(r)
-        return stack(alphas, axis=1), stack(acts, axis=1)
+        alpha, act = stack(alphas, axis=1), stack(acts, axis=1)
+        return alpha.reshape(1, *alpha.shape), act.reshape(1, *act.shape)
 
     def layer_params(self) -> list[LayerParams]:
         return self.regressors + self.banks
 
 
 class TConvShapeDecoder:
-    """Deep alternative decoder: Linear -> [TConv, ReLU, Upsample] x 5 -> Conv.
+    """Deep alternative decoder for all ``f`` futures at once:
+    Linear -> [TConv, ReLU, Upsample] x 5 -> Conv.
 
-    The linear output is treated as 64 channels of length 1; each block's
-    transposed convolution is cropped back to its input length (transposed
-    padding 1) so the upsampling alone drives the 1 -> 2 -> 4 -> 8 -> 16 ->
-    n_h progression, with the last upsample forced to the output horizon.
+    The linear output is treated as ``channels`` channels of length 1; each
+    block's transposed convolution is cropped back to its input length
+    (transposed padding ``kernel // 2``) so the upsampling alone drives the
+    1 -> 2 -> 4 -> 8 -> 16 -> n_h progression, with the last upsample forced
+    to the output horizon.  Every layer runs as one
+    :func:`~multifuture.nn.ops.stacked_conv` over a leading future axis, on
+    channels-last data; the transposed convolutions run as the equal
+    kernel-reversed "same" convolutions.  Each future keeps its own
+    parameters, named ``{name}{i}.input_linear``, ``{name}{i}.tconv{b}`` and
+    ``{name}{i}.output_conv`` and drawn future by future.
     """
 
     def __init__(self, name: str, config: ModelConfig, take: Take):
         self.name = name
         self.n_h = config.n_h
-        self.padding = config.kernel // 2
         c, k = config.channels, config.kernel
-        self.input_linear = take(f"{name}.input_linear", (c, c))
-        self.tconvs = [take(f"{name}.tconv{b}", (c, c, k))
-                       for b in range(_TCONV_BLOCKS)]
-        self.output_conv = take(f"{name}.output_conv", (config.d, c, k))
+        per_future = [[take(f"{name}{i}.input_linear", (c, c)),
+                       *[take(f"{name}{i}.tconv{b}", (c, c, k))
+                         for b in range(_TCONV_BLOCKS)],
+                       take(f"{name}{i}.output_conv", (config.d, c, k))]
+                      for i in range(config.f)]
+        # layers[l][i] is future i's layer l
+        self.layers = [list(layer) for layer in zip(*per_future)]
 
     def length_schedule(self) -> list[int]:
         lengths = [1]
@@ -255,23 +271,18 @@ class TConvShapeDecoder:
         return lengths
 
     def forward(self, h: Tensor) -> tuple[Tensor, None]:
-        """(batch, channels) -> shape prediction (batch, d, n_h)."""
-        z = ops.relu(ops.linear(h, self.input_linear.weight,
-                                self.input_linear.bias))
-        z = z.reshape(z.shape[0], z.shape[1], 1)
-        schedule = self.length_schedule()[1:]
-        crop = self.padding  # transposed padding: keeps tconv length-neutral
-        for tconv, target in zip(self.tconvs, schedule):
-            z = ops.tconv1d(z, tconv.weight, tconv.bias)
-            if crop:
-                z = z[:, :, crop:-crop]
-            z = ops.upsample_nearest(ops.relu(z), target)
-        alpha = ops.conv1d(z, self.output_conv.weight, self.output_conv.bias,
-                           padding=self.padding)
-        return alpha, None
+        """(batch, channels) -> shape predictions (f, batch, d, n_h)."""
+        z = h.reshape(h.shape[0], 1, h.shape[1])
+        *hidden, output = [([p.weight for p in layer], [p.bias for p in layer])
+                           for layer in self.layers]
+        # a linear layer is a kernel-1 conv, so flipping leaves it as it is
+        for (weights, biases), length in zip(hidden, self.length_schedule()):
+            z = ops.stacked_conv(z, weights, biases, length, flip=True, relu=True)
+        alpha = ops.stacked_conv(z, *output)  # (f, batch, n_h, d)
+        return alpha.swapaxes(2, 3), None
 
     def layer_params(self) -> list[LayerParams]:
-        return [self.input_linear, *self.tconvs, self.output_conv]
+        return [p for future in zip(*self.layers) for p in future]
 
 
 class ScaleDecoder:
@@ -339,10 +350,10 @@ class Forecaster:
             else:  # full, one_loss, tconv_decoder
                 shape_encoder = build(ConvEncoder, "shape_encoder")
                 scale_encoder = build(ConvEncoder, "scale_encoder")
-            decoder_cls = (TConvShapeDecoder if variant == "tconv_decoder"
-                           else BankShapeDecoder)
-            shape_decoders = [build(decoder_cls, f"shape_decoder{i}")
-                              for i in range(f)]
+            shape_decoders = (
+                [build(TConvShapeDecoder, "shape_decoder")] * f
+                if variant == "tconv_decoder"
+                else [build(BankShapeDecoder, f"shape_decoder{i}") for i in range(f)])
             scale_decoders = (
                 [None] * f if variant == "non_separated"
                 else [build(ScaleDecoder, f"scale_decoder{i}") for i in range(f)])
@@ -379,9 +390,9 @@ class Forecaster:
         """Forward pass from a validated ``(batch, n_p, d)`` tensor."""
         hidden = {m: m.forward(x) for m in self._modules
                   if isinstance(m, ConvEncoder)}
-        shapes, acts = zip(*(dec.forward(hidden[enc]) for enc, dec in zip(
-            self.shape_encoders, self.shape_decoders)))
-        shape_preds = stack(shapes)
+        shapes, acts = zip(*(dec.forward(hidden[enc]) for enc, dec in dict.fromkeys(
+            zip(self.shape_encoders, self.shape_decoders))))
+        shape_preds = concat(shapes)
         if self.scale_decoders[0] is None:  # raw-unit shapes
             ones = np.ones((self.config.f, x.shape[0], self.config.d), self.dtype)
             mul, add = Tensor(ones), Tensor(np.zeros_like(ones))
@@ -390,7 +401,7 @@ class Forecaster:
                 self.scale_encoders, self.scale_decoders)))
             mul, add = stack(muls), stack(adds)
         return _ForwardTensors(combine(shape_preds, mul, add), shape_preds,
-                               mul, add, None if acts[0] is None else stack(acts))
+                               mul, add, None if acts[0] is None else concat(acts))
 
     def predict_batch(self, windows: np.ndarray) -> list[FutureSet]:
         """Predict one future set per window of a ``(batch, n_p, d)`` stack.
@@ -475,7 +486,7 @@ def shape_decoder_forward(model: Forecaster, h: np.ndarray,
         raise ValueError("decoder does not expose template activations")
     with no_grad():
         alpha, r = decoder.forward(Tensor(np.asarray(h, dtype=model.dtype)[None]))
-    return alpha.data[0].copy(), r.data[0].copy()
+    return alpha.data[0, 0].copy(), r.data[0, 0].copy()
 
 
 def scale_forward(model: Forecaster, window: np.ndarray,

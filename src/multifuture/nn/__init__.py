@@ -11,15 +11,17 @@ from .ops import (
     maxpool1d,
     relu,
     softmax,
+    stacked_conv,
     tconv1d,
     upsample_nearest,
 )
 from .optim import AdamState, adam_step
-from .tensor import Tensor, no_grad, stack
+from .tensor import Tensor, concat, no_grad, stack
 
 __all__ = [
     "Tensor",
     "stack",
+    "concat",
     "no_grad",
     "LayerParams",
     "conv1d",
@@ -30,6 +32,7 @@ __all__ = [
     "maxpool1d",
     "adaptive_avgpool1d",
     "encoder_block",
+    "stacked_conv",
     "upsample_nearest",
     "cross_entropy",
     "initializer",

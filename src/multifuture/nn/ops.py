@@ -11,7 +11,14 @@ matrix.  The encoders use :func:`encoder_block` instead: one op for
 conv1d + ReLU + pooling on channels-last ``(batch, length, channels)``
 data, with a hand-written backward pass.  Fusing the three keeps one
 intermediate and one backward closure per block instead of three, which
-is what keeps full training runs at desk scale.
+is what keeps full training runs at desk scale.  The ``tconv_decoder``
+shape decoders use :func:`stacked_conv`: one op per layer for all ``f``
+futures, each future with its own weights, run as one batched GEMM over a
+leading future axis; it covers the linear input layer, the fused
+transposed-conv + ReLU + upsample blocks and the output conv.  Its
+backward pass runs only the (future, row) pairs that receive a gradient.
+:func:`conv1d`, :func:`tconv1d`, :func:`relu` and
+:func:`upsample_nearest` are the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ __all__ = [
     "maxpool1d",
     "adaptive_avgpool1d",
     "encoder_block",
+    "stacked_conv",
     "linear",
     "upsample_nearest",
     "cross_entropy",
@@ -196,6 +204,28 @@ def adaptive_avgpool1d(x: Tensor) -> Tensor:
     return _from_op(out if batched else out[0], (x,), bwd)
 
 
+def _kernel_major_cols(xp: np.ndarray, kernel: int) -> np.ndarray:
+    """im2col of padded ``(..., rows, length + kernel - 1, channels)`` data.
+
+    Returns ``(..., rows * length, kernel * channels)``: row ``(i, t)`` is
+    the contiguous run ``xp[..., i, t:t+kernel, :]``.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=-2)
+    *lead, rows, length, channels, _ = windows.shape
+    return windows.swapaxes(-1, -2).reshape(*lead, rows * length, kernel * channels)
+
+
+def _kernel_major_uncols(dcols: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`_kernel_major_cols` for ``(rows, length, kernel,
+    channels)`` column gradients: the padded ``(rows, length + kernel - 1,
+    channels)`` input gradient."""
+    rows, length, kernel, channels = dcols.shape
+    dxp = np.zeros((rows, length + kernel - 1, channels), dtype=dcols.dtype)
+    for k in range(kernel):
+        dxp[:, k:k + length] += dcols[:, :, k]
+    return dxp
+
+
 def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
                   pool: str) -> Tensor:
     """Fused conv1d + ReLU + pooling on channels-last data.
@@ -233,9 +263,7 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
         xp[:, padding:padding + length] = xd
     else:
         xp = xd
-    # Kernel-major im2col: row (i, t) is the contiguous run xp[i, t:t+kernel].
-    windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=1)
-    cols = windows.swapaxes(2, 3).reshape(n * l_conv, kernel * c_in)
+    cols = _kernel_major_cols(xp, kernel)
     w2 = weight.data.transpose(2, 1, 0).reshape(kernel * c_in, c_out)
     z = (cols @ w2).reshape(n, l_conv, c_out)
     z += bias.data
@@ -269,14 +297,108 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
         if bias.requires_grad:
             _accumulate(bias, g2.sum(axis=0), owned=True)
         if x.requires_grad:
-            dcols = (g2 @ w2.T).reshape(n, l_conv, kernel, c_in)
-            dxp = np.zeros(xp.shape, dtype=xd.dtype)
-            for k in range(kernel):
-                dxp[:, k:k + l_conv] += dcols[:, :, k]
+            dxp = _kernel_major_uncols((g2 @ w2.T).reshape(n, l_conv, kernel, c_in))
             dx = dxp[:, padding:padding + length] if padding else dxp
             _accumulate(x, dx, owned=True)
 
     return _from_op(out, (x, weight, bias), bwd)
+
+
+def stacked_conv(x: Tensor, weights, biases, out_length: int | None = None, *,
+                 flip: bool = False, relu: bool = False) -> Tensor:
+    """One convolution layer per future, run as one batched GEMM.
+
+    ``weights`` and ``biases`` hold one tensor per future ``j``: a
+    ``(channels_out, channels_in, kernel)`` conv weight with an odd kernel,
+    or a ``(channels_out, channels_in)`` linear weight (a kernel of 1), and
+    a ``(channels_out,)`` bias.  ``x`` is channels-last
+    ``(f, batch, length, channels_in)``, or ``(batch, length, channels_in)``
+    fed to every future.  Future ``j`` runs a length-preserving
+    cross-correlation (zero padding ``kernel // 2``) plus its bias, then a
+    ReLU if ``relu``, then nearest upsampling to ``out_length`` (default
+    ``length``; index ``t`` reads ``floor(t * length / out_length)``).  The
+    output is ``(f, batch, out_length, channels_out)``.  ``flip`` reverses
+    each kernel, which makes the convolution equal to :func:`tconv1d`
+    cropped by ``kernel // 2`` at both ends, so ``flip`` and ``relu``
+    together give ``upsample_nearest(relu(tconv1d(...)[crop:-crop]))``.
+
+    The backward pass keeps only the (future, row) pairs whose output
+    gradient is not all zero, and runs one GEMM per future that has any
+    for its weight and input gradients.  A future with none accumulates
+    nothing, so under an oracle loss only the winning decoder of each row
+    does backward work.  This relies only on each output row reading its
+    own input row, never on the loss.
+    """
+    xd = x.data
+    f = len(weights)
+    if len(biases) != f:
+        raise ValueError(f"{f} weights but {len(biases)} biases")
+    shared = xd.ndim == 3
+    if xd.ndim not in (3, 4) or (not shared and xd.shape[0] != f):
+        raise ValueError(f"expected (batch, length, channels) or ({f}, batch, "
+                         f"length, channels) input, got shape {xd.shape}")
+    n, length, c_in = xd.shape[-3:]
+    w = np.stack([t.data for t in weights])
+    w = w.reshape(*w.shape[:3], -1)  # a linear weight has kernel 1
+    c_out, w_cin, kernel = w.shape[1:]
+    if c_in != w_cin:
+        raise ValueError(f"input has {c_in} channels but weight expects {w_cin}")
+    if kernel % 2 == 0:
+        raise ValueError(f"kernel must be odd, got {kernel}")
+    out_length = length if out_length is None else out_length
+    if out_length < length:
+        raise ValueError(f"out_length {out_length} smaller than input length {length}")
+    pad = kernel // 2
+    if flip:
+        w = w[..., ::-1]
+    w2 = w.transpose(0, 3, 2, 1).reshape(f, kernel * c_in, c_out)
+
+    def padded(rows):
+        xp = np.zeros((*rows.shape[:-2], length + 2 * pad, c_in), dtype=xd.dtype)
+        xp[..., pad:pad + length, :] = rows
+        return xp
+
+    z = np.matmul(_kernel_major_cols(padded(xd), kernel), w2)
+    z = z.reshape(f, n, length, c_out)
+    z += np.stack([t.data for t in biases])[:, None, None, :]
+    if relu:
+        active = z > 0
+        np.maximum(z, 0, out=z)
+    idx = (np.arange(out_length) * length) // out_length
+    out = np.take(z, idx, axis=2)
+
+    def bwd(g):
+        fi, ri = np.nonzero(g.any(axis=(2, 3)))  # (future, row) pairs, by future
+        gz = g[fi, ri]
+        if out_length != length:
+            gz = np.add.reduceat(gz, np.flatnonzero(np.diff(idx, prepend=-1)), axis=1)
+        if relu:
+            gz *= active[fi, ri]
+        cols = _kernel_major_cols(padded(xd[ri] if shared else xd[fi, ri]), kernel)
+        dcols = np.empty_like(cols) if x.requires_grad else None
+        futures, starts = np.unique(fi, return_index=True)
+        for j, lo, hi in zip(futures, starts, [*starts[1:], fi.size]):
+            gj = gz[lo:hi].reshape(-1, c_out)
+            if weights[j].requires_grad:
+                dw = (cols[lo * length:hi * length].T @ gj).reshape(
+                    kernel, c_in, c_out).transpose(2, 1, 0)
+                dw = dw[..., ::-1] if flip else dw
+                _accumulate(weights[j], dw.reshape(weights[j].data.shape))
+            if biases[j].requires_grad:
+                _accumulate(biases[j], gj.sum(axis=0), owned=True)
+            if dcols is not None:
+                np.matmul(gj, w2[j].T, out=dcols[lo * length:hi * length])
+        if dcols is None:
+            return
+        dxp = _kernel_major_uncols(dcols.reshape(fi.size, length, kernel, c_in))
+        dx = np.zeros_like(xd)
+        if shared:
+            np.add.at(dx, ri, dxp[:, pad:pad + length])
+        else:
+            dx[fi, ri] = dxp[:, pad:pad + length]
+        _accumulate(x, dx, owned=True)
+
+    return _from_op(out, (x, *weights, *biases), bwd)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

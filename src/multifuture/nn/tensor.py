@@ -18,7 +18,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["Tensor", "stack", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "stack", "concat", "no_grad", "is_grad_enabled"]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -233,6 +233,14 @@ class Tensor:
 
         return _from_op(out_data, (self,), bwd)
 
+    def swapaxes(self, axis1: int, axis2: int):
+        out_data = np.ascontiguousarray(self.data.swapaxes(axis1, axis2))
+
+        def bwd(g):
+            _accumulate(self, g.swapaxes(axis1, axis2))
+
+        return _from_op(out_data, (self,), bwd)
+
     def __getitem__(self, key):
         # Basic (slice/int/ellipsis) indexing only: indices never repeat,
         # so the backward scatter is a plain assignment.
@@ -257,6 +265,22 @@ def stack(tensors, axis: int = 0) -> Tensor:
             # An all-zero slice (a future that won no oracle row) is not
             # sent, so backward does no work on the graph behind it.
             if piece.any():
+                _accumulate(t, piece)
+
+    return _from_op(out_data, tuple(tensors), bwd)
+
+
+def concat(tensors) -> Tensor:
+    """Join tensors along their leading axis; one tensor is returned as is."""
+    tensors = list(tensors)
+    if len(tensors) == 1:
+        return tensors[0]
+    out_data = np.concatenate([t.data for t in tensors])
+    ends = np.cumsum([len(t.data) for t in tensors])
+
+    def bwd(g):
+        for t, piece in zip(tensors, np.split(g, ends[:-1])):
+            if piece.any():  # as in stack: skip the graph behind a zero piece
                 _accumulate(t, piece)
 
     return _from_op(out_data, tuple(tensors), bwd)

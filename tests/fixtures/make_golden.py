@@ -10,13 +10,18 @@ predicting bit-exactly.
 
 Regenerate (only when behaviour is meant to change) with::
 
-    PYTHONPATH=src python tests/fixtures/make_golden.py
+    PYTHONPATH=src python tests/fixtures/make_golden.py [VARIANT ...]
+
+Named variants are retrained and every other entry of ``golden.npz`` is
+kept as it is; ``golden_full/`` is rewritten only when ``full`` is named.
+With no variant named, everything is regenerated.
 """
 
 from __future__ import annotations
 
 import hashlib
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -81,9 +86,20 @@ def golden_run(variant: str):
     return model, out
 
 
-def main() -> None:
+def main(variants: list[str]) -> None:
+    unknown = sorted(set(variants) - set(VARIANTS))
+    if unknown:
+        raise SystemExit(f"unknown variants {unknown}; expected some of {VARIANTS}")
+    kept = {}
+    if variants:
+        with np.load(GOLDEN_NPZ) as npz:
+            kept = {key: npz[key] for key in npz.files}
     arrays = {}
     for variant in VARIANTS:
+        if variants and variant not in variants:
+            arrays.update((key, value) for key, value in kept.items()
+                          if key.startswith(variant + "."))
+            continue
         model, out = golden_run(variant)
         arrays.update(out)
         if variant == "full":
@@ -94,4 +110,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

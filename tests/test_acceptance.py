@@ -157,21 +157,23 @@ def test_criterion_02_architecture_arithmetic():
         assert seen_lengths == [84, 42, 21, 10, 5, 2, 1]
 
         tconv_model = Forecaster(ModelConfig(variant="tconv_decoder"), seed=0)
-        upsample_io = []
-        real_upsample = ops.upsample_nearest
+        layer_io = []
+        real_layer = ops.stacked_conv
 
-        def spy_upsample(t, out_length):
-            upsample_io.append((t.shape[-1], out_length))
-            return real_upsample(t, out_length)
+        def spy_layer(x, *args, **kwargs):
+            out = real_layer(x, *args, **kwargs)
+            # (..., length, channels) in and (f, batch, length, channels) out
+            layer_io.append((x.shape[-2], out.shape[2]))
+            return out
 
-        ops.upsample_nearest = spy_upsample
+        ops.stacked_conv = spy_layer
         try:
             fs = tconv_model.predict_futures(np.zeros((168, 4)))
         finally:
-            ops.upsample_nearest = real_upsample
-        per_decoder = upsample_io[:5]
-        assert [pair[0] for pair in per_decoder] == [1, 2, 4, 8, 16]
-        assert [pair[1] for pair in per_decoder] == [2, 4, 8, 16, 24]
+            ops.stacked_conv = real_layer
+        upsampling = [pair for pair in layer_io if pair[0] != pair[1]]
+        assert [pair[0] for pair in upsampling] == [1, 2, 4, 8, 16]
+        assert [pair[1] for pair in upsampling] == [2, 4, 8, 16, 24]
         assert fs.futures.shape[2] == 24
         c.detail = "encoder 168->84->42->21->10->5->2->1"
 

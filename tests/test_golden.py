@@ -49,3 +49,24 @@ def test_golden_checkpoint_loads_bit_exact(golden):
         model, make_golden.model_config("full"), "full")
     for key, value in predictions.items():
         assert np.array_equal(value, golden[key]), key
+
+
+def test_make_golden_regenerates_only_named_variants(tmp_path, monkeypatch):
+    committed = make_golden.GOLDEN_NPZ
+    npz = tmp_path / "golden.npz"
+    npz.write_bytes(committed.read_bytes())
+    monkeypatch.setattr(make_golden, "GOLDEN_NPZ", npz)
+    monkeypatch.setattr(make_golden, "GOLDEN_CHECKPOINT", tmp_path / "golden_full")
+    monkeypatch.setattr(make_golden, "golden_run",
+                        lambda variant: (None, {f"{variant}.losses": np.zeros(2)}))
+    make_golden.main(["one_loss"])
+    with np.load(committed) as before, np.load(npz) as after:
+        kept = [key for key in before.files if not key.startswith("one_loss.")]
+        assert sorted(after.files) == sorted(kept + ["one_loss.losses"])
+        for key in kept:
+            assert after[key].dtype == before[key].dtype
+            assert np.array_equal(after[key], before[key]), key
+        assert np.array_equal(after["one_loss.losses"], np.zeros(2))
+    assert not (tmp_path / "golden_full").exists()
+    with pytest.raises(SystemExit, match="unknown"):
+        make_golden.main(["nope"])

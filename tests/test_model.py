@@ -1,5 +1,8 @@
 """Tests for the forecaster: architecture arithmetic, variants, contracts."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,8 @@ from multifuture.model import (
     shape_decoder_forward,
     shape_encoder_forward,
 )
+from multifuture.nn import Tensor, grad_check
+from multifuture.training import _per_instance_error, z_normalize
 
 SMALL = dict(n_p=16, n_h=8, d=2, f=2, n_s=4, channels=8)
 
@@ -346,3 +351,61 @@ class TestInterpretabilityContract:
                 rebuilt = fs.activations[i, j] @ bank.weight.data.astype(np.float64)
                 np.testing.assert_allclose(fs.shape_preds[i, j], rebuilt,
                                            rtol=1e-4, atol=1e-6)
+
+
+class TestTConvDecoder:
+    CONFIG = ModelConfig(n_p=16, n_h=16, d=2, f=3, n_s=4, channels=8,
+                         variant="tconv_decoder")
+
+    def test_oracle_loss_gradient(self):
+        # the training loss on a float64 model; with two rows and three
+        # futures, at least one future wins no row and gets no gradient
+        cfg = replace(self.CONFIG, n_p=8, channels=4)
+        model = Forecaster(cfg, seed=1, dtype=np.float64)
+        rng = np.random.default_rng(5)
+        # Zero initial biases put the pre-activations behind an all-dead
+        # ReLU row exactly on the kink, where a central difference is
+        # one-sided; random biases move them off it.
+        for p in model.parameters():
+            p.bias.data[:] = rng.standard_normal(p.bias.shape) * 0.1
+        x = Tensor(rng.standard_normal((2, cfg.n_p, cfg.d)), requires_grad=True)
+        truth = rng.standard_normal((2, cfg.d, cfg.n_h))
+        truth_z = z_normalize(truth, axis=-1)
+        winners = []
+
+        def oracle_loss(*_):
+            fwd = model._forward(x)
+            nrmse_rows = _per_instance_error(fwd.shape_preds, truth_z)
+            i_oc = nrmse_rows.data.argmin(axis=0)
+            winners.append(set(i_oc.tolist()))
+            mask = Tensor((np.arange(cfg.f)[:, None] == i_oc).astype(np.float64))
+            return (mask * (_per_instance_error(fwd.futures, truth)
+                            + nrmse_rows)).sum()
+
+        tensors = [x] + [t for p in model.parameters() for t in p.tensors()]
+        assert grad_check(oracle_loss, tensors) < 1e-3  # criterion 1's bound
+        idle = set(range(cfg.f)) - winners[0]
+        assert idle
+        assert all(not p.weight.grad.any() and not p.bias.grad.any()
+                   for layer in model.shape_decoders[0].layers
+                   for p in (layer[i] for i in idle))
+
+    def test_parameter_layout_pinned(self):
+        # names, order, shapes and seed-0 values of the per-future decoders
+        # before they were stacked into one module
+        model = Forecaster(self.CONFIG, seed=0)
+        digest = hashlib.sha256()
+        names = []
+        for params in model.parameters():
+            for name, t in params.named_tensors():
+                names.append(name)
+                digest.update(name.encode())
+                digest.update(repr(t.data.shape).encode())
+                digest.update(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+        layers = (["input_linear"] + [f"tconv{b}" for b in range(5)]
+                  + ["output_conv"])
+        assert names[16:16 + 3 * 14] == [
+            f"shape_decoder{i}.{layer}.{part}" for i in range(3)
+            for layer in layers for part in ("weight", "bias")]
+        assert digest.hexdigest() == (
+            "d2ec69cf460fd6154ca8915eda519e982440e27681f5d0fe7b0f01bad115f2ad")

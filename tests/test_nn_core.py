@@ -8,6 +8,7 @@ from multifuture.nn import (
     LayerParams,
     Tensor,
     adam_step,
+    concat,
     stack,
     grad_check,
     initializer,
@@ -306,6 +307,125 @@ class TestEncoderBlock:
             ops.encoder_block(Tensor(np.zeros((1, 3, 2))), w, b, 0, "max")
 
 
+def _decoder_chain(x, layers, out_length):
+    """The reference for two stacked_conv layers, one future at a time:
+    tconv1d, crop, relu and upsample_nearest, then a padded conv1d, on
+    channels-first data.  ``layers`` holds per-future (weight, bias)
+    lists for the block and the output conv."""
+    (w_blocks, b_blocks), (w_outs, b_outs) = layers
+    futures = []
+    for j in range(len(w_blocks)):
+        h = (x if x.ndim == 3 else x[j]).swapaxes(1, 2)
+        crop = w_blocks[j].shape[2] // 2
+        h = ops.tconv1d(h, w_blocks[j], b_blocks[j])[:, :, crop:-crop]
+        h = ops.upsample_nearest(ops.relu(h), out_length)
+        h = ops.conv1d(h, w_outs[j], b_outs[j], padding=w_outs[j].shape[2] // 2)
+        futures.append(h.swapaxes(1, 2))
+    return stack(futures)
+
+
+def _stacked_chain(x, layers, out_length):
+    (w_blocks, b_blocks), (w_outs, b_outs) = layers
+    h = ops.stacked_conv(x, w_blocks, b_blocks, out_length, flip=True, relu=True)
+    return ops.stacked_conv(h, w_outs, b_outs)
+
+
+def _decoder_case(seed, f, batch, kernel, shared, length=16, channels=3):
+    """Input, per-future layers and an output probe in which future 0 has
+    no non-zero row and future 1 only some."""
+    rng = np.random.default_rng(seed)
+    x_shape = (batch, length, channels) if shared else (f, batch, length, channels)
+    x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+    layers = [
+        ([Tensor(rng.standard_normal((c_out, channels, kernel)) * 0.5,
+                 requires_grad=True) for _ in range(f)],
+         [Tensor(rng.standard_normal(c_out) * 0.1, requires_grad=True)
+          for _ in range(f)])
+        for c_out in (channels, 2)]
+    probe = rng.standard_normal((f, batch, 24, 2))
+    probe[0] = 0.0
+    probe[1, :batch // 2] = 0.0
+    return x, layers, Tensor(probe)
+
+
+def _leaves(x, layers):
+    return [x] + [t for pair in layers for group in pair for t in group]
+
+
+class TestStackedConv:
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("kernel", [3, 5])
+    def test_grad_check(self, kernel, shared):
+        x, layers, probe = _decoder_case(kernel, 3, 2, kernel, shared)
+        leaves = _leaves(x, layers)
+
+        def closure(*_):
+            return (_stacked_chain(x, layers, 24) * probe).sum()
+
+        assert grad_check(closure, leaves) < 1e-6
+
+    def test_linear_weights_grad_check(self):
+        # (out, in) weights act as kernel-1 convs on a shared length-1 input
+        rng = np.random.default_rng(1)
+        h = Tensor(rng.standard_normal((3, 1, 4)), requires_grad=True)
+        weights = [Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+                   for _ in range(2)]
+        biases = [Tensor(rng.standard_normal(5), requires_grad=True)
+                  for _ in range(2)]
+        probe = Tensor(rng.standard_normal((2, 3, 1, 5)) * np.array(
+            [1.0, 0.0, 1.0])[None, :, None, None])
+
+        def closure(*_):
+            return (ops.stacked_conv(h, weights, biases, relu=True) * probe).sum()
+
+        assert grad_check(closure, [h, *weights, *biases]) < 1e-6
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("kernel", [3, 5])
+    def test_matches_per_future_reference(self, kernel, shared):
+        results = []
+        for chain in (_stacked_chain, _decoder_chain):
+            x, layers, probe = _decoder_case(10 + kernel, 3, 4, kernel, shared)
+            out = chain(x, layers, 24)
+            (out * probe).sum().backward()
+            results.append([out.data] + [t.grad for t in _leaves(x, layers)])
+        for got, expected in zip(*results):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_future_without_gradient_does_no_backward_work(self):
+        # NaN activations in future 0 would poison every gradient they
+        # reach; its zero output gradient must keep them out entirely
+        results = []
+        for poison in (False, True):
+            x, layers, probe = _decoder_case(3, 3, 4, 3, shared=False)
+            if poison:
+                x.data[0] = np.nan
+            (_stacked_chain(x, layers, 24) * probe).sum().backward()
+            results.append([t.grad for t in _leaves(x, layers)])
+        clean, poisoned = results
+        for got, expected in zip(poisoned, clean):
+            assert np.array_equal(got, expected)
+        (w_blocks, b_blocks), (w_outs, b_outs) = layers
+        for t in (x.grad[0], w_blocks[0].grad, b_blocks[0].grad,
+                  w_outs[0].grad, b_outs[0].grad):
+            assert not t.any()
+
+    def test_bad_arguments_raise(self):
+        x = Tensor(np.zeros((2, 1, 4, 3)))
+        w = [Tensor(np.zeros((3, 3, 3)))] * 2
+        b = [Tensor(np.zeros(3))] * 2
+        with pytest.raises(ValueError, match="channels"):
+            ops.stacked_conv(Tensor(np.zeros((2, 1, 4, 5))), w, b)
+        with pytest.raises(ValueError, match="input"):
+            ops.stacked_conv(Tensor(np.zeros((3, 1, 4, 3))), w, b)
+        with pytest.raises(ValueError, match="biases"):
+            ops.stacked_conv(x, w, b[:1])
+        with pytest.raises(ValueError, match="odd"):
+            ops.stacked_conv(x, [Tensor(np.zeros((3, 3, 2)))] * 2, b)
+        with pytest.raises(ValueError, match="out_length"):
+            ops.stacked_conv(x, w, b, 3)
+
+
 class TestTConv1d:
     def test_delta_input_reproduces_kernel(self):
         out = ops.tconv1d(Tensor([[1.0]]), Tensor([[[1.0, 2.0, 3.0]]]))
@@ -478,6 +598,23 @@ class TestTensorBasics:
         np.testing.assert_array_equal(a.grad, [2.0, 2.0])
         assert scaled_b.grad is None  # its backward closure never ran
         np.testing.assert_array_equal(b.grad, [0.0, 0.0])
+
+    def test_concat_skips_graph_behind_zero_piece(self):
+        a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        b = Tensor(np.array([[3.0, 4.0], [5.0, 6.0]]), requires_grad=True)
+        scaled_b = b * 3.0
+        joined = concat([a * 2.0, scaled_b])
+        np.testing.assert_array_equal(joined.data, [[2, 4], [9, 12], [15, 18]])
+        (joined * Tensor(np.array([[1.0], [0.0], [0.0]]))).sum().backward()
+        np.testing.assert_array_equal(a.grad, [[2.0, 2.0]])
+        assert scaled_b.grad is None  # its backward closure never ran
+        np.testing.assert_array_equal(b.grad, np.zeros((2, 2)))
+        assert concat([a]) is a
+
+    def test_swapaxes_gradient(self):
+        x = Tensor(np.arange(6.0).reshape(1, 2, 3), requires_grad=True)
+        probe = Tensor(np.arange(6.0).reshape(3, 2, 1) + 1)
+        assert grad_check(lambda t: (t.swapaxes(0, 2) * probe).sum(), [x]) < 1e-9
 
     def test_dtype_preserved(self):
         assert Tensor(np.zeros(3, dtype=np.float64)).dtype == np.float64
