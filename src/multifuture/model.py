@@ -10,11 +10,11 @@ offset; the final futures are ``scale_mul * shape + scale_add`` (see
 Variants:
 
 ``full``
-    Separate shape and scale encoders, ``f`` bank decoders + ``f`` scale
-    decoders.  ``one_loss`` shares this architecture (it only changes the
-    training loss).
+    Separate shape and scale encoders, a bank decoder and a scale decoder
+    over all ``f`` futures.  ``one_loss`` shares this architecture (it only
+    changes the training loss).
 ``shared_encoder``
-    A single encoder feeds both decoder ensembles.
+    A single encoder feeds both decoders.
 ``non_separated``
     A single encoder with bank decoders whose templates synthesize the
     futures directly in raw units (unit multiplier, zero offset).
@@ -25,30 +25,30 @@ Variants:
 ``model_ensemble``
     ``f`` independent single-future copies of the full network.
 
-All six are one network wired by a routing table built in
-:class:`Forecaster`'s constructor, the only code that reads the variant.
-Row ``i`` of the table is future ``i``: ``shape_encoders[i]`` feeds
-``shape_decoders[i]`` and ``scale_encoders[i]`` feeds ``scale_decoders[i]``.
-A shared encoder sits in several rows and runs once per forward pass, and
-so does the ``tconv_decoder`` shape decoder, which sits in every row and
-returns all ``f`` futures.  Every shape decoder returns the futures of its
-rows on a leading axis (a bank decoder returns one), and the forward pass
-joins them in row order; ``non_separated`` has no scale decoders (``None``)
-and gets the unit multiplier and zero offset instead.  The stacks over
-futures are recombined once.
+All six are a list of :class:`Member` networks, built in
+:class:`Forecaster`'s constructor and :meth:`Member.from_config`, the only
+code that reads the variant.  A member
+is a shape encoder, a scale encoder (the same object for
+``shared_encoder`` and ``non_separated``), one shape decoder and one scale
+decoder (``None`` for ``non_separated``, which gets the unit multiplier and
+zero offset instead).  Each decoder runs all of its member's futures at
+once and returns them on a leading axis.  ``model_ensemble`` has ``f``
+single-future members with ``member{i}.`` parameter names; the other
+variants have one member.  The forward pass joins the members' futures in
+order and recombines them once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .nn import ops
 from .nn.layers import LayerParams, Take, initializer
-from .nn.tensor import Tensor, concat, no_grad, stack
+from .nn.tensor import Tensor, concat, no_grad
 
 __all__ = [
     "VARIANTS",
@@ -121,14 +121,7 @@ class ModelConfig:
 
 def encoder_length_schedule(n_p: int) -> list[int]:
     """Sequence lengths after each encoder block (the last one is 1)."""
-    blocks = int(math.floor(math.log2(n_p)))
-    lengths = []
-    length = n_p
-    for _ in range(blocks - 1):
-        length //= 2
-        lengths.append(length)
-    lengths.append(1)
-    return lengths
+    return [n_p >> b for b in range(1, n_p.bit_length() - 1)] + [1]
 
 
 @dataclass
@@ -186,7 +179,6 @@ class ConvEncoder:
     """
 
     def __init__(self, name: str, config: ModelConfig, take: Take):
-        self.name = name
         self.padding = config.kernel // 2
         in_channels = [config.d] + [config.channels] * (config.encoder_blocks - 1)
         self.convs = [take(f"{name}.conv{b}", (config.channels, in_ch, config.kernel))
@@ -206,33 +198,40 @@ class ConvEncoder:
 
 
 class BankShapeDecoder:
-    """Softmax-regression mixture over per-feature template banks.
+    """Softmax-regression mixtures over per-feature template banks, for all
+    ``f`` futures at once.
 
-    Bank ``j`` is a bias-free :class:`LayerParams` whose ``weight`` holds
-    the ``(n_s, n_h)`` templates: each row is a candidate trajectory of
-    the output horizon's length.
+    Future ``i``'s feature ``j`` has regressor ``regressors[i][j]`` and
+    bias-free bank ``banks[i][j]``, named ``{name}{i}.regressor{j}`` and
+    ``{name}{i}.bank{j}``; a bank's ``weight`` holds ``n_s`` templates of
+    length ``n_h``.  The ``f * d`` regressors run as one kernel-1
+    :func:`~multifuture.nn.ops.stacked_conv` and the mixtures as one
+    :func:`~multifuture.nn.ops.stacked_matmul`.
     """
 
     def __init__(self, name: str, config: ModelConfig, take: Take):
-        self.name = name
-        self.regressors = [take(f"{name}.regressor{j}", (config.n_s, config.channels))
-                           for j in range(config.d)]
-        self.banks = [take(f"{name}.bank{j}", (config.n_s, config.n_h), bias=False)
-                      for j in range(config.d)]
+        self.d = d = config.d
+        self.regressors, self.banks = map(list, zip(*[(  # drawn future by future
+            [take(f"{name}{i}.regressor{j}", (config.n_s, config.channels))
+             for j in range(d)],
+            [take(f"{name}{i}.bank{j}", (config.n_s, config.n_h), bias=False)
+             for j in range(d)]) for i in range(config.f)]))
 
-    def forward(self, h: Tensor) -> tuple[Tensor, Tensor]:
-        """(batch, channels) -> shape prediction (1, batch, d, n_h),
-        activations (1, batch, d, n_s): one future."""
-        alphas, acts = [], []
-        for reg, bank in zip(self.regressors, self.banks):
-            r = ops.softmax(ops.linear(h, reg.weight, reg.bias))
-            alphas.append(r @ bank.weight)
-            acts.append(r)
-        alpha, act = stack(alphas, axis=1), stack(acts, axis=1)
-        return alpha.reshape(1, *alpha.shape), act.reshape(1, *act.shape)
+    def forward(self, z: Tensor) -> tuple[Tensor, Tensor]:
+        """(batch, 1, channels) -> shape predictions (f, batch, d, n_h),
+        activations (f, batch, d, n_s)."""
+        regressors = [p for future in self.regressors for p in future]
+        logits = ops.stacked_conv(z, [p.weight for p in regressors],
+                                  [p.bias for p in regressors])
+        r = ops.softmax(logits.reshape(len(regressors), z.shape[0], -1))
+        alpha = ops.stacked_matmul(r, [b.weight for future in self.banks
+                                       for b in future])
+        return tuple(t.reshape(-1, self.d, *t.shape[1:]).swapaxes(1, 2)
+                     for t in (alpha, r))
 
     def layer_params(self) -> list[LayerParams]:
-        return self.regressors + self.banks
+        return [p for regs, banks in zip(self.regressors, self.banks)
+                for p in regs + banks]
 
 
 class TConvShapeDecoder:
@@ -252,7 +251,6 @@ class TConvShapeDecoder:
     """
 
     def __init__(self, name: str, config: ModelConfig, take: Take):
-        self.name = name
         self.n_h = config.n_h
         c, k = config.channels, config.kernel
         per_future = [[take(f"{name}{i}.input_linear", (c, c)),
@@ -264,15 +262,10 @@ class TConvShapeDecoder:
         self.layers = [list(layer) for layer in zip(*per_future)]
 
     def length_schedule(self) -> list[int]:
-        lengths = [1]
-        for _ in range(_TCONV_BLOCKS - 1):
-            lengths.append(lengths[-1] * 2)
-        lengths.append(self.n_h)
-        return lengths
+        return [2 ** b for b in range(_TCONV_BLOCKS)] + [self.n_h]
 
-    def forward(self, h: Tensor) -> tuple[Tensor, None]:
-        """(batch, channels) -> shape predictions (f, batch, d, n_h)."""
-        z = h.reshape(h.shape[0], 1, h.shape[1])
+    def forward(self, z: Tensor) -> tuple[Tensor, None]:
+        """(batch, 1, channels) -> shape predictions (f, batch, d, n_h)."""
         *hidden, output = [([p.weight for p in layer], [p.bias for p in layer])
                            for layer in self.layers]
         # a linear layer is a kernel-1 conv, so flipping leaves it as it is
@@ -286,20 +279,62 @@ class TConvShapeDecoder:
 
 
 class ScaleDecoder:
-    """Linear map from the encoder vector to d (multiplier, offset) pairs."""
+    """Linear maps from the encoder vector to d (multiplier, offset) pairs,
+    one per future, named ``{name}{i}.linear`` and run as one kernel-1
+    :func:`~multifuture.nn.ops.stacked_conv`."""
 
     def __init__(self, name: str, config: ModelConfig, take: Take):
-        self.name = name
         self.d = config.d
-        self.linear = take(f"{name}.linear", (2 * config.d, config.channels))
+        self.linears = [take(f"{name}{i}.linear", (2 * config.d, config.channels))
+                        for i in range(config.f)]
 
-    def forward(self, h: Tensor) -> tuple[Tensor, Tensor]:
-        """(batch, channels) -> multiplier (batch, d), offset (batch, d)."""
-        out = ops.linear(h, self.linear.weight, self.linear.bias)
-        return out[:, :self.d], out[:, self.d:]
+    def forward(self, z: Tensor) -> tuple[Tensor, Tensor]:
+        """(batch, 1, channels) -> multiplier (f, batch, d), offset (f, batch, d)."""
+        out = ops.stacked_conv(z, [p.weight for p in self.linears],
+                               [p.bias for p in self.linears])
+        return out[:, :, 0, :self.d], out[:, :, 0, self.d:]
 
     def layer_params(self) -> list[LayerParams]:
-        return [self.linear]
+        return list(self.linears)
+
+
+class Member(NamedTuple):
+    """One encoder-decoder network of a :class:`Forecaster` (module docstring)."""
+
+    shape_encoder: ConvEncoder
+    scale_encoder: ConvEncoder
+    shape_decoder: BankShapeDecoder | TConvShapeDecoder
+    scale_decoder: ScaleDecoder | None
+
+    @classmethod
+    def from_config(cls, config: ModelConfig, take: Take) -> Member:
+        """``config.variant``'s network; takes parameters in checkpoint order."""
+        if config.variant in ("shared_encoder", "non_separated"):
+            shape_encoder = scale_encoder = ConvEncoder("encoder", config, take)
+        else:
+            shape_encoder = ConvEncoder("shape_encoder", config, take)
+            scale_encoder = ConvEncoder("scale_encoder", config, take)
+        decoder = (TConvShapeDecoder if config.variant == "tconv_decoder"
+                   else BankShapeDecoder)
+        return cls(shape_encoder, scale_encoder, decoder("shape_decoder", config, take),
+                   None if config.variant == "non_separated"
+                   else ScaleDecoder("scale_decoder", config, take))
+
+    def layer_params(self) -> list[LayerParams]:
+        modules = self[1:] if self.scale_encoder is self.shape_encoder else self
+        return [p for m in modules if m is not None for p in m.layer_params()]
+
+    def forward(self, x: Tensor) -> tuple[Tensor, Tensor | None, Tensor, Tensor]:
+        """(batch, n_p, d) -> shapes, activations, multipliers and offsets."""
+        # one node per encoder, so a shared encoder's gradient sums in one order
+        h = self.shape_encoder.forward(x).reshape(x.shape[0], 1, -1)
+        shapes, acts = self.shape_decoder.forward(h)
+        if self.scale_decoder is None:  # raw-unit shapes
+            ones = np.ones(shapes.shape[:3], shapes.dtype)
+            return shapes, acts, Tensor(ones), Tensor(np.zeros_like(ones))
+        if self.scale_encoder is not self.shape_encoder:
+            h = self.scale_encoder.forward(x).reshape(x.shape[0], 1, -1)
+        return shapes, acts, *self.scale_decoder.forward(h)
 
 
 class _ForwardTensors(NamedTuple):
@@ -312,16 +347,20 @@ class _ForwardTensors(NamedTuple):
     activations: Tensor | None  # (f, batch, d, n_s), None for tconv decoders
 
 
+def _prefixed(take: Take, prefix: str) -> Take:
+    """``take`` with ``prefix`` on every parameter name."""
+    return lambda name, *args, **kwargs: take(prefix + name, *args, **kwargs)
+
+
 class Forecaster:
     """A configured multi-future model.
 
     Every parameter comes from ``take``: by default
     :func:`~multifuture.nn.initializer` seeded by ``seed``, while
     :func:`~multifuture.persistence.load` passes a checkpoint reader.
-    ``shape_encoders``, ``scale_encoders``, ``shape_decoders`` and
-    ``scale_decoders`` are the columns of the routing table described in
-    the module docstring.  ``parameters()`` lists modules in construction
-    order, so RNG draws and checkpoint layout follow from the configuration.
+    ``members`` lists the networks described in the module docstring.
+    ``parameters()`` lists them in construction order, so RNG draws and
+    checkpoint layout follow from the configuration.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32,
@@ -330,51 +369,27 @@ class Forecaster:
         self.dtype = np.dtype(dtype).type
         self.model_id = f"{config.variant}_f{config.f}"
         take = take or initializer(np.random.default_rng(seed), dtype)
-        self._modules: list = []  # construction order = parameter order
-
-        def build(cls, name):
-            module = cls(name, config, take)
-            self._modules.append(module)
-            return module
-
-        f, variant = config.f, config.variant
-        if variant == "model_ensemble":
-            rows = [(build(ConvEncoder, f"member{i}.shape_encoder"),
-                     build(ConvEncoder, f"member{i}.scale_encoder"),
-                     build(BankShapeDecoder, f"member{i}.shape_decoder0"),
-                     build(ScaleDecoder, f"member{i}.scale_decoder0"))
-                    for i in range(f)]
-        else:
-            if variant in ("shared_encoder", "non_separated"):
-                shape_encoder = scale_encoder = build(ConvEncoder, "encoder")
-            else:  # full, one_loss, tconv_decoder
-                shape_encoder = build(ConvEncoder, "shape_encoder")
-                scale_encoder = build(ConvEncoder, "scale_encoder")
-            shape_decoders = (
-                [build(TConvShapeDecoder, "shape_decoder")] * f
-                if variant == "tconv_decoder"
-                else [build(BankShapeDecoder, f"shape_decoder{i}") for i in range(f)])
-            scale_decoders = (
-                [None] * f if variant == "non_separated"
-                else [build(ScaleDecoder, f"scale_decoder{i}") for i in range(f)])
-            rows = [(shape_encoder, scale_encoder, shape_dec, scale_dec)
-                    for shape_dec, scale_dec in zip(shape_decoders, scale_decoders)]
-        (self.shape_encoders, self.scale_encoders,
-         self.shape_decoders, self.scale_decoders) = map(list, zip(*rows))
+        if config.variant != "model_ensemble":
+            self.members = [Member.from_config(config, take)]
+        else:  # f single-future members
+            self.members = [Member.from_config(replace(config, f=1),
+                                               _prefixed(take, f"member{i}."))
+                            for i in range(config.f)]
 
     # -- parameters ---------------------------------------------------------
 
     def parameters(self) -> list[LayerParams]:
         """All trainable parameter bundles in a stable, serializable order."""
-        out = [p for module in self._modules for p in module.layer_params()]
+        out = [p for member in self.members for p in member.layer_params()]
         names = [p.name for p in out]
         if len(set(names)) != len(names):
             raise ValueError("parameter names are not unique within the model")
         return out
 
     def shape_banks(self) -> list[LayerParams]:
-        return [bank for dec in self.shape_decoders
-                if isinstance(dec, BankShapeDecoder) for bank in dec.banks]
+        return [bank for member in self.members
+                if isinstance(member.shape_decoder, BankShapeDecoder)
+                for banks in member.shape_decoder.banks for bank in banks]
 
     # -- forward passes -------------------------------------------------
 
@@ -388,18 +403,8 @@ class Forecaster:
 
     def _forward(self, x: Tensor) -> _ForwardTensors:
         """Forward pass from a validated ``(batch, n_p, d)`` tensor."""
-        hidden = {m: m.forward(x) for m in self._modules
-                  if isinstance(m, ConvEncoder)}
-        shapes, acts = zip(*(dec.forward(hidden[enc]) for enc, dec in dict.fromkeys(
-            zip(self.shape_encoders, self.shape_decoders))))
-        shape_preds = concat(shapes)
-        if self.scale_decoders[0] is None:  # raw-unit shapes
-            ones = np.ones((self.config.f, x.shape[0], self.config.d), self.dtype)
-            mul, add = Tensor(ones), Tensor(np.zeros_like(ones))
-        else:
-            muls, adds = zip(*(dec.forward(hidden[enc]) for enc, dec in zip(
-                self.scale_encoders, self.scale_decoders)))
-            mul, add = stack(muls), stack(adds)
+        shapes, acts, muls, adds = zip(*(m.forward(x) for m in self.members))
+        shape_preds, mul, add = concat(shapes), concat(muls), concat(adds)
         return _ForwardTensors(combine(shape_preds, mul, add), shape_preds,
                                mul, add, None if acts[0] is None else concat(acts))
 
@@ -470,7 +475,7 @@ def shape_encoder_forward(model: Forecaster, window: np.ndarray) -> np.ndarray:
     """Run the first future's shape encoder on one (n_p, d) window; returns h."""
     x = check_windows(window, model.config.n_p, model.config.d, model.dtype)
     with no_grad():
-        return model.shape_encoders[0].forward(Tensor(x)).data[0].copy()
+        return model.members[0].shape_encoder.forward(Tensor(x)).data[0].copy()
 
 
 def shape_decoder_forward(model: Forecaster, h: np.ndarray,
@@ -481,12 +486,14 @@ def shape_decoder_forward(model: Forecaster, h: np.ndarray,
     prediction can be re-derived externally from the activations and the
     banks alone.
     """
-    decoder = model.shape_decoders[decoder_index]
+    # every member holds the same number of consecutive futures
+    member, index = divmod(decoder_index, model.config.f // len(model.members))
+    decoder = model.members[member].shape_decoder
     if not isinstance(decoder, BankShapeDecoder):
         raise ValueError("decoder does not expose template activations")
     with no_grad():
-        alpha, r = decoder.forward(Tensor(np.asarray(h, dtype=model.dtype)[None]))
-    return alpha.data[0, 0].copy(), r.data[0, 0].copy()
+        alpha, r = decoder.forward(Tensor(np.asarray(h, dtype=model.dtype)[None, None]))
+    return alpha.data[index, 0].copy(), r.data[index, 0].copy()
 
 
 def scale_forward(model: Forecaster, window: np.ndarray,

@@ -11,14 +11,16 @@ matrix.  The encoders use :func:`encoder_block` instead: one op for
 conv1d + ReLU + pooling on channels-last ``(batch, length, channels)``
 data, with a hand-written backward pass.  Fusing the three keeps one
 intermediate and one backward closure per block instead of three, which
-is what keeps full training runs at desk scale.  The ``tconv_decoder``
-shape decoders use :func:`stacked_conv`: one op per layer for all ``f``
-futures, each future with its own weights, run as one batched GEMM over a
-leading future axis; it covers the linear input layer, the fused
-transposed-conv + ReLU + upsample blocks and the output conv.  Its
-backward pass runs only the (future, row) pairs that receive a gradient.
-:func:`conv1d`, :func:`tconv1d`, :func:`relu` and
-:func:`upsample_nearest` are the reference it is tested against.
+is what keeps full training runs at desk scale.  Every decoder runs all
+of its futures at once, each with its own weights, on a leading axis:
+:func:`stacked_conv` runs one layer per future as one batched GEMM (the
+tconv decoder's layers and, as kernel-1 convolutions, the bank decoders'
+regressors and the scale decoders' linear maps), and
+:func:`stacked_matmul` mixes the bank decoders' templates.  Their backward
+passes skip what gets no gradient, so under an oracle loss only each
+row's winning future does backward work.  :func:`conv1d`,
+:func:`tconv1d`, :func:`relu`, :func:`upsample_nearest` and the tensor
+``@`` are the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "adaptive_avgpool1d",
     "encoder_block",
     "stacked_conv",
+    "stacked_matmul",
     "linear",
     "upsample_nearest",
     "cross_entropy",
@@ -53,26 +56,29 @@ def relu(x: Tensor) -> Tensor:
     return _from_op(out_data, (x,), bwd)
 
 
+def _flush_tiny(grad: np.ndarray) -> np.ndarray:
+    """``grad`` with its entries below ``tiny / eps`` in magnitude zeroed.
+
+    Saturated softmax probabilities give gradients at the edge of the
+    subnormal range, and subnormal operands slow down every GEMM they
+    reach.  The threshold (about 1e-31 in float32) is far too small to move
+    an Adam step; flushing only below ``tiny`` would let subnormals
+    reappear one layer upstream.
+    """
+    finfo = np.finfo(grad.dtype)
+    grad[np.abs(grad) < finfo.tiny / finfo.eps] = 0
+    return grad
+
+
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis, computed with max subtraction."""
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=-1, keepdims=True)
 
-    # Saturated probabilities give gradients in or just above the subnormal
-    # range; one multiplication by a weight below 1 upstream makes them
-    # subnormal, and subnormal operands slow down every GEMM they reach.
-    # Gradients below tiny/eps (about 1e-31 in float32) are flushed to
-    # zero: far too small to move an Adam step, and flushing only below
-    # tiny would let the subnormals reappear one layer upstream.
-    finfo = np.finfo(x.data.dtype)
-    flush_below = finfo.tiny / finfo.eps
-
     def bwd(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
-        gx = out_data * (g - inner)
-        gx[np.abs(gx) < flush_below] = 0
-        _accumulate(x, gx, owned=True)
+        _accumulate(x, _flush_tiny(out_data * (g - inner)), owned=True)
 
     return _from_op(out_data, (x,), bwd)
 
@@ -327,7 +333,8 @@ def stacked_conv(x: Tensor, weights, biases, out_length: int | None = None, *,
     for its weight and input gradients.  A future with none accumulates
     nothing, so under an oracle loss only the winning decoder of each row
     does backward work.  This relies only on each output row reading its
-    own input row, never on the loss.
+    own input row, never on the loss.  A shared input adds the futures'
+    gradients one at a time, in order, as ``f`` separate layers would.
     """
     xd = x.data
     f = len(weights)
@@ -377,7 +384,8 @@ def stacked_conv(x: Tensor, weights, biases, out_length: int | None = None, *,
         cols = _kernel_major_cols(padded(xd[ri] if shared else xd[fi, ri]), kernel)
         dcols = np.empty_like(cols) if x.requires_grad else None
         futures, starts = np.unique(fi, return_index=True)
-        for j, lo, hi in zip(futures, starts, [*starts[1:], fi.size]):
+        ends = [*starts[1:], fi.size]
+        for j, lo, hi in zip(futures, starts, ends):
             gj = gz[lo:hi].reshape(-1, c_out)
             if weights[j].requires_grad:
                 dw = (cols[lo * length:hi * length].T @ gj).reshape(
@@ -391,14 +399,37 @@ def stacked_conv(x: Tensor, weights, biases, out_length: int | None = None, *,
         if dcols is None:
             return
         dxp = _kernel_major_uncols(dcols.reshape(fi.size, length, kernel, c_in))
-        dx = np.zeros_like(xd)
-        if shared:
-            np.add.at(dx, ri, dxp[:, pad:pad + length])
-        else:
-            dx[fi, ri] = dxp[:, pad:pad + length]
-        _accumulate(x, dx, owned=True)
+        for lo, hi in zip(starts, ends) if shared else [(0, fi.size)]:
+            dx = np.zeros_like(xd)
+            dx[(ri[lo:hi],) if shared else (fi, ri)] = dxp[lo:hi, pad:pad + length]
+            _accumulate(x, dx, owned=True)
 
     return _from_op(out, (x, *weights, *biases), bwd)
+
+
+def stacked_matmul(x: Tensor, weights) -> Tensor:
+    """``x[g] @ weights[g]`` for every group ``g``, as one batched GEMM of a
+    ``(groups, rows, inner)`` input and one ``(inner, cols)`` weight per group.
+
+    The backward pass skips the groups whose output gradient is all zero,
+    and flushes tiny weight gradients as :func:`softmax` does.
+    """
+    xd, w = x.data, np.stack([t.data for t in weights])
+    if xd.ndim != 3 or w.ndim != 3 or xd.shape[::2] != w.shape[:2]:
+        raise ValueError(f"cannot multiply a {xd.shape} input by {len(w)} "
+                         f"weights of shape {w.shape[1:]}")
+
+    def bwd(g):
+        active = np.flatnonzero(g.any(axis=(1, 2)))
+        if x.requires_grad:
+            dx = np.zeros_like(xd)
+            dx[active] = np.matmul(g[active], w[active].swapaxes(1, 2))
+            _accumulate(x, dx, owned=True)
+        dw = _flush_tiny(np.matmul(xd[active].swapaxes(1, 2), g[active]))
+        for k, dwk in zip(active, dw):
+            _accumulate(weights[k], dwk)
+
+    return _from_op(np.matmul(xd, w), (x, *weights), bwd)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -18,7 +18,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["Tensor", "stack", "concat", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "concat", "no_grad", "is_grad_enabled"]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -112,7 +112,7 @@ class Tensor:
         _accumulate(self, np.ones_like(self.data))
         for node in reversed(topo):
             if node.grad is None:
-                # No gradient reached this node (see stack): skip its
+                # No gradient reached this node (see concat): skip its
                 # subgraph, and give a reachable leaf an exact zero.
                 if node._backward_fn is None:
                     node.grad = np.zeros_like(node.data)
@@ -254,22 +254,6 @@ class Tensor:
         return _from_op(np.ascontiguousarray(out_data), (self,), bwd)
 
 
-def stack(tensors, axis: int = 0) -> Tensor:
-    """Stack tensors of identical shape along a new axis."""
-    tensors = list(tensors)
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def bwd(g):
-        pieces = np.moveaxis(g, axis, 0)
-        for t, piece in zip(tensors, pieces):
-            # An all-zero slice (a future that won no oracle row) is not
-            # sent, so backward does no work on the graph behind it.
-            if piece.any():
-                _accumulate(t, piece)
-
-    return _from_op(out_data, tuple(tensors), bwd)
-
-
 def concat(tensors) -> Tensor:
     """Join tensors along their leading axis; one tensor is returned as is."""
     tensors = list(tensors)
@@ -280,7 +264,7 @@ def concat(tensors) -> Tensor:
 
     def bwd(g):
         for t, piece in zip(tensors, np.split(g, ends[:-1])):
-            if piece.any():  # as in stack: skip the graph behind a zero piece
+            if piece.any():  # a member that won no oracle row: skip its graph
                 _accumulate(t, piece)
 
     return _from_op(out_data, tuple(tensors), bwd)

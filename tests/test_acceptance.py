@@ -136,7 +136,7 @@ def test_criterion_02_architecture_arithmetic():
     with _Criterion(2, "7 encoder blocks -> 64-vector; tconv lengths "
                        "1->2->4->8->16->24") as c:
         model = Forecaster(ModelConfig(), seed=0)
-        assert len(model.shape_encoders[0].convs) == 7
+        assert len(model.members[0].shape_encoder.convs) == 7
 
         # observe the real pooled lengths, not just the declared schedule
         seen_lengths = []
@@ -240,8 +240,8 @@ def test_criterion_05_shape_bank_envelope():
         for _ in range(100):
             window = rng.standard_normal((cfg.n_p, cfg.d)) * 3
             fs = model.predict_futures(window)
-            for i, decoder in enumerate(model.shape_decoders):
-                for j, bank in enumerate(decoder.banks):
+            for i, banks in enumerate(model.members[0].shape_decoder.banks):
+                for j, bank in enumerate(banks):
                     lo = bank.weight.data.min(axis=0)
                     hi = bank.weight.data.max(axis=0)
                     assert np.all(fs.shape_preds[i, j] >= lo - 1e-6)

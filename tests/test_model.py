@@ -1,6 +1,7 @@
 """Tests for the forecaster: architecture arithmetic, variants, contracts."""
 
 import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,8 @@ from multifuture.model import (
     shape_decoder_forward,
     shape_encoder_forward,
 )
-from multifuture.nn import Tensor, grad_check
+from multifuture.nn import Tensor, grad_check, no_grad, ops
+from multifuture.persistence import load_shape_banks, save_shape_banks
 from multifuture.training import _per_instance_error, z_normalize
 
 SMALL = dict(n_p=16, n_h=8, d=2, f=2, n_s=4, channels=8)
@@ -60,7 +62,7 @@ class TestModelConfig:
 class TestShapeEncoder:
     def test_default_architecture_emits_64_vector(self):
         model = Forecaster(ModelConfig(), seed=0)
-        assert len(model.shape_encoders[0].convs) == 7
+        assert len(model.members[0].shape_encoder.convs) == 7
         h = shape_encoder_forward(model, np.zeros((168, 4)))
         assert h.shape == (64,)
         assert np.all(np.isfinite(h))
@@ -95,7 +97,7 @@ class TestShapeEncoder:
     def test_minimum_depth_encoders(self, n_p, blocks):
         cfg = small_config(n_p=n_p)
         model = Forecaster(cfg, seed=0)
-        assert len(model.shape_encoders[0].convs) == blocks
+        assert len(model.members[0].shape_encoder.convs) == blocks
         h = shape_encoder_forward(model, np.ones((n_p, cfg.d)))
         assert h.shape == (cfg.channels,)
         assert np.all(np.isfinite(h))
@@ -109,7 +111,7 @@ class TestShapeDecoder:
         alpha, r = shape_decoder_forward(model, h, 0)
         np.testing.assert_allclose(r, np.ones((cfg.d, 1)))
         templates = np.stack(
-            [bank.weight.data for bank in model.shape_decoders[0].banks])
+            [bank.weight.data for bank in model.members[0].shape_decoder.banks[0]])
         np.testing.assert_allclose(alpha, templates[:, 0, :], rtol=1e-6)
 
     def test_hand_mixture(self):
@@ -119,12 +121,12 @@ class TestShapeDecoder:
         np.testing.assert_allclose(r @ s, [3.0, 1.0, 3.0])
         cfg = small_config(n_s=2, n_h=3, d=1)
         model = Forecaster(cfg, seed=0)
-        bank = model.shape_decoders[0].banks[0]
+        bank = model.members[0].shape_decoder.banks[0][0]
         bank.weight.data = s.astype(np.float32)
         h = np.zeros(cfg.channels)
         # zero h and zero regressor weights give uniform r; force the
         # regressor bias to produce [0.25, 0.75]
-        reg = model.shape_decoders[0].regressors[0]
+        reg = model.members[0].shape_decoder.regressors[0][0]
         reg.weight.data[:] = 0
         reg.bias.data[:] = np.log([0.25, 0.75]).astype(np.float32)
         alpha, r_out = shape_decoder_forward(model, h, 0)
@@ -138,7 +140,7 @@ class TestShapeDecoder:
             h = np.random.default_rng(seed).standard_normal(cfg.channels)
             alpha, r = shape_decoder_forward(model, h, 1)
             np.testing.assert_allclose(r.sum(axis=-1), 1.0, atol=1e-6)
-            for j, bank in enumerate(model.shape_decoders[1].banks):
+            for j, bank in enumerate(model.members[0].shape_decoder.banks[1]):
                 lo = bank.weight.data.min(axis=0)
                 hi = bank.weight.data.max(axis=0)
                 assert np.all(alpha[j] >= lo - 1e-6)
@@ -149,9 +151,9 @@ class TestScaleAndCombine:
     def test_zero_weights_zero_output(self):
         cfg = small_config()
         model = Forecaster(cfg, seed=0)
-        dec = model.scale_decoders[0]
-        dec.linear.weight.data[:] = 0
-        dec.linear.bias.data[:] = 0
+        dec = model.members[0].scale_decoder
+        dec.linears[0].weight.data[:] = 0
+        dec.linears[0].bias.data[:] = 0
         mul, add = scale_forward(model, random_window(cfg), 0)
         np.testing.assert_allclose(mul, np.zeros(cfg.d))
         np.testing.assert_allclose(add, np.zeros(cfg.d))
@@ -169,9 +171,9 @@ class TestScaleAndCombine:
         from multifuture.nn.tensor import Tensor, no_grad
         with no_grad():
             x = Tensor(check_windows(window, cfg.n_p, cfg.d, model.dtype))
-            h = model.scale_encoders[0].forward(x).data[0]
-        w = model.scale_decoders[0].linear.weight.data
-        b = model.scale_decoders[0].linear.bias.data
+            h = model.members[0].scale_encoder.forward(x).data[0]
+        w = model.members[0].scale_decoder.linears[0].weight.data
+        b = model.members[0].scale_decoder.linears[0].bias.data
         expected = np.array([
             sum(w[o, i] * h[i] for i in range(w.shape[1])) + b[o]
             for o in range(w.shape[0])
@@ -232,9 +234,9 @@ class TestModelForward:
     def test_shared_encoder_has_one_encoder(self):
         cfg = small_config(variant="shared_encoder")
         model = Forecaster(cfg, seed=0)
-        encoder = model.shape_encoders[0]
-        assert all(e is encoder
-                   for e in model.shape_encoders + model.scale_encoders)
+        encoder = model.members[0].shape_encoder
+        assert all(e is encoder for m in model.members
+                   for e in (m.shape_encoder, m.scale_encoder))
         names = [p.name for p in model.parameters()]
         assert not any(name.startswith("shape_encoder") for name in names)
 
@@ -242,7 +244,7 @@ class TestModelForward:
         cfg = ModelConfig(n_p=16, n_h=24, d=2, f=1, channels=8,
                           variant="tconv_decoder")
         model = Forecaster(cfg, seed=0)
-        assert model.shape_decoders[0].length_schedule() == [1, 2, 4, 8, 16, 24]
+        assert model.members[0].shape_decoder.length_schedule() == [1, 2, 4, 8, 16, 24]
         fs = model.predict_futures(np.zeros((16, 2)))
         assert fs.futures.shape == (1, 2, 24)
         assert fs.activations is None
@@ -346,8 +348,8 @@ class TestInterpretabilityContract:
         model = Forecaster(cfg, seed=2)
         window = random_window(cfg, 7)
         fs = model.predict_futures(window)
-        for i, decoder in enumerate(model.shape_decoders):
-            for j, bank in enumerate(decoder.banks):
+        for i, banks in enumerate(model.members[0].shape_decoder.banks):
+            for j, bank in enumerate(banks):
                 rebuilt = fs.activations[i, j] @ bank.weight.data.astype(np.float64)
                 np.testing.assert_allclose(fs.shape_preds[i, j], rebuilt,
                                            rtol=1e-4, atol=1e-6)
@@ -387,7 +389,7 @@ class TestTConvDecoder:
         idle = set(range(cfg.f)) - winners[0]
         assert idle
         assert all(not p.weight.grad.any() and not p.bias.grad.any()
-                   for layer in model.shape_decoders[0].layers
+                   for layer in model.members[0].shape_decoder.layers
                    for p in (layer[i] for i in idle))
 
     def test_parameter_layout_pinned(self):
@@ -409,3 +411,78 @@ class TestTConvDecoder:
             for layer in layers for part in ("weight", "bias")]
         assert digest.hexdigest() == (
             "d2ec69cf460fd6154ca8915eda519e982440e27681f5d0fe7b0f01bad115f2ad")
+
+
+def _layout_digest(model) -> str:
+    """SHA-256 over each parameter's name, shape and float32 bytes, in
+    ``parameters()`` order."""
+    digest = hashlib.sha256()
+    for params in model.parameters():
+        for name, t in params.named_tensors():
+            digest.update(name.encode())
+            digest.update(repr(t.data.shape).encode())
+            digest.update(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+    return digest.hexdigest()
+
+
+class TestMembers:
+    @pytest.mark.parametrize("variant,digest", [
+        ("full", "cf0e7d973781f761917527e2517ea65f710be2ff32cb325208249c9447cce4fc"),
+        ("shared_encoder",
+         "5141792d8c07a79495a353f033156ff217afd0fe399d927bdde858ebb2310296"),
+        ("non_separated",
+         "36f4f933afd56ad52ba69166c0d5a6753f94d858f2f5d1b4bd30651340ddd258"),
+        ("model_ensemble",
+         "43b3b4db754ddc9c93e791db6e14d140f1796c0808cac62ba39729e0ffc2d5e7"),
+    ])
+    def test_parameter_layout_pinned(self, variant, digest):
+        # names, order, shapes and seed-0 values of the per-future bank and
+        # scale decoders before they were stacked into one module each
+        model = Forecaster(small_config(f=3, variant=variant), seed=0)
+        assert _layout_digest(model) == digest
+
+    @pytest.mark.parametrize("variant", ["full", "model_ensemble"])
+    def test_shape_decoder_forward_is_future_i(self, variant):
+        cfg = small_config(f=3, variant=variant)
+        model = Forecaster(cfg, seed=6)
+        window = random_window(cfg, 1)
+        fs = model.predict_futures(window)
+        x = Tensor(check_windows(window, cfg.n_p, cfg.d, model.dtype))
+        for i in range(cfg.f):
+            member = model.members[i if variant == "model_ensemble" else 0]
+            with no_grad():
+                h = member.shape_encoder.forward(x).data[0]
+            alpha, r = shape_decoder_forward(model, h, i)
+            np.testing.assert_allclose(alpha, fs.shape_preds[i], rtol=1e-6, atol=0)
+            np.testing.assert_allclose(r, fs.activations[i], rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("variant,prefix", [("full", "shape_decoder{i}"),
+                                                ("model_ensemble",
+                                                 "member{i}.shape_decoder0")])
+    def test_shape_banks_listed_once_in_order(self, variant, prefix, tmp_path):
+        model = Forecaster(small_config(f=3, variant=variant), seed=0)
+        assert [bank.name for bank in model.shape_banks()] == [
+            f"{prefix.format(i=i)}.bank{j}" for i in range(3) for j in range(2)]
+        save_shape_banks(model, tmp_path)
+        load_shape_banks(model, tmp_path)
+
+    def test_forward_op_count_does_not_grow_with_f(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            op = getattr(ops, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return op(*args, **kwargs)
+            return spy
+
+        for name in ("softmax", "stacked_conv"):
+            monkeypatch.setattr(ops, name, counted(name))
+        counts = []
+        for f in (3, 12):
+            calls.clear()
+            cfg = small_config(f=f)
+            Forecaster(cfg, seed=0).predict_futures(random_window(cfg))
+            counts.append(dict(calls))
+        assert counts[0] == counts[1] == {"softmax": 1, "stacked_conv": 2}

@@ -9,7 +9,6 @@ from multifuture.nn import (
     Tensor,
     adam_step,
     concat,
-    stack,
     grad_check,
     initializer,
 )
@@ -320,8 +319,9 @@ def _decoder_chain(x, layers, out_length):
         h = ops.tconv1d(h, w_blocks[j], b_blocks[j])[:, :, crop:-crop]
         h = ops.upsample_nearest(ops.relu(h), out_length)
         h = ops.conv1d(h, w_outs[j], b_outs[j], padding=w_outs[j].shape[2] // 2)
-        futures.append(h.swapaxes(1, 2))
-    return stack(futures)
+        h = h.swapaxes(1, 2)
+        futures.append(h.reshape(1, *h.shape))
+    return concat(futures)
 
 
 def _stacked_chain(x, layers, out_length):
@@ -424,6 +424,87 @@ class TestStackedConv:
             ops.stacked_conv(x, [Tensor(np.zeros((3, 3, 2)))] * 2, b)
         with pytest.raises(ValueError, match="out_length"):
             ops.stacked_conv(x, w, b, 3)
+
+
+class TestStackedMatmul:
+    @staticmethod
+    def _case(seed):
+        """Input, per-group weights and an output probe in which group 1
+        has no non-zero entry and group 2 only some."""
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+        weights = [Tensor(rng.standard_normal((5, 6)), requires_grad=True)
+                   for _ in range(3)]
+        probe = rng.standard_normal((3, 4, 6))
+        probe[1] = 0.0
+        probe[2, :2] = 0.0
+        return x, weights, Tensor(probe)
+
+    def test_grad_check(self):
+        x, weights, probe = self._case(0)
+
+        def closure(*_):
+            return (ops.stacked_matmul(x, weights) * probe).sum()
+
+        assert grad_check(closure, [x, *weights]) < 1e-6
+        # group 1 gets no output gradient, so its weight gets an exact zero
+        assert not weights[1].grad.any() and not x.grad[1].any()
+
+    def test_matches_per_group_matmul(self):
+        results = []
+        for stacked in (True, False):
+            x, weights, probe = self._case(1)
+            out = (ops.stacked_matmul(x, weights) if stacked else
+                   concat([(x[g] @ w).reshape(1, 4, 6) for g, w in enumerate(weights)]))
+            (out * probe).sum().backward()
+            results.append([out.data, x.grad] + [w.grad for w in weights])
+        for got, expected in zip(*results):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_saturated_softmax_gives_no_subnormal_template_gradient(self):
+        # p = (1, e^-87, e^-100, 0) in float32 mixes a bank; e^-87 times
+        # the output gradient is subnormal unless flushed
+        logits = Tensor(np.array([[[0.0, -87.0, -100.0, -200.0]]], dtype=np.float32),
+                        requires_grad=True)
+        bank = Tensor(np.full((4, 3), 0.5, dtype=np.float32), requires_grad=True)
+        probe = Tensor(np.full((1, 1, 3), 1e-3, dtype=np.float32))
+        (ops.stacked_matmul(ops.softmax(logits), [bank]) * probe).sum().backward()
+        tiny = np.finfo(np.float32).tiny
+        assert bank.grad.dtype == np.float32
+        assert np.all((bank.grad == 0) | (np.abs(bank.grad) >= tiny))
+        np.testing.assert_array_equal(bank.grad[0], np.float32(1e-3))
+
+    def test_bad_arguments_raise(self):
+        w = [Tensor(np.zeros((5, 6)))] * 2
+        for x, weights in [(np.zeros((3, 4, 5)), w),        # 3 groups, 2 weights
+                           (np.zeros((2, 4, 3)), w),        # inner 3 against 5
+                           (np.zeros((4, 5)), w),           # no group axis
+                           (np.zeros((2, 4, 5)), [Tensor(np.zeros(5))] * 2)]:
+            with pytest.raises(ValueError, match="cannot multiply"):
+                ops.stacked_matmul(Tensor(x), weights)
+
+
+class TestCrossEntropy:
+    def test_grad_check(self):
+        logits = Tensor(np.random.default_rng(0).standard_normal((4, 3)),
+                        requires_grad=True)
+        labels = np.array([0, 2, 1, 2])
+        assert grad_check(lambda t: ops.cross_entropy(t, labels), [logits]) < 1e-6
+
+    def test_hand_value(self):
+        # -log softmax: log(1 + e + e^2) for label 0 of [0, 1, 2], log 3 for
+        # any label of a uniform row
+        loss = ops.cross_entropy(Tensor(np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])),
+                                 [0, 1])
+        np.testing.assert_allclose(float(loss.data),
+                                   np.log(1 + np.e + np.e ** 2) + np.log(3.0),
+                                   rtol=1e-12)
+
+    def test_bad_shapes_raise(self):
+        with pytest.raises(ValueError, match="2-D"):
+            ops.cross_entropy(Tensor(np.zeros(3)), [0])
+        with pytest.raises(ValueError, match="one integer per batch row"):
+            ops.cross_entropy(Tensor(np.zeros((2, 3))), [0, 1, 2])
 
 
 class TestTConv1d:
@@ -588,16 +669,6 @@ class TestTensorBasics:
         y = x * x  # x appears twice as parent
         y.sum().backward()
         np.testing.assert_allclose(x.grad, [6.0])
-
-    def test_stack_skips_graph_behind_zero_slice(self):
-        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-        scaled_b = b * 3.0
-        mask = Tensor(np.array([[1.0, 1.0], [0.0, 0.0]]))
-        (stack([a * 2.0, scaled_b]) * mask).sum().backward()
-        np.testing.assert_array_equal(a.grad, [2.0, 2.0])
-        assert scaled_b.grad is None  # its backward closure never ran
-        np.testing.assert_array_equal(b.grad, [0.0, 0.0])
 
     def test_concat_skips_graph_behind_zero_piece(self):
         a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)

@@ -3,7 +3,10 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "multifuture"
+from multifuture.nn import ops
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "multifuture"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -85,3 +88,33 @@ def test_no_unreferenced_private_module_level_name():
     sources = {str(path.relative_to(SRC)): path.read_text()
                for path in sorted(SRC.rglob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def ops_without_grad_check(op_names, sources: list[str]) -> list[str]:
+    """The names of ``op_names`` that no function in ``sources`` calls
+    together with ``grad_check`` (closures count as part of their function)."""
+    covered = set()
+    for source in sources:
+        for fn in ast.walk(ast.parse(source)):
+            if isinstance(fn, ast.FunctionDef):
+                called = {getattr(c.func, "attr", getattr(c.func, "id", None))
+                          for c in ast.walk(fn) if isinstance(c, ast.Call)}
+                if "grad_check" in called:
+                    covered |= called
+    return [name for name in op_names if name not in covered]
+
+
+def test_guard_flags_an_op_without_grad_check():
+    source = ("def test_a():\n    grad_check(lambda t: ops.relu(t).sum(), [x])\n"
+              "def test_b():\n    ops.softmax(x)\n"
+              "def test_c():\n    check(ops.linear)\n    grad_check(f, [x])\n"
+              "def test_d():\n    def closure(t):\n        return conv1d(t)\n"
+              "    grad_check(closure, [x])\n")
+    assert ops_without_grad_check(["relu", "softmax", "linear", "conv1d"],
+                                  [source]) == ["softmax", "linear"]
+
+
+def test_every_op_is_grad_checked():
+    # a new or fused op lands with finite-difference gradient coverage
+    sources = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
+    assert ops_without_grad_check(ops.__all__, sources) == []
