@@ -1,0 +1,28 @@
+"""The nearest-neighbour baseline's vectorised full scan, kept as the
+reference that its pruned scan must match bit for bit."""
+
+import numpy as np
+
+from multifuture.training import z_normalize
+
+
+def full_scan_distances(train_values, query, n_p, n_h, epsilon=1e-8):
+    """Every start's distance to ``query``: the query subtracted from all
+    normalized windows at once, in the time-major layout that
+    ``z_normalize`` leaves on the sliding-window view."""
+    values = np.asarray(train_values, dtype=np.float64)
+    n_starts = len(values) - n_p - n_h + 1
+    windows = np.lib.stride_tricks.sliding_window_view(
+        values, n_p, axis=0)[:n_starts]                     # (starts, d, n_p)
+    normalized = z_normalize(windows, epsilon, axis=2)
+    q = z_normalize(np.asarray(query, dtype=np.float64), epsilon, axis=0).T
+    sq = np.subtract(normalized, q)
+    np.square(sq, out=sq)
+    return np.sqrt(sq.sum(axis=2)).sum(axis=1)
+
+
+def full_scan(train_values, query, n_p, n_h, epsilon=1e-8):
+    """The ``(d, n_h)`` continuation of the full scan's nearest start."""
+    values = np.asarray(train_values, dtype=np.float64)
+    best = int(np.argmin(full_scan_distances(values, query, n_p, n_h, epsilon)))
+    return values[best + n_p:best + n_p + n_h].T

@@ -44,18 +44,19 @@ def test_install_patches_every_point_and_uninstall_restores_it():
 
 def test_traced_serving_records_the_spans_the_report_divides_by():
     # The trace report divides by the count of nearest-neighbour predict
-    # spans in the baselines phase and by forward passes per prediction.
+    # spans in the baselines phase, one per evaluated window, and by
+    # forward passes per prediction.
     series = generate(GeneratorConfig(n_hours=240, seed=0))
     baseline = NearestNeighborBaseline(series.slice(0, 160), 16, 8)
     model = Forecaster(ModelConfig(n_p=16, n_h=8, n_s=4, channels=8), seed=0)
     tracer = _load_tracer_module().Tracer()
     tracer.install()
     try:
-        evaluate_rolling(baseline, series.slice(160, 240), 16, 8)
+        report = evaluate_rolling(baseline, series.slice(160, 240), 16, 8)
         evaluated = [span[0] for span in tracer.spans]
         model.predict_futures(np.ones((16, 4)))
         predicted = [span[0] for span in tracer.spans[len(evaluated):]]
     finally:
         tracer.uninstall()
-    assert evaluated.count("evaluation.nearest_neighbor.predict") >= 1
+    assert evaluated.count("evaluation.nearest_neighbor.predict") == report.n_windows
     assert predicted.count("model.forward_tensors") == 1

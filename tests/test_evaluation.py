@@ -1,9 +1,11 @@
 """Tests for rolling evaluation, oracle metrics, and the baselines."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from nn_reference import full_scan, full_scan_distances
 
 from multifuture.data import GeneratorConfig, generate
 from multifuture.evaluation import (
@@ -284,6 +286,97 @@ class TestNearestNeighbor:
     def test_insufficient_history_raises(self):
         with pytest.raises(ValueError, match="shorter"):
             NearestNeighborBaseline(np.ones((30, 2)), 24, 12)
+
+    def test_non_finite_history_raises(self):
+        values = np.ones((60, 2))
+        values[7, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            NearestNeighborBaseline(values, 12, 6)
+
+    # Adversarial cases for the bound-then-recheck scan: each must pick the
+    # loop-built scan's and the vectorised full scan's window exactly.
+
+    @staticmethod
+    def _check_against_full_scans(values, query, n_p, n_h):
+        baseline = NearestNeighborBaseline(values, n_p, n_h)
+        pred = baseline.predict_futures(query).futures[0]
+        assert np.array_equal(pred, nn_oracle(values, query, n_p, n_h))
+        assert np.array_equal(pred, full_scan(values, query, n_p, n_h))
+        return baseline, pred
+
+    def test_duplicated_windows_tie_and_the_earliest_wins(self):
+        rng = np.random.default_rng(1)
+        values = rng.standard_normal((120, 3))
+        values[70:82] = values[20:32]     # the same input window, other continuations
+        query = values[20:32] + 0.05 * rng.standard_normal((12, 3))
+        distances = full_scan_distances(values, query, 12, 6)
+        assert distances[20] == distances[70] == distances.min()
+        baseline, pred = self._check_against_full_scans(values, query, 12, 6)
+        assert np.array_equal(pred, values[32:38].T)
+        normalized = z_normalize(query, axis=0).T
+        assert {20, 70} <= set(baseline._candidates(normalized).tolist())
+
+    @pytest.mark.parametrize("query_kind", ["flat", "noisy"])
+    def test_stretches_with_std_below_epsilon(self, query_kind):
+        # Normalized rows of a near-constant stretch are about 1e-3 instead
+        # of unit variance, so |a|^2 is far from n_p.
+        rng = np.random.default_rng(2)
+        values = rng.standard_normal((150, 2))
+        values[40:100] = 5.0 + 1e-11 * rng.standard_normal((60, 2))
+        values[60:75] = 5.0               # exactly constant inside it
+        baseline = NearestNeighborBaseline(values, 16, 4)
+        assert baseline._row_sq.min() < 1e-4
+        query = (values[45:61] + 1e-11 * rng.standard_normal((16, 2))
+                 if query_kind == "flat" else rng.standard_normal((16, 2)))
+        self._check_against_full_scans(values, query, 16, 4)
+
+    def test_query_equidistant_from_two_starts(self):
+        # +/-1 windows with as many of each sign normalize exactly to
+        # themselves; a and b each swap one (+1, -1) pair of the query, so
+        # both are exactly sqrt(8) away from it.
+        rng = np.random.default_rng(0)
+        query = rng.permutation(np.repeat([1.0, -1.0], 16))
+        up, down = np.flatnonzero(query > 0), np.flatnonzero(query < 0)
+        a, b = query.copy(), query.copy()
+        a[[up[0], down[0]]] = a[[down[0], up[0]]]
+        b[[up[1], down[1]]] = b[[down[1], up[1]]]
+        values = np.concatenate([rng.standard_normal(40), a, rng.standard_normal(40),
+                                 b, rng.standard_normal(40)])[:, None]
+        distances = full_scan_distances(values, query[:, None], 32, 8)
+        assert distances[40] == distances[112] == distances.min() == np.sqrt(8.0)
+        _, pred = self._check_against_full_scans(values, query[:, None], 32, 8)
+        assert np.array_equal(pred, values[72:80].T)
+
+    @pytest.mark.parametrize("start", [0, 37, 480])
+    def test_query_equal_to_a_training_window(self, month_series, start):
+        # The distance is 0, so e - delta is negative at that start.
+        values = month_series.values
+        query = values[start:start + 72].copy()
+        assert full_scan_distances(values, query, 72, 24)[start] == 0.0
+        _, pred = self._check_against_full_scans(values, query, 72, 24)
+        assert np.array_equal(pred, values[start + 72:start + 96].T)
+
+    def test_prunes_to_few_candidates_in_small_memory(self):
+        # The bench's split at n_p=168: 649 training starts, 28 held-out
+        # windows.  A bound that fell back to the full scan would recheck
+        # all 649 starts and allocate a (649, 4, 168) float64 temporary,
+        # 3.5 MB; one candidate was rechecked per query on seeds 1-5.
+        series = generate(GeneratorConfig(n_hours=1512, seed=1))
+        baseline = NearestNeighborBaseline(series.slice(0, 840), 168, 24)
+        held_out = series.values[672:]
+        counts, peaks = [], []
+        for start in range(0, len(held_out) - 168, 24):
+            window = held_out[start:start + 168]
+            counts.append(len(baseline._candidates(z_normalize(window, axis=0).T)))
+            tracemalloc.start()
+            try:
+                baseline.predict_futures(window)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(counts) == 28
+        assert max(counts) <= 2
+        assert max(peaks) < 0.5e6
 
 
 class TestRidge:

@@ -1,4 +1,5 @@
-"""Property-based fuzzing of every input boundary.
+"""Property-based fuzzing of every input boundary, and of the
+nearest-neighbour scan against its full-scan reference.
 
 Mutated checkpoints, CSVs and run configurations may be rejected, but only
 with the boundary's typed error: a bare ``TypeError``, ``KeyError`` or
@@ -13,6 +14,7 @@ from dataclasses import fields
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from nn_reference import full_scan, full_scan_distances
 
 from multifuture.cli import CliError, RunConfig, main
 from multifuture.data import (
@@ -22,8 +24,10 @@ from multifuture.data import (
     load_csv,
     save_csv,
 )
+from multifuture.evaluation import NearestNeighborBaseline
 from multifuture.model import VARIANTS, Forecaster, ModelConfig
 from multifuture.persistence import BLOB_NAME, MANIFEST_NAME, CheckpointError, load, save
+from multifuture.training import z_normalize
 
 CFG = ModelConfig(n_p=8, n_h=4, d=2, f=2, n_s=2, channels=2)
 MODEL = Forecaster(CFG, seed=0)
@@ -176,3 +180,63 @@ def test_cli_main_returns_status_on_random_config(payload):
             json.dump(payload, fh)
         assert main(["generate", "--config", path,
                      "--out", os.path.join(tmp, "data")]) in (0, 1)
+
+
+@st.composite
+def nn_cases(draw):
+    """A short series with constant runs (some with noise below the
+    normalization epsilon) and repeated segments, plus a query that is
+    random, a copy of a training window, or a copy with a little noise."""
+    d = draw(st.integers(1, 3))
+    n_p = draw(st.integers(2, 24))
+    n_h = draw(st.integers(1, 6))
+    length = draw(st.integers(n_p + n_h, n_p + n_h + 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((length, d)) * draw(st.sampled_from([1e-3, 1.0, 1e4]))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, length - 1))
+        stop = draw(st.integers(start + 1, length))
+        jitter = draw(st.sampled_from([0.0, 1e-12]))
+        values[start:stop] = values[start] + jitter * rng.standard_normal((stop - start, d))
+    for _ in range(draw(st.integers(0, 3))):
+        size = draw(st.integers(1, length))
+        src = draw(st.integers(0, length - size))
+        dst = draw(st.integers(0, length - size))
+        values[dst:dst + size] = values[src:src + size].copy()
+    kind = draw(st.sampled_from(["random", "copy", "near"]))
+    if kind == "random":
+        query = rng.standard_normal((n_p, d))
+    else:
+        start = draw(st.integers(0, length - n_p - n_h))
+        query = values[start:start + n_p].copy()
+        if kind == "near":
+            query += 1e-6 * rng.standard_normal((n_p, d)) * np.abs(query).max()
+    return values, query, n_p, n_h
+
+
+@settings(max_examples=200)
+@given(nn_cases())
+def test_nearest_neighbor_returns_the_full_scans_continuation(case):
+    values, query, n_p, n_h = case
+    pred = NearestNeighborBaseline(values, n_p, n_h).predict_futures(query).futures[0]
+    assert np.array_equal(pred, full_scan(values, query, n_p, n_h))
+
+
+def test_nearest_neighbor_recheck_distances_are_the_full_scans_bits():
+    # With every start forced to be a candidate, the recheck must give each
+    # start's distance bit for bit as the full scan computes it on the
+    # strided layout z_normalize leaves on the sliding-window view.  Summed
+    # over a contiguous time axis (pairwise) instead, many differ by an ulp.
+    series = generate(GeneratorConfig(n_hours=1512, seed=1))
+    train = series.values[:840]
+    baseline = NearestNeighborBaseline(train, 168, 24)
+    every = np.arange(840 - 168 - 24 + 1)
+    rng = np.random.default_rng(0)
+    for start in (672, 840, 1000, 1344):
+        window = series.values[start:start + 168]
+        for query in (window, window + 0.1 * rng.standard_normal(window.shape)):
+            reference = full_scan_distances(train, query, 168, 24)
+            normalized = z_normalize(query, axis=0).T
+            assert np.array_equal(baseline._recheck(normalized, every), reference)
+            for few in (np.array([start % len(every)]), rng.choice(every, 3, replace=False)):
+                assert np.array_equal(baseline._recheck(normalized, few), reference[few])
