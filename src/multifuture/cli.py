@@ -181,12 +181,19 @@ def _load_training_series(config: RunConfig) -> list[MultivariateSeries]:
             ) from None
         files = persistence.from_payload(_DatasetManifest, manifest,
                                          "dataset_manifest", CliError).files
-        return [load_csv(os.path.join(data_dir, entry.file), entry.merchant_id)
-                for entry in files]
-    path = _merchant_path(data_dir, config.data.merchant)
-    if not os.path.exists(path):
-        raise CliError(f"no data for {config.data.merchant!r} at {path}")
-    return [load_csv(path, config.data.merchant)]
+        sources = [(os.path.join(data_dir, entry.file), entry.merchant_id)
+                   for entry in files]
+    else:
+        path = _merchant_path(data_dir, config.data.merchant)
+        if not os.path.exists(path):
+            raise CliError(f"no data for {config.data.merchant!r} at {path}")
+        sources = [(path, config.data.merchant)]
+    series = [load_csv(path, merchant_id) for path, merchant_id in sources]
+    for (path, _), s in zip(sources, series):
+        if s.d != config.model.d:
+            raise CliError(f"config.model.d is {config.model.d} but {path} "
+                           f"has {s.d} features")
+    return series
 
 
 def _merchant_series(config: RunConfig, command: str) -> MultivariateSeries:
@@ -284,12 +291,11 @@ def cmd_evaluate(config: RunConfig, checkpoint: str | None, baseline: str | None
     train_split, test_split = _train_test_split(
         _merchant_series(config, "evaluate"), config)
     n_p, n_h = config.model.n_p, config.model.n_h
-    eps = config.train.znorm_epsilon
 
     if baseline == "nn":
-        predictor = NearestNeighborBaseline(train_split, n_p, n_h, epsilon=eps)
+        predictor = NearestNeighborBaseline(train_split, n_p, n_h)
     elif baseline == "ridge":
-        predictor = RidgeBaseline(train_split, n_p, n_h, epsilon=eps)
+        predictor = RidgeBaseline(train_split, n_p, n_h)
     elif baseline is not None:
         raise CliError(f"unknown baseline {baseline!r}; expected nn|ridge")
     else:
@@ -304,7 +310,7 @@ def cmd_evaluate(config: RunConfig, checkpoint: str | None, baseline: str | None
                 f"{predictor.config.n_h}) do not match config ({n_p}, {n_h})")
 
     report, predictions = evaluate_rolling(
-        predictor, test_split, n_p, n_h, epsilon=eps, collect_predictions=True)
+        predictor, test_split, n_p, n_h, collect_predictions=True)
     _write_text(os.path.join(out_dir, "report.json"), report.to_json() + "\n")
     _write_text(os.path.join(out_dir, "report.csv"), report.to_csv())
     _write_text(os.path.join(out_dir, "predictions.csv"),
@@ -415,8 +421,7 @@ def cmd_ablate(config: RunConfig, scalability: bool, out_dir: str) -> int:
     for variant in _ABLATION_VARIANTS:
         model_cfg = replace(config.model, variant=variant)
         model, _ = train(train_split, model_cfg, config.train)
-        report = evaluate_rolling(model, test_split, model_cfg.n_p, model_cfg.n_h,
-                                  epsilon=config.train.znorm_epsilon)
+        report = evaluate_rolling(model, test_split, model_cfg.n_p, model_cfg.n_h)
         report.model_id = variant
         reports.append(report)
         _say(f"{variant}: oracle_rmse {report.oracle_rmse:.4f} "

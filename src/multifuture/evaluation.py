@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import MultivariateSeries
 from .model import FutureSet, check_windows
-from .training import _series_values, window_rmse, z_normalize
+from .training import ZNORM_EPSILON, _series_values, window_rmse, z_normalize
 
 __all__ = [
     "WindowRecord",
@@ -103,7 +103,6 @@ _EVAL_BATCH = 64
 
 
 def evaluate_rolling(predictor, test: MultivariateSeries, n_p: int, n_h: int,
-                     epsilon: float = 1e-8,
                      collect_predictions: bool = False):
     """Evaluate a predictor over all rolling windows of a test series.
 
@@ -131,7 +130,7 @@ def evaluate_rolling(predictor, test: MultivariateSeries, n_p: int, n_h: int,
     futures = np.stack([fs.futures for fs in future_sets], axis=1)  # (f, windows, d, n_h)
     shape_preds = np.stack([fs.shape_preds for fs in future_sets], axis=1)
     rmses = window_rmse(futures, truth).T
-    nrmses = window_rmse(shape_preds, z_normalize(truth, epsilon, axis=-1)).T
+    nrmses = window_rmse(shape_preds, z_normalize(truth, axis=-1)).T
     records = [
         WindowRecord(
             window_index=w,
@@ -163,7 +162,7 @@ def evaluate_rolling(predictor, test: MultivariateSeries, n_p: int, n_h: int,
 # -- baselines ----------------------------------------------------------------
 
 
-def _single_future_set(pred: np.ndarray, epsilon: float) -> FutureSet:
+def _single_future_set(pred: np.ndarray) -> FutureSet:
     """Wrap a raw (d, n_h) prediction as a one-future set.
 
     The future keeps the prediction bit-exactly in raw units; the shape
@@ -172,7 +171,7 @@ def _single_future_set(pred: np.ndarray, epsilon: float) -> FutureSet:
     """
     pred = np.asarray(pred, dtype=np.float64)
     mean = pred.mean(axis=1)
-    std = np.maximum(pred.std(axis=1), epsilon)
+    std = np.maximum(pred.std(axis=1), ZNORM_EPSILON)
     shape = (pred - mean[:, None]) / std[:, None]
     return FutureSet(
         futures=pred[None].copy(),
@@ -244,18 +243,14 @@ class NearestNeighborBaseline:
 
     model_id = "nearest_neighbor"
 
-    def __init__(self, train: MultivariateSeries, n_p: int, n_h: int,
-                 epsilon: float = 1e-8):
+    def __init__(self, train: MultivariateSeries, n_p: int, n_h: int):
         values = _series_values(train)
         if len(values) < n_p + n_h:
             raise ValueError(
                 f"training history of {len(values)} hours is shorter than "
                 f"n_p + n_h = {n_p + n_h}")
-        if not np.isfinite(values).all():
-            raise ValueError("training history holds non-finite values")
         self.n_p = n_p
         self.n_h = n_h
-        self.epsilon = epsilon
         self._values = values
         n_starts = len(values) - n_p - n_h + 1
         windows = np.lib.stride_tricks.sliding_window_view(
@@ -263,7 +258,7 @@ class NearestNeighborBaseline:
         # The full scan's normalized values, bit for bit, stored row-major
         # per dimension for the matmul: (d, starts, n_p).
         self._rows = np.ascontiguousarray(
-            z_normalize(windows, epsilon, axis=2).transpose(1, 0, 2))
+            z_normalize(windows, axis=2).transpose(1, 0, 2))
         self._row_sq = np.einsum("dsn,dsn->ds", self._rows, self._rows)
         self._row_norms = np.sqrt(self._row_sq)
 
@@ -290,11 +285,11 @@ class NearestNeighborBaseline:
     def predict_futures(self, window: np.ndarray) -> FutureSet:
         window = check_windows(window, self.n_p, self._values.shape[1],
                                np.float64, single=True)[0]
-        query = z_normalize(window, self.epsilon, axis=0).T  # (d, n_p)
+        query = z_normalize(window, axis=0).T  # (d, n_p)
         starts = self._candidates(query)
         best = int(starts[np.argmin(self._recheck(query, starts))])
         continuation = self._values[best + self.n_p:best + self.n_p + self.n_h]
-        return _single_future_set(continuation.T, self.epsilon)
+        return _single_future_set(continuation.T)
 
     def predict_batch(self, windows: np.ndarray) -> list[FutureSet]:
         """One future set per window of a ``(batch, n_p, d)`` stack.
@@ -323,7 +318,7 @@ class RidgeBaseline:
     model_id = "ridge"
 
     def __init__(self, train: MultivariateSeries, n_p: int, n_h: int,
-                 lam: float = 1.0, epsilon: float = 1e-8):
+                 lam: float = 1.0):
         if lam <= 0:
             raise ValueError("lam must be positive")
         values = _series_values(train)
@@ -336,7 +331,6 @@ class RidgeBaseline:
         self.n_h = n_h
         self.d = values.shape[1]
         self.lam = lam
-        self.epsilon = epsilon
         # Window w is values[w:w + n_p + n_h], time-major; flattening its
         # input and target parts is a view, so only x and y are allocated.
         windows = np.lib.stride_tricks.sliding_window_view(
@@ -350,26 +344,20 @@ class RidgeBaseline:
         gram[diagonal, diagonal] += lam
         self.coefficients = np.linalg.solve(gram, x.T @ y)
 
-    def _predict_raw(self, windows: np.ndarray) -> np.ndarray:
-        """Checked ``(batch, n_p, d)`` windows -> ``(batch, d, n_h)``, in one GEMM."""
+    def predict_futures(self, window: np.ndarray) -> FutureSet:
+        """The future set of one ``(n_p, d)`` window: its batch of one."""
+        return self.predict_batch(check_windows(
+            window, self.n_p, self.d, np.float64, single=True))[0]
+
+    def predict_batch(self, windows: np.ndarray) -> list[FutureSet]:
+        """One future set per window of a ``(batch, n_p, d)`` stack, from
+        one GEMM."""
+        windows = check_windows(windows, self.n_p, self.d, np.float64)
         features = np.empty((len(windows), self.coefficients.shape[0]))
         features[:, 0] = 1.0
         features[:, 1:] = windows.reshape(len(windows), -1)
-        return (features @ self.coefficients).reshape(
-            -1, self.n_h, self.d).swapaxes(1, 2)
-
-    def predict_raw(self, window: np.ndarray) -> np.ndarray:
-        """Raw ``(d, n_h)`` prediction for one ``(n_p, d)`` window."""
-        return self._predict_raw(check_windows(
-            window, self.n_p, self.d, np.float64, single=True))[0]
-
-    def predict_futures(self, window: np.ndarray) -> FutureSet:
-        return _single_future_set(self.predict_raw(window), self.epsilon)
-
-    def predict_batch(self, windows: np.ndarray) -> list[FutureSet]:
-        """One future set per window of a ``(batch, n_p, d)`` stack."""
-        raw = self._predict_raw(check_windows(windows, self.n_p, self.d, np.float64))
-        return [_single_future_set(pred, self.epsilon) for pred in raw]
+        raw = (features @ self.coefficients).reshape(-1, self.n_h, self.d)
+        return [_single_future_set(pred) for pred in raw.swapaxes(1, 2)]
 
 
 # -- method comparison ---------------------------------------------------------

@@ -63,7 +63,6 @@ __all__ = [
     "combine",
     "count_parameters",
     "ParameterCount",
-    "encoder_length_schedule",
 ]
 
 VARIANTS = (
@@ -117,11 +116,6 @@ class ModelConfig:
     @property
     def encoder_blocks(self) -> int:
         return int(math.floor(math.log2(self.n_p)))
-
-
-def encoder_length_schedule(n_p: int) -> list[int]:
-    """Sequence lengths after each encoder block (the last one is 1)."""
-    return [n_p >> b for b in range(1, n_p.bit_length() - 1)] + [1]
 
 
 @dataclass

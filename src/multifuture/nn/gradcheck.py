@@ -33,7 +33,7 @@ def grad_check(op_closure, inputs) -> float:
     for t in inputs:
         if not isinstance(t, Tensor):
             raise TypeError("inputs must be Tensors")
-        t.zero_grad()
+        t.grad = None
     loss = op_closure(*inputs)
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")

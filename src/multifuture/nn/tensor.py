@@ -83,9 +83,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self):
-        self.grad = None
-
     # -- autodiff machinery -------------------------------------------------
 
     def backward(self):

@@ -27,6 +27,7 @@ __all__ = [
     "TrainConfig",
     "LossRecord",
     "TrainingDiverged",
+    "ZNORM_EPSILON",
     "z_normalize",
     "rmse",
     "nrmse",
@@ -38,6 +39,11 @@ __all__ = [
     "train_expert",
     "write_loss_trace",
 ]
+
+
+# The floor on a window's standard deviation when it is z-normalized: a
+# flat window normalizes to zeros instead of dividing by zero.
+ZNORM_EPSILON = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -56,11 +62,8 @@ class TrainConfig:
     batch_size: int = 64
     seed: int = 0
     learning_rate: float = 1e-3
-    znorm_epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.znorm_epsilon <= 0:
-            raise ValueError("znorm_epsilon must be positive")
         if self.n_iter < 0 or self.batch_size < 1:
             raise ValueError("n_iter must be >= 0 and batch_size >= 1")
         if self.learning_rate <= 0:
@@ -78,8 +81,9 @@ class LossRecord:
     oracle_index_histogram: list[int]
 
 
-def z_normalize(series, epsilon: float = 1e-8, axis: int = 0) -> np.ndarray:
-    """Subtract the mean and divide by the epsilon-floored population std.
+def z_normalize(series, axis: int = 0) -> np.ndarray:
+    """Subtract the mean and divide by the population std, floored at
+    :data:`ZNORM_EPSILON`.
 
     The statistics are taken along ``axis`` (the time axis: 0 for
     time-major ``(n, d)`` series, -1 for feature-major ``(d, n_h)``
@@ -88,62 +92,68 @@ def z_normalize(series, epsilon: float = 1e-8, axis: int = 0) -> np.ndarray:
     arr = np.asarray(series, dtype=np.float64)
     mean = arr.mean(axis=axis, keepdims=True)
     std = arr.std(axis=axis, keepdims=True)
-    return (arr - mean) / np.maximum(std, epsilon)
+    return (arr - mean) / np.maximum(std, ZNORM_EPSILON)
 
 
 def rmse(pred, truth) -> float:
-    """Root mean squared error over all entries."""
+    """Root mean squared error over all entries: :func:`window_rmse` of the
+    two arrays viewed as one row each."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    return float(np.sqrt(np.mean((pred - truth) ** 2)))
+    return float(window_rmse(pred.reshape(1, -1), truth.reshape(1, -1)))
 
 
-def nrmse(shape_pred, truth, epsilon: float = 1e-8) -> float:
+def nrmse(shape_pred, truth) -> float:
     """RMSE between a shape prediction and the z-normalized ground truth.
 
     Both arguments are feature-major ``(d, n_h)``; only the truth is
     normalized (per dimension, along time).
     """
     truth = np.asarray(truth, dtype=np.float64)
-    return rmse(shape_pred, z_normalize(truth, epsilon, axis=-1))
+    return rmse(shape_pred, z_normalize(truth, axis=-1))
 
 
-def window_rmse(pred, truth) -> np.ndarray:
+def window_rmse(pred, truth):
     """RMSE over the last two axes, one value per leading index.
 
     ``truth`` is ``(d, n_h)`` or ``(batch, d, n_h)`` and broadcasts against
     the trailing axes of ``pred`` (for example ``(f, d, n_h)`` or
-    ``(f, batch, d, n_h)``).  The arithmetic runs in the inputs' dtype.
+    ``(f, batch, d, n_h)``).  An array ``pred`` gives an array, computed in
+    the inputs' dtype; a :class:`~multifuture.nn.tensor.Tensor` gives a
+    tensor in its dtype, connected to its graph.
     """
-    pred = np.asarray(pred)
+    if not isinstance(pred, Tensor):
+        pred = np.asarray(pred)
     truth = np.asarray(truth)
     if truth.ndim < 2 or pred.shape[pred.ndim - truth.ndim:] != truth.shape:
         raise ValueError(
             f"truth {truth.shape} does not match the trailing axes of "
             f"predictions {pred.shape}")
-    return np.sqrt(np.mean((pred - truth) ** 2, axis=(-2, -1)))
+    diff = pred - truth
+    mean_square = (diff * diff).mean(axis=(-2, -1))
+    return mean_square.sqrt() if isinstance(mean_square, Tensor) else np.sqrt(mean_square)
 
 
-def oracle_index(future_set: FutureSet, truth, epsilon: float = 1e-8) -> int:
+def oracle_index(future_set: FutureSet, truth) -> int:
     """1-based index of the future whose shape best matches the truth.
 
     The choice is made on shape predictions only; ties break toward the
     lowest index.
     """
-    truth_z = z_normalize(np.asarray(truth, dtype=np.float64), epsilon, axis=-1)
+    truth_z = z_normalize(np.asarray(truth, dtype=np.float64), axis=-1)
     return int(np.argmin(window_rmse(future_set.shape_preds, truth_z))) + 1
 
 
 def compute_loss(future_set: FutureSet, truth, i_oc: int,
-                 gamma: float = 1.0, epsilon: float = 1e-8) -> LossRecord:
+                 gamma: float = 1.0) -> LossRecord:
     """Evaluate the oracle loss of a prediction set at a given index."""
     if not 1 <= i_oc <= future_set.f:
         raise ValueError(f"i_oc {i_oc} out of range [1..{future_set.f}]")
     truth = np.asarray(truth, dtype=np.float64)
     r = rmse(future_set.futures[i_oc - 1], truth)
-    n = nrmse(future_set.shape_preds[i_oc - 1], truth, epsilon)
+    n = nrmse(future_set.shape_preds[i_oc - 1], truth)
     histogram = [0] * future_set.f
     histogram[i_oc - 1] = 1
     return LossRecord(
@@ -160,6 +170,8 @@ def _series_values(series) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"series values must be 2-D (n, d), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("series holds non-finite values")
     return arr
 
 
@@ -193,12 +205,6 @@ def sample_minibatch(series, n_p: int, n_h: int, n_b: int,
     return inputs, targets
 
 
-def _per_instance_error(pred: Tensor, target: np.ndarray) -> Tensor:
-    """sqrt(mean((pred - target)^2)) over the last two axes, as a tensor."""
-    diff = pred - Tensor(target)
-    return (diff * diff).mean(axis=(-2, -1)).sqrt()
-
-
 def train(series, model_config: ModelConfig, train_config: TrainConfig,
           progress: Callable[[LossRecord], None] | None = None,
           ) -> tuple[Forecaster, list[LossRecord]]:
@@ -212,7 +218,6 @@ def train(series, model_config: ModelConfig, train_config: TrainConfig,
     state = AdamState.init(params, learning_rate=train_config.learning_rate)
     rng = np.random.default_rng(train_config.seed)
     gamma = 0.0 if model_config.variant == "one_loss" else train_config.gamma
-    eps = train_config.znorm_epsilon
     cfg = model_config
     trace: list[LossRecord] = []
 
@@ -221,11 +226,11 @@ def train(series, model_config: ModelConfig, train_config: TrainConfig,
             series, cfg.n_p, cfg.n_h, train_config.batch_size, rng)
         truth = np.ascontiguousarray(
             targets.transpose(0, 2, 1)).astype(model.dtype)
-        truth_z = z_normalize(truth, eps, axis=-1).astype(model.dtype)
+        truth_z = z_normalize(truth, axis=-1).astype(model.dtype)
 
         fwd = model.forward_tensors(inputs)
-        rmse_rows = _per_instance_error(fwd.futures, truth)        # (f, batch)
-        nrmse_rows = _per_instance_error(fwd.shape_preds, truth_z)
+        rmse_rows = window_rmse(fwd.futures, truth)                # (f, batch)
+        nrmse_rows = window_rmse(fwd.shape_preds, truth_z)
         i_oc = nrmse_rows.data.argmin(axis=0)                     # 0-based, per row
         winners = np.arange(cfg.f)[:, None] == i_oc               # one-hot
         mask = Tensor(winners.astype(model.dtype))
@@ -282,14 +287,13 @@ def train_expert(series, model: Forecaster,
     params = classifier.parameters()
     state = AdamState.init(params, learning_rate=train_config.learning_rate)
     rng = np.random.default_rng(seed)
-    eps = train_config.znorm_epsilon
 
     for iteration in range(train_config.n_iter):
         inputs, targets = sample_minibatch(
             series, cfg.n_p, cfg.n_h, train_config.batch_size, rng)
         truth = np.ascontiguousarray(
             targets.transpose(0, 2, 1)).astype(model.dtype)
-        truth_z = z_normalize(truth, eps, axis=-1)
+        truth_z = z_normalize(truth, axis=-1)
         with no_grad():
             fwd = model.forward_tensors(inputs)
         labels = window_rmse(fwd.shape_preds.data, truth_z).argmin(axis=0)

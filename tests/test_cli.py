@@ -5,17 +5,10 @@ import json
 import os
 import re
 
-from datetime import timedelta
-
 import pytest
 
 from multifuture.cli import main
-from multifuture.data import load_csv, split_by_date
-from multifuture.evaluation import (
-    NearestNeighborBaseline,
-    RidgeBaseline,
-    evaluate_rolling,
-)
+from multifuture.data import load_csv
 
 SMALL_CONFIG = {
     "model": {"n_p": 48, "n_h": 24, "d": 4, "f": 2, "n_s": 8, "channels": 16},
@@ -180,31 +173,6 @@ class TestEvaluateAndPredict:
             assert report["f"] == 1
             assert report["oracle_rmse"] == pytest.approx(report["rmse"])
 
-    @pytest.mark.parametrize("name,cls", [("nn", NearestNeighborBaseline),
-                                          ("ridge", RidgeBaseline)])
-    def test_baseline_uses_run_znorm_epsilon(self, workdir, name, cls):
-        # An epsilon above every window's std floors both the shape
-        # predictions and the normalized truth, so a baseline built with
-        # the default floor reads a different NRMSE.
-        tmp_path, config = workdir
-        data_dir = _generate(workdir)
-        payload = json.loads(open(config).read())
-        payload["train"]["znorm_epsilon"] = 1e3
-        config_path = tmp_path / "eps.json"
-        config_path.write_text(json.dumps(payload))
-        out = tmp_path / "report_eps"
-        assert main(["evaluate", "--config", str(config_path), "--baseline",
-                     name, "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-
-        series = load_csv(data_dir / "merchant_0000.csv")
-        train_split, test_split = split_by_date(
-            series, series.start_timestamp + timedelta(hours=552),
-            warmup_hours=48)
-        expected = evaluate_rolling(cls(train_split, 48, 24, epsilon=1e3),
-                                    test_split, 48, 24, epsilon=1e3)
-        assert report["nrmse"] == pytest.approx(expected.nrmse, rel=1e-12)
-
     def test_predict_outputs_reconstruct(self, trained):
         tmp_path, config, checkpoint = trained
         input_csv = tmp_path / "data" / "merchant_0000.csv"
@@ -343,6 +311,7 @@ class TestConfigValidation:
         ("generator", "n_hours", 1000.0,
          "config.generator field 'n_hours' must be an integer"),
         ("split", "warmup_hours", "a", "config.split has unknown field 'warmup_hours'"),
+        ("train", "znorm_epsilon", 1e-8, "config.train has unknown field 'znorm_epsilon'"),
         ("paths", "data_dir", 5, "config.paths field 'data_dir' must be a string"),
         ("generator", "regimes", [{"amplitude": 1}, {"amplitude": "x"}],
          r"config.generator.regimes\[1\] field 'amplitude' must be a finite number"),
@@ -386,6 +355,21 @@ class TestConfigValidation:
         assert main(["train", "--config", str(bad)]) == 1
         assert "error: config.model: kernel must be odd, got 4" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["train"], ["evaluate", "--baseline", "ridge"]],
+                             ids=["train", "evaluate_baseline"])
+    def test_model_d_must_match_the_csv(self, workdir, capsys, command):
+        tmp_path, config = workdir
+        data_dir = _generate(workdir)
+        payload = json.loads(open(config).read())
+        payload["model"]["d"] = 3
+        bad = tmp_path / "d3.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main([*command, "--config", str(bad)]) == 1
+        assert (f"error: config.model.d is 3 but {data_dir / 'merchant_0000.csv'} "
+                "has 4 features") in capsys.readouterr().err
+        assert not (tmp_path / "report" / "report.json").exists()
 
     def test_integer_in_float_field_trains_identically(self, workdir):
         tmp_path, config = workdir

@@ -23,7 +23,15 @@ from multifuture.model import (
     FutureSet,
     ModelConfig,
 )
-from multifuture.training import nrmse, rmse, window_rmse, z_normalize
+from multifuture.nn import Tensor
+from multifuture.training import (
+    TrainConfig,
+    nrmse,
+    rmse,
+    train,
+    window_rmse,
+    z_normalize,
+)
 
 # Batched and single-window forwards differ only in float32 GEMM rounding.
 # Over 28 windows, the six variants and five seeds, the largest measured
@@ -51,17 +59,23 @@ class StubPredictor:
         return [self.predict_futures(w) for w in windows]
 
 
-def per_window_report(predictor, test, n_p, n_h, epsilon=1e-8):
-    """Reference: the rolling evaluation as one predict_futures call per window."""
+def _scores(pred, truth, wrap):
+    """``window_rmse`` of ``wrap(pred)`` as a list; a tensor result is unwrapped."""
+    errors = window_rmse(wrap(pred), truth)
+    return (errors.data if isinstance(errors, Tensor) else errors).tolist()
+
+
+def per_window_report(predictor, test, n_p, n_h, wrap=np.asarray):
+    """Reference: the rolling evaluation as one predict_futures call per window,
+    with each window's predictions scored as ``wrap(predictions)``."""
     values = test.values
     records = []
     for w in range((len(values) - n_p) // n_h):
         start = w * n_h
         futures = predictor.predict_futures(values[start:start + n_p])
         truth = values[start + n_p:start + n_p + n_h].T
-        rmses = window_rmse(futures.futures, truth).tolist()
-        nrmses = window_rmse(futures.shape_preds,
-                             z_normalize(truth, epsilon, axis=-1)).tolist()
+        rmses = _scores(futures.futures, truth, wrap)
+        nrmses = _scores(futures.shape_preds, z_normalize(truth, axis=-1), wrap)
         records.append(WindowRecord(w, start + n_p, int(np.argmin(nrmses)) + 1,
                                     rmses, nrmses))
     return EvalReport(
@@ -206,7 +220,10 @@ class TestBatchedServing:
         baseline = NearestNeighborBaseline(train, 72, 24)
         report, predictions = evaluate_rolling(baseline, test, 72, 24,
                                                collect_predictions=True)
-        assert report.to_json() == per_window_report(baseline, test, 72, 24).to_json()
+        # window_rmse on tensors gives the bits it gives on arrays
+        for wrap in (np.asarray, Tensor):
+            assert report.to_json() == \
+                per_window_report(baseline, test, 72, 24, wrap).to_json()
         for w, (truth, fs) in enumerate(predictions):
             start = w * 24 + 72
             single = baseline.predict_futures(test.values[start - 72:start])
@@ -287,11 +304,17 @@ class TestNearestNeighbor:
         with pytest.raises(ValueError, match="shorter"):
             NearestNeighborBaseline(np.ones((30, 2)), 24, 12)
 
-    def test_non_finite_history_raises(self):
+    @pytest.mark.parametrize("fit", [
+        lambda values: NearestNeighborBaseline(values, 12, 6),
+        lambda values: RidgeBaseline(values, 12, 6),
+        lambda values: train(values, ModelConfig(n_p=12, n_h=6, d=2, n_s=4, channels=4),
+                             TrainConfig(n_iter=1, batch_size=2)),
+    ], ids=["nearest_neighbor", "ridge", "train"])
+    def test_non_finite_history_raises(self, fit):
         values = np.ones((60, 2))
         values[7, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            NearestNeighborBaseline(values, 12, 6)
+            fit(values)
 
     # Adversarial cases for the bound-then-recheck scan: each must pick the
     # loop-built scan's and the vectorised full scan's window exactly.
@@ -390,7 +413,7 @@ class TestRidge:
         model = RidgeBaseline(values, n_p=48, n_h=12, lam=1e-8)
         errors = []
         for start in range(0, 300, 17):
-            pred = model.predict_raw(values[start:start + 48])
+            pred = model.predict_futures(values[start:start + 48]).futures[0]
             truth = values[start + 48:start + 60].T
             errors.append(rmse(pred, truth))
         assert np.mean(errors) < 1e-4
@@ -426,7 +449,7 @@ class TestRidge:
         n_windows = len(values) - n_p - n_h + 1
         y = np.stack([values[w + n_p:w + n_p + n_h].reshape(-1)
                       for w in range(n_windows)])
-        pred = model.predict_raw(values[:n_p])
+        pred = model.predict_futures(values[:n_p]).futures[0]
         np.testing.assert_allclose(pred.T.reshape(-1), y.mean(axis=0),
                                    rtol=1e-4, atol=1e-6)
 

@@ -15,14 +15,13 @@ from multifuture.model import (
     check_windows,
     combine,
     count_parameters,
-    encoder_length_schedule,
     scale_forward,
     shape_decoder_forward,
     shape_encoder_forward,
 )
 from multifuture.nn import Tensor, grad_check, no_grad, ops
 from multifuture.persistence import load_shape_banks, save_shape_banks
-from multifuture.training import _per_instance_error, z_normalize
+from multifuture.training import window_rmse, z_normalize
 
 SMALL = dict(n_p=16, n_h=8, d=2, f=2, n_s=4, channels=8)
 
@@ -42,9 +41,6 @@ class TestModelConfig:
         assert ModelConfig(n_p=2).encoder_blocks == 1
         assert ModelConfig(n_p=255).encoder_blocks == 7
         assert ModelConfig(n_p=256).encoder_blocks == 8
-
-    def test_length_schedule_168(self):
-        assert encoder_length_schedule(168) == [84, 42, 21, 10, 5, 2, 1]
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
@@ -377,12 +373,11 @@ class TestTConvDecoder:
 
         def oracle_loss(*_):
             fwd = model._forward(x)
-            nrmse_rows = _per_instance_error(fwd.shape_preds, truth_z)
+            nrmse_rows = window_rmse(fwd.shape_preds, truth_z)
             i_oc = nrmse_rows.data.argmin(axis=0)
             winners.append(set(i_oc.tolist()))
             mask = Tensor((np.arange(cfg.f)[:, None] == i_oc).astype(np.float64))
-            return (mask * (_per_instance_error(fwd.futures, truth)
-                            + nrmse_rows)).sum()
+            return (mask * (window_rmse(fwd.futures, truth) + nrmse_rows)).sum()
 
         tensors = [x] + [t for p in model.parameters() for t in p.tensors()]
         assert grad_check(oracle_loss, tensors) < 1e-3  # criterion 1's bound
