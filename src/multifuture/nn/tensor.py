@@ -140,15 +140,6 @@ class Tensor:
 
         return _from_op(out_data, (self, other), bwd)
 
-    def __rsub__(self, other):
-        return _as_tensor(other, self.dtype) - self
-
-    def __neg__(self):
-        def bwd(g):
-            _accumulate(self, -g)
-
-        return _from_op(-self.data, (self,), bwd)
-
     def __mul__(self, other):
         other = _as_tensor(other, self.dtype)
         out_data = self.data * other.data
@@ -160,11 +151,6 @@ class Tensor:
         return _from_op(out_data, (self, other), bwd)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise TypeError("only division by a plain scalar is supported")
-        return self * (1.0 / float(scalar))
 
     def __matmul__(self, other):
         if not isinstance(other, Tensor):

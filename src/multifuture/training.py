@@ -205,6 +205,48 @@ def sample_minibatch(series, n_p: int, n_h: int, n_b: int,
     return inputs, targets
 
 
+def _oracle_batch_loss(fwd, truth, gamma: float, iteration: int):
+    """A forward pass's oracle loss against the ``(batch, d, n_h)`` truth:
+    the loss tensor, which routes each row to its winning future only, and
+    the iteration's :class:`LossRecord`."""
+    truth_z = z_normalize(truth, axis=-1).astype(truth.dtype)
+    rmse_rows = window_rmse(fwd.futures, truth)                # (f, batch)
+    nrmse_rows = window_rmse(fwd.shape_preds, truth_z)
+    i_oc = nrmse_rows.data.argmin(axis=0)                     # 0-based, per row
+    winners = np.arange(len(rmse_rows.data))[:, None] == i_oc  # one-hot
+    mask = Tensor(winners.astype(truth.dtype))
+
+    loss = (mask * rmse_rows).sum()
+    if gamma != 0.0:
+        loss = loss + gamma * (mask * nrmse_rows).sum()
+    # Per-future float32 sums added in future order; a non-finite
+    # error in any future, winning or not, makes the total non-finite.
+    rmse_term = sum(map(float, (rmse_rows.data * winners).sum(axis=1)), 0.0)
+    nrmse_term = sum(map(float, (nrmse_rows.data * winners).sum(axis=1)), 0.0)
+    return loss, LossRecord(iteration, rmse_term + gamma * nrmse_term, rmse_term,
+                            nrmse_term, winners.sum(axis=1).tolist())
+
+
+def _fit(series, params, config: ModelConfig, train_config: TrainConfig,
+         seed: int, loss_of):
+    """Step Adam on ``loss_of(inputs, truth) -> (loss, total)`` over seeded
+    mini-batches, with float32 ``(batch, d, n_h)`` truth; yield after each
+    step, or raise :class:`TrainingDiverged` on a non-finite total."""
+    state = AdamState.init(params, learning_rate=train_config.learning_rate)
+    rng = np.random.default_rng(seed)
+    for iteration in range(train_config.n_iter):
+        inputs, targets = sample_minibatch(
+            series, config.n_p, config.n_h, train_config.batch_size, rng)
+        truth = np.ascontiguousarray(targets.transpose(0, 2, 1), dtype=np.float32)
+        loss, total = loss_of(inputs, truth)
+        if not np.isfinite(total):
+            raise TrainingDiverged(
+                f"non-finite loss {total} at iteration {iteration} (seed={seed})")
+        loss.backward()
+        adam_step(params, state)
+        yield
+
+
 def train(series, model_config: ModelConfig, train_config: TrainConfig,
           progress: Callable[[LossRecord], None] | None = None,
           ) -> tuple[Forecaster, list[LossRecord]]:
@@ -214,53 +256,19 @@ def train(series, model_config: ModelConfig, train_config: TrainConfig,
     whole run is a deterministic function of (series, configs).
     """
     model = Forecaster(model_config, seed=train_config.seed)
-    params = model.parameters()
-    state = AdamState.init(params, learning_rate=train_config.learning_rate)
-    rng = np.random.default_rng(train_config.seed)
     gamma = 0.0 if model_config.variant == "one_loss" else train_config.gamma
-    cfg = model_config
     trace: list[LossRecord] = []
 
-    for iteration in range(train_config.n_iter):
-        inputs, targets = sample_minibatch(
-            series, cfg.n_p, cfg.n_h, train_config.batch_size, rng)
-        truth = np.ascontiguousarray(
-            targets.transpose(0, 2, 1)).astype(model.dtype)
-        truth_z = z_normalize(truth, axis=-1).astype(model.dtype)
-
-        fwd = model.forward_tensors(inputs)
-        rmse_rows = window_rmse(fwd.futures, truth)                # (f, batch)
-        nrmse_rows = window_rmse(fwd.shape_preds, truth_z)
-        i_oc = nrmse_rows.data.argmin(axis=0)                     # 0-based, per row
-        winners = np.arange(cfg.f)[:, None] == i_oc               # one-hot
-        mask = Tensor(winners.astype(model.dtype))
-
-        loss = (mask * rmse_rows).sum()
-        if gamma != 0.0:
-            loss = loss + gamma * (mask * nrmse_rows).sum()
-        # Per-future float32 sums added in future order; a non-finite
-        # error in any future, winning or not, makes the total non-finite.
-        rmse_term = sum(map(float, (rmse_rows.data * winners).sum(axis=1)), 0.0)
-        nrmse_term = sum(map(float, (nrmse_rows.data * winners).sum(axis=1)), 0.0)
-        total = rmse_term + gamma * nrmse_term
-        if not np.isfinite(total):
-            raise TrainingDiverged(
-                f"non-finite loss {total} at iteration {iteration} "
-                f"(rmse={rmse_term}, nrmse={nrmse_term}, seed={train_config.seed})"
-            )
-        loss.backward()
-        adam_step(params, state)
-
-        record = LossRecord(
-            iteration=iteration,
-            total_loss=total,
-            rmse_term=rmse_term,
-            nrmse_term=nrmse_term,
-            oracle_index_histogram=np.bincount(i_oc, minlength=cfg.f).tolist(),
-        )
+    def loss_of(inputs, truth):
+        loss, record = _oracle_batch_loss(
+            model.forward_tensors(inputs), truth, gamma, len(trace))
         trace.append(record)
+        return loss, record.total_loss
+
+    for _ in _fit(series, model.parameters(), model_config, train_config,
+                  train_config.seed, loss_of):
         if progress is not None:
-            progress(record)
+            progress(trace[-1])
     return model, trace
 
 
@@ -277,33 +285,23 @@ def train_expert(series, model: Forecaster,
     seed plus one, so its weights do not replay the forecaster's
     initialization stream.
     """
-    cfg = model.config
     train_config = train_config or TrainConfig()
     seed = train_config.seed + 1
-    classifier = ExpertClassifier(cfg, seed=seed)
-    if cfg.f == 1:
+    classifier = ExpertClassifier(model.config, seed=seed)
+    if model.config.f == 1:
         return classifier
 
-    params = classifier.parameters()
-    state = AdamState.init(params, learning_rate=train_config.learning_rate)
-    rng = np.random.default_rng(seed)
-
-    for iteration in range(train_config.n_iter):
-        inputs, targets = sample_minibatch(
-            series, cfg.n_p, cfg.n_h, train_config.batch_size, rng)
-        truth = np.ascontiguousarray(
-            targets.transpose(0, 2, 1)).astype(model.dtype)
-        truth_z = z_normalize(truth, axis=-1)
+    def loss_of(inputs, truth):
         with no_grad():
             fwd = model.forward_tensors(inputs)
-        labels = window_rmse(fwd.shape_preds.data, truth_z).argmin(axis=0)
-
+        labels = window_rmse(fwd.shape_preds.data,
+                             z_normalize(truth, axis=-1)).argmin(axis=0)
         loss = ops.cross_entropy(classifier.forward_logits(inputs), labels)
-        if not np.isfinite(float(loss.data)):
-            raise TrainingDiverged(
-                f"non-finite classifier loss at iteration {iteration}")
-        loss.backward()
-        adam_step(params, state)
+        return loss, float(loss.data)
+
+    for _ in _fit(series, classifier.parameters(), model.config, train_config,
+                  seed, loss_of):
+        pass
     return classifier
 
 

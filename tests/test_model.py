@@ -21,7 +21,7 @@ from multifuture.model import (
 )
 from multifuture.nn import Tensor, grad_check, no_grad, ops
 from multifuture.persistence import load_shape_banks, save_shape_banks
-from multifuture.training import window_rmse, z_normalize
+from multifuture.training import _oracle_batch_loss
 
 SMALL = dict(n_p=16, n_h=8, d=2, f=2, n_s=4, channels=8)
 
@@ -356,7 +356,7 @@ class TestTConvDecoder:
                          variant="tconv_decoder")
 
     def test_oracle_loss_gradient(self):
-        # the training loss on a float64 model; with two rows and three
+        # the loss train runs, on a float64 model; with two rows and three
         # futures, at least one future wins no row and gets no gradient
         cfg = replace(self.CONFIG, n_p=8, channels=4)
         model = Forecaster(cfg, seed=1, dtype=np.float64)
@@ -368,16 +368,13 @@ class TestTConvDecoder:
             p.bias.data[:] = rng.standard_normal(p.bias.shape) * 0.1
         x = Tensor(rng.standard_normal((2, cfg.n_p, cfg.d)), requires_grad=True)
         truth = rng.standard_normal((2, cfg.d, cfg.n_h))
-        truth_z = z_normalize(truth, axis=-1)
         winners = []
 
         def oracle_loss(*_):
-            fwd = model._forward(x)
-            nrmse_rows = window_rmse(fwd.shape_preds, truth_z)
-            i_oc = nrmse_rows.data.argmin(axis=0)
-            winners.append(set(i_oc.tolist()))
-            mask = Tensor((np.arange(cfg.f)[:, None] == i_oc).astype(np.float64))
-            return (mask * (window_rmse(fwd.futures, truth) + nrmse_rows)).sum()
+            loss, record = _oracle_batch_loss(model._forward(x), truth, 1.0, 0)
+            winners.append({i for i, n in enumerate(record.oracle_index_histogram)
+                            if n})
+            return loss
 
         tensors = [x] + [t for p in model.parameters() for t in p.tensors()]
         assert grad_check(oracle_loss, tensors) < 1e-3  # criterion 1's bound

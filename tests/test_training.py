@@ -1,5 +1,6 @@
 """Tests for normalization, the oracle loss, batching, and the train loop."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -287,6 +288,25 @@ class TestTrain:
             train(series, ModelConfig(**SMALL_MODEL),
                   TrainConfig(n_iter=3, batch_size=4, seed=0))
 
+    @pytest.mark.parametrize("trainer", ["train", "train_expert"])
+    def test_exploding_step_raises_diverged_naming_iteration_and_seed(self, trainer):
+        # iteration 0 is finite; its 1e20-sized Adam step makes iteration 1's
+        # loss NaN in either trainer
+        series = _tiny_series()
+        cfg = ModelConfig(**SMALL_MODEL)
+        exploding = TrainConfig(n_iter=3, batch_size=4, seed=0, learning_rate=1e20)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
+            if trainer == "train":
+                train(series, cfg, exploding)
+            else:
+                model, _ = train(series, cfg, TrainConfig(n_iter=2, batch_size=4, seed=0))
+                train_expert(series, model, exploding)
+        message = str(err.value)
+        assert "at iteration 1 " in message
+        assert "non-finite loss nan" in message
+        # the expert's classifier is seeded with the training seed plus one
+        assert f"seed={0 if trainer == 'train' else 1}" in message
+
     @pytest.mark.parametrize("variant", ["shared_encoder", "non_separated",
                                          "model_ensemble"])
     def test_variants_train(self, variant):
@@ -306,6 +326,23 @@ class TestTrainExpert:
                            train_config=TrainConfig(n_iter=50, seed=0))
         np.testing.assert_allclose(
             clf.predict_proba(_tiny_series().values[:16]), [1.0])
+
+    def test_parameters_and_probabilities_pinned(self):
+        # seed-0 classifier bits after 12 steps against a 4-step f=3 model
+        series = _tiny_series()
+        model, _ = train(series, ModelConfig(**{**SMALL_MODEL, "f": 3}),
+                         TrainConfig(n_iter=4, batch_size=8, seed=0))
+        clf = train_expert(series, model,
+                           train_config=TrainConfig(n_iter=12, batch_size=8, seed=0))
+        digest = hashlib.sha256()
+        for params in clf.parameters():
+            for name, t in params.named_tensors():
+                digest.update(name.encode())
+                digest.update(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+        digest.update(np.ascontiguousarray(
+            clf.predict_proba(series.values[:16]), dtype="<f8").tobytes())
+        assert digest.hexdigest() == (
+            "1a42937b877c80942931b4a0a28ba3c3543a769c960fc9286b18c7c7f7122519")
 
     def test_learns_persistent_regimes(self):
         # switching is rare, so the current regime (visible in the input)
