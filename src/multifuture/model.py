@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .nn import ops
-from .nn.layers import LayerParams, Take, initializer
+from .nn.layers import LayerParams, StackedGroup, Take, initializer, stack
 from .nn.tensor import Tensor, concat, no_grad
 
 __all__ = [
@@ -195,37 +195,35 @@ class BankShapeDecoder:
     """Softmax-regression mixtures over per-feature template banks, for all
     ``f`` futures at once.
 
-    Future ``i``'s feature ``j`` has regressor ``regressors[i][j]`` and
-    bias-free bank ``banks[i][j]``, named ``{name}{i}.regressor{j}`` and
-    ``{name}{i}.bank{j}``; a bank's ``weight`` holds ``n_s`` templates of
+    Future ``i``'s feature ``j`` has a regressor and a bias-free bank named
+    ``{name}{i}.regressor{j}`` and ``{name}{i}.bank{j}``, slice ``i * d + j``
+    of ``regressors`` and of ``banks``; a bank holds ``n_s`` templates of
     length ``n_h``.  The ``f * d`` regressors run as one kernel-1
     :func:`~multifuture.nn.ops.stacked_conv` and the mixtures as one
     :func:`~multifuture.nn.ops.stacked_matmul`.
     """
 
     def __init__(self, name: str, config: ModelConfig, take: Take):
-        self.d = d = config.d
-        self.regressors, self.banks = map(list, zip(*[(  # drawn future by future
-            [take(f"{name}{i}.regressor{j}", (config.n_s, config.channels))
-             for j in range(d)],
-            [take(f"{name}{i}.bank{j}", (config.n_s, config.n_h), bias=False)
-             for j in range(d)]) for i in range(config.f)]))
+        self.name, self.f, self.d = name, config.f, config.d
+        per_future = [([take(f"{name}{i}.regressor{j}", (config.n_s, config.channels))
+                        for j in range(config.d)],
+                       [take(f"{name}{i}.bank{j}", (config.n_s, config.n_h), bias=False)
+                        for j in range(config.d)])
+                      for i in range(config.f)]  # drawn future by future
+        self.regressors, self.banks = (stack([p for future in layer for p in future])
+                                       for layer in zip(*per_future))
 
     def forward(self, z: Tensor) -> tuple[Tensor, Tensor]:
         """(batch, 1, channels) -> shape predictions (f, batch, d, n_h),
         activations (f, batch, d, n_s)."""
-        regressors = [p for future in self.regressors for p in future]
-        logits = ops.stacked_conv(z, [p.weight for p in regressors],
-                                  [p.bias for p in regressors])
-        r = ops.softmax(logits.reshape(len(regressors), z.shape[0], -1))
-        alpha = ops.stacked_matmul(r, [b.weight for future in self.banks
-                                       for b in future])
+        logits = ops.stacked_conv(z, self.regressors.weight, self.regressors.bias)
+        r = ops.softmax(logits.reshape(-1, z.shape[0], logits.shape[-1]))
+        alpha = ops.stacked_matmul(r, self.banks.weight)
         return tuple(t.reshape(-1, self.d, *t.shape[1:]).swapaxes(1, 2)
                      for t in (alpha, r))
 
-    def layer_params(self) -> list[LayerParams]:
-        return [p for regs, banks in zip(self.regressors, self.banks)
-                for p in regs + banks]
+    def layer_params(self) -> list[StackedGroup]:
+        return [StackedGroup(self.name, [self.regressors, self.banks], self.f)]
 
 
 class TConvShapeDecoder:
@@ -239,37 +237,38 @@ class TConvShapeDecoder:
     to the output horizon.  Every layer runs as one
     :func:`~multifuture.nn.ops.stacked_conv` over a leading future axis, on
     channels-last data; the transposed convolutions run as the equal
-    kernel-reversed "same" convolutions.  Each future keeps its own
+    kernel-reversed "same" convolutions.  Each future has its own
     parameters, named ``{name}{i}.input_linear``, ``{name}{i}.tconv{b}`` and
-    ``{name}{i}.output_conv`` and drawn future by future.
+    ``{name}{i}.output_conv`` and drawn future by future; ``layers[l]``
+    stores layer ``l`` of every future as one tensor.
     """
 
     def __init__(self, name: str, config: ModelConfig, take: Take):
-        self.n_h = config.n_h
+        self.name, self.f, self.n_h = name, config.f, config.n_h
         c, k = config.channels, config.kernel
         per_future = [[take(f"{name}{i}.input_linear", (c, c)),
                        *[take(f"{name}{i}.tconv{b}", (c, c, k))
                          for b in range(_TCONV_BLOCKS)],
                        take(f"{name}{i}.output_conv", (config.d, c, k))]
                       for i in range(config.f)]
-        # layers[l][i] is future i's layer l
-        self.layers = [list(layer) for layer in zip(*per_future)]
+        *hidden, output = zip(*per_future)
+        # layers[l] is layer l of every future; the hidden layers' kernels
+        # are stored reversed (a linear map has none to reverse)
+        self.layers = [stack(layer, flip=True) for layer in hidden] + [stack(output)]
 
     def length_schedule(self) -> list[int]:
         return [2 ** b for b in range(_TCONV_BLOCKS)] + [self.n_h]
 
     def forward(self, z: Tensor) -> tuple[Tensor, None]:
         """(batch, 1, channels) -> shape predictions (f, batch, d, n_h)."""
-        *hidden, output = [([p.weight for p in layer], [p.bias for p in layer])
-                           for layer in self.layers]
-        # a linear layer is a kernel-1 conv, so flipping leaves it as it is
-        for (weights, biases), length in zip(hidden, self.length_schedule()):
-            z = ops.stacked_conv(z, weights, biases, length, flip=True, relu=True)
-        alpha = ops.stacked_conv(z, *output)  # (f, batch, n_h, d)
+        *hidden, output = self.layers
+        for layer, length in zip(hidden, self.length_schedule()):
+            z = ops.stacked_conv(z, layer.weight, layer.bias, length, relu=True)
+        alpha = ops.stacked_conv(z, output.weight, output.bias)  # (f, batch, n_h, d)
         return alpha.swapaxes(2, 3), None
 
-    def layer_params(self) -> list[LayerParams]:
-        return [p for future in zip(*self.layers) for p in future]
+    def layer_params(self) -> list[StackedGroup]:
+        return [StackedGroup(self.name, self.layers, self.f)]
 
 
 class ScaleDecoder:
@@ -278,18 +277,17 @@ class ScaleDecoder:
     :func:`~multifuture.nn.ops.stacked_conv`."""
 
     def __init__(self, name: str, config: ModelConfig, take: Take):
-        self.d = config.d
-        self.linears = [take(f"{name}{i}.linear", (2 * config.d, config.channels))
-                        for i in range(config.f)]
+        self.name, self.f, self.d = name, config.f, config.d
+        self.linears = stack([take(f"{name}{i}.linear", (2 * config.d, config.channels))
+                              for i in range(config.f)])
 
     def forward(self, z: Tensor) -> tuple[Tensor, Tensor]:
         """(batch, 1, channels) -> multiplier (f, batch, d), offset (f, batch, d)."""
-        out = ops.stacked_conv(z, [p.weight for p in self.linears],
-                               [p.bias for p in self.linears])
+        out = ops.stacked_conv(z, self.linears.weight, self.linears.bias)
         return out[:, :, 0, :self.d], out[:, :, 0, self.d:]
 
-    def layer_params(self) -> list[LayerParams]:
-        return list(self.linears)
+    def layer_params(self) -> list[StackedGroup]:
+        return [StackedGroup(self.name, [self.linears], self.f)]
 
 
 class Member(NamedTuple):
@@ -314,7 +312,7 @@ class Member(NamedTuple):
                    None if config.variant == "non_separated"
                    else ScaleDecoder("scale_decoder", config, take))
 
-    def layer_params(self) -> list[LayerParams]:
+    def layer_params(self) -> list[LayerParams | StackedGroup]:
         modules = self[1:] if self.scale_encoder is self.shape_encoder else self
         return [p for m in modules if m is not None for p in m.layer_params()]
 
@@ -372,18 +370,20 @@ class Forecaster:
 
     # -- parameters ---------------------------------------------------------
 
-    def parameters(self) -> list[LayerParams]:
-        """All trainable parameter bundles in a stable, serializable order."""
+    def parameters(self) -> list[LayerParams | StackedGroup]:
+        """All trainable parameters in a stable, serializable order: each
+        encoder layer's bundle and one group per decoder."""
         out = [p for member in self.members for p in member.layer_params()]
-        names = [p.name for p in out]
+        names = [name for p in out for name, _ in p.named_tensors()]
         if len(set(names)) != len(names):
             raise ValueError("parameter names are not unique within the model")
         return out
 
     def shape_banks(self) -> list[LayerParams]:
-        return [bank for member in self.members
+        """Every bank as a view of its decoder's stack, in checkpoint order."""
+        return [member.shape_decoder.banks.slice(g) for member in self.members
                 if isinstance(member.shape_decoder, BankShapeDecoder)
-                for banks in member.shape_decoder.banks for bank in banks]
+                for g in range(len(member.shape_decoder.banks.names))]
 
     # -- forward passes -------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 Every function here takes plain :class:`~multifuture.nn.tensor.Tensor`
 weights; the models pass the ``weight`` and ``bias`` of a
-:class:`~multifuture.nn.layers.LayerParams` bundle.
+:class:`~multifuture.nn.layers.LayerParams` bundle or, for the stacked
+ops, of a :class:`~multifuture.nn.layers.StackedLayer`.
 
 The reference convolution and pooling ops accept either an unbatched
 ``(channels, length)`` input or a batched ``(batch, channels, length)``
@@ -16,9 +17,11 @@ of its futures at once, each with its own weights, on a leading axis:
 :func:`stacked_conv` runs one layer per future as one batched GEMM (the
 tconv decoder's layers and, as kernel-1 convolutions, the bank decoders'
 regressors and the scale decoders' linear maps), and
-:func:`stacked_matmul` mixes the bank decoders' templates.  Their backward
-passes skip what gets no gradient, so under an oracle loss only each
-row's winning future does backward work.  :func:`conv1d`,
+:func:`stacked_matmul` mixes the bank decoders' templates.  Both read one
+``(f, ...)`` weight tensor already stored in their GEMM's layout, so a
+call copies no weights.  Their backward passes skip what gets no
+gradient, so under an oracle loss only each row's winning future does
+backward work.  :func:`conv1d`,
 :func:`tconv1d`, :func:`relu`, :func:`upsample_nearest` and the tensor
 ``@`` are the reference they are tested against.
 """
@@ -310,55 +313,57 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
     return _from_op(out, (x, weight, bias), bwd)
 
 
-def stacked_conv(x: Tensor, weights, biases, out_length: int | None = None, *,
-                 flip: bool = False, relu: bool = False) -> Tensor:
+def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
+                 out_length: int | None = None, *, relu: bool = False) -> Tensor:
     """One convolution layer per future, run as one batched GEMM.
 
-    ``weights`` and ``biases`` hold one tensor per future ``j``: a
-    ``(channels_out, channels_in, kernel)`` conv weight with an odd kernel,
-    or a ``(channels_out, channels_in)`` linear weight (a kernel of 1), and
-    a ``(channels_out,)`` bias.  ``x`` is channels-last
+    ``weight`` holds every future's weight, in the layout the GEMM reads:
+    ``(f, kernel, channels_in, channels_out)`` for a convolution with an
+    odd kernel, where ``weight[j, k, c, o]`` multiplies input channel ``c``
+    at offset ``k - kernel // 2``, or ``(f, channels_out, channels_in)``
+    for linear maps (a kernel of 1), read through a transposed view.
+    ``bias`` is ``(f, channels_out)``.  ``x`` is channels-last
     ``(f, batch, length, channels_in)``, or ``(batch, length, channels_in)``
     fed to every future.  Future ``j`` runs a length-preserving
     cross-correlation (zero padding ``kernel // 2``) plus its bias, then a
     ReLU if ``relu``, then nearest upsampling to ``out_length`` (default
     ``length``; index ``t`` reads ``floor(t * length / out_length)``).  The
-    output is ``(f, batch, out_length, channels_out)``.  ``flip`` reverses
-    each kernel, which makes the convolution equal to :func:`tconv1d`
-    cropped by ``kernel // 2`` at both ends, so ``flip`` and ``relu``
-    together give ``upsample_nearest(relu(tconv1d(...)[crop:-crop]))``.
+    output is ``(f, batch, out_length, channels_out)``.  A weight stored
+    with reversed kernels makes the convolution :func:`tconv1d` cropped by
+    ``kernel // 2`` at both ends.
 
     The backward pass keeps only the (future, row) pairs whose output
     gradient is not all zero, and runs one GEMM per future that has any
-    for its weight and input gradients.  A future with none accumulates
-    nothing, so under an oracle loss only the winning decoder of each row
-    does backward work.  This relies only on each output row reading its
-    own input row, never on the loss.  A shared input adds the futures'
-    gradients one at a time, in order, as ``f`` separate layers would.
+    for its weight and input gradients.  A future with none gets an
+    exactly-zero slice of the weight and bias gradients, so under an
+    oracle loss only the winning decoder of each row does backward work.
+    This relies only on each output row reading its own input row, never
+    on the loss.  A shared input adds the futures' gradients one at a
+    time, in order, as ``f`` separate layers would.
     """
-    xd = x.data
-    f = len(weights)
-    if len(biases) != f:
-        raise ValueError(f"{f} weights but {len(biases)} biases")
+    xd, wd = x.data, weight.data
+    f = wd.shape[0]
+    linear = wd.ndim == 3
+    if wd.ndim not in (3, 4):
+        raise ValueError(f"expected an (f, c_out, c_in) or (f, kernel, c_in, c_out) "
+                         f"weight, got shape {wd.shape}")
+    c_out, kernel = (wd.shape[1], 1) if linear else (wd.shape[3], wd.shape[1])
+    if bias.shape != (f, c_out):
+        raise ValueError(f"expected a ({f}, {c_out}) bias, got shape {bias.shape}")
     shared = xd.ndim == 3
     if xd.ndim not in (3, 4) or (not shared and xd.shape[0] != f):
         raise ValueError(f"expected (batch, length, channels) or ({f}, batch, "
                          f"length, channels) input, got shape {xd.shape}")
     n, length, c_in = xd.shape[-3:]
-    w = np.stack([t.data for t in weights])
-    w = w.reshape(*w.shape[:3], -1)  # a linear weight has kernel 1
-    c_out, w_cin, kernel = w.shape[1:]
-    if c_in != w_cin:
-        raise ValueError(f"input has {c_in} channels but weight expects {w_cin}")
+    if c_in != wd.shape[2]:
+        raise ValueError(f"input has {c_in} channels but weight expects {wd.shape[2]}")
     if kernel % 2 == 0:
         raise ValueError(f"kernel must be odd, got {kernel}")
     out_length = length if out_length is None else out_length
     if out_length < length:
         raise ValueError(f"out_length {out_length} smaller than input length {length}")
     pad = kernel // 2
-    if flip:
-        w = w[..., ::-1]
-    w2 = w.transpose(0, 3, 2, 1).reshape(f, kernel * c_in, c_out)
+    w2 = wd.swapaxes(1, 2) if linear else wd.reshape(f, kernel * c_in, c_out)
 
     def padded(rows):
         xp = np.zeros((*rows.shape[:-2], length + 2 * pad, c_in), dtype=xd.dtype)
@@ -367,7 +372,7 @@ def stacked_conv(x: Tensor, weights, biases, out_length: int | None = None, *,
 
     z = np.matmul(_kernel_major_cols(padded(xd), kernel), w2)
     z = z.reshape(f, n, length, c_out)
-    z += np.stack([t.data for t in biases])[:, None, None, :]
+    z += bias.data[:, None, None, :]
     if relu:
         active = z > 0
         np.maximum(z, 0, out=z)
@@ -382,20 +387,19 @@ def stacked_conv(x: Tensor, weights, biases, out_length: int | None = None, *,
         if relu:
             gz *= active[fi, ri]
         cols = _kernel_major_cols(padded(xd[ri] if shared else xd[fi, ri]), kernel)
+        dw, db = np.zeros_like(wd), np.zeros_like(bias.data)
+        dw2 = dw.swapaxes(1, 2) if linear else dw.reshape(w2.shape)
         dcols = np.empty_like(cols) if x.requires_grad else None
         futures, starts = np.unique(fi, return_index=True)
         ends = [*starts[1:], fi.size]
         for j, lo, hi in zip(futures, starts, ends):
             gj = gz[lo:hi].reshape(-1, c_out)
-            if weights[j].requires_grad:
-                dw = (cols[lo * length:hi * length].T @ gj).reshape(
-                    kernel, c_in, c_out).transpose(2, 1, 0)
-                dw = dw[..., ::-1] if flip else dw
-                _accumulate(weights[j], dw.reshape(weights[j].data.shape))
-            if biases[j].requires_grad:
-                _accumulate(biases[j], gj.sum(axis=0), owned=True)
+            dw2[j] = cols[lo * length:hi * length].T @ gj
+            db[j] = gj.sum(axis=0)
             if dcols is not None:
                 np.matmul(gj, w2[j].T, out=dcols[lo * length:hi * length])
+        _accumulate(weight, dw, owned=True)
+        _accumulate(bias, db, owned=True)
         if dcols is None:
             return
         dxp = _kernel_major_uncols(dcols.reshape(fi.size, length, kernel, c_in))
@@ -404,17 +408,18 @@ def stacked_conv(x: Tensor, weights, biases, out_length: int | None = None, *,
             dx[(ri[lo:hi],) if shared else (fi, ri)] = dxp[lo:hi, pad:pad + length]
             _accumulate(x, dx, owned=True)
 
-    return _from_op(out, (x, *weights, *biases), bwd)
+    return _from_op(out, (x, weight, bias), bwd)
 
 
-def stacked_matmul(x: Tensor, weights) -> Tensor:
-    """``x[g] @ weights[g]`` for every group ``g``, as one batched GEMM of a
-    ``(groups, rows, inner)`` input and one ``(inner, cols)`` weight per group.
+def stacked_matmul(x: Tensor, weight: Tensor) -> Tensor:
+    """``x[g] @ weight[g]`` for every group ``g``, as one batched GEMM of a
+    ``(groups, rows, inner)`` input and a ``(groups, inner, cols)`` weight.
 
     The backward pass skips the groups whose output gradient is all zero,
-    and flushes tiny weight gradients as :func:`softmax` does.
+    leaving their weight-gradient slices exactly zero, and flushes tiny
+    weight gradients as :func:`softmax` does.
     """
-    xd, w = x.data, np.stack([t.data for t in weights])
+    xd, w = x.data, weight.data
     if xd.ndim != 3 or w.ndim != 3 or xd.shape[::2] != w.shape[:2]:
         raise ValueError(f"cannot multiply a {xd.shape} input by {len(w)} "
                          f"weights of shape {w.shape[1:]}")
@@ -425,11 +430,11 @@ def stacked_matmul(x: Tensor, weights) -> Tensor:
             dx = np.zeros_like(xd)
             dx[active] = np.matmul(g[active], w[active].swapaxes(1, 2))
             _accumulate(x, dx, owned=True)
-        dw = _flush_tiny(np.matmul(xd[active].swapaxes(1, 2), g[active]))
-        for k, dwk in zip(active, dw):
-            _accumulate(weights[k], dwk)
+        dw = np.zeros_like(w)
+        dw[active] = _flush_tiny(np.matmul(xd[active].swapaxes(1, 2), g[active]))
+        _accumulate(weight, dw, owned=True)
 
-    return _from_op(np.matmul(xd, w), (x, *weights), bwd)
+    return _from_op(np.matmul(xd, w), (x, weight), bwd)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

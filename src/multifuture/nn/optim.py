@@ -7,13 +7,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from .layers import LayerParams
+from .layers import LayerParams, StackedGroup
 from .tensor import Tensor
 
 __all__ = ["AdamState", "adam_step"]
 
 
-def _flatten(params: list[LayerParams]) -> list[Tensor]:
+def _flatten(params: list[LayerParams | StackedGroup]) -> list[Tensor]:
     return [t for p in params for t in p.tensors()]
 
 
@@ -30,7 +30,7 @@ class AdamState:
     epsilon: ClassVar[float] = 1e-8
 
     @classmethod
-    def init(cls, params: list[LayerParams],
+    def init(cls, params: list[LayerParams | StackedGroup],
              learning_rate: float = 1e-3) -> "AdamState":
         tensors = _flatten(params)
         return cls(
@@ -41,7 +41,8 @@ class AdamState:
         )
 
 
-def adam_step(params: list[LayerParams], state: AdamState) -> AdamState:
+def adam_step(params: list[LayerParams | StackedGroup],
+              state: AdamState) -> AdamState:
     """One in-place Adam update over ``params``; gradients are consumed.
 
     Every trainable tensor must carry a populated gradient.  After the

@@ -289,7 +289,8 @@ def load(directory):
 def load_shape_banks(model: Forecaster, directory) -> Forecaster:
     """Replace the model's bank templates from a shape-bank checkpoint.
 
-    Only the banks change; every other parameter is left untouched.
+    Only the banks change, written in place into the decoders' stacked
+    banks; every other parameter is left untouched.
     """
     manifest = _read_manifest(directory)
     if manifest.kind != "shape_banks":
@@ -308,5 +309,5 @@ def load_shape_banks(model: Forecaster, directory) -> Forecaster:
                 f"parameter {name!r} has shape {stored.shape}, expected "
                 f"{banks[name].data.shape}")
     for name, stored in arrays.items():
-        banks[name].data = stored.astype(banks[name].data.dtype)
+        banks[name].data[...] = stored
     return model

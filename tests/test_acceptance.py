@@ -240,12 +240,12 @@ def test_criterion_05_shape_bank_envelope():
         for _ in range(100):
             window = rng.standard_normal((cfg.n_p, cfg.d)) * 3
             fs = model.predict_futures(window)
-            for i, banks in enumerate(model.members[0].shape_decoder.banks):
-                for j, bank in enumerate(banks):
-                    lo = bank.weight.data.min(axis=0)
-                    hi = bank.weight.data.max(axis=0)
-                    assert np.all(fs.shape_preds[i, j] >= lo - 1e-6)
-                    assert np.all(fs.shape_preds[i, j] <= hi + 1e-6)
+            for g, bank in enumerate(model.shape_banks()):
+                i, j = divmod(g, cfg.d)
+                lo = bank.weight.data.min(axis=0)
+                hi = bank.weight.data.max(axis=0)
+                assert np.all(fs.shape_preds[i, j] >= lo - 1e-6)
+                assert np.all(fs.shape_preds[i, j] <= hi + 1e-6)
         c.detail = "100 random forwards"
 
 

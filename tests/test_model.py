@@ -106,8 +106,8 @@ class TestShapeDecoder:
         h = np.zeros(cfg.channels)
         alpha, r = shape_decoder_forward(model, h, 0)
         np.testing.assert_allclose(r, np.ones((cfg.d, 1)))
-        templates = np.stack(
-            [bank.weight.data for bank in model.members[0].shape_decoder.banks[0]])
+        # future 0's d banks
+        templates = model.members[0].shape_decoder.banks.weight.data[:cfg.d]
         np.testing.assert_allclose(alpha, templates[:, 0, :], rtol=1e-6)
 
     def test_hand_mixture(self):
@@ -117,12 +117,12 @@ class TestShapeDecoder:
         np.testing.assert_allclose(r @ s, [3.0, 1.0, 3.0])
         cfg = small_config(n_s=2, n_h=3, d=1)
         model = Forecaster(cfg, seed=0)
-        bank = model.members[0].shape_decoder.banks[0][0]
-        bank.weight.data = s.astype(np.float32)
+        bank = model.members[0].shape_decoder.banks.slice(0)
+        bank.weight.data[:] = s.astype(np.float32)
         h = np.zeros(cfg.channels)
         # zero h and zero regressor weights give uniform r; force the
         # regressor bias to produce [0.25, 0.75]
-        reg = model.members[0].shape_decoder.regressors[0][0]
+        reg = model.members[0].shape_decoder.regressors.slice(0)
         reg.weight.data[:] = 0
         reg.bias.data[:] = np.log([0.25, 0.75]).astype(np.float32)
         alpha, r_out = shape_decoder_forward(model, h, 0)
@@ -136,7 +136,7 @@ class TestShapeDecoder:
             h = np.random.default_rng(seed).standard_normal(cfg.channels)
             alpha, r = shape_decoder_forward(model, h, 1)
             np.testing.assert_allclose(r.sum(axis=-1), 1.0, atol=1e-6)
-            for j, bank in enumerate(model.members[0].shape_decoder.banks[1]):
+            for j, bank in enumerate(model.shape_banks()[cfg.d:2 * cfg.d]):
                 lo = bank.weight.data.min(axis=0)
                 hi = bank.weight.data.max(axis=0)
                 assert np.all(alpha[j] >= lo - 1e-6)
@@ -148,8 +148,8 @@ class TestScaleAndCombine:
         cfg = small_config()
         model = Forecaster(cfg, seed=0)
         dec = model.members[0].scale_decoder
-        dec.linears[0].weight.data[:] = 0
-        dec.linears[0].bias.data[:] = 0
+        dec.linears.slice(0).weight.data[:] = 0
+        dec.linears.slice(0).bias.data[:] = 0
         mul, add = scale_forward(model, random_window(cfg), 0)
         np.testing.assert_allclose(mul, np.zeros(cfg.d))
         np.testing.assert_allclose(add, np.zeros(cfg.d))
@@ -168,8 +168,8 @@ class TestScaleAndCombine:
         with no_grad():
             x = Tensor(check_windows(window, cfg.n_p, cfg.d, model.dtype))
             h = model.members[0].scale_encoder.forward(x).data[0]
-        w = model.members[0].scale_decoder.linears[0].weight.data
-        b = model.members[0].scale_decoder.linears[0].bias.data
+        w = model.members[0].scale_decoder.linears.slice(0).weight.data
+        b = model.members[0].scale_decoder.linears.slice(0).bias.data
         expected = np.array([
             sum(w[o, i] * h[i] for i in range(w.shape[1])) + b[o]
             for o in range(w.shape[0])
@@ -344,11 +344,11 @@ class TestInterpretabilityContract:
         model = Forecaster(cfg, seed=2)
         window = random_window(cfg, 7)
         fs = model.predict_futures(window)
-        for i, banks in enumerate(model.members[0].shape_decoder.banks):
-            for j, bank in enumerate(banks):
-                rebuilt = fs.activations[i, j] @ bank.weight.data.astype(np.float64)
-                np.testing.assert_allclose(fs.shape_preds[i, j], rebuilt,
-                                           rtol=1e-4, atol=1e-6)
+        for g, bank in enumerate(model.shape_banks()):
+            i, j = divmod(g, cfg.d)
+            rebuilt = fs.activations[i, j] @ bank.weight.data.astype(np.float64)
+            np.testing.assert_allclose(fs.shape_preds[i, j], rebuilt,
+                                       rtol=1e-4, atol=1e-6)
 
 
 class TestTConvDecoder:
@@ -364,8 +364,10 @@ class TestTConvDecoder:
         # Zero initial biases put the pre-activations behind an all-dead
         # ReLU row exactly on the kink, where a central difference is
         # one-sided; random biases move them off it.
-        for p in model.parameters():
-            p.bias.data[:] = rng.standard_normal(p.bias.shape) * 0.1
+        for p in model.parameters():  # per-future biases, in checkpoint order
+            for name, t in p.named_tensors():
+                if name.endswith(".bias"):
+                    t.data[:] = rng.standard_normal(t.shape) * 0.1
         x = Tensor(rng.standard_normal((2, cfg.n_p, cfg.d)), requires_grad=True)
         truth = rng.standard_normal((2, cfg.d, cfg.n_h))
         winners = []
@@ -380,9 +382,8 @@ class TestTConvDecoder:
         assert grad_check(oracle_loss, tensors) < 1e-3  # criterion 1's bound
         idle = set(range(cfg.f)) - winners[0]
         assert idle
-        assert all(not p.weight.grad.any() and not p.bias.grad.any()
-                   for layer in model.members[0].shape_decoder.layers
-                   for p in (layer[i] for i in idle))
+        assert all(not layer.weight.grad[i].any() and not layer.bias.grad[i].any()
+                   for layer in model.members[0].shape_decoder.layers for i in idle)
 
     def test_parameter_layout_pinned(self):
         # names, order, shapes and seed-0 values of the per-future decoders
@@ -426,11 +427,13 @@ class TestMembers:
          "36f4f933afd56ad52ba69166c0d5a6753f94d858f2f5d1b4bd30651340ddd258"),
         ("model_ensemble",
          "43b3b4db754ddc9c93e791db6e14d140f1796c0808cac62ba39729e0ffc2d5e7"),
+        ("tconv_decoder", "d2ec69cf460fd6154ca8915eda519e982440e27681f5d0fe7b0f01bad115f2ad"),
     ])
     def test_parameter_layout_pinned(self, variant, digest):
-        # names, order, shapes and seed-0 values of the per-future bank and
-        # scale decoders before they were stacked into one module each
-        model = Forecaster(small_config(f=3, variant=variant), seed=0)
+        # names, order, shapes and seed-0 values of the per-future decoders,
+        # pinned before their layers were stored as one tensor each
+        n_h = 16 if variant == "tconv_decoder" else 8
+        model = Forecaster(small_config(f=3, n_h=n_h, variant=variant), seed=0)
         assert _layout_digest(model) == digest
 
     @pytest.mark.parametrize("variant", ["full", "model_ensemble"])

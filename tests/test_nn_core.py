@@ -306,122 +306,166 @@ class TestEncoderBlock:
             ops.encoder_block(Tensor(np.zeros((1, 3, 2))), w, b, 0, "max")
 
 
-def _decoder_chain(x, layers, out_length):
+def _decoder_chain(x, per_future, out_length):
     """The reference for two stacked_conv layers, one future at a time:
     tconv1d, crop, relu and upsample_nearest, then a padded conv1d, on
-    channels-first data.  ``layers`` holds per-future (weight, bias)
-    lists for the block and the output conv."""
-    (w_blocks, b_blocks), (w_outs, b_outs) = layers
+    channels-first data.  ``per_future`` holds each future's
+    :class:`LayerParams` for the block and for the output conv."""
+    blocks, outs = per_future
     futures = []
-    for j in range(len(w_blocks)):
+    for j, (block, output) in enumerate(zip(blocks, outs)):
         h = (x if x.ndim == 3 else x[j]).swapaxes(1, 2)
-        crop = w_blocks[j].shape[2] // 2
-        h = ops.tconv1d(h, w_blocks[j], b_blocks[j])[:, :, crop:-crop]
+        crop = block.weight.shape[2] // 2
+        h = ops.tconv1d(h, block.weight, block.bias)[:, :, crop:-crop]
         h = ops.upsample_nearest(ops.relu(h), out_length)
-        h = ops.conv1d(h, w_outs[j], b_outs[j], padding=w_outs[j].shape[2] // 2)
+        h = ops.conv1d(h, output.weight, output.bias,
+                       padding=output.weight.shape[2] // 2)
         h = h.swapaxes(1, 2)
         futures.append(h.reshape(1, *h.shape))
     return concat(futures)
 
 
-def _stacked_chain(x, layers, out_length):
-    (w_blocks, b_blocks), (w_outs, b_outs) = layers
-    h = ops.stacked_conv(x, w_blocks, b_blocks, out_length, flip=True, relu=True)
-    return ops.stacked_conv(h, w_outs, b_outs)
+def _stacked(per_future):
+    """The case's layers stored as a tconv decoder stores them: the block
+    with reversed kernels, the output conv as it is."""
+    blocks, outs = per_future
+    return layers.stack(blocks, flip=True), layers.stack(outs)
+
+
+def _stacked_chain(x, stacked, out_length):
+    block, output = stacked
+    h = ops.stacked_conv(x, block.weight, block.bias, out_length, relu=True)
+    return ops.stacked_conv(h, output.weight, output.bias)
 
 
 def _decoder_case(seed, f, batch, kernel, shared, length=16, channels=3):
-    """Input, per-future layers and an output probe in which future 0 has
-    no non-zero row and future 1 only some."""
+    """Input, per-future layers (random non-zero biases) and an output
+    probe in which future 0 has no non-zero row and future 1 only some."""
     rng = np.random.default_rng(seed)
     x_shape = (batch, length, channels) if shared else (f, batch, length, channels)
     x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
-    layers = [
-        ([Tensor(rng.standard_normal((c_out, channels, kernel)) * 0.5,
-                 requires_grad=True) for _ in range(f)],
-         [Tensor(rng.standard_normal(c_out) * 0.1, requires_grad=True)
-          for _ in range(f)])
-        for c_out in (channels, 2)]
+    per_future = []
+    for c_out in (channels, 2):
+        weights = [rng.standard_normal((c_out, channels, kernel)) * 0.5
+                   for _ in range(f)]
+        biases = [rng.standard_normal(c_out) * 0.1 for _ in range(f)]
+        per_future.append([LayerParams(f"layer{j}", Tensor(w, requires_grad=True),
+                                       Tensor(b, requires_grad=True))
+                           for j, (w, b) in enumerate(zip(weights, biases))])
     probe = rng.standard_normal((f, batch, 24, 2))
     probe[0] = 0.0
     probe[1, :batch // 2] = 0.0
-    return x, layers, Tensor(probe)
+    return x, per_future, Tensor(probe)
 
 
-def _leaves(x, layers):
-    return [x] + [t for pair in layers for group in pair for t in group]
+def _stacked_leaves(x, stacked):
+    return [x] + [t for layer in stacked for t in (layer.weight, layer.bias)]
+
+
+def _per_future_grads(layer):
+    """Each future's weight and bias gradient in its checkpoint layout, read
+    through the same views that name the stacked parameters."""
+    grads = layers.StackedLayer(layer.names, Tensor(layer.weight.grad),
+                                Tensor(layer.bias.grad), layer.flipped)
+    return [t.data for g in range(len(layer.names)) for t in grads.slice(g).tensors()]
 
 
 class TestStackedConv:
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("kernel", [3, 5])
     def test_grad_check(self, kernel, shared):
-        x, layers, probe = _decoder_case(kernel, 3, 2, kernel, shared)
-        leaves = _leaves(x, layers)
+        x, per_future, probe = _decoder_case(kernel, 3, 2, kernel, shared)
+        stacked = _stacked(per_future)
 
         def closure(*_):
-            return (_stacked_chain(x, layers, 24) * probe).sum()
+            return (_stacked_chain(x, stacked, 24) * probe).sum()
 
-        assert grad_check(closure, leaves) < 1e-6
+        assert grad_check(closure, _stacked_leaves(x, stacked)) < 1e-6
 
     def test_linear_weights_grad_check(self):
-        # (out, in) weights act as kernel-1 convs on a shared length-1 input
-        rng = np.random.default_rng(1)
-        h = Tensor(rng.standard_normal((3, 1, 4)), requires_grad=True)
-        weights = [Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-                   for _ in range(2)]
-        biases = [Tensor(rng.standard_normal(5), requires_grad=True)
-                  for _ in range(2)]
-        probe = Tensor(rng.standard_normal((2, 3, 1, 5)) * np.array(
-            [1.0, 0.0, 1.0])[None, :, None, None])
+        # (f, out, in) weights act as kernel-1 convs, on a shared length-1
+        # input and on a per-future input upsampled from length 2 to 3
+        for shared, length, out_length in [(True, 1, None), (False, 2, 3)]:
+            rng = np.random.default_rng(1)
+            h = Tensor(rng.standard_normal((3, length, 4) if shared
+                                           else (2, 3, length, 4)), requires_grad=True)
+            linears = layers.stack([
+                LayerParams("linear", Tensor(rng.standard_normal((5, 4))),
+                            Tensor(rng.standard_normal(5))) for _ in range(2)])
+            probe = Tensor(rng.standard_normal((2, 3, out_length or length, 5))
+                           * np.array([1.0, 0.0, 1.0])[None, :, None, None])
 
-        def closure(*_):
-            return (ops.stacked_conv(h, weights, biases, relu=True) * probe).sum()
+            def closure(*_):
+                return (ops.stacked_conv(h, linears.weight, linears.bias, out_length,
+                                         relu=True) * probe).sum()
 
-        assert grad_check(closure, [h, *weights, *biases]) < 1e-6
+            assert grad_check(closure, [h, linears.weight, linears.bias]) < 1e-6
 
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("kernel", [3, 5])
     def test_matches_per_future_reference(self, kernel, shared):
-        results = []
-        for chain in (_stacked_chain, _decoder_chain):
-            x, layers, probe = _decoder_case(10 + kernel, 3, 4, kernel, shared)
-            out = chain(x, layers, 24)
-            (out * probe).sum().backward()
-            results.append([out.data] + [t.grad for t in _leaves(x, layers)])
-        for got, expected in zip(*results):
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        x, per_future, probe = _decoder_case(10 + kernel, 3, 4, kernel, shared)
+        stacked = _stacked(per_future)
+        out = _stacked_chain(x, stacked, 24)
+        (out * probe).sum().backward()
+        got = [out.data, x.grad] + [g for layer in stacked for g in _per_future_grads(layer)]
+        x, per_future, probe = _decoder_case(10 + kernel, 3, 4, kernel, shared)
+        out = _decoder_chain(x, per_future, 24)
+        (out * probe).sum().backward()
+        expected = [out.data, x.grad] + [t.grad for layer in per_future
+                                         for p in layer for t in p.tensors()]
+        for a, b in zip(got, expected, strict=True):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_future_without_gradient_does_no_backward_work(self):
         # NaN activations in future 0 would poison every gradient they
         # reach; its zero output gradient must keep them out entirely
         results = []
         for poison in (False, True):
-            x, layers, probe = _decoder_case(3, 3, 4, 3, shared=False)
+            x, per_future, probe = _decoder_case(3, 3, 4, 3, shared=False)
+            stacked = _stacked(per_future)
             if poison:
                 x.data[0] = np.nan
-            (_stacked_chain(x, layers, 24) * probe).sum().backward()
-            results.append([t.grad for t in _leaves(x, layers)])
+            (_stacked_chain(x, stacked, 24) * probe).sum().backward()
+            results.append([t.grad for t in _stacked_leaves(x, stacked)])
         clean, poisoned = results
         for got, expected in zip(poisoned, clean):
             assert np.array_equal(got, expected)
-        (w_blocks, b_blocks), (w_outs, b_outs) = layers
-        for t in (x.grad[0], w_blocks[0].grad, b_blocks[0].grad,
-                  w_outs[0].grad, b_outs[0].grad):
-            assert not t.any()
+        for t in poisoned:
+            assert not t[0].any()
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_future_without_rows_gets_a_zero_gradient_slice(self, linear):
+        # the slice Tensor.backward would give an unreached per-future leaf
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
+        shape = (5, 4) if linear else (5, 4, 3)
+        layer = layers.stack([LayerParams("p", Tensor(rng.standard_normal(shape)),
+                                          Tensor(rng.standard_normal(5)))
+                              for _ in range(3)])
+        probe = rng.standard_normal((3, 3, 2, 5))
+        probe[1] = 0.0
+        (ops.stacked_conv(x, layer.weight, layer.bias) * Tensor(probe)).sum().backward()
+        for param in (layer.weight, layer.bias):
+            assert param.grad.shape == param.shape and param.grad[[0, 2]].all()
+            assert np.array_equal(param.grad[1], np.zeros_like(param.grad[1]))
 
     def test_bad_arguments_raise(self):
         x = Tensor(np.zeros((2, 1, 4, 3)))
-        w = [Tensor(np.zeros((3, 3, 3)))] * 2
-        b = [Tensor(np.zeros(3))] * 2
+        w = Tensor(np.zeros((2, 3, 3, 3)))
+        b = Tensor(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="channels"):
             ops.stacked_conv(Tensor(np.zeros((2, 1, 4, 5))), w, b)
+        with pytest.raises(ValueError, match="channels"):
+            ops.stacked_conv(x, Tensor(np.zeros((2, 3, 5))), b)
         with pytest.raises(ValueError, match="input"):
             ops.stacked_conv(Tensor(np.zeros((3, 1, 4, 3))), w, b)
-        with pytest.raises(ValueError, match="biases"):
-            ops.stacked_conv(x, w, b[:1])
+        with pytest.raises(ValueError, match="bias"):
+            ops.stacked_conv(x, w, Tensor(np.zeros((1, 3))))
+        with pytest.raises(ValueError, match="weight"):
+            ops.stacked_conv(x, Tensor(np.zeros((2, 3))), b)
         with pytest.raises(ValueError, match="odd"):
-            ops.stacked_conv(x, [Tensor(np.zeros((3, 3, 2)))] * 2, b)
+            ops.stacked_conv(x, Tensor(np.zeros((2, 2, 3, 3))), b)
         with pytest.raises(ValueError, match="out_length"):
             ops.stacked_conv(x, w, b, 3)
 
@@ -429,59 +473,60 @@ class TestStackedConv:
 class TestStackedMatmul:
     @staticmethod
     def _case(seed):
-        """Input, per-group weights and an output probe in which group 1
-        has no non-zero entry and group 2 only some."""
+        """Input, stacked weights and an output probe in which group 1 has
+        no non-zero entry and group 2 only some."""
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
-        weights = [Tensor(rng.standard_normal((5, 6)), requires_grad=True)
-                   for _ in range(3)]
+        weight = Tensor(rng.standard_normal((3, 5, 6)), requires_grad=True)
         probe = rng.standard_normal((3, 4, 6))
         probe[1] = 0.0
         probe[2, :2] = 0.0
-        return x, weights, Tensor(probe)
+        return x, weight, Tensor(probe)
 
     def test_grad_check(self):
-        x, weights, probe = self._case(0)
+        x, weight, probe = self._case(0)
 
         def closure(*_):
-            return (ops.stacked_matmul(x, weights) * probe).sum()
+            return (ops.stacked_matmul(x, weight) * probe).sum()
 
-        assert grad_check(closure, [x, *weights]) < 1e-6
-        # group 1 gets no output gradient, so its weight gets an exact zero
-        assert not weights[1].grad.any() and not x.grad[1].any()
+        assert grad_check(closure, [x, weight]) < 1e-6
+        # group 1 gets no output gradient, so its weight slice gets an exact zero
+        assert not weight.grad[1].any() and not x.grad[1].any()
 
     def test_matches_per_group_matmul(self):
-        results = []
-        for stacked in (True, False):
-            x, weights, probe = self._case(1)
-            out = (ops.stacked_matmul(x, weights) if stacked else
-                   concat([(x[g] @ w).reshape(1, 4, 6) for g, w in enumerate(weights)]))
-            (out * probe).sum().backward()
-            results.append([out.data, x.grad] + [w.grad for w in weights])
-        for got, expected in zip(*results):
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        x, weight, probe = self._case(1)
+        out = ops.stacked_matmul(x, weight)
+        (out * probe).sum().backward()
+        got = [out.data, x.grad, weight.grad]
+        x, weight, probe = self._case(1)
+        weights = [Tensor(w, requires_grad=True) for w in weight.data]
+        out = concat([(x[g] @ w).reshape(1, 4, 6) for g, w in enumerate(weights)])
+        (out * probe).sum().backward()
+        expected = [out.data, x.grad, np.stack([w.grad for w in weights])]
+        for a, b in zip(got, expected):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_saturated_softmax_gives_no_subnormal_template_gradient(self):
         # p = (1, e^-87, e^-100, 0) in float32 mixes a bank; e^-87 times
         # the output gradient is subnormal unless flushed
         logits = Tensor(np.array([[[0.0, -87.0, -100.0, -200.0]]], dtype=np.float32),
                         requires_grad=True)
-        bank = Tensor(np.full((4, 3), 0.5, dtype=np.float32), requires_grad=True)
+        bank = Tensor(np.full((1, 4, 3), 0.5, dtype=np.float32), requires_grad=True)
         probe = Tensor(np.full((1, 1, 3), 1e-3, dtype=np.float32))
-        (ops.stacked_matmul(ops.softmax(logits), [bank]) * probe).sum().backward()
+        (ops.stacked_matmul(ops.softmax(logits), bank) * probe).sum().backward()
         tiny = np.finfo(np.float32).tiny
         assert bank.grad.dtype == np.float32
         assert np.all((bank.grad == 0) | (np.abs(bank.grad) >= tiny))
-        np.testing.assert_array_equal(bank.grad[0], np.float32(1e-3))
+        np.testing.assert_array_equal(bank.grad[0, 0], np.float32(1e-3))
 
     def test_bad_arguments_raise(self):
-        w = [Tensor(np.zeros((5, 6)))] * 2
-        for x, weights in [(np.zeros((3, 4, 5)), w),        # 3 groups, 2 weights
-                           (np.zeros((2, 4, 3)), w),        # inner 3 against 5
-                           (np.zeros((4, 5)), w),           # no group axis
-                           (np.zeros((2, 4, 5)), [Tensor(np.zeros(5))] * 2)]:
+        w = Tensor(np.zeros((2, 5, 6)))
+        for x, weight in [(np.zeros((3, 4, 5)), w),        # 3 groups, 2 weights
+                          (np.zeros((2, 4, 3)), w),        # inner 3 against 5
+                          (np.zeros((4, 5)), w),           # no group axis
+                          (np.zeros((2, 4, 5)), Tensor(np.zeros((2, 5))))]:
             with pytest.raises(ValueError, match="cannot multiply"):
-                ops.stacked_matmul(Tensor(x), weights)
+                ops.stacked_matmul(Tensor(x), weight)
 
 
 class TestCrossEntropy:

@@ -1,5 +1,6 @@
 """Checkpoint round-trip, validation, and scoped bank loading."""
 
+import hashlib
 import json
 import tracemalloc
 from dataclasses import asdict, replace
@@ -9,7 +10,13 @@ import numpy as np
 import pytest
 
 from multifuture import model as model_module
-from multifuture.model import ExpertClassifier, Forecaster, ModelConfig, count_parameters
+from multifuture.model import (
+    ExpertClassifier,
+    Forecaster,
+    ModelConfig,
+    count_parameters,
+    shape_decoder_forward,
+)
 from multifuture.persistence import (
     BLOB_NAME,
     CheckpointError,
@@ -102,6 +109,18 @@ class TestRoundTrip:
         assert manifest_lines(tmp_path) == manifest_lines(GOLDEN_CHECKPOINT)
         assert ((tmp_path / BLOB_NAME).read_bytes()
                 == (GOLDEN_CHECKPOINT / BLOB_NAME).read_bytes())
+
+    def test_tconv_checkpoint_pinned(self, tmp_path):
+        # blob bytes and manifest layout of a seed-0 tconv_decoder f=3
+        # checkpoint, pinned before its decoder layers were stacked
+        config = replace(CFG, f=3, n_h=16, variant="tconv_decoder")
+        save(Forecaster(config, seed=0), tmp_path)
+        layout = [(p["name"], p["shape"], p["offset_bytes"]) for p in
+                  json.loads((tmp_path / MANIFEST_NAME).read_text())["parameters"]]
+        assert hashlib.sha256(json.dumps(layout).encode()).hexdigest() == (
+            "69339347cf3afb026de1de6f44152e86530dd04f78d1371a79c6d29cfc1041f5")
+        assert hashlib.sha256((tmp_path / BLOB_NAME).read_bytes()).hexdigest() == (
+            "55e9e553a99e6c64bdf8ee8a8a6a44f86d818ddb15e8cd616ec42a2dba7db572")
 
     @pytest.mark.parametrize("kind", ["forecaster", "expert_classifier",
                                       "shape_banks"])
@@ -318,6 +337,27 @@ class TestShapeBankFiles:
         # non-bank parameters untouched: encoder output identical
         after = receiver.predict_futures(window)
         np.testing.assert_array_equal(before.activations, after.activations)
+
+    @pytest.mark.parametrize("variant", ["full", "model_ensemble"])
+    def test_loaded_banks_are_the_banks_the_model_mixes(self, tmp_path, variant):
+        config = replace(CFG, f=3, variant=variant)
+        donor = Forecaster(config, seed=10)
+        save_shape_banks(donor, tmp_path / "banks")
+        stored = [bank.weight.data.astype(np.float64) for bank in donor.shape_banks()]
+        receiver = Forecaster(config, seed=20)
+        load_shape_banks(receiver, tmp_path / "banks")
+        h = np.random.default_rng(0).standard_normal(config.channels)
+
+        def assert_mixes_stored_banks(model):
+            for i in range(config.f):
+                alpha, r = shape_decoder_forward(model, h, i)
+                for j in range(config.d):
+                    np.testing.assert_allclose(
+                        alpha[j], r[j] @ stored[i * config.d + j], rtol=1e-5, atol=1e-6)
+
+        assert_mixes_stored_banks(receiver)
+        save(receiver, tmp_path / "ckpt")
+        assert_mixes_stored_banks(load(tmp_path / "ckpt"))
 
     def test_bank_file_rejected_by_plain_load(self, tmp_path):
         model = Forecaster(CFG, seed=0)

@@ -118,3 +118,21 @@ def test_every_op_is_grad_checked():
     # a new or fused op lands with finite-difference gradient coverage
     sources = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
     assert ops_without_grad_check(ops.__all__, sources) == []
+
+
+def calls_named(source: str, name: str) -> list[int]:
+    """Lines of ``source`` that call a function or method called ``name``."""
+    return [c.lineno for c in ast.walk(ast.parse(source)) if isinstance(c, ast.Call)
+            and getattr(c.func, "attr", getattr(c.func, "id", None)) == name]
+
+
+def test_guard_flags_a_stack_call():
+    source = ("import numpy as np\nfrom numpy import stack\n"
+              "def f(ws):\n    return np.stack(ws), stack(ws)\n"
+              "np.concatenate([np.hstack([])])\n")
+    assert calls_named(source, "stack") == [4, 4]
+
+
+def test_ops_stack_no_weights_per_call():
+    # a decoder's weights are stacked once, when the model is built
+    assert calls_named((SRC / "nn" / "ops.py").read_text(), "stack") == []
