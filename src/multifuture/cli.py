@@ -287,6 +287,8 @@ def _predictions_csv(report, predictions, feature_names) -> str:
 
 def cmd_evaluate(config: RunConfig, checkpoint: str | None, baseline: str | None,
                  out_dir: str) -> int:
+    if (checkpoint is None) == (baseline is None):
+        raise CliError("evaluate needs exactly one of --checkpoint and --baseline")
     os.makedirs(out_dir, exist_ok=True)
     train_split, test_split = _train_test_split(
         _merchant_series(config, "evaluate"), config)
@@ -299,8 +301,6 @@ def cmd_evaluate(config: RunConfig, checkpoint: str | None, baseline: str | None
     elif baseline is not None:
         raise CliError(f"unknown baseline {baseline!r}; expected nn|ridge")
     else:
-        if checkpoint is None:
-            raise CliError("evaluate needs --checkpoint or --baseline")
         predictor = persistence.load(checkpoint)
         if not isinstance(predictor, Forecaster):
             raise CliError("checkpoint does not hold a forecaster")

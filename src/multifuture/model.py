@@ -35,7 +35,8 @@ zero offset instead).  Each decoder runs all of its member's futures at
 once and returns them on a leading axis.  ``model_ensemble`` has ``f``
 single-future members with ``member{i}.`` parameter names; the other
 variants have one member.  The forward pass joins the members' futures in
-order and recombines them once.
+order and recombines them once.  Every module takes and stores its
+parameters in the model's one :class:`~multifuture.nn.layers.Parameters`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .nn import ops
-from .nn.layers import LayerParams, StackedGroup, Take, initializer, stack
+from .nn.layers import Parameters, Take, initializer
 from .nn.tensor import Tensor, concat, no_grad
 
 __all__ = [
@@ -172,23 +173,21 @@ class ConvEncoder:
     last block's mean pool collapses whatever length remains to 1.
     """
 
-    def __init__(self, name: str, config: ModelConfig, take: Take):
+    def __init__(self, name: str, config: ModelConfig, table: Parameters):
         self.padding = config.kernel // 2
         in_channels = [config.d] + [config.channels] * (config.encoder_blocks - 1)
-        self.convs = [take(f"{name}.conv{b}", (config.channels, in_ch, config.kernel))
+        self.convs = [table.stack([table.take(f"{name}.conv{b}",
+                                              (config.channels, in_ch, config.kernel))])
                       for b, in_ch in enumerate(in_channels)]
 
     def forward(self, x: Tensor) -> Tensor:
-        """(batch, n_p, d) -> (batch, channels)."""
+        """(batch, n_p, d) -> (batch, 1, channels)."""
         h = x
         last = len(self.convs) - 1
         for b, conv in enumerate(self.convs):
             h = ops.encoder_block(h, conv.weight, conv.bias, self.padding,
                                   "mean" if b == last else "max")
-        return h.reshape(h.shape[0], h.shape[2])
-
-    def layer_params(self) -> list[LayerParams]:
-        return list(self.convs)
+        return h
 
 
 class BankShapeDecoder:
@@ -203,14 +202,15 @@ class BankShapeDecoder:
     :func:`~multifuture.nn.ops.stacked_matmul`.
     """
 
-    def __init__(self, name: str, config: ModelConfig, take: Take):
-        self.name, self.f, self.d = name, config.f, config.d
-        per_future = [([take(f"{name}{i}.regressor{j}", (config.n_s, config.channels))
+    def __init__(self, name: str, config: ModelConfig, table: Parameters):
+        self.d = config.d
+        per_future = [([table.take(f"{name}{i}.regressor{j}", (config.n_s, config.channels))
                         for j in range(config.d)],
-                       [take(f"{name}{i}.bank{j}", (config.n_s, config.n_h), bias=False)
+                       [table.take(f"{name}{i}.bank{j}", (config.n_s, config.n_h),
+                                   bias=False)
                         for j in range(config.d)])
                       for i in range(config.f)]  # drawn future by future
-        self.regressors, self.banks = (stack([p for future in layer for p in future])
+        self.regressors, self.banks = (table.stack([p for future in layer for p in future])
                                        for layer in zip(*per_future))
 
     def forward(self, z: Tensor) -> tuple[Tensor, Tensor]:
@@ -221,9 +221,6 @@ class BankShapeDecoder:
         alpha = ops.stacked_matmul(r, self.banks.weight)
         return tuple(t.reshape(-1, self.d, *t.shape[1:]).swapaxes(1, 2)
                      for t in (alpha, r))
-
-    def layer_params(self) -> list[StackedGroup]:
-        return [StackedGroup(self.name, [self.regressors, self.banks], self.f)]
 
 
 class TConvShapeDecoder:
@@ -243,18 +240,19 @@ class TConvShapeDecoder:
     stores layer ``l`` of every future as one tensor.
     """
 
-    def __init__(self, name: str, config: ModelConfig, take: Take):
-        self.name, self.f, self.n_h = name, config.f, config.n_h
+    def __init__(self, name: str, config: ModelConfig, table: Parameters):
+        self.n_h = config.n_h
         c, k = config.channels, config.kernel
-        per_future = [[take(f"{name}{i}.input_linear", (c, c)),
-                       *[take(f"{name}{i}.tconv{b}", (c, c, k))
+        per_future = [[table.take(f"{name}{i}.input_linear", (c, c)),
+                       *[table.take(f"{name}{i}.tconv{b}", (c, c, k))
                          for b in range(_TCONV_BLOCKS)],
-                       take(f"{name}{i}.output_conv", (config.d, c, k))]
+                       table.take(f"{name}{i}.output_conv", (config.d, c, k))]
                       for i in range(config.f)]
         *hidden, output = zip(*per_future)
         # layers[l] is layer l of every future; the hidden layers' kernels
         # are stored reversed (a linear map has none to reverse)
-        self.layers = [stack(layer, flip=True) for layer in hidden] + [stack(output)]
+        self.layers = ([table.stack(layer, flip=True) for layer in hidden]
+                       + [table.stack(output)])
 
     def length_schedule(self) -> list[int]:
         return [2 ** b for b in range(_TCONV_BLOCKS)] + [self.n_h]
@@ -267,27 +265,22 @@ class TConvShapeDecoder:
         alpha = ops.stacked_conv(z, output.weight, output.bias)  # (f, batch, n_h, d)
         return alpha.swapaxes(2, 3), None
 
-    def layer_params(self) -> list[StackedGroup]:
-        return [StackedGroup(self.name, self.layers, self.f)]
-
 
 class ScaleDecoder:
     """Linear maps from the encoder vector to d (multiplier, offset) pairs,
     one per future, named ``{name}{i}.linear`` and run as one kernel-1
     :func:`~multifuture.nn.ops.stacked_conv`."""
 
-    def __init__(self, name: str, config: ModelConfig, take: Take):
-        self.name, self.f, self.d = name, config.f, config.d
-        self.linears = stack([take(f"{name}{i}.linear", (2 * config.d, config.channels))
-                              for i in range(config.f)])
+    def __init__(self, name: str, config: ModelConfig, table: Parameters):
+        self.d = config.d
+        self.linears = table.stack([table.take(f"{name}{i}.linear",
+                                               (2 * config.d, config.channels))
+                                    for i in range(config.f)])
 
     def forward(self, z: Tensor) -> tuple[Tensor, Tensor]:
         """(batch, 1, channels) -> multiplier (f, batch, d), offset (f, batch, d)."""
         out = ops.stacked_conv(z, self.linears.weight, self.linears.bias)
         return out[:, :, 0, :self.d], out[:, :, 0, self.d:]
-
-    def layer_params(self) -> list[StackedGroup]:
-        return [StackedGroup(self.name, [self.linears], self.f)]
 
 
 class Member(NamedTuple):
@@ -299,33 +292,32 @@ class Member(NamedTuple):
     scale_decoder: ScaleDecoder | None
 
     @classmethod
-    def from_config(cls, config: ModelConfig, take: Take) -> Member:
-        """``config.variant``'s network; takes parameters in checkpoint order."""
+    def from_config(cls, config: ModelConfig, table: Parameters,
+                    prefix: str = "") -> Member:
+        """``config.variant``'s network, its parameter names prefixed with
+        ``prefix``; takes parameters in checkpoint order."""
         if config.variant in ("shared_encoder", "non_separated"):
-            shape_encoder = scale_encoder = ConvEncoder("encoder", config, take)
+            shape_encoder = scale_encoder = ConvEncoder(prefix + "encoder", config, table)
         else:
-            shape_encoder = ConvEncoder("shape_encoder", config, take)
-            scale_encoder = ConvEncoder("scale_encoder", config, take)
+            shape_encoder = ConvEncoder(prefix + "shape_encoder", config, table)
+            scale_encoder = ConvEncoder(prefix + "scale_encoder", config, table)
         decoder = (TConvShapeDecoder if config.variant == "tconv_decoder"
                    else BankShapeDecoder)
-        return cls(shape_encoder, scale_encoder, decoder("shape_decoder", config, take),
+        return cls(shape_encoder, scale_encoder,
+                   decoder(prefix + "shape_decoder", config, table),
                    None if config.variant == "non_separated"
-                   else ScaleDecoder("scale_decoder", config, take))
-
-    def layer_params(self) -> list[LayerParams | StackedGroup]:
-        modules = self[1:] if self.scale_encoder is self.shape_encoder else self
-        return [p for m in modules if m is not None for p in m.layer_params()]
+                   else ScaleDecoder(prefix + "scale_decoder", config, table))
 
     def forward(self, x: Tensor) -> tuple[Tensor, Tensor | None, Tensor, Tensor]:
         """(batch, n_p, d) -> shapes, activations, multipliers and offsets."""
         # one node per encoder, so a shared encoder's gradient sums in one order
-        h = self.shape_encoder.forward(x).reshape(x.shape[0], 1, -1)
+        h = self.shape_encoder.forward(x)
         shapes, acts = self.shape_decoder.forward(h)
         if self.scale_decoder is None:  # raw-unit shapes
             ones = np.ones(shapes.shape[:3], shapes.dtype)
             return shapes, acts, Tensor(ones), Tensor(np.zeros_like(ones))
         if self.scale_encoder is not self.shape_encoder:
-            h = self.scale_encoder.forward(x).reshape(x.shape[0], 1, -1)
+            h = self.scale_encoder.forward(x)
         return shapes, acts, *self.scale_decoder.forward(h)
 
 
@@ -339,11 +331,6 @@ class _ForwardTensors(NamedTuple):
     activations: Tensor | None  # (f, batch, d, n_s), None for tconv decoders
 
 
-def _prefixed(take: Take, prefix: str) -> Take:
-    """``take`` with ``prefix`` on every parameter name."""
-    return lambda name, *args, **kwargs: take(prefix + name, *args, **kwargs)
-
-
 class Forecaster:
     """A configured multi-future model.
 
@@ -351,7 +338,7 @@ class Forecaster:
     :func:`~multifuture.nn.initializer` seeded by ``seed``, while
     :func:`~multifuture.persistence.load` passes a checkpoint reader.
     ``members`` lists the networks described in the module docstring.
-    ``parameters()`` lists them in construction order, so RNG draws and
+    They take their parameters in construction order, so RNG draws and
     checkpoint layout follow from the configuration.
     """
 
@@ -360,30 +347,27 @@ class Forecaster:
         self.config = config
         self.dtype = np.dtype(dtype).type
         self.model_id = f"{config.variant}_f{config.f}"
-        take = take or initializer(np.random.default_rng(seed), dtype)
+        self.table = Parameters(take or initializer(np.random.default_rng(seed), dtype))
         if config.variant != "model_ensemble":
-            self.members = [Member.from_config(config, take)]
+            self.members = [Member.from_config(config, self.table)]
         else:  # f single-future members
-            self.members = [Member.from_config(replace(config, f=1),
-                                               _prefixed(take, f"member{i}."))
+            self.members = [Member.from_config(replace(config, f=1), self.table,
+                                               f"member{i}.")
                             for i in range(config.f)]
 
     # -- parameters ---------------------------------------------------------
 
-    def parameters(self) -> list[LayerParams | StackedGroup]:
-        """All trainable parameters in a stable, serializable order: each
-        encoder layer's bundle and one group per decoder."""
-        out = [p for member in self.members for p in member.layer_params()]
-        names = [name for p in out for name, _ in p.named_tensors()]
-        if len(set(names)) != len(names):
-            raise ValueError("parameter names are not unique within the model")
-        return out
+    def parameters(self) -> list[Tensor]:
+        """The stored tensors the optimizer steps."""
+        return self.table.parameters()
 
-    def shape_banks(self) -> list[LayerParams]:
-        """Every bank as a view of its decoder's stack, in checkpoint order."""
-        return [member.shape_decoder.banks.slice(g) for member in self.members
-                if isinstance(member.shape_decoder, BankShapeDecoder)
-                for g in range(len(member.shape_decoder.banks.names))]
+    def named_tensors(self) -> list[tuple[str, Tensor]]:
+        """Every parameter's ``(name, view)`` pair in checkpoint order."""
+        return self.table.named_tensors()
+
+    def shape_banks(self) -> list[tuple[str, Tensor]]:
+        """Every bank's ``(name, view)`` pair, in checkpoint order."""
+        return [(name, t) for name, t in self.named_tensors() if ".bank" in name]
 
     # -- forward passes -------------------------------------------------
 
@@ -434,24 +418,31 @@ class ExpertClassifier:
     """Predicts which of the f futures will fit best, from the input alone.
 
     Same convolutional encoder as the shape sub-network plus a linear +
-    softmax head over the future indices.
+    softmax head over the future indices, run as a kernel-1
+    :func:`~multifuture.nn.ops.stacked_conv`.
     """
 
     dtype = np.float32
 
     def __init__(self, config: ModelConfig, seed: int = 0, take: Take | None = None):
         self.config = config
-        take = take or initializer(np.random.default_rng(seed), self.dtype)
-        self.encoder = ConvEncoder("encoder", config, take)
-        self.head = take("head", (config.f, config.channels))
+        self.table = Parameters(take or initializer(np.random.default_rng(seed),
+                                                    self.dtype))
+        self.encoder = ConvEncoder("encoder", config, self.table)
+        self.head = self.table.stack([self.table.take("head", (config.f, config.channels))])
 
-    def parameters(self) -> list[LayerParams]:
-        return self.encoder.layer_params() + [self.head]
+    def parameters(self) -> list[Tensor]:
+        return self.table.parameters()
+
+    def named_tensors(self) -> list[tuple[str, Tensor]]:
+        return self.table.named_tensors()
 
     def forward_logits(self, inputs: np.ndarray) -> Tensor:
+        """(batch, n_p, d) windows -> (batch, f) logits."""
         x = check_windows(inputs, self.config.n_p, self.config.d, self.dtype)
-        return ops.linear(self.encoder.forward(Tensor(x)), self.head.weight,
-                          self.head.bias)
+        h = self.encoder.forward(Tensor(x))
+        return ops.stacked_conv(h, self.head.weight, self.head.bias).reshape(
+            len(x), self.config.f)
 
     def predict_proba(self, window: np.ndarray) -> np.ndarray:
         """Probability over the f futures for one (n_p, d) window."""
@@ -469,7 +460,13 @@ def shape_encoder_forward(model: Forecaster, window: np.ndarray) -> np.ndarray:
     """Run the first future's shape encoder on one (n_p, d) window; returns h."""
     x = check_windows(window, model.config.n_p, model.config.d, model.dtype)
     with no_grad():
-        return model.members[0].shape_encoder.forward(Tensor(x)).data[0].copy()
+        return model.members[0].shape_encoder.forward(Tensor(x)).data[0, 0].copy()
+
+
+def _check_future(model: Forecaster, decoder_index: int) -> None:
+    if not 0 <= decoder_index < model.config.f:
+        raise ValueError(f"decoder_index {decoder_index} is outside "
+                         f"[0, {model.config.f})")
 
 
 def shape_decoder_forward(model: Forecaster, h: np.ndarray,
@@ -480,6 +477,7 @@ def shape_decoder_forward(model: Forecaster, h: np.ndarray,
     prediction can be re-derived externally from the activations and the
     banks alone.
     """
+    _check_future(model, decoder_index)
     # every member holds the same number of consecutive futures
     member, index = divmod(decoder_index, model.config.f // len(model.members))
     decoder = model.members[member].shape_decoder
@@ -496,6 +494,7 @@ def scale_forward(model: Forecaster, window: np.ndarray,
 
     ``non_separated`` models report the unit multiplier and zero offset.
     """
+    _check_future(model, decoder_index)
     with no_grad():
         fwd = model.forward_tensors(window)
     return (fwd.scale_mul.data[decoder_index, 0].copy(),
@@ -522,12 +521,6 @@ class ParameterCount(NamedTuple):
 
 def count_parameters(model) -> ParameterCount:
     """Trainable scalar counts, split between encoders and decoders."""
-    total = encoder = decoder = 0
-    for p in model.parameters():
-        n = sum(t.size for t in p.tensors() if t.requires_grad)
-        total += n
-        if "encoder" in p.name:
-            encoder += n
-        else:
-            decoder += n
-    return ParameterCount(total, encoder, decoder)
+    total = sum(t.size for t in model.parameters())
+    encoder = sum(t.size for name, t in model.named_tensors() if "encoder" in name)
+    return ParameterCount(total, encoder, total - encoder)

@@ -1,29 +1,24 @@
 """Differentiable neural-network operations.
 
-Every function here takes plain :class:`~multifuture.nn.tensor.Tensor`
-weights; the models pass the ``weight`` and ``bias`` of a
-:class:`~multifuture.nn.layers.LayerParams` bundle or, for the stacked
-ops, of a :class:`~multifuture.nn.layers.StackedLayer`.
-
-The reference convolution and pooling ops accept either an unbatched
-``(channels, length)`` input or a batched ``(batch, channels, length)``
-one, and the convolution is lowered to a single GEMM over an im2col
-matrix.  The encoders use :func:`encoder_block` instead: one op for
-conv1d + ReLU + pooling on channels-last ``(batch, length, channels)``
-data, with a hand-written backward pass.  Fusing the three keeps one
-intermediate and one backward closure per block instead of three, which
-is what keeps full training runs at desk scale.  Every decoder runs all
-of its futures at once, each with its own weights, on a leading axis:
-:func:`stacked_conv` runs one layer per future as one batched GEMM (the
-tconv decoder's layers and, as kernel-1 convolutions, the bank decoders'
-regressors and the scale decoders' linear maps), and
-:func:`stacked_matmul` mixes the bank decoders' templates.  Both read one
-``(f, ...)`` weight tensor already stored in their GEMM's layout, so a
-call copies no weights.  Their backward passes skip what gets no
+The models pass each op the stored tensors of a
+:class:`~multifuture.nn.layers.StackedLayer`: one layer of ``g`` bundles,
+already in the layout the op's GEMM reads, so no call copies a weight.
+The encoders run :func:`encoder_block`, conv1d + ReLU + pooling fused
+into one op on channels-last ``(batch, length, channels)`` data with a
+hand-written backward pass.  Fusing keeps one intermediate and one
+backward closure per block instead of three, which is what keeps full
+training runs at desk scale.  Every decoder runs all of its futures at
+once on a leading axis: :func:`stacked_conv` runs one layer per future as
+one batched GEMM (the tconv decoder's layers and, as kernel-1
+convolutions, every linear map), and :func:`stacked_matmul` mixes the
+bank decoders' templates.  Their backward passes skip what gets no
 gradient, so under an oracle loss only each row's winning future does
-backward work.  :func:`conv1d`,
-:func:`tconv1d`, :func:`relu`, :func:`upsample_nearest` and the tensor
-``@`` are the reference they are tested against.
+backward work.  The reference ops (:func:`conv1d`, :func:`tconv1d`,
+:func:`relu`, :func:`maxpool1d`, :func:`adaptive_avgpool1d`,
+:func:`linear`, :func:`upsample_nearest` and the tensor ``@``) take
+checkpoint-layout weights on channels-first ``(channels, length)`` or
+``(batch, channels, length)`` data; the fused and stacked ops are tested
+against them.
 """
 
 from __future__ import annotations
@@ -239,21 +234,25 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
                   pool: str) -> Tensor:
     """Fused conv1d + ReLU + pooling on channels-last data.
 
-    ``x`` is ``(batch, length, channels_in)``; ``weight`` and ``bias`` are
-    laid out as for :func:`conv1d`.  The convolution (stride 1, symmetric
-    zero padding) has ``l_conv = length + 2*padding - kernel + 1`` outputs.
-    ``pool="max"`` returns ``(batch, l_conv // 2, channels_out)`` and equals
-    ``maxpool1d(relu(conv1d(...)))``: an odd trailing element is dropped
-    and ties route the gradient to the first index.  ``pool="mean"``
-    returns ``(batch, 1, channels_out)`` and equals
+    ``x`` is ``(batch, length, channels_in)``; ``weight`` is one layer in
+    :func:`stacked_conv`'s ``(1, kernel, channels_in, channels_out)``
+    layout and ``bias`` is ``(1, channels_out)``.  The convolution (stride
+    1, symmetric zero padding) has ``l_conv = length + 2*padding - kernel
+    + 1`` outputs.  ``pool="max"`` returns ``(batch, l_conv // 2,
+    channels_out)`` and equals ``maxpool1d(relu(conv1d(...)))``: an odd
+    trailing element is dropped and ties route the gradient to the first
+    index.  ``pool="mean"`` returns ``(batch, 1, channels_out)`` and equals
     ``adaptive_avgpool1d(relu(conv1d(...)))``.
     """
-    xd = x.data
+    xd, wd = x.data, weight.data
     if xd.ndim != 3:
         raise ValueError(
             f"expected (batch, length, channels) input, got shape {xd.shape}")
+    if wd.ndim != 4 or wd.shape[0] != 1 or bias.shape != (1, wd.shape[-1]):
+        raise ValueError(f"expected a (1, kernel, c_in, c_out) weight and a (1, c_out) "
+                         f"bias, got shapes {wd.shape} and {bias.shape}")
     n, length, c_in = xd.shape
-    c_out, w_cin, kernel = weight.data.shape
+    _, kernel, w_cin, c_out = wd.shape
     if c_in != w_cin:
         raise ValueError(
             f"input has {c_in} channels but weight expects {w_cin}"
@@ -273,7 +272,7 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
     else:
         xp = xd
     cols = _kernel_major_cols(xp, kernel)
-    w2 = weight.data.transpose(2, 1, 0).reshape(kernel * c_in, c_out)
+    w2 = wd.reshape(kernel * c_in, c_out)
     z = (cols @ w2).reshape(n, l_conv, c_out)
     z += bias.data
 
@@ -301,10 +300,9 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
             gz = (g / l_conv) * active
         g2 = gz.reshape(n * l_conv, c_out)
         if weight.requires_grad:
-            dw = (cols.T @ g2).reshape(kernel, c_in, c_out).transpose(2, 1, 0)
-            _accumulate(weight, np.ascontiguousarray(dw), owned=True)
+            _accumulate(weight, (cols.T @ g2).reshape(wd.shape), owned=True)
         if bias.requires_grad:
-            _accumulate(bias, g2.sum(axis=0), owned=True)
+            _accumulate(bias, g2.sum(axis=0, keepdims=True), owned=True)
         if x.requires_grad:
             dxp = _kernel_major_uncols((g2 @ w2.T).reshape(n, l_conv, kernel, c_in))
             dx = dxp[:, padding:padding + length] if padding else dxp

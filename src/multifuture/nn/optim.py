@@ -1,4 +1,7 @@
-"""Adam optimizer with bias correction and the default hyperparameters."""
+"""Adam optimizer with bias correction and the default hyperparameters.
+
+It steps a plain list of tensors, such as a model's ``parameters()``.
+"""
 
 from __future__ import annotations
 
@@ -7,14 +10,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .layers import LayerParams, StackedGroup
 from .tensor import Tensor
 
 __all__ = ["AdamState", "adam_step"]
-
-
-def _flatten(params: list[LayerParams | StackedGroup]) -> list[Tensor]:
-    return [t for p in params for t in p.tensors()]
 
 
 @dataclass
@@ -30,28 +28,24 @@ class AdamState:
     epsilon: ClassVar[float] = 1e-8
 
     @classmethod
-    def init(cls, params: list[LayerParams | StackedGroup],
-             learning_rate: float = 1e-3) -> "AdamState":
-        tensors = _flatten(params)
+    def init(cls, params: list[Tensor], learning_rate: float = 1e-3) -> "AdamState":
         return cls(
             step_count=0,
-            first_moment=[np.zeros_like(t.data) for t in tensors],
-            second_moment=[np.zeros_like(t.data) for t in tensors],
+            first_moment=[np.zeros_like(t.data) for t in params],
+            second_moment=[np.zeros_like(t.data) for t in params],
             learning_rate=learning_rate,
         )
 
 
-def adam_step(params: list[LayerParams | StackedGroup],
-              state: AdamState) -> AdamState:
+def adam_step(params: list[Tensor], state: AdamState) -> AdamState:
     """One in-place Adam update over ``params``; gradients are consumed.
 
     Every trainable tensor must carry a populated gradient.  After the
     update all gradients are zeroed and ``step_count`` is incremented.
     """
-    tensors = _flatten(params)
-    if len(tensors) != len(state.first_moment):
+    if len(params) != len(state.first_moment):
         raise ValueError("parameter list does not match optimizer state")
-    for t, m in zip(tensors, state.first_moment):
+    for t, m in zip(params, state.first_moment):
         if m.shape != t.data.shape:
             raise ValueError("optimizer state shapes do not match parameters")
         if t.requires_grad and t.grad is None:
@@ -61,7 +55,7 @@ def adam_step(params: list[LayerParams | StackedGroup],
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1 ** state.step_count
     bias2 = 1.0 - b2 ** state.step_count
-    for t, m, v in zip(tensors, state.first_moment, state.second_moment):
+    for t, m, v in zip(params, state.first_moment, state.second_moment):
         if not t.requires_grad:
             continue
         g = t.grad

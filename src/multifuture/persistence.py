@@ -151,10 +151,6 @@ class _Manifest:  # field order is manifest.json's key order
                              f"config.variant {self.config.variant!r}")
 
 
-def _named_tensors(params) -> list[tuple[str, Tensor]]:
-    return [pair for p in params for pair in p.named_tensors()]
-
-
 def _write_checkpoint(directory, kind: str, config: ModelConfig,
                       tensors: list[tuple[str, Tensor]],
                       training_seed: int | None) -> None:
@@ -183,13 +179,13 @@ def save(model, directory, training_seed: int | None = None) -> None:
     """Write a float32 model checkpoint (manifest + parameter blob)."""
     kind = ("expert_classifier" if isinstance(model, ExpertClassifier)
             else "forecaster")
-    _write_checkpoint(directory, kind, model.config,
-                      _named_tensors(model.parameters()), training_seed)
+    _write_checkpoint(directory, kind, model.config, model.named_tensors(),
+                      training_seed)
 
 
 def save_shape_banks(model: Forecaster, directory) -> None:
     """Write only the shape-bank templates (user-suppliable banks)."""
-    entries = _named_tensors(model.shape_banks())
+    entries = model.shape_banks()
     if not entries:
         raise CheckpointError("model has no shape banks to save")
     _write_checkpoint(directory, "shape_banks", model.config, entries, None)
@@ -251,9 +247,11 @@ def _read_entries(directory, entries: tuple[_Entry, ...]) -> dict[str, np.ndarra
 
 
 def _reader(arrays: dict[str, np.ndarray]) -> Take:
-    """A ``take`` that pops each parameter the model asks for from ``arrays``
-    as a writable float32 copy, checking its name and shape first, so a
-    config the blob does not hold fails before its architecture is built.
+    """A ``take`` that pops each parameter the model asks for from ``arrays``,
+    checking its name and shape first, so a config the blob does not hold
+    fails before its architecture is built.  It hands over the blob's
+    read-only arrays; the model's parameter table copies each one into its
+    stored tensors.
     """
     def tensor(name: str, shape: tuple[int, ...]) -> Tensor:
         stored = arrays.pop(name, None)
@@ -262,7 +260,7 @@ def _reader(arrays: dict[str, np.ndarray]) -> Take:
         if stored.shape != shape:
             raise CheckpointError(
                 f"parameter {name!r} has shape {stored.shape}, expected {shape}")
-        return Tensor(stored.astype(np.float32), requires_grad=True)
+        return Tensor(stored)
 
     def take(name: str, shape: tuple[int, ...], bias: bool = True) -> LayerParams:
         return LayerParams(name, tensor(f"{name}.weight", shape),
@@ -297,7 +295,7 @@ def load_shape_banks(model: Forecaster, directory) -> Forecaster:
         raise CheckpointError(
             f"expected a shape_banks checkpoint, found {manifest.kind!r}")
     arrays = _read_entries(directory, manifest.parameters)
-    banks = dict(_named_tensors(model.shape_banks()))
+    banks = dict(model.shape_banks())
     unknown = sorted(arrays.keys() - banks.keys())
     if unknown:
         raise CheckpointError(f"model has no shape bank named {unknown[0]!r}")

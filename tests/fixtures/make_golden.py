@@ -3,7 +3,7 @@
 Trains every variant for a few iterations on a generated series and stores,
 in one ``golden.npz``: the loss trace, the oracle-win histograms, the
 ``FutureSet`` arrays on fixed windows and the SHA-256 of the trained
-parameters (names plus float32 bytes, in ``parameters()`` order).  The
+parameters (names plus float32 bytes, in ``named_tensors()`` order).  The
 trained ``full`` model is also saved as a checkpoint under ``golden_full/``
 so a test can show that a checkpoint written by this code keeps loading and
 predicting bit-exactly.
@@ -51,10 +51,9 @@ def windows(config: ModelConfig) -> list[np.ndarray]:
 
 def parameter_digest(model) -> str:
     h = hashlib.sha256()
-    for params in model.parameters():
-        for name, tensor in params.named_tensors():
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+    for name, tensor in model.named_tensors():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
     return h.hexdigest()
 
 

@@ -120,9 +120,7 @@ def test_criterion_01_gradient_correctness():
                     loss = term if loss is None else loss + term
                 return loss
 
-            tensors = [x]
-            for p in model.parameters():
-                tensors.extend(p.tensors())
+            tensors = [x] + model.parameters()
             err = grad_check(oracle_loss, tensors)
             worst = max(worst, err)
             assert err < 1e-3, f"full-loss gradients failed at seed {seed}: {err}"
@@ -240,10 +238,10 @@ def test_criterion_05_shape_bank_envelope():
         for _ in range(100):
             window = rng.standard_normal((cfg.n_p, cfg.d)) * 3
             fs = model.predict_futures(window)
-            for g, bank in enumerate(model.shape_banks()):
+            for g, (_, bank) in enumerate(model.shape_banks()):
                 i, j = divmod(g, cfg.d)
-                lo = bank.weight.data.min(axis=0)
-                hi = bank.weight.data.max(axis=0)
+                lo = bank.data.min(axis=0)
+                hi = bank.data.max(axis=0)
                 assert np.all(fs.shape_preds[i, j] >= lo - 1e-6)
                 assert np.all(fs.shape_preds[i, j] <= hi + 1e-6)
         c.detail = "100 random forwards"

@@ -163,6 +163,16 @@ class TestEvaluateAndPredict:
         assert "approved_count_truth" in header
         assert "approved_count_future_2" in header
 
+    def test_evaluate_rejects_checkpoint_with_baseline(self, workdir, capsys):
+        tmp_path, config = workdir
+        out = tmp_path / "both"
+        assert main(["evaluate", "--config", config, "--checkpoint",
+                     str(tmp_path / "run" / "checkpoint"), "--baseline", "nn",
+                     "--out", str(out)]) == 1
+        assert ("error: evaluate needs exactly one of --checkpoint and --baseline"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_baseline_reports_same_schema(self, trained):
         tmp_path, config, _ = trained
         for name in ("nn", "ridge"):

@@ -40,8 +40,7 @@ def test_golden_checkpoint_loads_bit_exact(golden):
     model = persistence.load(make_golden.GOLDEN_CHECKPOINT)
     manifest = json.loads(
         (make_golden.GOLDEN_CHECKPOINT / persistence.MANIFEST_NAME).read_text())
-    names = [name for params in model.parameters()
-             for name, _ in params.named_tensors()]
+    names = [name for name, _ in model.named_tensors()]
     assert names == [entry["name"] for entry in manifest["parameters"]]
     assert make_golden.parameter_digest(model) == str(
         golden["full.parameter_sha256"])

@@ -1,6 +1,7 @@
 """Tests for the forecaster: architecture arithmetic, variants, contracts."""
 
 import hashlib
+import json
 from collections import Counter
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ from multifuture.model import (
     shape_encoder_forward,
 )
 from multifuture.nn import Tensor, grad_check, no_grad, ops
-from multifuture.persistence import load_shape_banks, save_shape_banks
+from multifuture.persistence import MANIFEST_NAME, load_shape_banks, save, save_shape_banks
 from multifuture.training import _oracle_batch_loss
 
 SMALL = dict(n_p=16, n_h=8, d=2, f=2, n_s=4, channels=8)
@@ -117,14 +118,14 @@ class TestShapeDecoder:
         np.testing.assert_allclose(r @ s, [3.0, 1.0, 3.0])
         cfg = small_config(n_s=2, n_h=3, d=1)
         model = Forecaster(cfg, seed=0)
-        bank = model.members[0].shape_decoder.banks.slice(0)
-        bank.weight.data[:] = s.astype(np.float32)
+        params = dict(model.named_tensors())
+        params["shape_decoder0.bank0.weight"].data[:] = s.astype(np.float32)
         h = np.zeros(cfg.channels)
         # zero h and zero regressor weights give uniform r; force the
         # regressor bias to produce [0.25, 0.75]
-        reg = model.members[0].shape_decoder.regressors.slice(0)
-        reg.weight.data[:] = 0
-        reg.bias.data[:] = np.log([0.25, 0.75]).astype(np.float32)
+        params["shape_decoder0.regressor0.weight"].data[:] = 0
+        params["shape_decoder0.regressor0.bias"].data[:] = np.log(
+            [0.25, 0.75]).astype(np.float32)
         alpha, r_out = shape_decoder_forward(model, h, 0)
         np.testing.assert_allclose(r_out[0], [0.25, 0.75], rtol=1e-6)
         np.testing.assert_allclose(alpha[0], [3.0, 1.0, 3.0], rtol=1e-5)
@@ -136,9 +137,9 @@ class TestShapeDecoder:
             h = np.random.default_rng(seed).standard_normal(cfg.channels)
             alpha, r = shape_decoder_forward(model, h, 1)
             np.testing.assert_allclose(r.sum(axis=-1), 1.0, atol=1e-6)
-            for j, bank in enumerate(model.shape_banks()[cfg.d:2 * cfg.d]):
-                lo = bank.weight.data.min(axis=0)
-                hi = bank.weight.data.max(axis=0)
+            for j, (_, bank) in enumerate(model.shape_banks()[cfg.d:2 * cfg.d]):
+                lo = bank.data.min(axis=0)
+                hi = bank.data.max(axis=0)
                 assert np.all(alpha[j] >= lo - 1e-6)
                 assert np.all(alpha[j] <= hi + 1e-6)
 
@@ -147,9 +148,9 @@ class TestScaleAndCombine:
     def test_zero_weights_zero_output(self):
         cfg = small_config()
         model = Forecaster(cfg, seed=0)
-        dec = model.members[0].scale_decoder
-        dec.linears.slice(0).weight.data[:] = 0
-        dec.linears.slice(0).bias.data[:] = 0
+        params = dict(model.named_tensors())
+        params["scale_decoder0.linear.weight"].data[:] = 0
+        params["scale_decoder0.linear.bias"].data[:] = 0
         mul, add = scale_forward(model, random_window(cfg), 0)
         np.testing.assert_allclose(mul, np.zeros(cfg.d))
         np.testing.assert_allclose(add, np.zeros(cfg.d))
@@ -167,9 +168,10 @@ class TestScaleAndCombine:
         from multifuture.nn.tensor import Tensor, no_grad
         with no_grad():
             x = Tensor(check_windows(window, cfg.n_p, cfg.d, model.dtype))
-            h = model.members[0].scale_encoder.forward(x).data[0]
-        w = model.members[0].scale_decoder.linears.slice(0).weight.data
-        b = model.members[0].scale_decoder.linears.slice(0).bias.data
+            h = model.members[0].scale_encoder.forward(x).data[0, 0]
+        params = dict(model.named_tensors())
+        w = params["scale_decoder0.linear.weight"].data
+        b = params["scale_decoder0.linear.bias"].data
         expected = np.array([
             sum(w[o, i] * h[i] for i in range(w.shape[1])) + b[o]
             for o in range(w.shape[0])
@@ -233,7 +235,7 @@ class TestModelForward:
         encoder = model.members[0].shape_encoder
         assert all(e is encoder for m in model.members
                    for e in (m.shape_encoder, m.scale_encoder))
-        names = [p.name for p in model.parameters()]
+        names = [name for name, _ in model.named_tensors()]
         assert not any(name.startswith("shape_encoder") for name in names)
 
     def test_tconv_length_schedule(self):
@@ -344,9 +346,9 @@ class TestInterpretabilityContract:
         model = Forecaster(cfg, seed=2)
         window = random_window(cfg, 7)
         fs = model.predict_futures(window)
-        for g, bank in enumerate(model.shape_banks()):
+        for g, (_, bank) in enumerate(model.shape_banks()):
             i, j = divmod(g, cfg.d)
-            rebuilt = fs.activations[i, j] @ bank.weight.data.astype(np.float64)
+            rebuilt = fs.activations[i, j] @ bank.data.astype(np.float64)
             np.testing.assert_allclose(fs.shape_preds[i, j], rebuilt,
                                        rtol=1e-4, atol=1e-6)
 
@@ -364,10 +366,9 @@ class TestTConvDecoder:
         # Zero initial biases put the pre-activations behind an all-dead
         # ReLU row exactly on the kink, where a central difference is
         # one-sided; random biases move them off it.
-        for p in model.parameters():  # per-future biases, in checkpoint order
-            for name, t in p.named_tensors():
-                if name.endswith(".bias"):
-                    t.data[:] = rng.standard_normal(t.shape) * 0.1
+        for name, t in model.named_tensors():  # per-future biases, in checkpoint order
+            if name.endswith(".bias"):
+                t.data[:] = rng.standard_normal(t.shape) * 0.1
         x = Tensor(rng.standard_normal((2, cfg.n_p, cfg.d)), requires_grad=True)
         truth = rng.standard_normal((2, cfg.d, cfg.n_h))
         winners = []
@@ -378,7 +379,7 @@ class TestTConvDecoder:
                             if n})
             return loss
 
-        tensors = [x] + [t for p in model.parameters() for t in p.tensors()]
+        tensors = [x] + model.parameters()
         assert grad_check(oracle_loss, tensors) < 1e-3  # criterion 1's bound
         idle = set(range(cfg.f)) - winners[0]
         assert idle
@@ -391,12 +392,11 @@ class TestTConvDecoder:
         model = Forecaster(self.CONFIG, seed=0)
         digest = hashlib.sha256()
         names = []
-        for params in model.parameters():
-            for name, t in params.named_tensors():
-                names.append(name)
-                digest.update(name.encode())
-                digest.update(repr(t.data.shape).encode())
-                digest.update(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+        for name, t in model.named_tensors():
+            names.append(name)
+            digest.update(name.encode())
+            digest.update(repr(t.data.shape).encode())
+            digest.update(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
         layers = (["input_linear"] + [f"tconv{b}" for b in range(5)]
                   + ["output_conv"])
         assert names[16:16 + 3 * 14] == [
@@ -408,13 +408,12 @@ class TestTConvDecoder:
 
 def _layout_digest(model) -> str:
     """SHA-256 over each parameter's name, shape and float32 bytes, in
-    ``parameters()`` order."""
+    ``named_tensors()`` order."""
     digest = hashlib.sha256()
-    for params in model.parameters():
-        for name, t in params.named_tensors():
-            digest.update(name.encode())
-            digest.update(repr(t.data.shape).encode())
-            digest.update(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+    for name, t in model.named_tensors():
+        digest.update(name.encode())
+        digest.update(repr(t.data.shape).encode())
+        digest.update(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
     return digest.hexdigest()
 
 
@@ -446,7 +445,7 @@ class TestMembers:
         for i in range(cfg.f):
             member = model.members[i if variant == "model_ensemble" else 0]
             with no_grad():
-                h = member.shape_encoder.forward(x).data[0]
+                h = member.shape_encoder.forward(x).data[0, 0]
             alpha, r = shape_decoder_forward(model, h, i)
             np.testing.assert_allclose(alpha, fs.shape_preds[i], rtol=1e-6, atol=0)
             np.testing.assert_allclose(r, fs.activations[i], rtol=1e-6, atol=0)
@@ -456,10 +455,21 @@ class TestMembers:
                                                  "member{i}.shape_decoder0")])
     def test_shape_banks_listed_once_in_order(self, variant, prefix, tmp_path):
         model = Forecaster(small_config(f=3, variant=variant), seed=0)
-        assert [bank.name for bank in model.shape_banks()] == [
-            f"{prefix.format(i=i)}.bank{j}" for i in range(3) for j in range(2)]
+        assert [name for name, _ in model.shape_banks()] == [
+            f"{prefix.format(i=i)}.bank{j}.weight" for i in range(3) for j in range(2)]
         save_shape_banks(model, tmp_path)
         load_shape_banks(model, tmp_path)
+
+    @pytest.mark.parametrize("variant", ["full", "model_ensemble"])
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_decoder_index_outside_the_futures_is_rejected(self, variant, index):
+        cfg = small_config(f=3, variant=variant)
+        model = Forecaster(cfg, seed=0)
+        message = rf"decoder_index {index} is outside \[0, 3\)"
+        with pytest.raises(ValueError, match=message):
+            shape_decoder_forward(model, np.zeros(cfg.channels), index)
+        with pytest.raises(ValueError, match=message):
+            scale_forward(model, random_window(cfg), index)
 
     def test_forward_op_count_does_not_grow_with_f(self, monkeypatch):
         calls = Counter()
@@ -481,3 +491,26 @@ class TestMembers:
             Forecaster(cfg, seed=0).predict_futures(random_window(cfg))
             counts.append(dict(calls))
         assert counts[0] == counts[1] == {"softmax": 1, "stacked_conv": 2}
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("variant", [*VARIANTS, "expert"])
+    def test_every_stored_scalar_has_one_checkpoint_name(self, variant, tmp_path):
+        if variant == "expert":
+            model = ExpertClassifier(small_config(f=3), seed=0)
+        else:
+            model = Forecaster(small_config(f=3, n_h=16, variant=variant), seed=0)
+        stored, named = model.parameters(), model.named_tensors()
+        for name, view in named:
+            owners = [t for t in stored if np.shares_memory(view.data, t.data)]
+            assert len(owners) == 1, name
+        assert sum(view.size for _, view in named) == sum(t.size for t in stored)
+        # one write through every view reaches every stored scalar once
+        for t in stored:
+            t.data[...] = 0
+        for _, view in named:
+            view.data += 1
+        assert all((t.data == 1).all() for t in stored)
+        save(model, tmp_path)
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        assert [name for name, _ in named] == [p["name"] for p in manifest["parameters"]]

@@ -1,5 +1,7 @@
 """Tests for the differentiation engine: ops, Adam, gradient checking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,13 @@ def _composed_block(x, w, b, padding, pool):
     return ops.maxpool1d(h) if pool == "max" else ops.adaptive_avgpool1d(h)
 
 
+def _block_params(w, b):
+    """A checkpoint-layout ``(c_out, c_in, kernel)`` conv and its bias as
+    encoder_block's ``(1, kernel, c_in, c_out)`` weight and ``(1, c_out)``
+    bias."""
+    return np.ascontiguousarray(w.transpose(2, 1, 0))[None], b[None]
+
+
 class TestEncoderBlock:
     @pytest.mark.parametrize("pool", ["max", "mean"])
     @pytest.mark.parametrize("kernel", [3, 5])
@@ -224,8 +233,8 @@ class TestEncoderBlock:
     def test_grad_check(self, pool, kernel, batch, length):
         rng = np.random.default_rng(kernel * 100 + length)
         x = Tensor(rng.standard_normal((batch, length, 3)), requires_grad=True)
-        w = Tensor(rng.standard_normal((4, 3, kernel)) * 0.5, requires_grad=True)
-        b = Tensor(rng.standard_normal(4) * 0.1, requires_grad=True)
+        w, b = (Tensor(a, requires_grad=True) for a in _block_params(
+            rng.standard_normal((4, 3, kernel)) * 0.5, rng.standard_normal(4) * 0.1))
         out_len = length // 2 if pool == "max" else 1
         probe = Tensor(rng.standard_normal((batch, out_len, 4)))
 
@@ -244,7 +253,7 @@ class TestEncoderBlock:
         x = rng.standard_normal((3, length, 4))
         w = rng.standard_normal((5, 4, kernel))
         b = rng.standard_normal(5)
-        fused = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+        fused = [Tensor(a.copy(), requires_grad=True) for a in (x, *_block_params(w, b))]
         ref = [Tensor(a.copy(), requires_grad=True)
                for a in (np.ascontiguousarray(x.transpose(0, 2, 1)), w, b)]
         out = ops.encoder_block(*fused, padding, pool)
@@ -258,14 +267,15 @@ class TestEncoderBlock:
                                    **tol)
         np.testing.assert_allclose(fused[0].grad,
                                    ref[0].grad.transpose(0, 2, 1), **tol)
-        np.testing.assert_allclose(fused[1].grad, ref[1].grad, **tol)
-        np.testing.assert_allclose(fused[2].grad, ref[2].grad, **tol)
+        np.testing.assert_allclose(fused[1].grad[0].transpose(2, 1, 0), ref[1].grad,
+                                   **tol)
+        np.testing.assert_allclose(fused[2].grad[0], ref[2].grad, **tol)
 
     def test_tie_routes_to_first(self):
         # identity kernel: the pre-activations are the input itself
         x = Tensor(np.array([[[2.0], [2.0], [1.0], [3.0]]]), requires_grad=True)
-        w = Tensor(np.ones((1, 1, 1)), requires_grad=True)
-        b = Tensor(np.zeros(1), requires_grad=True)
+        w = Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
+        b = Tensor(np.zeros((1, 1)), requires_grad=True)
         out = ops.encoder_block(x, w, b, 0, "max")
         np.testing.assert_array_equal(out.data, [[[2.0], [3.0]]])
         out.sum().backward()
@@ -274,8 +284,8 @@ class TestEncoderBlock:
     def test_negative_window_gets_no_gradient(self):
         x = Tensor(np.array([[[-1.0], [-2.0], [0.5], [-3.0]]]),
                    requires_grad=True)
-        w = Tensor(np.ones((1, 1, 1)), requires_grad=True)
-        b = Tensor(np.zeros(1), requires_grad=True)
+        w = Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
+        b = Tensor(np.zeros((1, 1)), requires_grad=True)
         out = ops.encoder_block(x, w, b, 0, "max")
         np.testing.assert_array_equal(out.data, [[[0.0], [0.5]]])
         out.sum().backward()
@@ -287,7 +297,7 @@ class TestEncoderBlock:
         rng = np.random.default_rng(0)
         tensors = [Tensor(rng.standard_normal(shape).astype(dtype),
                           requires_grad=True)
-                   for shape in ((2, 10, 3), (4, 3, 3), (4,))]
+                   for shape in ((2, 10, 3), (1, 3, 3, 4), (1, 4))]
         out = ops.encoder_block(*tensors, 1, pool)
         assert out.dtype == dtype
         out.sum().backward()
@@ -295,7 +305,11 @@ class TestEncoderBlock:
 
     def test_bad_arguments_raise(self):
         x = Tensor(np.zeros((1, 4, 2)))
-        w, b = Tensor(np.zeros((3, 2, 3))), Tensor(np.zeros(3))
+        w, b = Tensor(np.zeros((1, 3, 2, 3))), Tensor(np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="weight"):  # checkpoint layout
+            ops.encoder_block(x, Tensor(np.zeros((3, 2, 3))), b, 1, "max")
+        with pytest.raises(ValueError, match="bias"):
+            ops.encoder_block(x, w, Tensor(np.zeros(3)), 1, "max")
         with pytest.raises(ValueError, match="pool"):
             ops.encoder_block(x, w, b, 1, "sum")
         with pytest.raises(ValueError, match="channels"):
@@ -326,16 +340,23 @@ def _decoder_chain(x, per_future, out_length):
 
 
 def _stacked(per_future):
-    """The case's layers stored as a tconv decoder stores them: the block
-    with reversed kernels, the output conv as it is."""
-    blocks, outs = per_future
-    return layers.stack(blocks, flip=True), layers.stack(outs)
+    """The case's layers in one parameter table, stored as a tconv decoder
+    stores them: the block with reversed kernels, the output conv as it
+    is.  The table takes copies of the bundles, so the reference keeps its
+    own tensors."""
+    served = {p.name: p for layer in per_future for p in layer}
+    table = layers.Parameters(lambda name, *_: replace(served[name]))
+    blocks, outs = ([table.take(p.name, p.weight.shape) for p in layer]
+                    for layer in per_future)
+    table.stack(blocks, flip=True)
+    table.stack(outs)
+    return table
 
 
-def _stacked_chain(x, stacked, out_length):
-    block, output = stacked
-    h = ops.stacked_conv(x, block.weight, block.bias, out_length, relu=True)
-    return ops.stacked_conv(h, output.weight, output.bias)
+def _stacked_chain(x, table, out_length):
+    block_w, block_b, output_w, output_b = table.parameters()
+    h = ops.stacked_conv(x, block_w, block_b, out_length, relu=True)
+    return ops.stacked_conv(h, output_w, output_b)
 
 
 def _decoder_case(seed, f, batch, kernel, shared, length=16, channels=3):
@@ -345,11 +366,11 @@ def _decoder_case(seed, f, batch, kernel, shared, length=16, channels=3):
     x_shape = (batch, length, channels) if shared else (f, batch, length, channels)
     x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
     per_future = []
-    for c_out in (channels, 2):
+    for layer, c_out in (("block", channels), ("output", 2)):
         weights = [rng.standard_normal((c_out, channels, kernel)) * 0.5
                    for _ in range(f)]
         biases = [rng.standard_normal(c_out) * 0.1 for _ in range(f)]
-        per_future.append([LayerParams(f"layer{j}", Tensor(w, requires_grad=True),
+        per_future.append([LayerParams(f"{layer}{j}", Tensor(w, requires_grad=True),
                                        Tensor(b, requires_grad=True))
                            for j, (w, b) in enumerate(zip(weights, biases))])
     probe = rng.standard_normal((f, batch, 24, 2))
@@ -358,16 +379,27 @@ def _decoder_case(seed, f, batch, kernel, shared, length=16, channels=3):
     return x, per_future, Tensor(probe)
 
 
-def _stacked_leaves(x, stacked):
-    return [x] + [t for layer in stacked for t in (layer.weight, layer.bias)]
+def _per_future_grads(table):
+    """Each bundle's weight and bias gradient in its checkpoint layout, read
+    through the same views that name the stored parameters (which this
+    overwrites with their gradients)."""
+    for t in table.parameters():
+        t.data[...] = t.grad
+    return [t.data for _, t in table.named_tensors()]
 
 
-def _per_future_grads(layer):
-    """Each future's weight and bias gradient in its checkpoint layout, read
-    through the same views that name the stacked parameters."""
-    grads = layers.StackedLayer(layer.names, Tensor(layer.weight.grad),
-                                Tensor(layer.bias.grad), layer.flipped)
-    return [t.data for g in range(len(layer.names)) for t in grads.slice(g).tensors()]
+def _normal_table(rng):
+    """A parameter table that draws standard-normal weights and biases."""
+    return layers.Parameters(lambda name, shape, bias=True: LayerParams(
+        name, Tensor(rng.standard_normal(shape)), Tensor(rng.standard_normal(shape[:1]))))
+
+
+class TestParameters:
+    def test_a_name_taken_twice_is_rejected(self):
+        table = layers.Parameters(initializer(np.random.default_rng(0)))
+        table.take("conv", (2, 1, 3))
+        with pytest.raises(ValueError, match="'conv' is taken twice"):
+            table.take("conv", (2, 1, 3))
 
 
 class TestStackedConv:
@@ -375,12 +407,12 @@ class TestStackedConv:
     @pytest.mark.parametrize("kernel", [3, 5])
     def test_grad_check(self, kernel, shared):
         x, per_future, probe = _decoder_case(kernel, 3, 2, kernel, shared)
-        stacked = _stacked(per_future)
+        table = _stacked(per_future)
 
         def closure(*_):
-            return (_stacked_chain(x, stacked, 24) * probe).sum()
+            return (_stacked_chain(x, table, 24) * probe).sum()
 
-        assert grad_check(closure, _stacked_leaves(x, stacked)) < 1e-6
+        assert grad_check(closure, [x] + table.parameters()) < 1e-6
 
     def test_linear_weights_grad_check(self):
         # (f, out, in) weights act as kernel-1 convs, on a shared length-1
@@ -389,9 +421,8 @@ class TestStackedConv:
             rng = np.random.default_rng(1)
             h = Tensor(rng.standard_normal((3, length, 4) if shared
                                            else (2, 3, length, 4)), requires_grad=True)
-            linears = layers.stack([
-                LayerParams("linear", Tensor(rng.standard_normal((5, 4))),
-                            Tensor(rng.standard_normal(5))) for _ in range(2)])
+            table = _normal_table(rng)
+            linears = table.stack([table.take(f"linear{i}", (5, 4)) for i in range(2)])
             probe = Tensor(rng.standard_normal((2, 3, out_length or length, 5))
                            * np.array([1.0, 0.0, 1.0])[None, :, None, None])
 
@@ -405,15 +436,15 @@ class TestStackedConv:
     @pytest.mark.parametrize("kernel", [3, 5])
     def test_matches_per_future_reference(self, kernel, shared):
         x, per_future, probe = _decoder_case(10 + kernel, 3, 4, kernel, shared)
-        stacked = _stacked(per_future)
-        out = _stacked_chain(x, stacked, 24)
+        table = _stacked(per_future)
+        out = _stacked_chain(x, table, 24)
         (out * probe).sum().backward()
-        got = [out.data, x.grad] + [g for layer in stacked for g in _per_future_grads(layer)]
+        got = [out.data, x.grad] + _per_future_grads(table)
         x, per_future, probe = _decoder_case(10 + kernel, 3, 4, kernel, shared)
         out = _decoder_chain(x, per_future, 24)
         (out * probe).sum().backward()
         expected = [out.data, x.grad] + [t.grad for layer in per_future
-                                         for p in layer for t in p.tensors()]
+                                         for p in layer for t in (p.weight, p.bias)]
         for a, b in zip(got, expected, strict=True):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
@@ -423,11 +454,11 @@ class TestStackedConv:
         results = []
         for poison in (False, True):
             x, per_future, probe = _decoder_case(3, 3, 4, 3, shared=False)
-            stacked = _stacked(per_future)
+            table = _stacked(per_future)
             if poison:
                 x.data[0] = np.nan
-            (_stacked_chain(x, stacked, 24) * probe).sum().backward()
-            results.append([t.grad for t in _stacked_leaves(x, stacked)])
+            (_stacked_chain(x, table, 24) * probe).sum().backward()
+            results.append([t.grad for t in [x] + table.parameters()])
         clean, poisoned = results
         for got, expected in zip(poisoned, clean):
             assert np.array_equal(got, expected)
@@ -440,9 +471,8 @@ class TestStackedConv:
         rng = np.random.default_rng(4)
         x = Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
         shape = (5, 4) if linear else (5, 4, 3)
-        layer = layers.stack([LayerParams("p", Tensor(rng.standard_normal(shape)),
-                                          Tensor(rng.standard_normal(5)))
-                              for _ in range(3)])
+        table = _normal_table(rng)
+        layer = table.stack([table.take(f"p{i}", shape) for i in range(3)])
         probe = rng.standard_normal((3, 3, 2, 5))
         probe[1] = 0.0
         (ops.stacked_conv(x, layer.weight, layer.bias) * Tensor(probe)).sum().backward()
@@ -588,36 +618,35 @@ class TestUpsampleNearest:
 
 class TestAdam:
     def _params(self, value):
-        weight = Tensor(np.array([value], dtype=np.float64), requires_grad=True)
-        return [LayerParams("p", weight)]
+        return [Tensor(np.array([value], dtype=np.float64), requires_grad=True)]
 
     def test_zero_gradient_is_noop(self):
         params = self._params(1.5)
-        params[0].weight.grad = np.zeros(1)
+        params[0].grad = np.zeros(1)
         state = AdamState.init(params)
         adam_step(params, state)
-        np.testing.assert_allclose(params[0].weight.data, [1.5])
+        np.testing.assert_allclose(params[0].data, [1.5])
         assert state.step_count == 1
 
     def test_first_step_hand_value(self):
         # m_hat = v_hat = 1 after bias correction, so the step is
         # lr / (1 + eps) exactly.
         params = self._params(0.0)
-        params[0].weight.grad = np.ones(1)
+        params[0].grad = np.ones(1)
         state = AdamState.init(params)
         adam_step(params, state)
         expected = -1e-3 / (1.0 + 1e-8)
-        np.testing.assert_allclose(params[0].weight.data, [expected], rtol=1e-12)
+        np.testing.assert_allclose(params[0].data, [expected], rtol=1e-12)
 
     def test_constant_gradient_monotone(self):
         params = self._params(0.0)
         state = AdamState.init(params)
         previous = 0.0
         for _ in range(10):
-            params[0].weight.grad = np.ones(1)
+            params[0].grad = np.ones(1)
             adam_step(params, state)
-            assert params[0].weight.data[0] < previous
-            previous = params[0].weight.data[0]
+            assert params[0].data[0] < previous
+            previous = params[0].data[0]
 
     def test_missing_gradient_raises(self):
         params = self._params(0.0)
@@ -627,9 +656,9 @@ class TestAdam:
 
     def test_grads_zeroed_after_step(self):
         params = self._params(0.0)
-        params[0].weight.grad = np.ones(1)
+        params[0].grad = np.ones(1)
         adam_step(params, AdamState.init(params))
-        assert params[0].weight.grad is None
+        assert params[0].grad is None
 
     def test_defaults(self):
         state = AdamState.init(self._params(0.0))

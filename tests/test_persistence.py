@@ -90,13 +90,15 @@ class TestRoundTrip:
         for i, model in enumerate(models):
             loaded = load(tmp_path / str(i))
             assert type(loaded) is type(model)
-            for p, q in zip(model.parameters(), loaded.parameters(), strict=True):
-                assert p.name == q.name
-                for t, u in zip(p.tensors(), q.tensors(), strict=True):
-                    assert np.array_equal(t.data, u.data)
-                    # a fresh float32 array: writable, not a view of the blob
-                    assert u.data.dtype == np.float32 and u.requires_grad
-                    assert u.data.flags.writeable and u.data.base is None
+            for (name, t), (loaded_name, u) in zip(
+                    model.named_tensors(), loaded.named_tensors(), strict=True):
+                assert name == loaded_name
+                assert np.array_equal(t.data, u.data)
+            for t, u in zip(model.parameters(), loaded.parameters(), strict=True):
+                assert np.array_equal(t.data, u.data)
+                # a fresh float32 array: writable, not a view of the blob
+                assert u.data.dtype == np.float32 and u.requires_grad
+                assert u.data.flags.writeable and u.data.base is None
 
     def test_golden_checkpoint_resaves_to_its_bytes(self, tmp_path):
         def manifest_lines(directory):
@@ -330,8 +332,8 @@ class TestShapeBankFiles:
         save_shape_banks(donor, tmp_path / "banks")
         load_shape_banks(receiver, tmp_path / "banks")
 
-        donor_banks = [b.weight.data for b in donor.shape_banks()]
-        receiver_banks = [b.weight.data for b in receiver.shape_banks()]
+        donor_banks = [b.data for _, b in donor.shape_banks()]
+        receiver_banks = [b.data for _, b in receiver.shape_banks()]
         for a, b in zip(donor_banks, receiver_banks):
             assert np.array_equal(a, b)
         # non-bank parameters untouched: encoder output identical
@@ -343,7 +345,7 @@ class TestShapeBankFiles:
         config = replace(CFG, f=3, variant=variant)
         donor = Forecaster(config, seed=10)
         save_shape_banks(donor, tmp_path / "banks")
-        stored = [bank.weight.data.astype(np.float64) for bank in donor.shape_banks()]
+        stored = [bank.data.astype(np.float64) for _, bank in donor.shape_banks()]
         receiver = Forecaster(config, seed=20)
         load_shape_banks(receiver, tmp_path / "banks")
         h = np.random.default_rng(0).standard_normal(config.channels)
@@ -388,11 +390,11 @@ class TestShapeBankFiles:
         manifest["parameters"][-1]["shape"].reverse()
         manifest_path.write_text(json.dumps(manifest))
         receiver = Forecaster(CFG, seed=20)
-        before = [bank.weight.data.copy() for bank in receiver.shape_banks()]
+        before = [bank.data.copy() for _, bank in receiver.shape_banks()]
         with pytest.raises(CheckpointError, match=r"has shape \(8, 4\)"):
             load_shape_banks(receiver, tmp_path / "banks")
-        for old, bank in zip(before, receiver.shape_banks()):
-            assert np.array_equal(old, bank.weight.data)
+        for old, (_, bank) in zip(before, receiver.shape_banks()):
+            assert np.array_equal(old, bank.data)
 
     def test_model_checkpoint_rejected_by_bank_load(self, tmp_path):
         model = Forecaster(CFG, seed=0)

@@ -335,10 +335,9 @@ class TestTrainExpert:
         clf = train_expert(series, model,
                            train_config=TrainConfig(n_iter=12, batch_size=8, seed=0))
         digest = hashlib.sha256()
-        for params in clf.parameters():
-            for name, t in params.named_tensors():
-                digest.update(name.encode())
-                digest.update(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+        for name, t in clf.named_tensors():
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
         digest.update(np.ascontiguousarray(
             clf.predict_proba(series.values[:16]), dtype="<f8").tobytes())
         assert digest.hexdigest() == (
