@@ -232,7 +232,6 @@ def cmd_generate(config: RunConfig, out_dir: str) -> int:
 
 
 def cmd_train(config: RunConfig, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     split = [_train_test_split(s, config)[0] for s in _load_training_series(config)]
 
     def progress(record):
@@ -243,6 +242,7 @@ def cmd_train(config: RunConfig, out_dir: str) -> int:
     model, trace = train(split, config.model, config.train, progress=progress)
     wall = time.perf_counter() - start
 
+    os.makedirs(out_dir, exist_ok=True)
     checkpoint_dir = os.path.join(out_dir, "checkpoint")
     persistence.save(model, checkpoint_dir, training_seed=config.train.seed)
     write_loss_trace(trace, os.path.join(out_dir, "loss_trace.csv"))
@@ -289,7 +289,6 @@ def cmd_evaluate(config: RunConfig, checkpoint: str | None, baseline: str | None
                  out_dir: str) -> int:
     if (checkpoint is None) == (baseline is None):
         raise CliError("evaluate needs exactly one of --checkpoint and --baseline")
-    os.makedirs(out_dir, exist_ok=True)
     train_split, test_split = _train_test_split(
         _merchant_series(config, "evaluate"), config)
     n_p, n_h = config.model.n_p, config.model.n_h
@@ -298,8 +297,6 @@ def cmd_evaluate(config: RunConfig, checkpoint: str | None, baseline: str | None
         predictor = NearestNeighborBaseline(train_split, n_p, n_h)
     elif baseline == "ridge":
         predictor = RidgeBaseline(train_split, n_p, n_h)
-    elif baseline is not None:
-        raise CliError(f"unknown baseline {baseline!r}; expected nn|ridge")
     else:
         predictor = persistence.load(checkpoint)
         if not isinstance(predictor, Forecaster):
@@ -311,6 +308,7 @@ def cmd_evaluate(config: RunConfig, checkpoint: str | None, baseline: str | None
 
     report, predictions = evaluate_rolling(
         predictor, test_split, n_p, n_h, collect_predictions=True)
+    os.makedirs(out_dir, exist_ok=True)
     _write_text(os.path.join(out_dir, "report.json"), report.to_json() + "\n")
     _write_text(os.path.join(out_dir, "report.csv"), report.to_csv())
     _write_text(os.path.join(out_dir, "predictions.csv"),
@@ -324,7 +322,6 @@ def cmd_evaluate(config: RunConfig, checkpoint: str | None, baseline: str | None
 
 def cmd_predict(checkpoint: str, input_csv: str, expert: str | None,
                 out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     model = persistence.load(checkpoint)
     if not isinstance(model, Forecaster):
         raise CliError("checkpoint does not hold a forecaster")
@@ -340,8 +337,12 @@ def cmd_predict(checkpoint: str, input_csv: str, expert: str | None,
                            f"forecaster's: {', '.join(differ)}")
     series = load_csv(input_csv)
     n_p, n_h = model.config.n_p, model.config.n_h
+    if len(series) < n_p:
+        raise CliError(f"{input_csv} has {len(series)} hours; the checkpoint "
+                       f"needs at least n_p = {n_p}")
     window = series.values[-n_p:]
     futures = model.predict_futures(window)
+    os.makedirs(out_dir, exist_ok=True)
 
     lines = ["hour,feature,future,value,shape,scale_mul,scale_add"]
     for j in range(futures.f):
@@ -393,7 +394,6 @@ def cmd_predict(checkpoint: str, input_csv: str, expert: str | None,
 
 
 def cmd_ablate(config: RunConfig, scalability: bool, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     train_split, test_split = _train_test_split(
         _merchant_series(config, "ablate"), config)
 
@@ -411,6 +411,7 @@ def cmd_ablate(config: RunConfig, scalability: bool, out_dir: str) -> int:
                             f"{counts.decoder},{per_iter:.6f}")
                 _say(f"{scheme} f={f}: {counts.total} params, "
                      f"{per_iter * 1e3:.1f} ms/iter")
+        os.makedirs(out_dir, exist_ok=True)
         _write_text(os.path.join(out_dir, "scalability.csv"),
                     "\n".join(rows) + "\n")
         _echo_config(config, out_dir)
@@ -427,6 +428,7 @@ def cmd_ablate(config: RunConfig, scalability: bool, out_dir: str) -> int:
         _say(f"{variant}: oracle_rmse {report.oracle_rmse:.4f} "
              f"oracle_nrmse {report.oracle_nrmse:.4f}")
     table = compare(reports)
+    os.makedirs(out_dir, exist_ok=True)
     _write_text(os.path.join(out_dir, "comparison.csv"), table.to_csv())
     _write_text(os.path.join(out_dir, "comparison.txt"), table.to_text())
     _echo_config(config, out_dir)
@@ -491,10 +493,8 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(config, args.checkpoint, args.baseline,
                                 args.out or config.paths.report_dir)
-        if args.command == "ablate":
-            return cmd_ablate(config, args.scalability,
-                              args.out or config.paths.report_dir)
-        raise CliError(f"unknown command {args.command!r}")
+        return cmd_ablate(config, args.scalability,
+                          args.out or config.paths.report_dir)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

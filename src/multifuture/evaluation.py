@@ -6,6 +6,9 @@ non-overlapping ``n_h``-hour target windows, each predicted from the
 minimum error over the predicted futures; the plain ``rmse``/``nrmse``
 fields report the fixed policy of always using the first future (for
 single-future models the two coincide).
+
+Test and training windows are cut from one validated view, so a non-finite
+or too-short series raises ``ValueError`` rather than giving NaN metrics.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .data import MultivariateSeries
 from .model import FutureSet, check_windows
-from .training import ZNORM_EPSILON, _series_values, window_rmse, z_normalize
+from .training import ZNORM_EPSILON, _series_windows, window_rmse, z_normalize
 
 __all__ = [
     "WindowRecord",
@@ -111,20 +114,14 @@ def evaluate_rolling(predictor, test: MultivariateSeries, n_p: int, n_h: int,
     baselines qualify.  Windows go to ``predict_batch`` in chunks of at
     most 64.  With ``collect_predictions`` the return value is
     ``(report, predictions)`` where predictions is a list of per-window
-    ``(truth (d, n_h), FutureSet)`` pairs.
+    ``(truth (d, n_h), FutureSet)`` pairs.  A non-finite test span, or
+    one shorter than ``n_p + n_h`` hours, raises ``ValueError``.
     """
-    values = test.values
-    n_windows = (len(values) - n_p) // n_h
-    if n_windows < 1:
-        raise ValueError(
-            f"test span of {len(values)} hours is shorter than n_p + n_h "
-            f"= {n_p + n_h}")
-    # Window w is values[w * n_h:w * n_h + n_p + n_h]; (windows, d, n_p + n_h)
-    spans = np.lib.stride_tricks.sliding_window_view(
-        values, n_p + n_h, axis=0)[::n_h][:n_windows]
+    # Window w is hours w * n_h .. w * n_h + n_p + n_h - 1; (windows, d, n_p + n_h)
+    spans = _series_windows(test, n_p, n_h)[::n_h]
     inputs = spans[:, :, :n_p].swapaxes(1, 2)                    # (windows, n_p, d)
     truth = spans[:, :, n_p:]                                    # (windows, d, n_h)
-    future_sets = [fs for start in range(0, n_windows, _EVAL_BATCH)
+    future_sets = [fs for start in range(0, len(spans), _EVAL_BATCH)
                    for fs in predictor.predict_batch(
                        inputs[start:start + _EVAL_BATCH])]
     futures = np.stack([fs.futures for fs in future_sets], axis=1)  # (f, windows, d, n_h)
@@ -139,7 +136,7 @@ def evaluate_rolling(predictor, test: MultivariateSeries, n_p: int, n_h: int,
             rmse_per_future=rmses[w].tolist(),
             nrmse_per_future=nrmses[w].tolist(),
         )
-        for w in range(n_windows)
+        for w in range(len(spans))
     ]
 
     report = EvalReport(
@@ -147,7 +144,7 @@ def evaluate_rolling(predictor, test: MultivariateSeries, n_p: int, n_h: int,
         f=len(records[0].rmse_per_future),
         n_p=n_p,
         n_h=n_h,
-        d=values.shape[1],
+        d=spans.shape[1],
         rmse=float(np.mean([w.rmse_per_future[0] for w in records])),
         nrmse=float(np.mean([w.nrmse_per_future[0] for w in records])),
         oracle_rmse=float(np.mean([min(w.rmse_per_future) for w in records])),
@@ -170,14 +167,11 @@ def _single_future_set(pred: np.ndarray) -> FutureSet:
     (std, mean) satisfies the combine identity up to rounding.
     """
     pred = np.asarray(pred, dtype=np.float64)
-    mean = pred.mean(axis=1)
-    std = np.maximum(pred.std(axis=1), ZNORM_EPSILON)
-    shape = (pred - mean[:, None]) / std[:, None]
     return FutureSet(
         futures=pred[None].copy(),
-        shape_preds=shape[None],
-        scale_mul=std[None],
-        scale_add=mean[None],
+        shape_preds=z_normalize(pred, axis=1)[None],
+        scale_mul=np.maximum(pred.std(axis=1), ZNORM_EPSILON)[None],
+        scale_add=pred.mean(axis=1)[None],
     )
 
 
@@ -244,21 +238,14 @@ class NearestNeighborBaseline:
     model_id = "nearest_neighbor"
 
     def __init__(self, train: MultivariateSeries, n_p: int, n_h: int):
-        values = _series_values(train)
-        if len(values) < n_p + n_h:
-            raise ValueError(
-                f"training history of {len(values)} hours is shorter than "
-                f"n_p + n_h = {n_p + n_h}")
+        windows = _series_windows(train, n_p, n_h)    # (starts, d, n_p + n_h)
         self.n_p = n_p
         self.n_h = n_h
-        self._values = values
-        n_starts = len(values) - n_p - n_h + 1
-        windows = np.lib.stride_tricks.sliding_window_view(
-            values, n_p, axis=0)[:n_starts]          # (starts, d, n_p)
+        self._continuations = windows[:, :, n_p:]     # (starts, d, n_h)
         # The full scan's normalized values, bit for bit, stored row-major
         # per dimension for the matmul: (d, starts, n_p).
         self._rows = np.ascontiguousarray(
-            z_normalize(windows, axis=2).transpose(1, 0, 2))
+            z_normalize(windows[:, :, :n_p], axis=2).transpose(1, 0, 2))
         self._row_sq = np.einsum("dsn,dsn->ds", self._rows, self._rows)
         self._row_norms = np.sqrt(self._row_sq)
 
@@ -283,13 +270,12 @@ class NearestNeighborBaseline:
         return np.sqrt(sq.sum(axis=2)).sum(axis=1)
 
     def predict_futures(self, window: np.ndarray) -> FutureSet:
-        window = check_windows(window, self.n_p, self._values.shape[1],
+        window = check_windows(window, self.n_p, len(self._rows),
                                np.float64, single=True)[0]
         query = z_normalize(window, axis=0).T  # (d, n_p)
         starts = self._candidates(query)
         best = int(starts[np.argmin(self._recheck(query, starts))])
-        continuation = self._values[best + self.n_p:best + self.n_p + self.n_h]
-        return _single_future_set(continuation.T)
+        return _single_future_set(self._continuations[best])
 
     def predict_batch(self, windows: np.ndarray) -> list[FutureSet]:
         """One future set per window of a ``(batch, n_p, d)`` stack.
@@ -300,8 +286,7 @@ class NearestNeighborBaseline:
         ``perfbench``'s trace counts one ``predict_futures`` span per
         evaluated window.
         """
-        windows = check_windows(windows, self.n_p, self._values.shape[1],
-                                np.float64)
+        windows = check_windows(windows, self.n_p, len(self._rows), np.float64)
         return [self.predict_futures(w) for w in windows]
 
 
@@ -321,20 +306,11 @@ class RidgeBaseline:
                  lam: float = 1.0):
         if lam <= 0:
             raise ValueError("lam must be positive")
-        values = _series_values(train)
-        n_windows = len(values) - n_p - n_h + 1
-        if n_windows < 1:
-            raise ValueError(
-                f"training history of {len(values)} hours is shorter than "
-                f"n_p + n_h = {n_p + n_h}")
+        # Time-major (windows, n_p + n_h, d); only x and y are allocated.
+        windows = _series_windows(train, n_p, n_h).swapaxes(1, 2)
+        n_windows, _, self.d = windows.shape
         self.n_p = n_p
         self.n_h = n_h
-        self.d = values.shape[1]
-        self.lam = lam
-        # Window w is values[w:w + n_p + n_h], time-major; flattening its
-        # input and target parts is a view, so only x and y are allocated.
-        windows = np.lib.stride_tricks.sliding_window_view(
-            values, n_p + n_h, axis=0).swapaxes(1, 2)
         x = np.empty((n_windows, 1 + n_p * self.d))
         x[:, 0] = 1.0
         x[:, 1:] = windows[:, :n_p].reshape(n_windows, -1)

@@ -6,6 +6,9 @@ prediction has the lowest NRMSE against the ground truth (the oracle
 index).  Each instance in a mini-batch routes its own gradient to its own
 best decoder; the per-instance losses are summed and one Adam update is
 applied per iteration.
+
+Every ``(input, target)`` window, here and in evaluation, is cut from the
+validated view :func:`_series_windows`.
 """
 
 from __future__ import annotations
@@ -175,34 +178,38 @@ def _series_values(series) -> np.ndarray:
     return arr
 
 
+def _series_windows(series, n_p: int, n_h: int) -> np.ndarray:
+    """Every ``n_p + n_h``-hour window of a validated series, as the
+    read-only ``(starts, d, n_p + n_h)`` view: window ``w`` is hours
+    ``w .. w + n_p + n_h - 1``, the first ``n_p`` its input and the rest its
+    target."""
+    values = _series_values(series)
+    if len(values) < n_p + n_h:
+        raise ValueError(f"series of {len(values)} hours is shorter than "
+                         f"n_p + n_h = {n_p + n_h}")
+    return np.lib.stride_tricks.sliding_window_view(values, n_p + n_h, axis=0)
+
+
 def sample_minibatch(series, n_p: int, n_h: int, n_b: int,
                      rng: np.random.Generator):
     """Draw (inputs, targets) windows uniformly with replacement.
 
     ``series`` is one series or a sequence of them (windows never span
-    series boundaries).  The target window starts immediately after the
-    input window.  Returns ``(n_b, n_p, d)`` inputs and ``(n_b, n_h, d)``
-    targets.
+    series boundaries, and a series shorter than ``n_p + n_h`` is skipped).
+    The target window starts immediately after the input window.  Returns
+    ``(n_b, n_p, d)`` inputs and ``(n_b, n_h, d)`` targets.
     """
-    if isinstance(series, (list, tuple)):
-        pool = [_series_values(s) for s in series]
-    else:
-        pool = [_series_values(series)]
-    limits = [len(v) - n_p - n_h for v in pool]
-    usable = [i for i, lim in enumerate(limits) if lim >= 0]
-    if not usable:
+    pool = series if isinstance(series, (list, tuple)) else [series]
+    views = [_series_windows(v, n_p, n_h).swapaxes(1, 2)  # (starts, n_p + n_h, d)
+             for v in map(_series_values, pool) if len(v) >= n_p + n_h]
+    if not views:
         raise ValueError(
             f"series too short: need at least {n_p + n_h} hours")
-    inputs = np.empty((n_b, n_p, pool[0].shape[1]))
-    targets = np.empty((n_b, n_h, pool[0].shape[1]))
-    which = (usable[0] * np.ones(n_b, dtype=int) if len(usable) == 1
-             else np.asarray(usable)[rng.integers(0, len(usable), size=n_b)])
-    for row in range(n_b):
-        values = pool[which[row]]
-        start = int(rng.integers(0, limits[which[row]] + 1))
-        inputs[row] = values[start:start + n_p]
-        targets[row] = values[start + n_p:start + n_p + n_h]
-    return inputs, targets
+    which = (np.zeros(n_b, dtype=int) if len(views) == 1
+             else rng.integers(0, len(views), size=n_b))
+    rows = [views[k][rng.integers(0, len(views[k]))] for k in which]
+    batch = np.stack(rows) if rows else np.empty((0, *views[0].shape[1:]))
+    return batch[:, :n_p], batch[:, n_p:]
 
 
 def _oracle_batch_loss(fwd, truth, gamma: float, iteration: int):

@@ -139,6 +139,15 @@ class TestTrain:
         _, config = workdir
         assert main(["train", "--config", config]) == 1
 
+    @pytest.mark.parametrize("command", [["train"], ["evaluate", "--baseline", "nn"],
+                                         ["ablate"]], ids=["train", "evaluate", "ablate"])
+    def test_rejected_input_creates_no_output_directory(self, workdir, capsys, command):
+        tmp_path, config = workdir
+        out = tmp_path / "out"
+        assert main([*command, "--config", config, "--out", str(out)]) == 1
+        assert "error: no data for 'merchant_0000'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluateAndPredict:
     @pytest.fixture()
@@ -204,13 +213,20 @@ class TestEvaluateAndPredict:
             weights = [float(v) for k, v in row.items() if k.startswith("r_")]
             assert sum(weights) == pytest.approx(1.0, abs=1e-6)
 
-    def test_predict_needs_enough_history(self, trained):
+    def test_predict_needs_enough_history(self, trained, capsys):
         tmp_path, config, checkpoint = trained
         short = tmp_path / "short.csv"
         full = (tmp_path / "data" / "merchant_0000.csv").read_text().splitlines()
         short.write_text("\n".join(full[:20]) + "\n")
+        capsys.readouterr()
         assert main(["predict", "--checkpoint", checkpoint,
                      "--input", str(short), "--out", str(tmp_path / "p2")]) == 1
+        assert (f"error: {short} has 19 hours; the checkpoint needs at least "
+                "n_p = 48") in capsys.readouterr().err
+        assert not (tmp_path / "p2").exists()
+        assert main(["predict", "--checkpoint", checkpoint, "--input",
+                     str(tmp_path / "missing.csv"), "--out", str(tmp_path / "p3")]) == 1
+        assert not (tmp_path / "p3").exists()
 
     def test_predict_with_expert_probabilities(self, trained):
         tmp_path, config, checkpoint = trained

@@ -12,6 +12,7 @@ import tempfile
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from nn_reference import full_scan, full_scan_distances
@@ -20,11 +21,12 @@ from multifuture.cli import CliError, RunConfig, main
 from multifuture.data import (
     CsvFormatError,
     GeneratorConfig,
+    MultivariateSeries,
     generate,
     load_csv,
     save_csv,
 )
-from multifuture.evaluation import NearestNeighborBaseline
+from multifuture.evaluation import NearestNeighborBaseline, RidgeBaseline, evaluate_rolling
 from multifuture.model import VARIANTS, Forecaster, ModelConfig
 from multifuture.persistence import BLOB_NAME, MANIFEST_NAME, CheckpointError, load, save
 from multifuture.training import z_normalize
@@ -238,3 +240,29 @@ def test_nearest_neighbor_recheck_distances_are_the_full_scans_bits():
             assert np.array_equal(baseline._recheck(normalized, every), reference)
             for few in (np.array([start % len(every)]), rng.choice(every, 3, replace=False)):
                 assert np.array_equal(baseline._recheck(normalized, few), reference[few])
+
+
+# Three rolling windows of CFG's n_p + n_h hours, plus two hours no window
+# reaches; the baselines fit on a separate history.
+_SPAN = np.random.default_rng(3).uniform(0.5, 2.0, size=(CFG.n_p + 3 * CFG.n_h + 2, 2))
+_HISTORY = np.random.default_rng(4).uniform(0.5, 2.0, size=(40, 2))
+_PREDICTORS = {
+    "forecaster": MODEL,
+    "nearest_neighbor": NearestNeighborBaseline(_HISTORY, CFG.n_p, CFG.n_h),
+    "ridge": RidgeBaseline(_HISTORY, CFG.n_p, CFG.n_h),
+}
+
+
+@settings(max_examples=100)
+@given(st.integers(0, len(_SPAN) - 1), st.integers(0, 1),
+       st.sampled_from([np.nan, np.inf, -np.inf]), st.sampled_from(sorted(_PREDICTORS)))
+@example(CFG.n_p + 3 * CFG.n_h - 1, 1, np.nan, "ridge")  # the last target hour
+@example(CFG.n_p, 0, np.inf, "nearest_neighbor")  # the first target hour
+def test_non_finite_test_span_raises(hour, dim, value, predictor):
+    span = _SPAN.copy()
+    span[hour, dim] = value
+    test = MultivariateSeries(span, feature_names=("a", "b"))
+    with pytest.raises(ValueError, match="non-finite"):
+        report = evaluate_rolling(_PREDICTORS[predictor], test, CFG.n_p, CFG.n_h)
+        # reached only if nothing raised: name the metrics that were returned
+        pytest.fail(f"returned rmse {report.rmse} oracle_rmse {report.oracle_rmse}")

@@ -136,3 +136,9 @@ def test_guard_flags_a_stack_call():
 def test_ops_stack_no_weights_per_call():
     # a decoder's weights are stacked once, when the model is built
     assert calls_named((SRC / "nn" / "ops.py").read_text(), "stack") == []
+
+
+def test_series_windows_cut_in_training_only():
+    # evaluation reads every (input, target) window from training's
+    # validated view instead of cutting its own
+    assert calls_named((SRC / "evaluation.py").read_text(), "sliding_window_view") == []
