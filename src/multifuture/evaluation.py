@@ -7,8 +7,10 @@ minimum error over the predicted futures; the plain ``rmse``/``nrmse``
 fields report the fixed policy of always using the first future (for
 single-future models the two coincide).
 
-Test and training windows are cut from one validated view, so a non-finite
-or too-short series raises ``ValueError`` rather than giving NaN metrics.
+Test and training windows are cut from one validated view and scored by one
+rule, so a window's errors and oracle index are the ones the training loss
+gives it, and a non-finite or too-short series raises ``ValueError``
+rather than giving NaN metrics.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .data import MultivariateSeries
 from .model import FutureSet, check_windows
-from .training import ZNORM_EPSILON, _series_windows, window_rmse, z_normalize
+from .training import ZNORM_EPSILON, _score, _series_windows, z_normalize
 
 __all__ = [
     "WindowRecord",
@@ -126,29 +128,20 @@ def evaluate_rolling(predictor, test: MultivariateSeries, n_p: int, n_h: int,
                        inputs[start:start + _EVAL_BATCH])]
     futures = np.stack([fs.futures for fs in future_sets], axis=1)  # (f, windows, d, n_h)
     shape_preds = np.stack([fs.shape_preds for fs in future_sets], axis=1)
-    rmses = window_rmse(futures, truth).T
-    nrmses = window_rmse(shape_preds, z_normalize(truth, axis=-1)).T
-    records = [
-        WindowRecord(
-            window_index=w,
-            start_hour=w * n_h + n_p,
-            oracle_index=int(np.argmin(nrmses[w])) + 1,
-            rmse_per_future=rmses[w].tolist(),
-            nrmse_per_future=nrmses[w].tolist(),
-        )
-        for w in range(len(spans))
-    ]
+    rmses, nrmses, oracle = _score(futures, shape_preds, truth)  # (f, windows), (windows,)
+    records = [WindowRecord(w, w * n_h + n_p, i + 1, r, n) for w, (i, r, n) in
+               enumerate(zip(oracle.tolist(), rmses.T.tolist(), nrmses.T.tolist()))]
 
     report = EvalReport(
         model_id=getattr(predictor, "model_id", predictor.__class__.__name__),
-        f=len(records[0].rmse_per_future),
+        f=len(rmses),
         n_p=n_p,
         n_h=n_h,
         d=spans.shape[1],
-        rmse=float(np.mean([w.rmse_per_future[0] for w in records])),
-        nrmse=float(np.mean([w.nrmse_per_future[0] for w in records])),
-        oracle_rmse=float(np.mean([min(w.rmse_per_future) for w in records])),
-        oracle_nrmse=float(np.mean([min(w.nrmse_per_future) for w in records])),
+        rmse=float(rmses[0].mean()),
+        nrmse=float(nrmses[0].mean()),
+        oracle_rmse=float(rmses.min(axis=0).mean()),
+        oracle_nrmse=float(nrmses.min(axis=0).mean()),
         per_window=records,
     )
     if collect_predictions:
@@ -241,7 +234,10 @@ class NearestNeighborBaseline:
         windows = _series_windows(train, n_p, n_h)    # (starts, d, n_p + n_h)
         self.n_p = n_p
         self.n_h = n_h
-        self._continuations = windows[:, :, n_p:]     # (starts, d, n_h)
+        # (starts, d, n_h), copied because the caller may write to its array
+        # later; time-major, as in the view, so each continuation's statistics
+        # are summed in the same order.
+        self._continuations = windows[:, :, n_p:].swapaxes(1, 2).copy().swapaxes(1, 2)
         # The full scan's normalized values, bit for bit, stored row-major
         # per dimension for the matmul: (d, starts, n_p).
         self._rows = np.ascontiguousarray(
@@ -304,8 +300,8 @@ class RidgeBaseline:
 
     def __init__(self, train: MultivariateSeries, n_p: int, n_h: int,
                  lam: float = 1.0):
-        if lam <= 0:
-            raise ValueError("lam must be positive")
+        if not (np.isfinite(lam) and lam > 0):
+            raise ValueError(f"lam must be positive and finite, got {lam}")
         # Time-major (windows, n_p + n_h, d); only x and y are allocated.
         windows = _series_windows(train, n_p, n_h).swapaxes(1, 2)
         n_windows, _, self.d = windows.shape

@@ -7,8 +7,10 @@ index).  Each instance in a mini-batch routes its own gradient to its own
 best decoder; the per-instance losses are summed and one Adam update is
 applied per iteration.
 
-Every ``(input, target)`` window, here and in evaluation, is cut from the
-validated view :func:`_series_windows`.
+Here and in evaluation, every ``(input, target)`` window is cut from the
+validated view :func:`_series_windows`, and every window is scored by the
+one oracle rule :func:`_score`: the loss, the expert's labels, rolling
+evaluation and :func:`oracle_index` take their errors and winners from it.
 """
 
 from __future__ import annotations
@@ -69,6 +71,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.n_iter < 0 or self.batch_size < 1:
             raise ValueError("n_iter must be >= 0 and batch_size >= 1")
+        if not (np.isfinite(self.learning_rate) and np.isfinite(self.gamma)):
+            raise ValueError(f"learning_rate and gamma must be finite, got "
+                             f"{self.learning_rate} and {self.gamma}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.gamma < 0:
@@ -139,14 +144,26 @@ def window_rmse(pred, truth):
     return mean_square.sqrt() if isinstance(mean_square, Tensor) else np.sqrt(mean_square)
 
 
+def _score(futures, shape_preds, truth):
+    """The oracle rule for ``(f, ..., d, n_h)`` futures and shape predictions
+    against a ``(..., d, n_h)`` truth array, z-normalized along time in its own
+    dtype: the per-future ``(f, ...)`` RMSEs and NRMSEs, and the 0-based
+    ``(...)`` oracle, the future of least NRMSE with ties to the lowest index.
+    Arrays give arrays and tensors tensors, as in :func:`window_rmse`."""
+    rmse_rows = window_rmse(futures, truth)
+    nrmse_rows = window_rmse(shape_preds, z_normalize(truth, axis=-1).astype(truth.dtype))
+    errors = nrmse_rows.data if isinstance(nrmse_rows, Tensor) else nrmse_rows
+    return rmse_rows, nrmse_rows, errors.argmin(axis=0)
+
+
 def oracle_index(future_set: FutureSet, truth) -> int:
     """1-based index of the future whose shape best matches the truth.
 
     The choice is made on shape predictions only; ties break toward the
     lowest index.
     """
-    truth_z = z_normalize(np.asarray(truth, dtype=np.float64), axis=-1)
-    return int(np.argmin(window_rmse(future_set.shape_preds, truth_z))) + 1
+    truth = np.asarray(truth, dtype=np.float64)
+    return int(_score(future_set.futures, future_set.shape_preds, truth)[2]) + 1
 
 
 def compute_loss(future_set: FutureSet, truth, i_oc: int,
@@ -155,8 +172,8 @@ def compute_loss(future_set: FutureSet, truth, i_oc: int,
     if not 1 <= i_oc <= future_set.f:
         raise ValueError(f"i_oc {i_oc} out of range [1..{future_set.f}]")
     truth = np.asarray(truth, dtype=np.float64)
-    r = rmse(future_set.futures[i_oc - 1], truth)
-    n = nrmse(future_set.shape_preds[i_oc - 1], truth)
+    rmses, nrmses, _ = _score(future_set.futures, future_set.shape_preds, truth)
+    r, n = float(rmses[i_oc - 1]), float(nrmses[i_oc - 1])
     histogram = [0] * future_set.f
     histogram[i_oc - 1] = 1
     return LossRecord(
@@ -183,6 +200,9 @@ def _series_windows(series, n_p: int, n_h: int) -> np.ndarray:
     read-only ``(starts, d, n_p + n_h)`` view: window ``w`` is hours
     ``w .. w + n_p + n_h - 1``, the first ``n_p`` its input and the rest its
     target."""
+    for name, hours in (("n_p", n_p), ("n_h", n_h)):
+        if not isinstance(hours, (int, np.integer)) or hours < 1:
+            raise ValueError(f"{name} must be a positive integer, got {hours!r}")
     values = _series_values(series)
     if len(values) < n_p + n_h:
         raise ValueError(f"series of {len(values)} hours is shorter than "
@@ -216,10 +236,7 @@ def _oracle_batch_loss(fwd, truth, gamma: float, iteration: int):
     """A forward pass's oracle loss against the ``(batch, d, n_h)`` truth:
     the loss tensor, which routes each row to its winning future only, and
     the iteration's :class:`LossRecord`."""
-    truth_z = z_normalize(truth, axis=-1).astype(truth.dtype)
-    rmse_rows = window_rmse(fwd.futures, truth)                # (f, batch)
-    nrmse_rows = window_rmse(fwd.shape_preds, truth_z)
-    i_oc = nrmse_rows.data.argmin(axis=0)                     # 0-based, per row
+    rmse_rows, nrmse_rows, i_oc = _score(fwd.futures, fwd.shape_preds, truth)
     winners = np.arange(len(rmse_rows.data))[:, None] == i_oc  # one-hot
     mask = Tensor(winners.astype(truth.dtype))
 
@@ -301,8 +318,7 @@ def train_expert(series, model: Forecaster,
     def loss_of(inputs, truth):
         with no_grad():
             fwd = model.forward_tensors(inputs)
-        labels = window_rmse(fwd.shape_preds.data,
-                             z_normalize(truth, axis=-1)).argmin(axis=0)
+        labels = _score(fwd.futures.data, fwd.shape_preds.data, truth)[2]
         loss = ops.cross_entropy(classifier.forward_logits(inputs), labels)
         return loss, float(loss.data)
 

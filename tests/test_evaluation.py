@@ -27,7 +27,9 @@ from multifuture.nn import Tensor
 from multifuture.training import (
     TrainConfig,
     nrmse,
+    oracle_index,
     rmse,
+    sample_minibatch,
     train,
     window_rmse,
     z_normalize,
@@ -162,6 +164,7 @@ class TestEvaluateRolling:
             expected_n = min(nrmse(fs.shape_preds[j], truth) for j in range(4))
             assert min(record.rmse_per_future) == pytest.approx(expected_r)
             assert min(record.nrmse_per_future) == pytest.approx(expected_n)
+            assert record.oracle_index == oracle_index(fs, truth)
         assert report.oracle_rmse == pytest.approx(
             np.mean([min(w.rmse_per_future) for w in report.per_window]))
 
@@ -303,6 +306,19 @@ class TestNearestNeighbor:
     def test_insufficient_history_raises(self):
         with pytest.raises(ValueError, match="shorter"):
             NearestNeighborBaseline(np.ones((30, 2)), 24, 12)
+
+    def test_later_writes_to_the_history_do_not_change_the_fit(self, month_series):
+        # the served set is the continuation as the history held it at fit
+        # time, normalized bit for bit as the history's own (d, n_h) view is
+        values = month_series.values.copy()
+        query = values[100:148].copy()
+        baseline = NearestNeighborBaseline(values, 48, 24)
+        truth = values[148:172].T
+        want = truth.copy(), z_normalize(truth, axis=1)
+        values[:] = 7.0
+        served = baseline.predict_futures(query)
+        np.testing.assert_array_equal(served.futures[0], want[0])
+        np.testing.assert_array_equal(served.shape_preds[0], want[1])
 
     @pytest.mark.parametrize("fit", [
         lambda values: NearestNeighborBaseline(values, 12, 6),
@@ -454,8 +470,9 @@ class TestRidge:
                                    rtol=1e-4, atol=1e-6)
 
     def test_lambda_must_be_positive(self, month_series):
-        with pytest.raises(ValueError, match="positive"):
-            RidgeBaseline(month_series, 24, 6, lam=0.0)
+        for lam in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive"):
+                RidgeBaseline(month_series, 24, 6, lam=lam)
 
     def test_future_set_contract(self, month_series):
         model = RidgeBaseline(month_series, n_p=48, n_h=24)
@@ -507,6 +524,21 @@ def test_every_batch_predictor_rejects_a_bad_window(month_series, make,
                                                     windows, problem):
     with pytest.raises(ValueError, match=rf"\({_N_P}, 4\).*{problem}"):
         make(month_series).predict_batch(windows)
+
+
+@pytest.mark.parametrize("consume", [
+    lambda s, n_p, n_h: sample_minibatch(s, n_p, n_h, 4, np.random.default_rng(0)),
+    lambda s, n_p, n_h: evaluate_rolling(StubPredictor(np.ones((1, 4, 8))), s, n_p, n_h),
+    lambda s, n_p, n_h: NearestNeighborBaseline(s, n_p, n_h),
+    lambda s, n_p, n_h: RidgeBaseline(s, n_p, n_h),
+], ids=["sample_minibatch", "evaluate_rolling", "nearest_neighbor", "ridge"])
+@pytest.mark.parametrize("n_p,n_h,name", [
+    (16, 0, "n_h"), (16, -3, "n_h"), (0, 8, "n_p"), (2.5, 8, "n_p"),
+])
+def test_every_window_consumer_rejects_a_bad_horizon(month_series, consume,
+                                                     n_p, n_h, name):
+    with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+        consume(month_series, n_p, n_h)
 
 
 def test_report_json_bytes():

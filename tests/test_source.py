@@ -142,3 +142,26 @@ def test_series_windows_cut_in_training_only():
     # evaluation reads every (input, target) window from training's
     # validated view instead of cutting its own
     assert calls_named((SRC / "evaluation.py").read_text(), "sliding_window_view") == []
+
+
+def callers_of(source: str, name: str) -> list[str]:
+    """Functions and methods of ``source``, nested ones too, that call ``name``."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef)
+            and calls_named(ast.unparse(node), name)]
+
+
+def test_guard_flags_a_caller():
+    source = ("def a():\n    return window_rmse(x, y)\n"
+              "class C:\n    def b(self):\n        return t.window_rmse(x, y)\n"
+              "def c():\n    return window_rmse\n")
+    assert callers_of(source, "window_rmse") == ["a", "b"]
+
+
+def test_oracle_rule_written_once():
+    # every oracle error and winner comes from training._score; rmse is
+    # the public one-row helper
+    found = {path.name: callers_of(path.read_text(), "window_rmse")
+             for path in sorted(SRC.rglob("*.py"))}
+    assert {name: fns for name, fns in found.items() if fns} == {
+        "training.py": ["rmse", "_score"]}

@@ -307,6 +307,13 @@ class TestTrain:
         # the expert's classifier is seeded with the training seed plus one
         assert f"seed={0 if trainer == 'train' else 1}" in message
 
+    @pytest.mark.parametrize("field", ["gamma", "learning_rate"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_config_rejects_a_non_finite_value(self, field, value):
+        # rejected up front, not blamed on the model as a non-finite loss
+        with pytest.raises(ValueError, match="must be finite"):
+            TrainConfig(**{field: value})
+
     @pytest.mark.parametrize("variant", ["shared_encoder", "non_separated",
                                          "model_ensemble"])
     def test_variants_train(self, variant):
