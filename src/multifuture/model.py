@@ -371,13 +371,16 @@ class Forecaster:
 
     # -- forward passes -------------------------------------------------
 
-    def forward_tensors(self, inputs: np.ndarray) -> _ForwardTensors:
+    def forward_tensors(self, inputs: np.ndarray,
+                        single: bool = False) -> _ForwardTensors:
         """Batched forward pass returning graph-connected tensors.
 
-        ``inputs`` is ``(batch, n_p, d)`` (or a single ``(n_p, d)`` window).
+        ``inputs`` is ``(batch, n_p, d)`` or a single ``(n_p, d)`` window;
+        ``single`` rejects a batch.  This is the one place the forward pass
+        runs :func:`check_windows`.
         """
         return self._forward(Tensor(check_windows(
-            inputs, self.config.n_p, self.config.d, self.dtype)))
+            inputs, self.config.n_p, self.config.d, self.dtype, single)))
 
     def _forward(self, x: Tensor) -> _ForwardTensors:
         """Forward pass from a validated ``(batch, n_p, d)`` tensor."""
@@ -395,7 +398,16 @@ class Forecaster:
         window gives a list of one.
         """
         with no_grad():
-            fwd = self.forward_tensors(windows)
+            return self._future_sets(self.forward_tensors(windows))
+
+    def predict_futures(self, window: np.ndarray) -> FutureSet:
+        """Predict the future set for one ``(n_p, d)`` input window."""
+        with no_grad():
+            return self._future_sets(self.forward_tensors(window, single=True))[0]
+
+    @staticmethod
+    def _future_sets(fwd: _ForwardTensors) -> list[FutureSet]:
+        """One float64 ``FutureSet`` per window of a forward pass's outputs."""
         # (f, batch, ...) -> (batch, f, ...), so each window's slice is contiguous
         shape_preds, scale_mul, scale_add = (
             np.ascontiguousarray(t.data.swapaxes(0, 1), dtype=np.float64)
@@ -406,12 +418,6 @@ class Forecaster:
                                             dtype=np.float64))
         return [FutureSet(*arrays) for arrays in zip(
             futures, shape_preds, scale_mul, scale_add, activations)]
-
-    def predict_futures(self, window: np.ndarray) -> FutureSet:
-        """Predict the future set for one ``(n_p, d)`` input window."""
-        window = check_windows(window, self.config.n_p, self.config.d,
-                               self.dtype, single=True)
-        return self.predict_batch(window)[0]
 
 
 class ExpertClassifier:
@@ -437,19 +443,18 @@ class ExpertClassifier:
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         return self.table.named_tensors()
 
-    def forward_logits(self, inputs: np.ndarray) -> Tensor:
-        """(batch, n_p, d) windows -> (batch, f) logits."""
-        x = check_windows(inputs, self.config.n_p, self.config.d, self.dtype)
+    def forward_logits(self, inputs: np.ndarray, single: bool = False) -> Tensor:
+        """(batch, n_p, d) windows -> (batch, f) logits; ``single`` takes one
+        (n_p, d) window and rejects a batch."""
+        x = check_windows(inputs, self.config.n_p, self.config.d, self.dtype, single)
         h = self.encoder.forward(Tensor(x))
         return ops.stacked_conv(h, self.head.weight, self.head.bias).reshape(
             len(x), self.config.f)
 
     def predict_proba(self, window: np.ndarray) -> np.ndarray:
         """Probability over the f futures for one (n_p, d) window."""
-        window = check_windows(window, self.config.n_p, self.config.d,
-                               self.dtype, single=True)
         with no_grad():
-            logits = self.forward_logits(window)
+            logits = self.forward_logits(window, single=True)
         return ops.softmax(logits).data[0].astype(np.float64)
 
 

@@ -13,9 +13,22 @@ one batched GEMM (the tconv decoder's layers and, as kernel-1
 convolutions, every linear map), and :func:`stacked_matmul` mixes the
 bank decoders' templates.  Their backward passes skip what gets no
 gradient, so under an oracle loss only each row's winning future does
-backward work.  The reference ops (:func:`conv1d`, :func:`tconv1d`,
-:func:`relu`, :func:`maxpool1d`, :func:`adaptive_avgpool1d`,
-:func:`linear`, :func:`upsample_nearest` and the tensor ``@``) take
+backward work.
+
+:func:`encoder_block` and :func:`stacked_conv` gather their im2col
+columns from a read-only window view that :func:`_kernel_major_cols`
+builds straight from the padded input's strides; ``sliding_window_view``'s
+argument checks cost more than a batch-1 GEMM.  When an op's output will
+keep no backward closure (under :class:`~multifuture.nn.tensor.no_grad`,
+or when no input requires grad: the predicate ``_from_op`` applies), the
+op computes none of the masks only its backward pass reads, and
+:func:`stacked_conv` copies nothing that a kernel of 1 or an output at
+its input length leaves unchanged, so a served window pays for little
+beyond the forward arithmetic.
+
+The reference ops (:func:`conv1d`, :func:`tconv1d`, :func:`relu`,
+:func:`maxpool1d`, :func:`adaptive_avgpool1d`, :func:`linear`,
+:func:`upsample_nearest` and the tensor ``@``) take
 checkpoint-layout weights on channels-first ``(channels, length)`` or
 ``(batch, channels, length)`` data; the fused and stacked ops are tested
 against them.
@@ -25,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _accumulate, _from_op
+from .tensor import Tensor, _accumulate, _builds_graph, _from_op
 
 __all__ = [
     "relu",
@@ -212,11 +225,20 @@ def _kernel_major_cols(xp: np.ndarray, kernel: int) -> np.ndarray:
     """im2col of padded ``(..., rows, length + kernel - 1, channels)`` data.
 
     Returns ``(..., rows * length, kernel * channels)``: row ``(i, t)`` is
-    the contiguous run ``xp[..., i, t:t+kernel, :]``.
+    the contiguous run ``xp[..., i, t:t+kernel, :]``.  The read-only
+    ``(..., rows, length, kernel, channels)`` window view is built over a
+    C-contiguous ``xp`` (copied first if it is not) from its strides, the
+    kernel axis stepping like the time axis; the reshape then copies it
+    unless ``kernel`` is 1.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=-2)
-    *lead, rows, length, channels, _ = windows.shape
-    return windows.swapaxes(-1, -2).reshape(*lead, rows * length, kernel * channels)
+    xp = np.ascontiguousarray(xp)
+    *lead, rows, padded_length, channels = xp.shape
+    length = padded_length - kernel + 1
+    *outer, time_step, channel_step = xp.strides
+    windows = np.ndarray((*lead, rows, length, kernel, channels), xp.dtype, xp, 0,
+                         (*outer, time_step, time_step, channel_step))
+    windows.flags.writeable = False
+    return windows.reshape(*lead, rows * length, kernel * channels)
 
 
 def _kernel_major_uncols(dcols: np.ndarray) -> np.ndarray:
@@ -281,13 +303,16 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
         half = l_conv // 2
         left = z[:, 0:2 * half:2]
         right = z[:, 1:2 * half:2]
-        right_wins = right > left  # strict: ties take the left
-        pooled = np.maximum(left, right)
-        active = pooled > 0
-        out = np.maximum(pooled, 0)
+        pre = np.maximum(left, right)
+        out = np.maximum(pre, 0)
     else:
-        active = z > 0
+        pre = z
         out = np.maximum(z, 0).mean(axis=1, keepdims=True)
+    parents = (x, weight, bias)
+    if not _builds_graph(parents):  # inference: no backward-only state
+        return _from_op(out, parents, None)
+    active = pre > 0
+    right_wins = right > left if pool == "max" else None  # strict: ties take the left
 
     def bwd(g):
         if pool == "max":
@@ -308,7 +333,7 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
             dx = dxp[:, padding:padding + length] if padding else dxp
             _accumulate(x, dx, owned=True)
 
-    return _from_op(out, (x, weight, bias), bwd)
+    return _from_op(out, parents, bwd)
 
 
 def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
@@ -364,6 +389,8 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
     w2 = wd.swapaxes(1, 2) if linear else wd.reshape(f, kernel * c_in, c_out)
 
     def padded(rows):
+        if not pad:
+            return rows
         xp = np.zeros((*rows.shape[:-2], length + 2 * pad, c_in), dtype=xd.dtype)
         xp[..., pad:pad + length, :] = rows
         return xp
@@ -371,11 +398,15 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
     z = np.matmul(_kernel_major_cols(padded(xd), kernel), w2)
     z = z.reshape(f, n, length, c_out)
     z += bias.data[:, None, None, :]
+    parents = (x, weight, bias)
     if relu:
-        active = z > 0
+        active = z > 0 if _builds_graph(parents) else None
         np.maximum(z, 0, out=z)
-    idx = (np.arange(out_length) * length) // out_length
-    out = np.take(z, idx, axis=2)
+    if out_length == length:
+        out = z
+    else:
+        idx = (np.arange(out_length) * length) // out_length
+        out = np.take(z, idx, axis=2)
 
     def bwd(g):
         fi, ri = np.nonzero(g.any(axis=(2, 3)))  # (future, row) pairs, by future
@@ -406,7 +437,7 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
             dx[(ri[lo:hi],) if shared else (fi, ri)] = dxp[lo:hi, pad:pad + length]
             _accumulate(x, dx, owned=True)
 
-    return _from_op(out, (x, weight, bias), bwd)
+    return _from_op(out, parents, bwd)
 
 
 def stacked_matmul(x: Tensor, weight: Tensor) -> Tensor:

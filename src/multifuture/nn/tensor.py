@@ -262,11 +262,18 @@ def _as_tensor(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
+def _builds_graph(parents) -> bool:
+    """Whether :func:`_from_op` keeps a backward closure for an op on
+    ``parents``: grad mode is on and some parent requires grad.  An op
+    computes backward-only state only when this holds."""
+    return is_grad_enabled() and any(p.requires_grad for p in parents)
+
+
 def _from_op(data, parents, backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if is_grad_enabled() and any(p.requires_grad for p in parents):
+    if _builds_graph(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn

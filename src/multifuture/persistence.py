@@ -151,6 +151,22 @@ class _Manifest:  # field order is manifest.json's key order
                              f"config.variant {self.config.variant!r}")
 
 
+def _blob_bytes(array: np.ndarray) -> bytes:
+    """``array``'s little-endian float32 bytes in C order.
+
+    A conv weight is a transposed view of its stored ``(kernel, c_in,
+    c_out)`` slice.  One ``ascontiguousarray`` of it would loop innermost
+    over the short kernel axis; copying one kernel offset at a time takes
+    about half as long.
+    """
+    if array.ndim != 3:
+        return np.ascontiguousarray(array, dtype="<f4").tobytes()
+    out = np.empty(array.shape, dtype="<f4")
+    for k in range(array.shape[2]):
+        out[:, :, k] = array[:, :, k]
+    return out.tobytes()
+
+
 def _write_checkpoint(directory, kind: str, config: ModelConfig,
                       tensors: list[tuple[str, Tensor]],
                       training_seed: int | None) -> None:
@@ -161,7 +177,7 @@ def _write_checkpoint(directory, kind: str, config: ModelConfig,
             raise CheckpointError(
                 f"parameter {name!r} is {tensor.data.dtype}, not float32")
         entries.append(_Entry(name, tensor.data.shape, len(blob)))
-        blob.extend(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+        blob.extend(_blob_bytes(tensor.data))
     manifest = _Manifest(
         format_version=FORMAT_VERSION, kind=kind, variant=config.variant,
         config=config, training_seed=training_seed,

@@ -8,9 +8,11 @@ best decoder; the per-instance losses are summed and one Adam update is
 applied per iteration.
 
 Here and in evaluation, every ``(input, target)`` window is cut from the
-validated view :func:`_series_windows`, and every window is scored by the
-one oracle rule :func:`_score`: the loss, the expert's labels, rolling
-evaluation and :func:`oracle_index` take their errors and winners from it.
+validated view :func:`_series_windows` (the sampler's :class:`_WindowPool`
+builds that view of each usable series, checked once per training run),
+and every window is scored by the one oracle rule :func:`_score`: the
+loss, the expert's labels, rolling evaluation and :func:`oracle_index`
+take their errors and winners from it.
 """
 
 from __future__ import annotations
@@ -195,19 +197,39 @@ def _series_values(series) -> np.ndarray:
     return arr
 
 
+def _check_horizons(n_p, n_h) -> None:
+    for name, hours in (("n_p", n_p), ("n_h", n_h)):
+        if not isinstance(hours, (int, np.integer)) or hours < 1:
+            raise ValueError(f"{name} must be a positive integer, got {hours!r}")
+
+
 def _series_windows(series, n_p: int, n_h: int) -> np.ndarray:
     """Every ``n_p + n_h``-hour window of a validated series, as the
     read-only ``(starts, d, n_p + n_h)`` view: window ``w`` is hours
     ``w .. w + n_p + n_h - 1``, the first ``n_p`` its input and the rest its
     target."""
-    for name, hours in (("n_p", n_p), ("n_h", n_h)):
-        if not isinstance(hours, (int, np.integer)) or hours < 1:
-            raise ValueError(f"{name} must be a positive integer, got {hours!r}")
+    _check_horizons(n_p, n_h)
     values = _series_values(series)
     if len(values) < n_p + n_h:
         raise ValueError(f"series of {len(values)} hours is shorter than "
                          f"n_p + n_h = {n_p + n_h}")
     return np.lib.stride_tricks.sliding_window_view(values, n_p + n_h, axis=0)
+
+
+class _WindowPool:
+    """The time-major ``(starts, n_p + n_h, d)`` window views of every series
+    in a pool that is at least ``n_p + n_h`` hours long, each series
+    converted and checked once; :func:`sample_minibatch` draws from it."""
+
+    def __init__(self, series, n_p: int, n_h: int):
+        _check_horizons(n_p, n_h)
+        pool = series if isinstance(series, (list, tuple)) else [series]
+        hours = n_p + n_h
+        window_view = np.lib.stride_tricks.sliding_window_view
+        self.views = [window_view(v, hours, axis=0).swapaxes(1, 2)
+                      for v in map(_series_values, pool) if len(v) >= hours]
+        if not self.views:
+            raise ValueError(f"series too short: need at least {hours} hours")
 
 
 def sample_minibatch(series, n_p: int, n_h: int, n_b: int,
@@ -217,14 +239,12 @@ def sample_minibatch(series, n_p: int, n_h: int, n_b: int,
     ``series`` is one series or a sequence of them (windows never span
     series boundaries, and a series shorter than ``n_p + n_h`` is skipped).
     The target window starts immediately after the input window.  Returns
-    ``(n_b, n_p, d)`` inputs and ``(n_b, n_h, d)`` targets.
+    ``(n_b, n_p, d)`` inputs and ``(n_b, n_h, d)`` targets.  Training
+    passes a :class:`_WindowPool` of the same horizons, built once per run,
+    so its series are not checked again on every call.
     """
-    pool = series if isinstance(series, (list, tuple)) else [series]
-    views = [_series_windows(v, n_p, n_h).swapaxes(1, 2)  # (starts, n_p + n_h, d)
-             for v in map(_series_values, pool) if len(v) >= n_p + n_h]
-    if not views:
-        raise ValueError(
-            f"series too short: need at least {n_p + n_h} hours")
+    pool = series if isinstance(series, _WindowPool) else _WindowPool(series, n_p, n_h)
+    views = pool.views
     which = (np.zeros(n_b, dtype=int) if len(views) == 1
              else rng.integers(0, len(views), size=n_b))
     rows = [views[k][rng.integers(0, len(views[k]))] for k in which]
@@ -256,11 +276,12 @@ def _fit(series, params, config: ModelConfig, train_config: TrainConfig,
     """Step Adam on ``loss_of(inputs, truth) -> (loss, total)`` over seeded
     mini-batches, with float32 ``(batch, d, n_h)`` truth; yield after each
     step, or raise :class:`TrainingDiverged` on a non-finite total."""
+    pool = _WindowPool(series, config.n_p, config.n_h)
     state = AdamState.init(params, learning_rate=train_config.learning_rate)
     rng = np.random.default_rng(seed)
     for iteration in range(train_config.n_iter):
         inputs, targets = sample_minibatch(
-            series, config.n_p, config.n_h, train_config.batch_size, rng)
+            pool, config.n_p, config.n_h, train_config.batch_size, rng)
         truth = np.ascontiguousarray(targets.transpose(0, 2, 1), dtype=np.float32)
         loss, total = loss_of(inputs, truth)
         if not np.isfinite(total):

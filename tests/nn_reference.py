@@ -1,5 +1,8 @@
-"""The nearest-neighbour baseline's vectorised full scan, kept as the
-reference that its pruned scan must match bit for bit."""
+"""Straightforward implementations kept as the references that the
+program's faster code must match bit for bit: the nearest-neighbour
+baseline's vectorised full scan, which its pruned scan must reproduce, and
+the ``sliding_window_view`` im2col that ``nn.ops._kernel_major_cols``
+builds from strides."""
 
 import numpy as np
 
@@ -26,3 +29,12 @@ def full_scan(train_values, query, n_p, n_h):
     values = np.asarray(train_values, dtype=np.float64)
     best = int(np.argmin(full_scan_distances(values, query, n_p, n_h)))
     return values[best + n_p:best + n_p + n_h].T
+
+
+def kernel_major_cols(xp, kernel):
+    """im2col of padded ``(..., rows, length + kernel - 1, channels)`` data
+    as ``(..., rows * length, kernel * channels)``, through
+    ``sliding_window_view``."""
+    windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=-2)
+    *lead, rows, length, channels, _ = windows.shape
+    return windows.swapaxes(-1, -2).reshape(*lead, rows * length, kernel * channels)

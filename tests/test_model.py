@@ -281,6 +281,30 @@ class TestModelForward:
                 assert a.dtype == b.dtype == np.float64
                 assert np.array_equal(a, b), name
 
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_predict_validates_once_and_builds_no_window_view(self, variant, kernel,
+                                                              monkeypatch):
+        cfg = small_config(variant=variant, kernel=kernel,
+                           n_h=16 if variant == "tconv_decoder" else 8)
+        model = Forecaster(cfg, seed=0)
+        window = random_window(cfg, 5)
+        expected = model.predict_futures(window)
+        checked = []
+
+        def counted(*args, **kwargs):
+            checked.append(args[0])
+            return check_windows(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sliding_window_view called while serving")
+
+        monkeypatch.setattr("multifuture.model.check_windows", counted)
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", refuse)
+        got = model.predict_futures(window)
+        assert len(checked) == 1 and checked[0] is window
+        assert got.futures.tobytes() == expected.futures.tobytes()
+
     def test_same_seed_same_model(self):
         cfg = small_config()
         a = Forecaster(cfg, seed=5)

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multifuture.nn import (
     AdamState,
@@ -13,8 +15,10 @@ from multifuture.nn import (
     concat,
     grad_check,
     initializer,
+    no_grad,
 )
 from multifuture.nn import layers, ops
+from nn_reference import kernel_major_cols
 
 
 def conv1d_oracle(x, w, b, padding):
@@ -224,6 +228,44 @@ def _block_params(w, b):
     encoder_block's ``(1, kernel, c_in, c_out)`` weight and ``(1, c_out)``
     bias."""
     return np.ascontiguousarray(w.transpose(2, 1, 0))[None], b[None]
+
+
+def _padded_input(rng, shape, layout, dtype):
+    """A ``shape`` array in ``layout``: C-contiguous, a sliced view (offset
+    start, every other channel), a transposed view or one running backwards
+    in time."""
+    *lead, length, channels = shape
+    if layout == "contiguous":
+        return rng.standard_normal(shape).astype(dtype)
+    if layout == "sliced":
+        return rng.standard_normal((*lead, length + 1, 2 * channels)).astype(dtype)[
+            ..., 1:, ::2]
+    if layout == "transposed":
+        return rng.standard_normal((*lead, channels, length)).astype(dtype).swapaxes(-1, -2)
+    return rng.standard_normal(shape).astype(dtype)[..., ::-1, :]
+
+
+class TestKernelMajorCols:
+    @given(lead=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+           kernel=st.sampled_from([1, 3, 5]),
+           length=st.integers(1, 7),
+           channels=st.integers(1, 4),
+           layout=st.sampled_from(["contiguous", "sliced", "transposed", "reversed"]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=150)
+    def test_matches_the_window_view_reference(self, lead, kernel, length, channels,
+                                               layout, dtype, seed):
+        shape = (*lead, length + kernel - 1, channels)  # 3-D or 4-D
+        xp = _padded_input(np.random.default_rng(seed), shape, layout, dtype)
+        assert xp.shape == shape
+        before = xp.copy()
+        got = ops._kernel_major_cols(xp, kernel)
+        want = kernel_major_cols(xp, kernel)
+        assert got.shape == want.shape == (*lead[:-1], lead[-1] * length,
+                                           kernel * channels)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert xp.tobytes() == before.tobytes()
 
 
 class TestEncoderBlock:
@@ -498,6 +540,45 @@ class TestStackedConv:
             ops.stacked_conv(x, Tensor(np.zeros((2, 2, 3, 3))), b)
         with pytest.raises(ValueError, match="out_length"):
             ops.stacked_conv(x, w, b, 3)
+
+
+class TestNoGradParity:
+    """Under ``no_grad`` an op computes no backward-only state and keeps no
+    closure, and its output equals the grad-mode output bit for bit."""
+
+    @staticmethod
+    def _check(op, *args):
+        graph = op(*args)
+        with no_grad():
+            plain = op(*args)
+        assert graph._backward_fn is not None and graph._parents
+        assert plain._backward_fn is None and plain._parents == ()
+        assert not plain.requires_grad
+        assert plain.dtype == graph.dtype and plain.shape == graph.shape
+        assert plain.data.tobytes() == graph.data.tobytes()
+
+    @pytest.mark.parametrize("pool", ["max", "mean"])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_encoder_block(self, pool, kernel):
+        rng = np.random.default_rng(kernel)
+        x = Tensor(rng.standard_normal((2, 9, 3)).astype(np.float32), requires_grad=True)
+        w, b = (Tensor(a.astype(np.float32), requires_grad=True) for a in _block_params(
+            rng.standard_normal((4, 3, kernel)), rng.standard_normal(4)))
+        self._check(ops.encoder_block, x, w, b, kernel // 2, pool)
+
+    @pytest.mark.parametrize("out_length", [None, 11])
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("shape", [(5, 4), (5, 4, 1), (5, 4, 3)],
+                             ids=["linear", "kernel1", "kernel3"])
+    def test_stacked_conv(self, shape, shared, out_length):
+        rng = np.random.default_rng(len(shape))
+        table = _normal_table(rng)
+        layer = table.stack([table.take(f"p{i}", shape) for i in range(3)])
+        x = Tensor(rng.standard_normal((2, 6, 4) if shared else (3, 2, 6, 4)),
+                   requires_grad=True)
+        for relu in (False, True):
+            self._check(lambda *a: ops.stacked_conv(*a, relu=relu),
+                        x, layer.weight, layer.bias, out_length)
 
 
 class TestStackedMatmul:

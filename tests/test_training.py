@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multifuture import training
 from multifuture.data import GeneratorConfig, generate
 from multifuture.model import Forecaster, FutureSet, ModelConfig
 from multifuture.training import (
@@ -234,12 +235,48 @@ class TestSampleMinibatch:
         seen = {inputs[row, 0, 0] for row in range(64)}
         assert seen == {1.0, 2.0}
 
+    @pytest.mark.parametrize("n_p,n_h,name", [(2.5, 8, "n_p"), (0, 8, "n_p"),
+                                              (16, -1, "n_h")])
+    def test_bad_horizon_named_before_the_length_filter(self, n_p, n_h, name):
+        # every series is too short for any horizon, so only the horizon check
+        # can name the problem
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            sample_minibatch(np.ones((5, 2)), n_p, n_h, 4, np.random.default_rng(0))
+
+    def test_each_series_is_checked_once_per_call(self, monkeypatch):
+        checked = _count_calls(monkeypatch, "_series_values")
+        pool = [np.ones((30, 2)), np.ones((10, 2)), np.ones((30, 2))]
+        sample_minibatch(pool, 16, 8, 4, np.random.default_rng(0))
+        assert len(checked) == 3
+
+
+def _count_calls(monkeypatch, name):
+    """Replace ``training.<name>`` by a wrapper that records each call's
+    first argument; returns the list it appends to."""
+    calls, original = [], getattr(training, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, name, counted)
+    return calls
+
 
 def _tiny_series(seed=0, hours=240):
     return generate(GeneratorConfig(n_hours=hours, seed=seed))
 
 
 class TestTrain:
+    def test_the_pool_is_checked_once_per_run(self, monkeypatch):
+        series = _tiny_series()
+        model, _ = train(series, ModelConfig(**SMALL_MODEL),
+                         TrainConfig(n_iter=3, batch_size=4, seed=0))
+        checked = _count_calls(monkeypatch, "_series_values")
+        train(series, ModelConfig(**SMALL_MODEL), TrainConfig(n_iter=3, batch_size=4))
+        train_expert(series, model, TrainConfig(n_iter=3, batch_size=4))
+        assert len(checked) == 2 and all(s is series for s in checked)
+
     def test_zero_iterations_returns_initialized_model(self):
         model, trace = train(_tiny_series(), ModelConfig(**SMALL_MODEL),
                              TrainConfig(n_iter=0, seed=0))
