@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from datetime import timedelta
+from itertools import product
 
 import numpy as np
 
@@ -344,36 +345,32 @@ def cmd_predict(checkpoint: str, input_csv: str, expert: str | None,
     futures = model.predict_futures(window)
     os.makedirs(out_dir, exist_ok=True)
 
-    lines = ["hour,feature,future,value,shape,scale_mul,scale_add"]
-    for j in range(futures.f):
-        for j_feat, name in enumerate(series.feature_names):
-            for k in range(n_h):
-                lines.append(
-                    f"{k + 1},{name},{j + 1},"
-                    f"{futures.futures[j, j_feat, k]:.17g},"
-                    f"{futures.shape_preds[j, j_feat, k]:.17g},"
-                    f"{futures.scale_mul[j, j_feat]:.17g},"
-                    f"{futures.scale_add[j, j_feat]:.17g}")
-    _write_text(os.path.join(out_dir, "futures.csv"), "\n".join(lines) + "\n")
+    f, d = futures.f, series.d
+    # One row per (future, feature, hour), in that order, formatted at once.
+    blocks = product(range(1, f + 1), series.feature_names)
+    labels = ((k, name, j) for j, name in blocks for k in range(1, n_h + 1))
+    per_hour = (np.broadcast_to(a[..., None], (f, d, n_h))
+                for a in (futures.scale_mul, futures.scale_add))
+    columns = [a.ravel().tolist() for a in (futures.futures, futures.shape_preds, *per_hour)]
+    rows = [(*label, *cells) for label, cells in zip(labels, zip(*columns))]
+    _write_text(os.path.join(out_dir, "futures.csv"),
+                "hour,feature,future,value,shape,scale_mul,scale_add\n"
+                + "".join("%d,%s,%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows))
 
-    act_lines = []
     if futures.activations is not None:
         n_s = futures.activations.shape[2]
-        header = ["future", "feature", "top_1", "top_2", "top_3"]
-        header.extend(f"r_{k}" for k in range(n_s))
-        act_lines.append(",".join(header))
-        for j in range(futures.f):
-            for j_feat, name in enumerate(series.feature_names):
-                r = futures.activations[j, j_feat]
-                top = np.argsort(-r)[:3]
-                top = list(top) + [top[-1]] * (3 - len(top))
-                row = [str(j + 1), name, *(str(int(t)) for t in top)]
-                row.extend(f"{v:.17g}" for v in r)
-                act_lines.append(",".join(row))
+        r = futures.activations.reshape(f * d, n_s)
+        # The three largest mixture weights' indices; fewer repeat the last.
+        top = np.argsort(-r, axis=-1)[:, [min(k, n_s - 1) for k in range(3)]]
+        header = ",".join(["future,feature,top_1,top_2,top_3",
+                           *(f"r_{k}" for k in range(n_s))])
+        row_format = "%d,%s,%d,%d,%d" + ",%.17g" * n_s + "\n"
+        rows = [(*label, *t, *w) for label, t, w in zip(
+            product(range(1, f + 1), series.feature_names), top.tolist(), r.tolist())]
+        activations = header + "\n" + "".join(row_format % row for row in rows)
     else:
-        act_lines.append("future,feature")  # tconv decoder: no template mixture
-    _write_text(os.path.join(out_dir, "activations.csv"),
-                "\n".join(act_lines) + "\n")
+        activations = "future,feature\n"  # tconv decoder: no template mixture
+    _write_text(os.path.join(out_dir, "activations.csv"), activations)
 
     if expert is not None:
         probs = classifier.predict_proba(window)

@@ -9,7 +9,10 @@ histories can be followed by different regimes, and only a multi-future
 model can cover both.
 
 Randomness comes from a splitmix64 generator implemented here so that a
-seeded trace is reproducible bit-for-bit on any platform.
+seeded trace is reproducible bit-for-bit on any platform.  The generator
+draws its uniforms by index, as one ``uint64`` array, and the CSV writer
+and reader work on whole columns; both give the bytes, values and
+row-numbered errors that a loop over the hours gives.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -42,6 +46,9 @@ FEATURE_NAMES = ("approved_count", "unique_cards", "amount_sum", "approval_rate"
 CSV_HEADER = "timestamp,approved_count,unique_cards,amount_sum,approval_rate"
 
 _HOUR = timedelta(hours=1)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+_HOUR_US = _HOUR // _MICROSECOND
 
 
 class CsvFormatError(ValueError):
@@ -65,8 +72,10 @@ class MultivariateSeries:
             raise ValueError("feature_names do not match the value columns")
         if self.start_timestamp.tzinfo is None:
             raise ValueError("start_timestamp must be timezone-aware (UTC)")
-        if self.start_timestamp.minute or self.start_timestamp.second \
-                or self.start_timestamp.microsecond:
+        # The rule holds for the UTC instant, which is what save_csv writes:
+        # midnight at +05:30 is 18:30 UTC, not a whole hour.
+        utc = self.start_timestamp.astimezone(timezone.utc)
+        if utc.minute or utc.second or utc.microsecond:
             raise ValueError("start_timestamp must be a whole hour")
 
     def __len__(self) -> int:
@@ -75,9 +84,6 @@ class MultivariateSeries:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-    def timestamps(self) -> list[datetime]:
-        return [self.start_timestamp + i * _HOUR for i in range(len(self))]
 
     def slice(self, start: int, stop: int) -> "MultivariateSeries":
         """Contiguous sub-series; the start timestamp shifts accordingly."""
@@ -108,9 +114,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
-    """The splitmix64 finalizer."""
-    z &= _MASK64
+def _mix64(z):
+    """The splitmix64 finalizer, of a Python int or elementwise of a
+    ``uint64`` array (whose arithmetic wraps modulo 2**64 by itself)."""
+    z = z & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -121,7 +128,9 @@ class SplitMix64:
 
     ``uniform`` yields 53-bit doubles in [0, 1); ``normal`` applies
     Box-Muller.  Streams derived with :meth:`derive` are statistically
-    independent of the base stream.
+    independent of the base stream.  Output ``k`` of a stream is
+    ``_mix64(state + (k + 1) * GOLDEN)``, so :meth:`uniforms` draws a
+    block of them at once.
     """
 
     def __init__(self, seed: int):
@@ -138,6 +147,13 @@ class SplitMix64:
 
     def uniform(self) -> float:
         return (self.next_uint64() >> 11) * (2.0 ** -53)
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next ``n`` draws of :meth:`uniform`, as one float64 array."""
+        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        draws = _mix64(steps + np.uint64(self._state))
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        return (draws >> 11) * (2.0 ** -53)
 
     def normal(self) -> float:
         if self._spare_normal is not None:
@@ -212,31 +228,81 @@ class GeneratorConfig:
             raise ValueError("base approval rate must be in [0, 1]")
 
 
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (a ``math`` function) of every element of ``x``, as a Python float.
+
+    numpy's own ``sin``/``log`` need not round as the platform's libm does,
+    which ``math`` calls.
+    """
+    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
+def _at_least(x: np.ndarray, low: float) -> np.ndarray:
+    return np.where(low > x, low, x)  # max(x, low), signed zeros and all
+
+
+def _at_most(x: np.ndarray, high: float) -> np.ndarray:
+    return np.where(high < x, high, x)  # min(x, high)
+
+
 def _simulate(config: GeneratorConfig, n_hours: int, rng: SplitMix64,
               start_hour: int, regime_index: int) -> tuple[np.ndarray, int]:
-    """Simulate hours [start_hour, start_hour + n_hours); returns final regime."""
+    """Simulate hours [start_hour, start_hour + n_hours); returns final regime.
+
+    Hour by hour, the stream gives: at each day boundary (but the series'
+    hour 0) a uniform that decides a regime redraw and, if it does, a
+    second one that picks the regime; then four normals, two Box-Muller
+    pairs.  Only the boundaries are walked one by one, to place each hour's
+    draws in the stream; ``rng`` is spent on one block drawn up front.
+    """
     base_count, card_frac, ticket, base_rate = config.base_levels
-    values = np.empty((n_hours, 4))
-    for step in range(n_hours):
-        hour = start_hour + step
-        if hour % 24 == 0 and not (step == 0 and hour == 0):
-            if rng.uniform() < config.regime_switch_prob:
-                regime_index = rng.randint(len(config.regimes))
-        regime = config.regimes[regime_index]
-        # Integer modulos keep the pattern bit-exactly periodic.
+    n_regimes = len(config.regimes)
+    hours = np.arange(start_hour, start_hour + n_hours)
+    boundaries = np.flatnonzero(hours % 24 == 0)
+    if start_hour == 0:
+        boundaries = boundaries[1:]
+    uniforms = rng.uniforms(4 * n_hours + 2 * len(boundaries))
+
+    regimes = np.full(n_hours, regime_index)
+    regime_draws = np.zeros(n_hours, dtype=np.int64)  # taken up to each boundary
+    taken = 0
+    for step in boundaries.tolist():
+        first = 4 * step + taken
+        taken += 1
+        if float(uniforms[first]) < config.regime_switch_prob:
+            regime_index = min(int(float(uniforms[first + 1]) * n_regimes), n_regimes - 1)
+            regimes[step:] = regime_index
+            taken += 1
+        regime_draws[step] = taken
+    first = 4 * np.arange(n_hours) + np.maximum.accumulate(regime_draws)
+    noise = uniforms[first[:, None] + np.arange(4)]  # (u1, u2) of two pairs per hour
+
+    u1 = np.maximum(noise[:, 0::2], 2.0 ** -53)  # kept away from 0 for the log
+    angle = (2.0 * math.pi) * noise[:, 1::2]
+    radius = _libm(math.sqrt, -2.0 * _libm(math.log, u1))
+    cos, sin = radius * _libm(math.cos, angle), radius * _libm(math.sin, angle)
+    normal = np.stack([cos[:, 0], sin[:, 0], cos[:, 1], sin[:, 1]])
+
+    # The level depends on (regime, hour of the week) only; evaluate each
+    # pair once.  Integer modulos keep the pattern bit-exactly periodic.
+    keys, inverse = np.unique(regimes * 168 + hours % 168, return_inverse=True)
+    levels = []
+    for key in keys.tolist():
+        regime, hour = config.regimes[key // 168], key % 168
         daily_phase = ((hour % 24) + regime.phase_hours) / 24.0
-        weekly_phase = (hour % 168) / 168.0
+        weekly_phase = hour / 168.0
         pattern = (1.0
                    + config.daily_amp * math.sin(2.0 * math.pi * daily_phase)
                    + config.weekly_amp * math.sin(2.0 * math.pi * weekly_phase))
-        level = base_count * regime.amplitude * pattern
+        levels.append(base_count * regime.amplitude * pattern)
+    level = np.array(levels)[inverse.ravel()]
 
-        approved = max(level + base_count * config.noise_std * rng.normal(), 0.0)
-        frac = min(max(card_frac + 0.5 * config.noise_std * rng.normal(), 0.0), 1.0)
-        amount = approved * max(ticket * (1.0 + config.noise_std * rng.normal()), 0.0)
-        rate = min(max(base_rate + 0.5 * config.noise_std * rng.normal(), 0.0), 1.0)
-        values[step] = (approved, approved * frac, amount, rate)
-    return values, regime_index
+    noise_std = config.noise_std
+    approved = _at_least(level + base_count * noise_std * normal[0], 0.0)
+    frac = _at_most(_at_least(card_frac + 0.5 * noise_std * normal[1], 0.0), 1.0)
+    amount = approved * _at_least(ticket * (1.0 + noise_std * normal[2]), 0.0)
+    rate = _at_most(_at_least(base_rate + 0.5 * noise_std * normal[3], 0.0), 1.0)
+    return np.stack([approved, approved * frac, amount, rate], axis=1), regime_index
 
 
 def generate(config: GeneratorConfig) -> MultivariateSeries:
@@ -274,18 +340,47 @@ def sample_continuations(config: GeneratorConfig, history_hours: int,
 # -- CSV interchange ---------------------------------------------------------
 
 
-def _format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def _timestamp_texts(start: datetime, count: int) -> list[str]:
+    """The timestamp cells of ``count`` hours from ``start``.
+
+    Each is its UTC day's ``strftime`` date plus the hour's clock text, so
+    ``strftime`` runs once a day, not once a row.
+    """
+    if count == 0:
+        return []
+    first = start.astimezone(timezone.utc)
+    clock = first.strftime(":%M:%SZ")
+    clocks = [f"T{hour:02d}{clock}" for hour in range(24)]
+    midnight = first.replace(hour=0)
+    days = (first.hour + count - 1) // 24 + 1
+    dates = [(midnight + timedelta(days=day)).strftime("%Y-%m-%d")
+             for day in range(days)]
+    return [date + clock for date in dates for clock in clocks][
+        first.hour:first.hour + count]
 
 
 def _parse_timestamp(text: str, row: int) -> datetime:
     try:
         ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
+        if ts.tzinfo is not None:
+            ts = ts.astimezone(timezone.utc)  # overflows before year 1 or after 9999
+    except (ValueError, OverflowError) as exc:
         raise CsvFormatError(f"row {row}: bad timestamp {text!r}") from exc
     if ts.tzinfo is None:
         raise CsvFormatError(f"row {row}: timestamp {text!r} has no timezone")
-    return ts.astimezone(timezone.utc)
+    return ts
+
+
+def _microseconds(ts: datetime) -> int:
+    return (ts - _EPOCH) // _MICROSECOND
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def save_csv(series: MultivariateSeries, path) -> None:
@@ -294,11 +389,80 @@ def save_csv(series: MultivariateSeries, path) -> None:
     The file is replaced atomically, so a failed write leaves the previous
     file, never a truncated series.
     """
-    lines = [CSV_HEADER]
-    for ts, row in zip(series.timestamps(), series.values):
-        cells = ",".join(f"{v:.17g}" for v in row)
-        lines.append(f"{_format_timestamp(ts)},{cells}")
-    _write_atomic(path, ("\n".join(lines) + "\n").encode())
+    row = "%s" + ",%.17g" * series.d + "\n"
+    cells = zip(_timestamp_texts(series.start_timestamp, len(series)),
+                *series.values.T.tolist())
+    body = (row * len(series)) % tuple(chain.from_iterable(cells))
+    _write_atomic(path, (CSV_HEADER + "\n" + body).encode())
+
+
+def _check_rows(rows: list[list[str]]) -> tuple[datetime | None, np.ndarray, str | None]:
+    """Parse the data rows; return the start, the values and an error or None.
+
+    The error names the first row that breaks the contract, and within a row
+    the checks run in the order a row-by-row reader runs them: cell count,
+    timestamp, step from the previous row, numbers, finiteness.  So each
+    check looks only at the rows before the first failure of those ahead of
+    it.
+    """
+    n = len(rows)
+    counts = np.fromiter(map(len, rows), np.int64, n)
+    error = None
+    wrong = np.flatnonzero(counts != 5)
+    if wrong.size:
+        n = int(wrong[0])
+        error = f"row {n + 1}: expected 5 cells, got {counts[n]}"
+    if n == 0:
+        return None, np.empty((0, 4)), error
+    texts, *columns = zip(*rows[:n])
+
+    # A cell that reads as the writer's text for its hour is that hour; only
+    # the others are parsed.  That text drops microseconds, and strftime
+    # does not pad a year below 1000 as fromisoformat requires, so such a
+    # start parses every cell.
+    try:
+        start = _parse_timestamp(texts[0], 1)
+    except CsvFormatError as exc:
+        return None, np.empty((0, 4)), str(exc)
+    instants = _microseconds(start) + _HOUR_US * np.arange(n, dtype=np.int64)
+    writable = (datetime.max.replace(tzinfo=timezone.utc) - start) // _HOUR + 1
+    expected = (_timestamp_texts(start, min(n, writable))
+                if start.year >= 1000 and not start.microsecond else [])
+    expected += [None] * (n - len(expected))
+    for i in [i for i, (text, want) in enumerate(zip(texts, expected)) if text != want]:
+        try:
+            instants[i] = _microseconds(_parse_timestamp(texts[i], i + 1))
+        except CsvFormatError as exc:
+            n, error = i, str(exc)
+            break
+
+    steps = np.diff(instants[:n])
+    wrong = np.flatnonzero(steps != _HOUR_US)
+    if wrong.size:
+        n = int(wrong[0]) + 1
+        step = int(steps[n - 1])
+        if step == 0:
+            error = f"row {n + 1}: duplicate timestamp {texts[n]}"
+        elif step < 0:
+            error = f"row {n + 1}: timestamps not sorted"
+        else:
+            error = (f"row {n + 1}: gap of {timedelta(microseconds=step)} before "
+                     f"{texts[n]}; series must be hourly with no gaps")
+
+    def floats(count: int) -> np.ndarray:
+        cells = chain.from_iterable(column[:count] for column in columns)
+        return np.fromiter(map(float, cells), np.float64, 4 * count).reshape(4, count).T
+
+    try:
+        values = floats(n)
+    except ValueError:
+        n = next(i for i in range(n) if not all(map(_is_number, rows[i][1:])))
+        error = f"row {n + 1}: non-numeric cell"
+        values = floats(n)
+    wrong = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if wrong.size:
+        error = f"row {int(wrong[0]) + 1}: non-finite cell"
+    return start, np.ascontiguousarray(values), error
 
 
 def load_csv(path, merchant_id: str | None = None) -> MultivariateSeries:
@@ -310,42 +474,25 @@ def load_csv(path, merchant_id: str | None = None) -> MultivariateSeries:
     """
     # An undecodable byte becomes U+FFFD, which fails its cell's parse.
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        reader = csv.reader(fh)
+        lines: list[list[str]] = []
+        unreadable = None
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("empty file") from None
-        if header != CSV_HEADER.split(","):
-            raise CsvFormatError(
-                f"bad header {','.join(header)!r}; expected {CSV_HEADER!r}")
-        timestamps: list[datetime] = []
-        rows: list[list[float]] = []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != 5:
-                raise CsvFormatError(f"row {row_no}: expected 5 cells, got {len(row)}")
-            ts = _parse_timestamp(row[0], row_no)
-            if timestamps:
-                delta = ts - timestamps[-1]
-                if delta == timedelta(0):
-                    raise CsvFormatError(f"row {row_no}: duplicate timestamp {row[0]}")
-                if delta < timedelta(0):
-                    raise CsvFormatError(f"row {row_no}: timestamps not sorted")
-                if delta != _HOUR:
-                    raise CsvFormatError(
-                        f"row {row_no}: gap of {delta} before {row[0]}; "
-                        "series must be hourly with no gaps")
-            try:
-                values = [float(cell) for cell in row[1:]]
-            except ValueError as exc:
-                raise CsvFormatError(f"row {row_no}: non-numeric cell") from exc
-            if not all(map(math.isfinite, values)):
-                raise CsvFormatError(f"row {row_no}: non-finite cell")
-            rows.append(values)
-            timestamps.append(ts)
+            lines.extend(csv.reader(fh))
+        except csv.Error as exc:  # a line csv cannot split, e.g. an oversized cell
+            unreadable = f"{f'row {len(lines)}' if lines else 'header'}: {exc}"
+    if not lines:
+        raise CsvFormatError(unreadable or "empty file")
+    header, rows = lines[0], lines[1:]
+    if header != CSV_HEADER.split(","):
+        raise CsvFormatError(
+            f"bad header {','.join(header)!r}; expected {CSV_HEADER!r}")
+    start, values, error = _check_rows(rows)
+    if error or unreadable:
+        raise CsvFormatError(error or unreadable)
     if not rows:
         raise CsvFormatError("no data rows")
     try:
-        series = MultivariateSeries(np.asarray(rows), start_timestamp=timestamps[0],
+        series = MultivariateSeries(values, start_timestamp=start,
                                     merchant_id=merchant_id or "")
         series.validate()
     except ValueError as exc:

@@ -170,14 +170,14 @@ def _blob_bytes(array: np.ndarray) -> bytes:
 def _write_checkpoint(directory, kind: str, config: ModelConfig,
                       tensors: list[tuple[str, Tensor]],
                       training_seed: int | None) -> None:
-    blob = bytearray()
-    entries = []
+    chunks, entries, offset = [], [], 0
     for name, tensor in tensors:
         if tensor.data.dtype != np.float32:
             raise CheckpointError(
                 f"parameter {name!r} is {tensor.data.dtype}, not float32")
-        entries.append(_Entry(name, tensor.data.shape, len(blob)))
-        blob.extend(_blob_bytes(tensor.data))
+        entries.append(_Entry(name, tensor.data.shape, offset))
+        chunks.append(_blob_bytes(tensor.data))
+        offset += len(chunks[-1])
     manifest = _Manifest(
         format_version=FORMAT_VERSION, kind=kind, variant=config.variant,
         config=config, training_seed=training_seed,
@@ -188,7 +188,7 @@ def _write_checkpoint(directory, kind: str, config: ModelConfig,
     # deep-copy every entry first and write the same bytes.
     _write_atomic(os.path.join(directory, MANIFEST_NAME),
                   (json.dumps(manifest, default=vars, indent=2) + "\n").encode())
-    _write_atomic(os.path.join(directory, BLOB_NAME), bytes(blob))
+    _write_atomic(os.path.join(directory, BLOB_NAME), b"".join(chunks))
 
 
 def save(model, directory, training_seed: int | None = None) -> None:

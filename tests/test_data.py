@@ -200,6 +200,26 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError, match="row 2.*non-finite"):
             load_csv(path)
 
+    def test_unsplittable_line_rejected_with_row(self, tmp_path):
+        # csv cannot split a line with a cell over its field size limit
+        path = tmp_path / "big.csv"
+        rows = ["2023-01-02T00:00:00Z,1,1,1,0.5",
+                "2023-01-02T01:00:00Z,1," + "1" * 200_000 + ",1,0.5"]
+        path.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(CsvFormatError, match="row 2: field larger"):
+            load_csv(path)
+        # a fault in an earlier row is still the one reported
+        path.write_text(CSV_HEADER + "\n2023-01-02T00:00:00Z,1,x,1,0.5\n"
+                        + "\n".join(rows) + "\n")
+        with pytest.raises(CsvFormatError, match="row 1: non-numeric"):
+            load_csv(path)
+
+    def test_timestamp_before_year_one_rejected_with_row(self, tmp_path):
+        path = tmp_path / "early.csv"
+        path.write_text(CSV_HEADER + "\n0001-01-01T00:00:00+02:00,1,1,1,0.5\n")
+        with pytest.raises(CsvFormatError, match="row 1: bad timestamp"):
+            load_csv(path)
+
     def test_rate_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "rate.csv"
         path.write_text(
@@ -260,6 +280,24 @@ class TestMultivariateSeries:
         with pytest.raises(ValueError, match="timezone"):
             MultivariateSeries(np.zeros((3, 4)),
                                start_timestamp=datetime(2023, 1, 2))
+
+    def test_whole_hour_is_checked_on_the_utc_instant(self):
+        india = timezone(timedelta(hours=5, minutes=30))
+        with pytest.raises(ValueError, match="whole hour"):  # 18:30 UTC
+            MultivariateSeries(np.zeros((3, 4)),
+                               start_timestamp=datetime(2023, 1, 2, tzinfo=india))
+
+    def test_offset_start_round_trips_through_csv(self, tmp_path):
+        india = timezone(timedelta(hours=5, minutes=30))
+        start = datetime(2023, 1, 2, 0, 30, tzinfo=india)  # 19:00 UTC
+        series = MultivariateSeries(
+            generate(GeneratorConfig(n_hours=30, seed=2)).values, start_timestamp=start)
+        path = tmp_path / "offset.csv"
+        save_csv(series, path)
+        assert path.read_text().splitlines()[1].startswith("2023-01-01T19:00:00Z,")
+        loaded = load_csv(path)
+        assert np.array_equal(loaded.values, series.values)
+        assert loaded.start_timestamp == start
 
     def test_negative_count_fails_validation(self):
         series = MultivariateSeries(np.zeros((3, 4)))
