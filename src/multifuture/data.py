@@ -281,7 +281,7 @@ def _simulate(config: GeneratorConfig, n_hours: int, rng: SplitMix64,
     angle = (2.0 * math.pi) * noise[:, 1::2]
     radius = _libm(math.sqrt, -2.0 * _libm(math.log, u1))
     cos, sin = radius * _libm(math.cos, angle), radius * _libm(math.sin, angle)
-    normal = np.stack([cos[:, 0], sin[:, 0], cos[:, 1], sin[:, 1]])
+    normal = (cos[:, 0], sin[:, 0], cos[:, 1], sin[:, 1])  # a pair's cosine comes first
 
     # The level depends on (regime, hour of the week) only; evaluate each
     # pair once.  Integer modulos keep the pattern bit-exactly periodic.
@@ -479,7 +479,8 @@ def load_csv(path, merchant_id: str | None = None) -> MultivariateSeries:
         try:
             lines.extend(csv.reader(fh))
         except csv.Error as exc:  # a line csv cannot split, e.g. an oversized cell
-            unreadable = f"{f'row {len(lines)}' if lines else 'header'}: {exc}"
+            where = f"row {len(lines)}" if lines else "header"
+            unreadable = f"{where}: {exc}"
     if not lines:
         raise CsvFormatError(unreadable or "empty file")
     header, rows = lines[0], lines[1:]

@@ -1,6 +1,7 @@
 """Tests for the synthetic generator, CSV interchange, and splitting."""
 
 import os
+import zoneinfo
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -298,6 +299,21 @@ class TestMultivariateSeries:
         loaded = load_csv(path)
         assert np.array_equal(loaded.values, series.values)
         assert loaded.start_timestamp == start
+
+    def test_daylight_saving_start_writes_hourly_utc_rows(self, tmp_path):
+        try:
+            berlin = zoneinfo.ZoneInfo("Europe/Berlin")
+        except zoneinfo.ZoneInfoNotFoundError:
+            pytest.skip("no time zone database")
+        # the clocks go forward at 01:00 UTC on this day
+        series = MultivariateSeries(np.full((6, 4), 0.5),
+                                    start_timestamp=datetime(2023, 3, 26, tzinfo=berlin))
+        path = tmp_path / "dst.csv"
+        save_csv(series, path)
+        stamps = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+        assert stamps == [f"2023-03-{day}T{hour:02d}:00:00Z"
+                          for day, hour in [(25, 23), (26, 0), (26, 1), (26, 2), (26, 3), (26, 4)]]
+        assert load_csv(path).start_timestamp == series.start_timestamp
 
     def test_negative_count_fails_validation(self):
         series = MultivariateSeries(np.zeros((3, 4)))

@@ -117,6 +117,8 @@ def test_save_csv_equals_the_per_row_formatter(values, start):
 
 _CELLS = ["2.5", '"2.5"', " 2.5", "2.5 ", "1_0", "nan", "inf", "-inf", "1e309",
           "-1", "", "abc", "0x10", "�", "1e-320"]
+# Starts whose rows stay in one day, cross midnight, cross into year 1000,
+# and come within hours of the last hour a datetime holds.
 _BASES = [datetime(2023, 1, 2, tzinfo=UTC), datetime(2023, 3, 26, 22, tzinfo=UTC),
           datetime(999, 12, 31, 21, tzinfo=UTC), datetime(9999, 12, 31, 15, tzinfo=UTC)]
 
@@ -127,16 +129,19 @@ def _timestamp_variants(text: str) -> list[str]:
     except ValueError:
         return ["2023-13-02T00:00:00Z", "yesterday"]
     plus_two = timezone(timedelta(hours=2))
-    return [
+    try:
+        shifted = [ts.astimezone(plus_two).isoformat(),  # the same instant at +02:00
+                   (ts + timedelta(hours=1)).strftime("%Y-%m-%dT%H:%M:%SZ")]
+    except OverflowError:  # at the end of datetime's range
+        shifted = []
+    return shifted + [
         text[:-1],                                   # naive
         text.replace("T", "X"),                      # bad
         "2023-02-30T00:00:00Z",                      # no such day
-        ts.astimezone(plus_two).isoformat(),         # the same instant at +02:00
         ts.replace(tzinfo=plus_two).isoformat(),     # the same wall clock at +02:00
         text[:-1] + ".000001Z",                      # a microsecond later
-        text[:-1] + ":00Z",
+        text[:-1] + ":00Z",                          # one field too many
         text.replace("T", " "),
-        (ts + timedelta(hours=1)).strftime("%Y-%m-%dT%H:%M:%SZ"),
         f"{ts.year - 1000:04d}" + text[4:],          # a padded year below 1000
         text[1:],                                    # an unpadded one
     ]
@@ -154,8 +159,8 @@ def _csv_files(draw) -> bytes:
     for _ in range(draw(st.integers(0, 4))):
         op = draw(st.sampled_from(["drop", "repeat", "swap", "cells", "blank",
                                    "cell", "timestamp"]))
-        i = draw(st.integers(1, len(lines))) if len(lines) > 1 else 1
-        if i >= len(lines):
+        i = draw(st.integers(1, len(lines)))
+        if i == len(lines):
             lines.append(lines[-1])
             continue
         cells = lines[i].split(",")
@@ -199,6 +204,8 @@ def _outcome(load, path):
          "1000-01-01T00:00:00Z,1,1,1,0.5\n".encode())
 @example(f"{CSV_HEADER}\n0999-12-31T22:00:00Z,1,1,1,0.5\n"  # strftime's own year text
          "999-12-31T23:00:00Z,1,1,1,0.5\n".encode())
+@example(f"{CSV_HEADER}\n9999-12-31T22:00:00Z,1,1,1,0.5\n"  # more rows than hours left
+         "9999-12-31T23:00:00Z,1,1,1,0.5\n9999-12-31T23:00:00Z,1,1,1,0.5\n".encode())
 @example(f"{CSV_HEADER}\n2023-01-02T00:30:00Z,1,1,1,0.5\n"
          "2023-01-02T01:00:00Z,1,1,1,0.5\n".encode())
 @example(f"{CSV_HEADER}\n2023-01-02T00:00:00.5Z,1,1,1,0.5\n"
