@@ -86,12 +86,15 @@ class MultivariateSeries:
         return self.values.shape[1]
 
     def slice(self, start: int, stop: int) -> "MultivariateSeries":
-        """Contiguous sub-series; the start timestamp shifts accordingly."""
+        """Contiguous sub-series; the start timestamp moves ``start`` hours
+        on, stepped in UTC (as ``save_csv`` steps its rows) and given in the
+        original start's zone."""
         start, stop, _ = slice(start, stop).indices(len(self))
+        zone = self.start_timestamp.tzinfo
         return MultivariateSeries(
             self.values[start:stop].copy(),
             self.feature_names,
-            self.start_timestamp + start * _HOUR,
+            (self.start_timestamp.astimezone(timezone.utc) + start * _HOUR).astimezone(zone),
             self.merchant_id,
         )
 

@@ -152,20 +152,52 @@ def evaluate_rolling(predictor, test: MultivariateSeries, n_p: int, n_h: int,
 # -- baselines ----------------------------------------------------------------
 
 
-def _single_future_set(pred: np.ndarray) -> FutureSet:
-    """Wrap a raw (d, n_h) prediction as a one-future set.
+def _future_sets(preds: np.ndarray) -> list[FutureSet]:
+    """Wrap raw ``(batch, d, n_h)`` predictions as one-future sets.
 
-    The future keeps the prediction bit-exactly in raw units; the shape
+    Each future keeps its prediction bit-exactly in raw units; the shape
     prediction is its per-dimension z-normalization, so the scale pair
-    (std, mean) satisfies the combine identity up to rounding.
+    (std, mean) satisfies the combine identity up to rounding.  The
+    statistics are taken over the whole stack at once: numpy reduces each
+    window's rows of the stack in the order it reduces the window alone.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    return FutureSet(
-        futures=pred[None].copy(),
-        shape_preds=z_normalize(pred, axis=1)[None],
-        scale_mul=np.maximum(pred.std(axis=1), ZNORM_EPSILON)[None],
-        scale_add=pred.mean(axis=1)[None],
-    )
+    futures = preds.copy()  # C order; the caller may write to its array later
+    shapes = z_normalize(preds, axis=2)
+    scale_mul = np.maximum(preds.std(axis=2), ZNORM_EPSILON)
+    scale_add = preds.mean(axis=2)
+    return [FutureSet(futures[i:i + 1], shapes[i:i + 1], scale_mul[i:i + 1],
+                      scale_add[i:i + 1]) for i in range(len(preds))]
+
+
+def _normalized_rows(windows: np.ndarray) -> np.ndarray:
+    """:func:`~multifuture.training.z_normalize` of ``(starts, d, n_p)``
+    windows along time, as ``(d, starts, n_p)`` rows, each window's sums
+    taken one hour after the other.
+
+    This is the arithmetic of numpy's ``mean`` and ``std`` in the order
+    numpy itself uses on a sliding-window view with ``d >= 2``, whose
+    strided time axis it sums element by element.  Here the order is the
+    rule for every ``d``: the sums run over ``(starts, d)`` accumulators,
+    one hourly slice at a time, with no strided reduction and no
+    full-size temporary.
+    """
+    starts, d, n_p = windows.shape
+    hours = windows.transpose(2, 0, 1)                  # (n_p, starts, d)
+    total = hours[0].copy()   # numpy's sum starts from the first term
+    for hour in hours[1:]:
+        total += hour
+    mean = total / n_p
+    centered = np.empty_like(mean)
+    sq = np.zeros_like(mean)  # +0.0 plus a square is the square
+    for hour in hours:
+        np.subtract(hour, mean, out=centered)
+        np.multiply(centered, centered, out=centered)
+        sq += centered
+    std = np.sqrt(sq / n_p)
+    rows = np.empty((d, starts, n_p))
+    np.subtract(windows.transpose(1, 0, 2), mean.T[:, :, None], out=rows)
+    rows /= np.maximum(std, ZNORM_EPSILON).T[:, :, None]
+    return rows
 
 
 # Unit roundoff of float64 (round to nearest): every basic operation and
@@ -185,11 +217,14 @@ class NearestNeighborBaseline:
     The query and every candidate window are z-normalized per dimension;
     a start's distance is the sum over dimensions of the Euclidean
     distances of the normalized rows, and the continuation is returned in
-    raw units.  Ties keep the earliest window.
+    raw units.  Ties keep the earliest window.  Each stored window's mean
+    and std are summed one hour after the other, for every ``d``; for
+    ``d >= 2`` that is the order of ``z_normalize`` on the sliding-window
+    view, so the stored bits are that call's.
 
     The scan is exact: it picks the start that the full scan
     ``sqrt(((windows - query) ** 2).sum(time)).sum(dims)`` over every
-    window picks, bit for bit, in two steps per query.
+    normalized window picks, bit for bit, in two steps per query.
 
     1. **Bound every start.**  For a stored row ``a`` and the query row
        ``q`` of one dimension, both of length ``n = n_p``,
@@ -214,15 +249,15 @@ class NearestNeighborBaseline:
        start whose lower bound is at most ``1 + 4 gamma_{d+1}`` times the
        smallest upper bound is a candidate.  That includes every start at
        the full scan's minimum.
-    2. **Recheck the candidates.**  Their rows are gathered back into the
-       full scan's memory layout, time-major ``(n_p, d)`` per start as
-       ``z_normalize`` leaves the sliding-window view, and the full scan's
-       expression runs on them alone.  The layout matters: numpy sums a
-       strided time axis one element after the other but a contiguous one
-       pairwise, and the two differ in the last bit for a large share of
-       rows.  In the time-major layout every candidate's distance is the
-       full scan's, and the argmin over the candidates in start order is
-       the full scan's start.
+    2. **Recheck the candidates.**  Their stored rows, normalized in time
+       order, are gathered back into the full scan's memory layout,
+       time-major ``(n_p, d)`` per start as in the sliding-window view,
+       and the full scan's expression runs on them alone.  The layout
+       matters: numpy sums a strided time axis one element after the other
+       but a contiguous one pairwise, and the two differ in the last bit
+       for a large share of rows.  In the time-major layout every
+       candidate's distance is the full scan's, and the argmin over the
+       candidates in start order is the full scan's start.
 
     A query costs one ``(d, starts, n_p) @ (d, n_p, 1)`` product and a
     few ``(d, starts)`` arrays; nearly always one start is rechecked.
@@ -238,10 +273,9 @@ class NearestNeighborBaseline:
         # later; time-major, as in the view, so each continuation's statistics
         # are summed in the same order.
         self._continuations = windows[:, :, n_p:].swapaxes(1, 2).copy().swapaxes(1, 2)
-        # The full scan's normalized values, bit for bit, stored row-major
-        # per dimension for the matmul: (d, starts, n_p).
-        self._rows = np.ascontiguousarray(
-            z_normalize(windows[:, :, :n_p], axis=2).transpose(1, 0, 2))
+        # The full scan's normalized values, stored row-major per dimension
+        # for the matmul: (d, starts, n_p).
+        self._rows = _normalized_rows(windows[:, :, :n_p])
         self._row_sq = np.einsum("dsn,dsn->ds", self._rows, self._rows)
         self._row_norms = np.sqrt(self._row_sq)
 
@@ -271,7 +305,7 @@ class NearestNeighborBaseline:
         query = z_normalize(window, axis=0).T  # (d, n_p)
         starts = self._candidates(query)
         best = int(starts[np.argmin(self._recheck(query, starts))])
-        return _single_future_set(self._continuations[best])
+        return _future_sets(self._continuations[best:best + 1])[0]
 
     def predict_batch(self, windows: np.ndarray) -> list[FutureSet]:
         """One future set per window of a ``(batch, n_p, d)`` stack.
@@ -329,7 +363,7 @@ class RidgeBaseline:
         features[:, 0] = 1.0
         features[:, 1:] = windows.reshape(len(windows), -1)
         raw = (features @ self.coefficients).reshape(-1, self.n_h, self.d)
-        return [_single_future_set(pred) for pred in raw.swapaxes(1, 2)]
+        return _future_sets(raw.swapaxes(1, 2))
 
 
 # -- method comparison ---------------------------------------------------------

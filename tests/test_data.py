@@ -315,6 +315,25 @@ class TestMultivariateSeries:
                           for day, hour in [(25, 23), (26, 0), (26, 1), (26, 2), (26, 3), (26, 4)]]
         assert load_csv(path).start_timestamp == series.start_timestamp
 
+    def test_slice_across_daylight_saving_steps_in_utc_hours(self):
+        try:
+            berlin = zoneinfo.ZoneInfo("Europe/Berlin")
+        except zoneinfo.ZoneInfoNotFoundError:
+            pytest.skip("no time zone database")
+        # 23:00 UTC the day before; the clocks go forward at 01:00 UTC
+        series = MultivariateSeries(np.arange(24.0).reshape(6, 4),
+                                    start_timestamp=datetime(2023, 3, 26, tzinfo=berlin))
+        sub = series.slice(3, 6)
+        assert sub.start_timestamp.astimezone(timezone.utc) == \
+            datetime(2023, 3, 26, 2, tzinfo=timezone.utc)
+        assert sub.start_timestamp.tzinfo is berlin
+        assert sub.start_timestamp.utcoffset() == timedelta(hours=2)
+        train, test = split_by_date(series, datetime(2023, 3, 26, 2, tzinfo=timezone.utc),
+                                    warmup_hours=1)
+        assert len(train) == 3 and np.array_equal(test.values, series.values[2:])
+        assert test.start_timestamp.astimezone(timezone.utc) == \
+            datetime(2023, 3, 26, 1, tzinfo=timezone.utc)
+
     def test_negative_count_fails_validation(self):
         series = MultivariateSeries(np.zeros((3, 4)))
         series.values[0, 0] = -1.0

@@ -25,6 +25,7 @@ from multifuture.model import (
 )
 from multifuture.nn import Tensor
 from multifuture.training import (
+    ZNORM_EPSILON,
     TrainConfig,
     nrmse,
     oracle_index,
@@ -417,6 +418,21 @@ class TestNearestNeighbor:
         assert max(counts) <= 2
         assert max(peaks) < 0.5e6
 
+    def test_fit_peak_memory_is_what_it_keeps(self):
+        # The bench's split at n_p=168: 649 training starts.  The stored rows
+        # are written once, with no full-size temporary beside them.
+        series = generate(GeneratorConfig(n_hours=1512, seed=1)).slice(0, 840)
+        tracemalloc.start()
+        try:
+            baseline = NearestNeighborBaseline(series, 168, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(value.nbytes for value in vars(baseline).values()
+                   if isinstance(value, np.ndarray))
+        assert baseline._rows.shape == (4, 649, 168)
+        assert peak < kept + 1e6
+
 
 class TestRidge:
     def test_recovers_linear_relation(self):
@@ -479,6 +495,31 @@ class TestRidge:
         fs = model.predict_futures(month_series.values[:48])
         fs.validate()
         assert fs.futures.shape == (1, 4, 24)
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("n_h", [1, 24, 200])
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_batch_future_sets_equal_the_per_window_expressions(self, d, n_h, batch):
+        # Each window's statistics, as one window's (d, n_h) time-major slice
+        # of the batch's prediction gives them alone.
+        n_p = 8
+        rng = np.random.default_rng(d * n_h + batch)
+        model = RidgeBaseline(rng.standard_normal((n_p + n_h + 40, d)), n_p, n_h)
+        windows = 1e3 + rng.standard_normal((batch, n_p, d))
+        features = np.hstack([np.ones((batch, 1)), windows.reshape(batch, -1)])
+        raw = (features @ model.coefficients).reshape(batch, n_h, d)
+        future_sets = model.predict_batch(windows)
+        assert len(future_sets) == batch
+        for fs, pred in zip(future_sets, raw.swapaxes(1, 2)):
+            want = FutureSet(
+                futures=pred[None].copy(),
+                shape_preds=z_normalize(pred, axis=1)[None],
+                scale_mul=np.maximum(pred.std(axis=1), ZNORM_EPSILON)[None],
+                scale_add=pred.mean(axis=1)[None])
+            for name in ("futures", "shape_preds", "scale_mul", "scale_add"):
+                got, expected = getattr(fs, name), getattr(want, name)
+                assert got.shape == expected.shape
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64)), name
 
     def test_default_horizons_are_canonical(self, month_series):
         model = RidgeBaseline(month_series, 168, 24)

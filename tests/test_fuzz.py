@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from nn_reference import full_scan, full_scan_distances
+from nn_reference import full_scan, full_scan_distances, normalized_windows
 
 from multifuture.cli import CliError, RunConfig, main
 from multifuture.data import (
@@ -29,7 +29,7 @@ from multifuture.data import (
 from multifuture.evaluation import NearestNeighborBaseline, RidgeBaseline, evaluate_rolling
 from multifuture.model import VARIANTS, Forecaster, ModelConfig
 from multifuture.persistence import BLOB_NAME, MANIFEST_NAME, CheckpointError, load, save
-from multifuture.training import z_normalize
+from multifuture.training import ZNORM_EPSILON, z_normalize
 
 CFG = ModelConfig(n_p=8, n_h=4, d=2, f=2, n_s=2, channels=2)
 MODEL = Forecaster(CFG, seed=0)
@@ -186,9 +186,10 @@ def test_cli_main_returns_status_on_random_config(payload):
 def nn_cases(draw):
     """A short series with constant runs (some with noise below the
     normalization epsilon) and repeated segments, plus a query that is
-    random, a copy of a training window, or a copy with a little noise."""
-    d = draw(st.integers(1, 3))
-    n_p = draw(st.integers(2, 24))
+    random, a copy of a training window, or a copy with a little noise.
+    Some windows are longer than numpy's 128-element pairwise block."""
+    d = draw(st.integers(1, 4))
+    n_p = draw(st.integers(2, 24) | st.integers(129, 170))
     n_h = draw(st.integers(1, 6))
     length = draw(st.integers(n_p + n_h, n_p + n_h + 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -222,10 +223,59 @@ def test_nearest_neighbor_returns_the_full_scans_continuation(case):
     assert np.array_equal(pred, full_scan(values, query, n_p, n_h))
 
 
+@st.composite
+def fit_cases(draw):
+    """A series for a nearest-neighbour fit: window lengths on both sides of
+    numpy's 8-wide unrolled and 128-element pairwise sums, constant runs
+    (some with noise far below the normalization epsilon) and offsets near
+    1e6, where centring cancels most of each value."""
+    d = draw(st.integers(1, 4))
+    n_p = draw(st.integers(1, 170))
+    n_h = draw(st.integers(1, 4))
+    length = draw(st.integers(n_p + n_h, n_p + n_h + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6 + 0.25]))
+    values = offset + rng.standard_normal((length, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    for _ in range(draw(st.integers(0, 2))):
+        start = draw(st.integers(0, length - 1))
+        stop = draw(st.integers(start + 1, length))
+        jitter = draw(st.sampled_from([0.0, 1e-3 * ZNORM_EPSILON]))
+        values[start:stop] = values[start] + jitter * rng.standard_normal((stop - start, d))
+    return values, n_p, n_h
+
+
+@settings(max_examples=150)
+@given(fit_cases())
+def test_nearest_neighbor_rows_are_the_time_ordered_normalization(case):
+    values, n_p, n_h = case
+    rows = NearestNeighborBaseline(values, n_p, n_h)._rows
+    reference = normalized_windows(values, n_p, n_h).transpose(1, 0, 2)
+    assert np.array_equal(rows.view(np.int64), reference.view(np.int64))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_time_ordered_normalization_is_z_normalize_on_the_window_view(d):
+    # For d >= 2 numpy sums the view's strided time axis hour after hour, so
+    # fits on real (four-column) data store the bits they stored before the
+    # rule was written down.
+    rng = np.random.default_rng(d)
+    for n_p in (1, 2, 8, 9, 24, 128, 129, 168, 200):
+        for n_starts in (1, 2, 61):
+            values = rng.choice([0.0, 1e6]) + rng.standard_normal((n_p + n_starts, d))
+            view = np.lib.stride_tricks.sliding_window_view(values, n_p, axis=0)[:n_starts]
+            want = z_normalize(view, axis=2)
+            got = normalized_windows(values, n_p, 1)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n_p, n_starts)
+    series = generate(GeneratorConfig(n_hours=840, seed=1)).values[:, :d]
+    view = np.lib.stride_tricks.sliding_window_view(series, 168, axis=0)[:649]
+    assert np.array_equal(normalized_windows(series, 168, 24).view(np.int64),
+                          z_normalize(view, axis=2).view(np.int64))
+
+
 def test_nearest_neighbor_recheck_distances_are_the_full_scans_bits():
     # With every start forced to be a candidate, the recheck must give each
     # start's distance bit for bit as the full scan computes it on the
-    # strided layout z_normalize leaves on the sliding-window view.  Summed
+    # time-major layout of the sliding-window view.  Summed
     # over a contiguous time axis (pairwise) instead, many differ by an ulp.
     series = generate(GeneratorConfig(n_hours=1512, seed=1))
     train = series.values[:840]
