@@ -37,11 +37,22 @@ single-future members with ``member{i}.`` parameter names; the other
 variants have one member.  The forward pass joins the members' futures in
 order and recombines them once.  Every module takes and stores its
 parameters in the model's one :class:`~multifuture.nn.layers.Parameters`.
+
+A no-grad forward pass of exactly one window does not run the ops.  It
+runs a serving plan: :meth:`Member.serving_plan` swaps each module for
+its single-window counterpart, the module's ``serving_plan`` (next to its
+``forward``), which runs the ops' kernels on buffers allocated once, and
+:meth:`Member.forward` runs on the result, so the variant logic stays in
+:meth:`Member.from_config` and :meth:`Member.forward`.  A
+:class:`Forecaster` builds its plan the first time it serves a window
+and keeps it in a per-model pool (:meth:`Forecaster._serve`).  Batches
+and every pass that builds a graph run the ops.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -49,7 +60,7 @@ import numpy as np
 
 from .nn import ops
 from .nn.layers import Parameters, Take, initializer
-from .nn.tensor import Tensor, concat, no_grad
+from .nn.tensor import Tensor, concat, is_grad_enabled, no_grad
 
 __all__ = [
     "VARIANTS",
@@ -163,6 +174,19 @@ def check_windows(inputs, n_p: int, d: int, dtype, single: bool = False) -> np.n
     return arr.reshape(-1, n_p, d)
 
 
+class _ServingPlan(NamedTuple):
+    """A module's single-window counterpart, built by its ``serving_plan``.
+
+    ``forward`` takes and returns what the module's ``forward`` does for a
+    batch of one window under :class:`~multifuture.nn.tensor.no_grad`,
+    bit for bit.  It runs the ops' kernels on buffers allocated when the
+    plan was built, and reads every weight through its stored tensor on
+    each call.  Every tensor a decoder's plan returns is a fresh copy.
+    """
+
+    forward: Callable
+
+
 class ConvEncoder:
     """Conv/ReLU/MaxPool blocks ending in Conv/ReLU/AdaptiveAvgPool.
 
@@ -174,6 +198,7 @@ class ConvEncoder:
     """
 
     def __init__(self, name: str, config: ModelConfig, table: Parameters):
+        self.length = config.n_p
         self.padding = config.kernel // 2
         in_channels = [config.d] + [config.channels] * (config.encoder_blocks - 1)
         self.convs = [table.stack([table.take(f"{name}.conv{b}",
@@ -188,6 +213,33 @@ class ConvEncoder:
             h = ops.encoder_block(h, conv.weight, conv.bias, self.padding,
                                   "mean" if b == last else "max")
         return h
+
+    def serving_plan(self, dtype) -> _ServingPlan:
+        """:meth:`forward` for one window; each block's pooled ReLU is
+        written into the interior of the next block's padded input."""
+        pad, length = self.padding, self.length
+        kernel, c_out = 2 * pad + 1, self.convs[-1].weight.shape[3]
+        first, cols, gather = ops._planned_cols(
+            (1, length, self.convs[0].weight.shape[2]), pad, kernel, dtype)
+        blocks = []
+        for conv in self.convs[:-1]:
+            out, *next_cols = ops._planned_cols((1, length // 2, c_out), pad, kernel, dtype)
+            blocks.append((gather, cols, conv,
+                           ops._block_buffers(1, length, c_out, "max", dtype, out)))
+            cols, gather = next_cols
+            length //= 2
+        last = ops._block_buffers(1, length, c_out, "mean", dtype)
+        blocks.append((gather, cols, self.convs[-1], last))
+        h = Tensor(last.out)
+
+        def forward(x: Tensor) -> Tensor:
+            np.copyto(first, x.data)
+            for gather, cols, conv, buffers in blocks:
+                gather()
+                ops._encoder_block_kernel(cols, conv.weight.data, conv.bias.data, buffers)
+            return h
+
+        return _ServingPlan(forward)
 
 
 class BankShapeDecoder:
@@ -221,6 +273,26 @@ class BankShapeDecoder:
         alpha = ops.stacked_matmul(r, self.banks.weight)
         return tuple(t.reshape(-1, self.d, *t.shape[1:]).swapaxes(1, 2)
                      for t in (alpha, r))
+
+    def serving_plan(self, dtype) -> _ServingPlan:
+        """:meth:`forward` for one window."""
+        regressors, banks, d = self.regressors, self.banks, self.d
+        g, n_s, channels = regressors.weight.shape
+        h, cols, _ = ops._planned_cols((1, 1, channels), 0, 1, dtype)
+        logit_rows = np.empty((g, 1, n_s), dtype)  # the GEMM's output
+        r, row_stats = np.empty_like(logit_rows), np.empty((g, 1, 1), dtype)
+        alpha = np.empty((g, 1, banks.weight.shape[2]), dtype)
+
+        def forward(z: Tensor) -> tuple[Tensor, Tensor]:
+            np.copyto(h, z.data)
+            ops._stacked_conv_kernel(cols, regressors.weight.data, regressors.bias.data,
+                                     False, logit_rows)
+            ops._softmax_kernel(logit_rows, r, row_stats)
+            ops._stacked_matmul_kernel(r, banks.weight.data, alpha)
+            return tuple(Tensor(t.reshape(-1, d, *t.shape[1:]).swapaxes(1, 2).copy())
+                         for t in (alpha, r))
+
+        return _ServingPlan(forward)
 
 
 class TConvShapeDecoder:
@@ -265,6 +337,39 @@ class TConvShapeDecoder:
         alpha = ops.stacked_conv(z, output.weight, output.bias)  # (f, batch, n_h, d)
         return alpha.swapaxes(2, 3), None
 
+    def serving_plan(self, dtype) -> _ServingPlan:
+        """:meth:`forward` for one window; each layer's upsampled ReLU is
+        written into the interior of the next layer's padded input."""
+        *hidden, output = self.layers
+        f, kernel, channels, d = output.weight.shape
+        h, cols, gather = ops._planned_cols((1, 1, channels), 0, 1, dtype)
+        steps, length = [], 1
+        for layer, out_length in zip(hidden, self.length_schedule()):
+            out, *next_cols = ops._planned_cols((f, 1, out_length, channels),
+                                                kernel // 2, kernel, dtype)
+            conv = np.empty((f, 1, length, channels), dtype)
+            steps.append((gather, cols, layer, conv.reshape(f, length, channels), conv,
+                          ops._nearest(length, out_length), out))
+            cols, gather = next_cols
+            length = out_length
+        last_gather, last_cols = gather, cols
+        alpha = np.empty((f, length, d), dtype)  # (f, batch * n_h, d)
+
+        def forward(z: Tensor) -> tuple[Tensor, None]:
+            np.copyto(h, z.data)
+            for gather, cols, layer, gemm_out, conv, idx, out in steps:
+                gather()
+                ops._stacked_conv_kernel(cols, layer.weight.data, layer.bias.data, True,
+                                         gemm_out)
+                # idx is in range, so "clip" only spares take's buffered copy
+                conv.take(idx, axis=2, out=out, mode="clip")
+            last_gather()
+            ops._stacked_conv_kernel(last_cols, output.weight.data, output.bias.data,
+                                     False, alpha)
+            return Tensor(alpha.swapaxes(1, 2)[:, None].copy()), None
+
+        return _ServingPlan(forward)
+
 
 class ScaleDecoder:
     """Linear maps from the encoder vector to d (multiplier, offset) pairs,
@@ -281,6 +386,21 @@ class ScaleDecoder:
         """(batch, 1, channels) -> multiplier (f, batch, d), offset (f, batch, d)."""
         out = ops.stacked_conv(z, self.linears.weight, self.linears.bias)
         return out[:, :, 0, :self.d], out[:, :, 0, self.d:]
+
+    def serving_plan(self, dtype) -> _ServingPlan:
+        """:meth:`forward` for one window."""
+        linears, d = self.linears, self.d
+        f, two_d, channels = linears.weight.shape
+        h, cols, _ = ops._planned_cols((1, 1, channels), 0, 1, dtype)
+        out = np.empty((f, 1, two_d), dtype)  # (f, batch, 2 * d): the GEMM's output
+
+        def forward(z: Tensor) -> tuple[Tensor, Tensor]:
+            np.copyto(h, z.data)
+            ops._stacked_conv_kernel(cols, linears.weight.data, linears.bias.data, False,
+                                     out)
+            return Tensor(out[:, :, :d].copy()), Tensor(out[:, :, d:].copy())
+
+        return _ServingPlan(forward)
 
 
 class Member(NamedTuple):
@@ -308,6 +428,16 @@ class Member(NamedTuple):
                    None if config.variant == "non_separated"
                    else ScaleDecoder(prefix + "scale_decoder", config, table))
 
+    def serving_plan(self, dtype) -> Member:
+        """This member with each module replaced by its
+        :class:`_ServingPlan`, so that :meth:`forward` serves one window; a
+        shared encoder stays shared."""
+        plans = {}
+        for module in self:
+            if module is not None and id(module) not in plans:
+                plans[id(module)] = module.serving_plan(dtype)
+        return Member(*(plans.get(id(module)) for module in self))
+
     def forward(self, x: Tensor) -> tuple[Tensor, Tensor | None, Tensor, Tensor]:
         """(batch, n_p, d) -> shapes, activations, multipliers and offsets."""
         # one node per encoder, so a shared encoder's gradient sums in one order
@@ -330,6 +460,15 @@ class _ForwardTensors(NamedTuple):
     scale_add: Tensor           # (f, batch, d)
     activations: Tensor | None  # (f, batch, d, n_s), None for tconv decoders
 
+    @classmethod
+    def join(cls, outputs) -> _ForwardTensors:
+        """The members' :meth:`Member.forward` outputs, their futures
+        joined in order and recombined once."""
+        shapes, acts, muls, adds = zip(*outputs)
+        shape_preds, mul, add = concat(shapes), concat(muls), concat(adds)
+        return cls(combine(shape_preds, mul, add), shape_preds, mul, add,
+                   None if acts[0] is None else concat(acts))
+
 
 class Forecaster:
     """A configured multi-future model.
@@ -348,6 +487,8 @@ class Forecaster:
         self.dtype = np.dtype(dtype).type
         self.model_id = f"{config.variant}_f{config.f}"
         self.table = Parameters(take or initializer(np.random.default_rng(seed), dtype))
+        # serving plans not in use, each a list of members (see _serve)
+        self._plans: list[list[Member]] = []
         if config.variant != "model_ensemble":
             self.members = [Member.from_config(config, self.table)]
         else:  # f single-future members
@@ -377,17 +518,36 @@ class Forecaster:
 
         ``inputs`` is ``(batch, n_p, d)`` or a single ``(n_p, d)`` window;
         ``single`` rejects a batch.  This is the one place the forward pass
-        runs :func:`check_windows`.
+        runs :func:`check_windows`.  A no-grad pass over one window is
+        served by :meth:`_serve`; every other pass runs the ops.
         """
-        return self._forward(Tensor(check_windows(
-            inputs, self.config.n_p, self.config.d, self.dtype, single)))
+        x = Tensor(check_windows(inputs, self.config.n_p, self.config.d, self.dtype,
+                                 single))
+        if len(x.data) == 1 and not is_grad_enabled():
+            return self._serve(x)
+        return self._forward(x)
+
+    def _serve(self, x: Tensor) -> _ForwardTensors:
+        """The no-grad forward pass of one validated window, bit-identical
+        to the ops', through a serving plan: the members' serving plans,
+        built the first time the model serves a window.
+
+        Plans not in use wait in the model's pool; a call takes one and
+        puts it back, and builds another when none is free, so threads
+        serving at once never share buffers.
+        """
+        try:
+            members = self._plans.pop()
+        except IndexError:
+            members = [m.serving_plan(self.dtype) for m in self.members]
+        try:
+            return _ForwardTensors.join(m.forward(x) for m in members)
+        finally:
+            self._plans.append(members)
 
     def _forward(self, x: Tensor) -> _ForwardTensors:
-        """Forward pass from a validated ``(batch, n_p, d)`` tensor."""
-        shapes, acts, muls, adds = zip(*(m.forward(x) for m in self.members))
-        shape_preds, mul, add = concat(shapes), concat(muls), concat(adds)
-        return _ForwardTensors(combine(shape_preds, mul, add), shape_preds,
-                               mul, add, None if acts[0] is None else concat(acts))
+        """Forward pass of the ops from a validated ``(batch, n_p, d)`` tensor."""
+        return _ForwardTensors.join(m.forward(x) for m in self.members)
 
     def predict_batch(self, windows: np.ndarray) -> list[FutureSet]:
         """Predict one future set per window of a ``(batch, n_p, d)`` stack.

@@ -15,6 +15,14 @@ bank decoders' templates.  Their backward passes skip what gets no
 gradient, so under an oracle loss only each row's winning future does
 backward work.
 
+The forward arithmetic of :func:`encoder_block`, :func:`stacked_conv`,
+:func:`softmax` and :func:`stacked_matmul` is written once, in private
+kernels that write into the buffers they are given.  The ops call them
+with fresh buffers.  A model's serving plan (``multifuture.model``)
+calls them with buffers it allocated once, with :func:`_planned_cols`
+for its im2col, so a served window is bit-identical to the ops' forward
+pass without a tensor, closure or argument check per layer.
+
 :func:`encoder_block` and :func:`stacked_conv` gather their im2col
 columns from a read-only window view that :func:`_kernel_major_cols`
 builds straight from the padded input's strides; ``sliding_window_view``'s
@@ -23,8 +31,8 @@ keep no backward closure (under :class:`~multifuture.nn.tensor.no_grad`,
 or when no input requires grad: the predicate ``_from_op`` applies), the
 op computes none of the masks only its backward pass reads, and
 :func:`stacked_conv` copies nothing that a kernel of 1 or an output at
-its input length leaves unchanged, so a served window pays for little
-beyond the forward arithmetic.
+its input length leaves unchanged, so a batch served through the ops
+pays for little beyond the forward arithmetic.
 
 The reference ops (:func:`conv1d`, :func:`tconv1d`, :func:`relu`,
 :func:`maxpool1d`, :func:`adaptive_avgpool1d`, :func:`linear`,
@@ -35,6 +43,9 @@ against them.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,11 +92,21 @@ def _flush_tiny(grad: np.ndarray) -> np.ndarray:
     return grad
 
 
+def _softmax_kernel(x: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
+    """:func:`softmax`'s arithmetic into ``out`` (shaped like ``x``), with
+    ``rows`` (``x``'s shape, last axis 1) holding each row's maximum, then
+    its sum."""
+    np.maximum.reduce(x, axis=-1, keepdims=True, out=rows)
+    np.subtract(x, rows, out=out)
+    np.exp(out, out=out)
+    np.add.reduce(out, axis=-1, keepdims=True, out=rows)
+    np.divide(out, rows, out=out)
+
+
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis, computed with max subtraction."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = np.empty_like(x.data)
+    _softmax_kernel(x.data, out_data, np.empty((*x.shape[:-1], 1), x.dtype))
 
     def bwd(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
@@ -221,24 +242,57 @@ def adaptive_avgpool1d(x: Tensor) -> Tensor:
     return _from_op(out if batched else out[0], (x,), bwd)
 
 
+def _kernel_major_windows(xp: np.ndarray, kernel: int) -> np.ndarray:
+    """The read-only ``(..., rows, length, kernel, channels)`` window view
+    of C-contiguous padded ``(..., rows, length + kernel - 1, channels)``
+    data, built from its strides, the kernel axis stepping like the time
+    axis."""
+    *lead, rows, padded_length, channels = xp.shape
+    *outer, time_step, channel_step = xp.strides
+    windows = np.ndarray((*lead, rows, padded_length - kernel + 1, kernel, channels),
+                         xp.dtype, xp, 0, (*outer, time_step, time_step, channel_step))
+    windows.flags.writeable = False
+    return windows
+
+
 def _kernel_major_cols(xp: np.ndarray, kernel: int) -> np.ndarray:
     """im2col of padded ``(..., rows, length + kernel - 1, channels)`` data.
 
     Returns ``(..., rows * length, kernel * channels)``: row ``(i, t)`` is
-    the contiguous run ``xp[..., i, t:t+kernel, :]``.  The read-only
-    ``(..., rows, length, kernel, channels)`` window view is built over a
-    C-contiguous ``xp`` (copied first if it is not) from its strides, the
-    kernel axis stepping like the time axis; the reshape then copies it
-    unless ``kernel`` is 1.
+    the contiguous run ``xp[..., i, t:t+kernel, :]``.  The window view is
+    built over a C-contiguous ``xp`` (copied first if it is not); the
+    reshape then copies it, unless ``kernel`` is 1 or there is one row:
+    then it is a view, with overlapping rows for a kernel above 1.
     """
-    xp = np.ascontiguousarray(xp)
-    *lead, rows, padded_length, channels = xp.shape
-    length = padded_length - kernel + 1
-    *outer, time_step, channel_step = xp.strides
-    windows = np.ndarray((*lead, rows, length, kernel, channels), xp.dtype, xp, 0,
-                         (*outer, time_step, time_step, channel_step))
-    windows.flags.writeable = False
+    windows = _kernel_major_windows(np.ascontiguousarray(xp), kernel)
+    *lead, rows, length, _, channels = windows.shape
     return windows.reshape(*lead, rows * length, kernel * channels)
+
+
+def _planned_cols(shape: tuple[int, ...], pad: int, kernel: int, dtype):
+    """Buffers, allocated once, for the im2col of an input of fixed
+    ``shape`` ``(..., rows, length, channels)``: ``(interior, cols,
+    gather)``.
+
+    ``interior`` is the input's place inside a zeroed buffer with ``pad``
+    time steps of margin on each side, and ``cols`` holds the values of
+    :func:`_kernel_major_cols` of that buffer, C-contiguous, once
+    ``gather()`` has copied them there from the buffer's window view.
+    Where that reshape is a C-contiguous view (a kernel of 1), ``cols`` is
+    the view and ``gather`` does nothing.  For one row and a larger kernel
+    it is a view with overlapping rows, which ``np.matmul`` would copy into
+    a temporary on every call; ``cols`` holds the same values, so the GEMM
+    gives the same bits.
+    """
+    *lead, rows, length, channels = shape
+    xp = np.zeros((*lead, rows, length + 2 * pad, channels), dtype)
+    windows = _kernel_major_windows(xp, kernel)
+    cols = windows.reshape(*lead, rows * length, kernel * channels)
+    if cols.flags.c_contiguous:
+        return xp[..., pad:pad + length, :], cols, lambda: None
+    cols = np.empty(cols.shape, dtype)
+    return (xp[..., pad:pad + length, :], cols,
+            partial(np.copyto, cols.reshape(windows.shape), windows))
 
 
 def _kernel_major_uncols(dcols: np.ndarray) -> np.ndarray:
@@ -250,6 +304,59 @@ def _kernel_major_uncols(dcols: np.ndarray) -> np.ndarray:
     for k in range(kernel):
         dxp[:, k:k + length] += dcols[:, :, k]
     return dxp
+
+
+class _BlockBuffers(NamedTuple):
+    """The arrays :func:`_encoder_block_kernel` writes for one block, with
+    the views of them it reads; made by :func:`_block_buffers`."""
+
+    z: np.ndarray            # (batch, l_conv, c_out) convolution output
+    gemm_out: np.ndarray     # z as the GEMM's (batch * l_conv, c_out) output
+    pairs: tuple[np.ndarray, np.ndarray] | None  # z's even and odd steps (max pool)
+    scratch: np.ndarray      # the larger of each pair, or (mean pool) the ReLU of z
+    out: np.ndarray          # the pooled ReLU
+
+
+def _block_buffers(batch: int, l_conv: int, c_out: int, pool: str, dtype,
+                   out: np.ndarray | None = None) -> _BlockBuffers:
+    """Fresh buffers for an encoder block with ``l_conv`` conv outputs; a
+    given ``out`` (``(batch, l_conv // 2, c_out)`` for ``pool="max"``,
+    ``(batch, 1, c_out)`` for ``"mean"``) receives the pooled ReLU."""
+    z = np.empty((batch, l_conv, c_out), dtype)
+    if pool == "max":
+        half = l_conv // 2
+        pairs = z[:, 0:2 * half:2], z[:, 1:2 * half:2]
+        scratch = np.empty((batch, half, c_out), dtype)
+    else:
+        pairs, scratch = None, np.empty_like(z)
+    if out is None:
+        out = np.empty((batch, 1, c_out), dtype) if pairs is None else np.empty_like(scratch)
+    return _BlockBuffers(z, z.reshape(batch * l_conv, c_out), pairs, scratch, out)
+
+
+def _encoder_block_kernel(cols: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                          buffers: _BlockBuffers) -> None:
+    """:func:`encoder_block`'s arithmetic into ``buffers``.
+
+    ``z`` gets the convolution of the ``(batch * l_conv, kernel * c_in)``
+    im2col columns with the ``(1, kernel, c_in, c_out)`` ``weight``, plus
+    ``bias``.  With ``pairs`` (max pooling) ``scratch`` gets the larger of
+    each pair of time steps and ``out`` its ReLU; without, ``scratch`` gets
+    the ReLU of ``z`` and ``out`` its mean over time.
+    """
+    z, gemm_out, pairs, scratch, out = buffers
+    np.matmul(cols, weight.reshape(cols.shape[1], -1), out=gemm_out)
+    gemm_out += bias
+    if pairs is not None:
+        # Max-pool before the ReLU: max commutes with a monotone function.
+        np.maximum(*pairs, out=scratch)
+        np.maximum(scratch, 0, out=out)
+    else:
+        np.maximum(z, 0, out=scratch)
+        # np.mean's arithmetic, without its Python-level dispatch: the sum,
+        # then a division by the count as an intp
+        np.add.reduce(scratch, axis=1, keepdims=True, out=out)
+        np.true_divide(out, np.intp(z.shape[1]), out=out, casting="unsafe")
 
 
 def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
@@ -295,24 +402,18 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
         xp = xd
     cols = _kernel_major_cols(xp, kernel)
     w2 = wd.reshape(kernel * c_in, c_out)
-    z = (cols @ w2).reshape(n, l_conv, c_out)
-    z += bias.data
-
-    if pool == "max":
-        # Max-pool before the ReLU: max commutes with a monotone function.
-        half = l_conv // 2
-        left = z[:, 0:2 * half:2]
-        right = z[:, 1:2 * half:2]
-        pre = np.maximum(left, right)
-        out = np.maximum(pre, 0)
-    else:
-        pre = z
-        out = np.maximum(z, 0).mean(axis=1, keepdims=True)
+    buffers = _block_buffers(n, l_conv, c_out, pool, np.result_type(xd, wd))
+    _encoder_block_kernel(cols, wd, bias.data, buffers)
     parents = (x, weight, bias)
     if not _builds_graph(parents):  # inference: no backward-only state
-        return _from_op(out, parents, None)
-    active = pre > 0
-    right_wins = right > left if pool == "max" else None  # strict: ties take the left
+        return _from_op(buffers.out, parents, None)
+    half = l_conv // 2
+    if pool == "max":
+        left, right = buffers.pairs
+        active = buffers.scratch > 0
+        right_wins = right > left  # strict: ties take the left
+    else:
+        active = buffers.z > 0
 
     def bwd(g):
         if pool == "max":
@@ -333,7 +434,33 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
             dx = dxp[:, padding:padding + length] if padding else dxp
             _accumulate(x, dx, owned=True)
 
-    return _from_op(out, parents, bwd)
+    return _from_op(buffers.out, parents, bwd)
+
+
+def _stacked_gemm_weight(weight: np.ndarray) -> np.ndarray:
+    """A :func:`stacked_conv` weight as its GEMM's ``(f, kernel * c_in,
+    c_out)`` operand, a view."""
+    if weight.ndim == 3:  # a linear map, stored (f, c_out, c_in)
+        return weight.swapaxes(1, 2)
+    return weight.reshape(len(weight), -1, weight.shape[3])
+
+
+def _nearest(length: int, out_length: int) -> np.ndarray:
+    """The input time step that nearest upsampling to ``out_length`` reads
+    at each output step."""
+    return (np.arange(out_length) * length) // out_length
+
+
+def _stacked_conv_kernel(cols: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                         relu: bool, gemm_out: np.ndarray) -> None:
+    """:func:`stacked_conv`'s arithmetic into ``gemm_out``, the ``(f, batch *
+    length, c_out)`` view of its output: the convolution of the im2col
+    columns of the shared or per-future input with the stored ``weight``,
+    plus ``bias``, then a ReLU in place if ``relu``."""
+    np.matmul(cols, _stacked_gemm_weight(weight), out=gemm_out)
+    gemm_out += bias[:, None, :]
+    if relu:
+        np.maximum(gemm_out, 0, out=gemm_out)
 
 
 def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
@@ -386,7 +513,7 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
     if out_length < length:
         raise ValueError(f"out_length {out_length} smaller than input length {length}")
     pad = kernel // 2
-    w2 = wd.swapaxes(1, 2) if linear else wd.reshape(f, kernel * c_in, c_out)
+    w2 = _stacked_gemm_weight(wd)
 
     def padded(rows):
         if not pad:
@@ -395,17 +522,21 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
         xp[..., pad:pad + length, :] = rows
         return xp
 
-    z = np.matmul(_kernel_major_cols(padded(xd), kernel), w2)
-    z = z.reshape(f, n, length, c_out)
-    z += bias.data[:, None, None, :]
+    # Allocated and freed in the order a plain ``np.matmul(cols, w2)`` and
+    # ``np.take`` use: the output after the columns, the upsampled output
+    # after the columns are freed.  Allocating both outputs first made this
+    # op up to twice as slow at f=12 and a batch of 28.
+    cols = _kernel_major_cols(padded(xd), kernel)
+    z = np.empty((f, n, length, c_out), np.result_type(xd, wd))
+    _stacked_conv_kernel(cols, wd, bias.data, relu, z.reshape(f, n * length, c_out))
+    del cols
     parents = (x, weight, bias)
-    if relu:
-        active = z > 0 if _builds_graph(parents) else None
-        np.maximum(z, 0, out=z)
+    # the ReLU ran in place, and z > 0 exactly where its input was
+    active = z > 0 if relu and _builds_graph(parents) else None
     if out_length == length:
         out = z
     else:
-        idx = (np.arange(out_length) * length) // out_length
+        idx = _nearest(length, out_length)
         out = np.take(z, idx, axis=2)
 
     def bwd(g):
@@ -440,6 +571,11 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
     return _from_op(out, parents, bwd)
 
 
+def _stacked_matmul_kernel(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`stacked_matmul`'s arithmetic into ``out``, which it returns."""
+    return np.matmul(x, w, out=out)
+
+
 def stacked_matmul(x: Tensor, weight: Tensor) -> Tensor:
     """``x[g] @ weight[g]`` for every group ``g``, as one batched GEMM of a
     ``(groups, rows, inner)`` input and a ``(groups, inner, cols)`` weight.
@@ -463,7 +599,8 @@ def stacked_matmul(x: Tensor, weight: Tensor) -> Tensor:
         dw[active] = _flush_tiny(np.matmul(xd[active].swapaxes(1, 2), g[active]))
         _accumulate(weight, dw, owned=True)
 
-    return _from_op(np.matmul(xd, w), (x, weight), bwd)
+    return _from_op(_stacked_matmul_kernel(xd, w, np.empty(
+        (len(w), xd.shape[1], w.shape[2]), np.result_type(xd, w))), (x, weight), bwd)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

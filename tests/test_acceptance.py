@@ -165,8 +165,8 @@ def test_criterion_02_architecture_arithmetic():
             return out
 
         ops.stacked_conv = spy_layer
-        try:
-            fs = tconv_model.predict_futures(np.zeros((168, 4)))
+        try:  # a batch of two windows runs the ops, not a serving plan
+            fs = tconv_model.predict_batch(np.zeros((2, 168, 4)))[0]
         finally:
             ops.stacked_conv = real_layer
         upsampling = [pair for pair in layer_io if pair[0] != pair[1]]

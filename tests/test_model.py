@@ -1,7 +1,11 @@
 """Tests for the forecaster: architecture arithmetic, variants, contracts."""
 
+import gc
 import hashlib
 import json
+import sys
+import threading
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -20,7 +24,7 @@ from multifuture.model import (
     shape_decoder_forward,
     shape_encoder_forward,
 )
-from multifuture.nn import Tensor, grad_check, no_grad, ops
+from multifuture.nn import AdamState, Tensor, adam_step, grad_check, no_grad, ops
 from multifuture.persistence import MANIFEST_NAME, load_shape_banks, save, save_shape_banks
 from multifuture.training import _oracle_batch_loss
 
@@ -34,6 +38,23 @@ def small_config(**overrides):
 def random_window(config, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((config.n_p, config.d))
+
+
+def spy_on(monkeypatch, names) -> Counter:
+    """Count the calls of the ``ops`` functions ``names`` from here on."""
+    calls = Counter()
+
+    def counted(name):
+        op = getattr(ops, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return op(*args, **kwargs)
+        return spy
+
+    for name in names:
+        monkeypatch.setattr(ops, name, counted(name))
+    return calls
 
 
 class TestModelConfig:
@@ -496,25 +517,142 @@ class TestMembers:
             scale_forward(model, random_window(cfg), index)
 
     def test_forward_op_count_does_not_grow_with_f(self, monkeypatch):
-        calls = Counter()
-
-        def counted(name):
-            op = getattr(ops, name)
-
-            def spy(*args, **kwargs):
-                calls[name] += 1
-                return op(*args, **kwargs)
-            return spy
-
-        for name in ("softmax", "stacked_conv"):
-            monkeypatch.setattr(ops, name, counted(name))
+        # a batch of two windows runs the ops, not a serving plan
+        calls = spy_on(monkeypatch, ("softmax", "stacked_conv"))
         counts = []
         for f in (3, 12):
             calls.clear()
             cfg = small_config(f=f)
-            Forecaster(cfg, seed=0).predict_futures(random_window(cfg))
+            Forecaster(cfg, seed=0).predict_batch(
+                np.stack([random_window(cfg, 0), random_window(cfg, 1)]))
             counts.append(dict(calls))
         assert counts[0] == counts[1] == {"softmax": 1, "stacked_conv": 2}
+
+    def test_served_plan_step_count_does_not_grow_with_f(self, monkeypatch):
+        kernels = ("_encoder_block_kernel", "_stacked_conv_kernel", "_softmax_kernel",
+                   "_stacked_matmul_kernel")
+        calls = spy_on(monkeypatch, (*kernels, "encoder_block", "stacked_conv",
+                                     "softmax", "stacked_matmul"))
+        counts = []
+        for f in (3, 12):
+            cfg = small_config(f=f)
+            model = Forecaster(cfg, seed=0)
+            calls.clear()
+            model.predict_futures(random_window(cfg))
+            counts.append(dict(calls))
+        blocks = small_config().encoder_blocks
+        assert counts[0] == counts[1] == dict(zip(kernels, (2 * blocks, 2, 1, 1)))
+
+
+def _bits(t: Tensor | None) -> np.ndarray | None:
+    """A tensor's data as integers of its width, so equality is bit equality."""
+    return None if t is None else t.data.view(f"i{t.data.itemsize}")
+
+
+class TestServingPlan:
+    """A no-grad forward pass of one window runs the model's serving plan."""
+
+    @staticmethod
+    def _assert_served_is_op_path(model, window):
+        x = check_windows(window, model.config.n_p, model.config.d, model.dtype)
+        with no_grad():
+            served = model.forward_tensors(window)
+            reference = model._forward(Tensor(x))
+        assert len(model._plans) == 1
+        for name, a, b in zip(served._fields, served, reference):
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert np.array_equal(_bits(a), _bits(b)), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("f", [1, 3, 12])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_served_window_is_the_op_path(self, variant, f, dtype, tmp_path):
+        cfg = small_config(variant=variant, f=f, n_h=16)
+        model = Forecaster(cfg, seed=f, dtype=dtype)
+        rng = np.random.default_rng(f)
+        window = random_window(cfg, f)
+        self._assert_served_is_op_path(model, window)  # untrained
+        state = AdamState.init(model.parameters())
+        for _ in range(3):
+            x = Tensor(rng.standard_normal((4, cfg.n_p, cfg.d)).astype(dtype))
+            truth = rng.standard_normal((4, cfg.d, cfg.n_h)).astype(dtype)
+            _oracle_batch_loss(model._forward(x), truth, 1.0, 0)[0].backward()
+            state = adam_step(model.parameters(), state)
+        self._assert_served_is_op_path(model, window)
+        stored = model.parameters()
+        stored[-1].data += 0.25  # a decoder parameter, in place
+        self._assert_served_is_op_path(model, window)
+        stored[0].data = stored[0].data * 1.5  # an encoder weight, rebound
+        self._assert_served_is_op_path(model, window)
+        if variant != "tconv_decoder":  # the one variant without banks
+            save_shape_banks(Forecaster(cfg, seed=f + 1), tmp_path)  # float32 banks
+            load_shape_banks(model, tmp_path)
+            self._assert_served_is_op_path(model, window)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_served_windows_do_not_alias(self, variant, dtype):
+        cfg = small_config(variant=variant, n_h=16)
+        model = Forecaster(cfg, seed=0, dtype=dtype)
+
+        def serve(window):
+            future_set = model.predict_futures(window)
+            with no_grad():
+                fwd = model.forward_tensors(window)
+            return [a for a in (*vars(future_set).values(), *(t and t.data for t in fwd))
+                    if a is not None]
+
+        first = serve(random_window(cfg, 1))
+        kept = [a.copy() for a in first]
+        second = serve(random_window(cfg, 2))
+        assert not np.array_equal(first[0], second[0])
+        assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+
+    def test_two_threads_serve_one_model(self):
+        cfg = small_config(f=3)
+        model = Forecaster(cfg, seed=0)
+        windows = [random_window(cfg, seed) for seed in range(200)]
+        expected = [model.predict_futures(w) for w in windows]
+        served = [[], []]
+        start = threading.Barrier(2, timeout=30)
+
+        def serve(out):
+            start.wait()
+            out.extend(model.predict_futures(w) for w in windows)
+
+        threads = [threading.Thread(target=serve, args=(out,)) for out in served]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for out in served:
+            assert len(out) == len(windows)
+            for got, want in zip(out, expected):
+                for name, a in vars(got).items():
+                    assert np.array_equal(a, getattr(want, name)), name
+
+    def test_a_served_model_is_freed_with_its_last_reference(self):
+        cfg = small_config()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            model = Forecaster(cfg, seed=0)
+            model.predict_futures(random_window(cfg))
+            assert model._plans
+            freed = weakref.ref(model)
+            del model
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestParameterTable:
