@@ -306,7 +306,11 @@ class TConvShapeDecoder:
     to the output horizon.  Every layer runs as one
     :func:`~multifuture.nn.ops.stacked_conv` over a leading future axis, on
     channels-last data; the transposed convolutions run as the equal
-    kernel-reversed "same" convolutions.  Each future has its own
+    kernel-reversed "same" convolutions.  Each upsampling runs in the layer
+    above it: ``stacked_conv`` upsamples its input, so ``tconv{b}`` reads
+    the layer below upsampled to ``length_schedule()[b]`` and the output
+    conv reads it upsampled to ``n_h``, which takes the upsampling, padding
+    and im2col of a layer in one gather.  Each future has its own
     parameters, named ``{name}{i}.input_linear``, ``{name}{i}.tconv{b}`` and
     ``{name}{i}.output_conv`` and drawn future by future; ``layers[l]``
     stores layer ``l`` of every future as one tensor.
@@ -332,9 +336,11 @@ class TConvShapeDecoder:
     def forward(self, z: Tensor) -> tuple[Tensor, None]:
         """(batch, 1, channels) -> shape predictions (f, batch, d, n_h)."""
         *hidden, output = self.layers
-        for layer, length in zip(hidden, self.length_schedule()):
+        *lengths, n_h = self.length_schedule()
+        # tconv b upsamples its input to lengths[b], the output conv to n_h
+        for layer, length in zip(hidden, [None, *lengths]):
             z = ops.stacked_conv(z, layer.weight, layer.bias, length, relu=True)
-        alpha = ops.stacked_conv(z, output.weight, output.bias)  # (f, batch, n_h, d)
+        alpha = ops.stacked_conv(z, output.weight, output.bias, n_h)  # (f, batch, n_h, d)
         return alpha.swapaxes(2, 3), None
 
     def serving_plan(self, dtype) -> _ServingPlan:

@@ -23,16 +23,19 @@ calls them with buffers it allocated once, with :func:`_planned_cols`
 for its im2col, so a served window is bit-identical to the ops' forward
 pass without a tensor, closure or argument check per layer.
 
-:func:`encoder_block` and :func:`stacked_conv` gather their im2col
-columns from a read-only window view that :func:`_kernel_major_cols`
-builds straight from the padded input's strides; ``sliding_window_view``'s
-argument checks cost more than a batch-1 GEMM.  When an op's output will
-keep no backward closure (under :class:`~multifuture.nn.tensor.no_grad`,
-or when no input requires grad: the predicate ``_from_op`` applies), the
-op computes none of the masks only its backward pass reads, and
-:func:`stacked_conv` copies nothing that a kernel of 1 or an output at
-its input length leaves unchanged, so a batch served through the ops
-pays for little beyond the forward arithmetic.
+:func:`encoder_block` copies its im2col columns from a read-only
+window view that :func:`_kernel_major_cols` builds straight from the
+padded input's strides; ``sliding_window_view``'s argument checks cost
+more than a batch-1 GEMM.  :func:`stacked_conv` upsamples its input
+before it convolves, so a layer's nearest upsampling, zero padding and
+im2col window are one ``np.take`` of the layer below's output
+(:func:`_gather_cols`), run on groups of whole futures whose columns fit
+``_GROUP_BYTES``.  When an op's output will keep no backward closure
+(under :class:`~multifuture.nn.tensor.no_grad`, or when no input requires
+grad: the predicate ``_from_op`` applies), the op computes none of the
+masks only its backward pass reads, and :func:`stacked_conv` reads a
+kernel-1 input without upsampling as its columns, so a batch served
+through the ops pays for little beyond the forward arithmetic.
 
 The reference ops (:func:`conv1d`, :func:`tconv1d`, :func:`relu`,
 :func:`maxpool1d`, :func:`adaptive_avgpool1d`, :func:`linear`,
@@ -44,7 +47,7 @@ against them.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -258,15 +261,17 @@ def _kernel_major_windows(xp: np.ndarray, kernel: int) -> np.ndarray:
 def _kernel_major_cols(xp: np.ndarray, kernel: int) -> np.ndarray:
     """im2col of padded ``(..., rows, length + kernel - 1, channels)`` data.
 
-    Returns ``(..., rows * length, kernel * channels)``: row ``(i, t)`` is
-    the contiguous run ``xp[..., i, t:t+kernel, :]``.  The window view is
-    built over a C-contiguous ``xp`` (copied first if it is not); the
-    reshape then copies it, unless ``kernel`` is 1 or there is one row:
-    then it is a view, with overlapping rows for a kernel above 1.
+    Returns ``(..., rows * length, kernel * channels)``, C-contiguous: row
+    ``(i, t)`` is the contiguous run ``xp[..., i, t:t+kernel, :]``.  The
+    window view is built over a C-contiguous ``xp`` (copied first if it is
+    not) and copied, except for a kernel of 1, where it is a view of
+    ``xp``.  One row and a larger kernel would reshape to a view with
+    overlapping rows, which ``np.matmul`` copies into a temporary on every
+    call; the copy holds the same values, so a GEMM gives the same bits.
     """
     windows = _kernel_major_windows(np.ascontiguousarray(xp), kernel)
     *lead, rows, length, _, channels = windows.shape
-    return windows.reshape(*lead, rows * length, kernel * channels)
+    return np.ascontiguousarray(windows.reshape(*lead, rows * length, kernel * channels))
 
 
 def _planned_cols(shape: tuple[int, ...], pad: int, kernel: int, dtype):
@@ -451,6 +456,51 @@ def _nearest(length: int, out_length: int) -> np.ndarray:
     return (np.arange(out_length) * length) // out_length
 
 
+# The most bytes of im2col columns that :func:`stacked_conv` gathers at
+# once.  Its forward pass gathers and multiplies whole futures in groups
+# whose columns fit here, so a group's columns are still in cache when
+# its GEMM reads them; a future larger than this is a group of its own.
+# Measured on a 2-vCPU VM (numpy 2.4, BLAS at 1 thread): budgets of 512
+# KiB, 1 MiB and 4 MiB gave the f=12 tconv_decoder training step within 2%
+# of each other, while all futures in one group made it about 6% slower
+# and its peak resident size about 10 MB higher.
+_GROUP_BYTES = 1 << 20
+
+
+@cache
+def _gather_index(length: int, out_length: int, kernel: int) -> np.ndarray:
+    """The read-only ``(out_length, kernel)`` map from each im2col tap of an
+    input nearest-upsampled from ``length`` to ``out_length`` and zero-padded
+    by ``kernel // 2`` to the input step it reads.  A tap that falls in the
+    padding reads the nearest edge step instead; :func:`_gather_cols`
+    zeroes it."""
+    pad = kernel // 2
+    steps = np.arange(out_length)[:, None] + np.arange(kernel) - pad
+    index = _nearest(length, out_length)[np.clip(steps, 0, out_length - 1)]
+    index.flags.writeable = False
+    return index
+
+
+def _gather_cols(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """im2col of ``(..., rows, length, channels)`` data, nearest-upsampled
+    to ``out_length`` and zero-padded by ``kernel // 2``, in one gather.
+
+    ``out`` is ``(..., rows, out_length, kernel, channels)``; it receives
+    the values that :func:`_kernel_major_cols` gives of that padded,
+    upsampled input, and is returned as the ``(..., rows * out_length,
+    kernel * channels)`` columns, a view.
+    """
+    *lead, rows, out_length, kernel, channels = out.shape
+    # the index is in range, so "clip" only spares take's buffered copy
+    np.take(x, _gather_index(x.shape[-2], out_length, kernel), axis=-2, out=out,
+            mode="clip")
+    pad = kernel // 2
+    for k in range(pad):  # tap k reads left padding, tap kernel-1-k right
+        out[..., :pad - k, k, :] = 0
+        out[..., max(out_length - pad + k, 0):, kernel - 1 - k, :] = 0
+    return out.reshape(*lead, rows * out_length, kernel * channels)
+
+
 def _stacked_conv_kernel(cols: np.ndarray, weight: np.ndarray, bias: np.ndarray,
                          relu: bool, gemm_out: np.ndarray) -> None:
     """:func:`stacked_conv`'s arithmetic into ``gemm_out``, the ``(f, batch *
@@ -465,7 +515,7 @@ def _stacked_conv_kernel(cols: np.ndarray, weight: np.ndarray, bias: np.ndarray,
 
 def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
                  out_length: int | None = None, *, relu: bool = False) -> Tensor:
-    """One convolution layer per future, run as one batched GEMM.
+    """One convolution layer per future, run as batched GEMMs.
 
     ``weight`` holds every future's weight, in the layout the GEMM reads:
     ``(f, kernel, channels_in, channels_out)`` for a convolution with an
@@ -474,13 +524,21 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
     for linear maps (a kernel of 1), read through a transposed view.
     ``bias`` is ``(f, channels_out)``.  ``x`` is channels-last
     ``(f, batch, length, channels_in)``, or ``(batch, length, channels_in)``
-    fed to every future.  Future ``j`` runs a length-preserving
+    fed to every future.  Future ``j`` upsamples its input to
+    ``out_length`` (default ``length``; nearest, so index ``t`` reads
+    ``floor(t * length / out_length)``), then runs a length-preserving
     cross-correlation (zero padding ``kernel // 2``) plus its bias, then a
-    ReLU if ``relu``, then nearest upsampling to ``out_length`` (default
-    ``length``; index ``t`` reads ``floor(t * length / out_length)``).  The
-    output is ``(f, batch, out_length, channels_out)``.  A weight stored
-    with reversed kernels makes the convolution :func:`tconv1d` cropped by
-    ``kernel // 2`` at both ends.
+    ReLU if ``relu``.  The output is ``(f, batch, out_length,
+    channels_out)``.  A weight stored with reversed kernels makes the
+    convolution :func:`tconv1d` cropped by ``kernel // 2`` at both ends.
+
+    A layer with a kernel above 1 or an upsampling gathers its im2col
+    columns straight from ``x`` with one ``np.take`` through a cached index
+    map (:func:`_gather_cols`), so upsampling, padding and the im2col
+    window cost one copy.  A per-future input is gathered and multiplied
+    in groups of whole futures whose columns fit ``_GROUP_BYTES``; a shared
+    one is gathered once.  A kernel-1 layer without upsampling reads its
+    input as its columns.
 
     The backward pass keeps only the (future, row) pairs whose output
     gradient is not all zero, and runs one GEMM per future that has any
@@ -488,8 +546,11 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
     exactly-zero slice of the weight and bias gradients, so under an
     oracle loss only the winning decoder of each row does backward work.
     This relies only on each output row reading its own input row, never
-    on the loss.  A shared input adds the futures' gradients one at a
-    time, in order, as ``f`` separate layers would.
+    on the loss.  The input gradient of those rows is formed at
+    ``out_length`` (col2im), the duplicated steps of the upsampling are
+    summed back to ``length`` and the rows are scattered into the input's
+    gradient.  A shared input adds the futures' gradients one at a time, in
+    order, as ``f`` separate layers would.
     """
     xd, wd = x.data, weight.data
     f = wd.shape[0]
@@ -514,39 +575,46 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
         raise ValueError(f"out_length {out_length} smaller than input length {length}")
     pad = kernel // 2
     w2 = _stacked_gemm_weight(wd)
+    gathered = kernel > 1 or out_length != length
 
-    def padded(rows):
-        if not pad:
-            return rows
-        xp = np.zeros((*rows.shape[:-2], length + 2 * pad, c_in), dtype=xd.dtype)
-        xp[..., pad:pad + length, :] = rows
-        return xp
+    def cols_buffer(rows):
+        """A buffer for the gathered columns of ``(..., rows, length, c_in)``
+        input rows, or None if their columns are a view of them."""
+        if gathered:
+            return np.empty((*rows.shape[:-2], out_length, kernel, c_in), xd.dtype)
+        return None
 
-    # Allocated and freed in the order a plain ``np.matmul(cols, w2)`` and
-    # ``np.take`` use: the output after the columns, the upsampled output
-    # after the columns are freed.  Allocating both outputs first made this
-    # op up to twice as slow at f=12 and a batch of 28.
-    cols = _kernel_major_cols(padded(xd), kernel)
-    z = np.empty((f, n, length, c_out), np.result_type(xd, wd))
-    _stacked_conv_kernel(cols, wd, bias.data, relu, z.reshape(f, n * length, c_out))
-    del cols
+    def cols_of(rows, out):
+        """The im2col columns of input rows, gathered into the leading rows
+        of ``out``."""
+        if not gathered:
+            return _kernel_major_cols(rows, 1)
+        return _gather_cols(rows, out[:len(rows)])
+
+    future_bytes = n * out_length * kernel * c_in * xd.itemsize
+    step = f if shared or not gathered else max(1, _GROUP_BYTES // future_bytes)
+    # The columns are allocated before the output, as a plain
+    # ``np.matmul(cols, w2)`` does; allocating the output first made this op
+    # up to twice as slow at f=12 and a batch of 28.
+    buffer = cols_buffer(xd if shared else xd[:step])
+    z = np.empty((f, n, out_length, c_out), np.result_type(xd, wd))
+    gemm_out = z.reshape(f, n * out_length, c_out)
+    for lo in range(0, f, step):
+        group = slice(lo, lo + step)
+        cols = cols_of(xd if shared else xd[group], buffer)
+        _stacked_conv_kernel(cols, wd[group], bias.data[group], relu, gemm_out[group])
+    del buffer, cols
     parents = (x, weight, bias)
     # the ReLU ran in place, and z > 0 exactly where its input was
     active = z > 0 if relu and _builds_graph(parents) else None
-    if out_length == length:
-        out = z
-    else:
-        idx = _nearest(length, out_length)
-        out = np.take(z, idx, axis=2)
 
     def bwd(g):
         fi, ri = np.nonzero(g.any(axis=(2, 3)))  # (future, row) pairs, by future
         gz = g[fi, ri]
-        if out_length != length:
-            gz = np.add.reduceat(gz, np.flatnonzero(np.diff(idx, prepend=-1)), axis=1)
         if relu:
             gz *= active[fi, ri]
-        cols = _kernel_major_cols(padded(xd[ri] if shared else xd[fi, ri]), kernel)
+        rows = xd[ri] if shared else xd[fi, ri]
+        cols = cols_of(rows, cols_buffer(rows))
         dw, db = np.zeros_like(wd), np.zeros_like(bias.data)
         dw2 = dw.swapaxes(1, 2) if linear else dw.reshape(w2.shape)
         dcols = np.empty_like(cols) if x.requires_grad else None
@@ -554,21 +622,25 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
         ends = [*starts[1:], fi.size]
         for j, lo, hi in zip(futures, starts, ends):
             gj = gz[lo:hi].reshape(-1, c_out)
-            dw2[j] = cols[lo * length:hi * length].T @ gj
+            dw2[j] = cols[lo * out_length:hi * out_length].T @ gj
             db[j] = gj.sum(axis=0)
             if dcols is not None:
-                np.matmul(gj, w2[j].T, out=dcols[lo * length:hi * length])
+                np.matmul(gj, w2[j].T, out=dcols[lo * out_length:hi * out_length])
         _accumulate(weight, dw, owned=True)
         _accumulate(bias, db, owned=True)
         if dcols is None:
             return
-        dxp = _kernel_major_uncols(dcols.reshape(fi.size, length, kernel, c_in))
+        dxp = _kernel_major_uncols(dcols.reshape(fi.size, out_length, kernel, c_in))
+        drows = dxp[:, pad:pad + out_length]
+        if out_length != length:  # each input step sums the steps it fed
+            folds = np.flatnonzero(np.diff(_nearest(length, out_length), prepend=-1))
+            drows = np.add.reduceat(drows, folds, axis=1)
         for lo, hi in zip(starts, ends) if shared else [(0, fi.size)]:
             dx = np.zeros_like(xd)
-            dx[(ri[lo:hi],) if shared else (fi, ri)] = dxp[lo:hi, pad:pad + length]
+            dx[(ri[lo:hi],) if shared else (fi, ri)] = drows[lo:hi]
             _accumulate(x, dx, owned=True)
 
-    return _from_op(out, parents, bwd)
+    return _from_op(z, parents, bwd)
 
 
 def _stacked_matmul_kernel(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:

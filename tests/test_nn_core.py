@@ -18,6 +18,7 @@ from multifuture.nn import (
     no_grad,
 )
 from multifuture.nn import layers, ops
+from multifuture.nn.tensor import _accumulate, _from_op
 from nn_reference import kernel_major_cols
 
 
@@ -265,7 +266,34 @@ class TestKernelMajorCols:
         assert got.shape == want.shape == (*lead[:-1], lead[-1] * length,
                                            kernel * channels)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous  # one row and kernel > 1: no overlapping view
         assert xp.tobytes() == before.tobytes()
+
+
+class TestGatherCols:
+    @given(lead=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+           length=st.integers(1, 6),
+           extra=st.integers(0, 20),
+           kernel=st.sampled_from([1, 3, 5]),
+           channels=st.integers(1, 4),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=150)
+    def test_equals_the_columns_of_the_padded_upsampled_input(
+            self, lead, length, extra, kernel, channels, dtype, seed):
+        # one lead axis is a shared (rows, ...) input, two a per-future one
+        x = np.random.default_rng(seed).standard_normal(
+            (*lead, length, channels)).astype(dtype)
+        out_length, pad = length + extra, kernel // 2
+        xp = np.zeros((*lead, out_length + 2 * pad, channels), dtype)
+        xp[..., pad:pad + out_length, :] = np.take(x, ops._nearest(length, out_length),
+                                                   axis=-2)
+        want = ops._kernel_major_cols(xp, kernel)
+        out = np.full((*lead, out_length, kernel, channels), np.nan, dtype)
+        got = ops._gather_cols(x, out)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, out)
 
 
 class TestEncoderBlock:
@@ -397,8 +425,8 @@ def _stacked(per_future):
 
 def _stacked_chain(x, table, out_length):
     block_w, block_b, output_w, output_b = table.parameters()
-    h = ops.stacked_conv(x, block_w, block_b, out_length, relu=True)
-    return ops.stacked_conv(h, output_w, output_b)
+    h = ops.stacked_conv(x, block_w, block_b, relu=True)
+    return ops.stacked_conv(h, output_w, output_b, out_length)
 
 
 def _decoder_case(seed, f, batch, kernel, shared, length=16, channels=3):
@@ -455,6 +483,50 @@ class TestStackedConv:
             return (_stacked_chain(x, table, 24) * probe).sum()
 
         assert grad_check(closure, [x] + table.parameters()) < 1e-6
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("kernel", [3, 5])
+    def test_upsampled_input_grad_check(self, kernel, shared):
+        # the input gradient is formed at out_length and folded back to the
+        # input length; random non-zero biases keep pre-activations off 0
+        rng = np.random.default_rng(20 + kernel)
+        x = Tensor(rng.standard_normal((2, 4, 3) if shared else (3, 2, 4, 3)),
+                   requires_grad=True)
+        table = _normal_table(rng)
+        layer = table.stack([table.take(f"p{i}", (2, 3, kernel)) for i in range(3)])
+        probe = rng.standard_normal((3, 2, 11, 2))
+        probe[1, 0] = 0.0
+
+        def closure(*_):
+            return (ops.stacked_conv(x, layer.weight, layer.bias, 11, relu=True)
+                    * Tensor(probe)).sum()
+
+        assert grad_check(closure, [x, layer.weight, layer.bias]) < 1e-6
+
+    def test_uneven_groups_give_the_bits_of_one_group(self, monkeypatch):
+        # f=12 futures in groups of 7 and 5 (the block) and of 5, 5 and 2
+        # (the upsampling output conv), against one group per layer
+        groups = []
+        kernel_fn = ops._stacked_conv_kernel
+
+        def recording_kernel(cols, weight, *args):
+            groups.append(len(weight))
+            kernel_fn(cols, weight, *args)
+
+        monkeypatch.setattr(ops, "_stacked_conv_kernel", recording_kernel)
+        runs = []
+        output_future_bytes = 4 * 24 * 3 * 3 * 8  # batch * out_length * kernel * c_in
+        for group_bytes in (1 << 40, 5 * output_future_bytes):
+            monkeypatch.setattr(ops, "_GROUP_BYTES", group_bytes)
+            x, per_future, probe = _decoder_case(6, 12, 4, 3, shared=False)
+            table = _stacked(per_future)
+            out = _stacked_chain(x, table, 24)
+            (out * probe).sum().backward()
+            runs.append([out.data, x.grad] + [t.grad for t in table.parameters()])
+        assert groups == [12, 12, 7, 5, 5, 5, 2]
+        for one_group, grouped in zip(*runs, strict=True):
+            assert one_group.dtype == grouped.dtype == np.float64
+            assert np.array_equal(one_group.view(np.int64), grouped.view(np.int64))
 
     def test_linear_weights_grad_check(self):
         # (f, out, in) weights act as kernel-1 convs, on a shared length-1
@@ -757,6 +829,24 @@ class TestGradCheck:
         x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
         err = grad_check(lambda t: ops.relu(t).sum(), [x])
         assert err < 1e-6
+
+    def test_a_gradient_two_percent_off_fails(self):
+        # sin's backward scaled by 1.02 (and, as a control, unscaled) on a
+        # smooth function with no kink for the filter to skip
+        x = Tensor(np.linspace(-1.0, 1.0, 7), requires_grad=True)
+        probe = Tensor(np.linspace(1.0, 2.0, 7))
+
+        def sine(scale):
+            def op(t):
+                def bwd(g):
+                    _accumulate(t, scale * g * np.cos(t.data), owned=True)
+
+                return _from_op(np.sin(t.data), (t,), bwd)
+
+            return lambda t: (op(t) * probe).sum()
+
+        assert grad_check(sine(1.0), [x]) < 1e-6
+        assert grad_check(sine(1.02), [x]) > 1e-3
 
     def test_non_scalar_loss_raises(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
