@@ -592,7 +592,7 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
         return _gather_cols(rows, out[:len(rows)])
 
     future_bytes = n * out_length * kernel * c_in * xd.itemsize
-    step = f if shared or not gathered else max(1, _GROUP_BYTES // future_bytes)
+    step = f if shared or not gathered else max(1, _GROUP_BYTES // max(future_bytes, 1))
     # The columns are allocated before the output, as a plain
     # ``np.matmul(cols, w2)`` does; allocating the output first made this op
     # up to twice as slow at f=12 and a batch of 28.

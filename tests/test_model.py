@@ -431,6 +431,11 @@ class TestTConvDecoder:
         assert all(not layer.weight.grad[i].any() and not layer.bias.grad[i].any()
                    for layer in model.members[0].shape_decoder.layers for i in idle)
 
+    def test_empty_batch_predicts_no_future_sets(self):
+        # the per-future, upsampling layers gather no columns
+        model = Forecaster(self.CONFIG, seed=0)
+        assert model.predict_batch(np.zeros((0, self.CONFIG.n_p, self.CONFIG.d))) == []
+
     def test_parameter_layout_pinned(self):
         # names, order, shapes and seed-0 values of the per-future decoders
         # before they were stacked into one module

@@ -528,6 +528,12 @@ class TestStackedConv:
             assert one_group.dtype == grouped.dtype == np.float64
             assert np.array_equal(one_group.view(np.int64), grouped.view(np.int64))
 
+    def test_empty_batch_gathers_no_columns(self):
+        # a per-future upsampled input with no rows: no group size to divide by
+        x, per_future, _ = _decoder_case(6, 12, 0, 3, shared=False)
+        out = _stacked_chain(x, _stacked(per_future), 24)
+        assert out.shape == (12, 0, 24, 2)
+
     def test_linear_weights_grad_check(self):
         # (f, out, in) weights act as kernel-1 convs, on a shared length-1
         # input and on a per-future input upsampled from length 2 to 3

@@ -13,15 +13,15 @@ side that runs first flips every round, so a slow phase of the machine
 hits both sides alike; process-level pairs (``tools/ab_pairs.py``) cannot
 share a phase that way.  What a round times:
 
-``train``     one public ``train`` call of ``--iters`` + 1 iterations at
+``train``     one public ``train`` call of ``ITERS`` + 1 iterations at
               batch 64, timed per iteration through its ``progress``
               callback; the first iteration is dropped and the round reads
               the median of the rest.
-``predict``   the median of ``--calls`` ``predict_batch`` calls on the
+``predict``   the median of ``CALLS`` ``predict_batch`` calls on the
               first ``--windows`` windows of the held-out span.
 ``evaluate``  one ``evaluate_rolling`` call over the held-out span.
 
-Each side builds its own series and untrained model from the same seeds
+Each side builds its own series and untrained model from seed ``SEED``
 (the generator is bit-identical across checkouts that pin it).  The script
 prints, per side, the median time, and the median over rounds of the
 change's time divided by the parent's.  Pin the BLAS thread count in the
@@ -44,6 +44,9 @@ SIDES = ("parent", "change")
 SERIES_HOURS = 1512
 TRAIN_HOURS = 840
 BATCH_SIZE = 64
+ITERS = 5  # timed training iterations a round
+CALLS = 20  # predict_batch calls a round
+SEED = 0
 
 
 def import_checkouts(checkouts: dict[str, Path], links: Path) -> dict:
@@ -62,12 +65,12 @@ def make_timer(mf, args):
     """A function that runs one round of ``args.mode`` on package ``mf`` and
     returns its time in seconds."""
     series = mf.data.generate(mf.data.GeneratorConfig(n_hours=SERIES_HOURS,
-                                                      seed=args.seed))
+                                                      seed=SEED))
     config = mf.ModelConfig(variant=args.variant, f=args.f)
     train_split = series.values[:TRAIN_HOURS]
     if args.mode == "train":
-        train_config = mf.TrainConfig(n_iter=args.iters + 1, batch_size=BATCH_SIZE,
-                                      seed=args.seed)
+        train_config = mf.TrainConfig(n_iter=ITERS + 1, batch_size=BATCH_SIZE,
+                                      seed=SEED)
 
         def round_():
             stamps = [time.perf_counter()]
@@ -76,7 +79,7 @@ def make_timer(mf, args):
             return statistics.median(b - a for a, b in zip(stamps[1:], stamps[2:]))
 
         return round_
-    model = mf.Forecaster(config, seed=args.seed)
+    model = mf.Forecaster(config, seed=SEED)
     test = series.slice(TRAIN_HOURS, SERIES_HOURS)
     if args.mode == "evaluate":
         def round_():
@@ -89,7 +92,7 @@ def make_timer(mf, args):
 
     def round_():
         times = []
-        for _ in range(args.calls):
+        for _ in range(CALLS):
             start = time.perf_counter()
             model.predict_batch(windows)
             times.append(time.perf_counter() - start)
@@ -118,11 +121,8 @@ def main(argv=None) -> int:
     parser.add_argument("mode", choices=("train", "predict", "evaluate"))
     parser.add_argument("--variant", default="tconv_decoder")
     parser.add_argument("--f", type=int, default=12)
-    parser.add_argument("--rounds", type=int, default=20)
-    parser.add_argument("--iters", type=int, default=5, help="train: timed iterations")
+    parser.add_argument("--rounds", type=int, default=16)
     parser.add_argument("--windows", type=int, default=28, help="predict: batch size")
-    parser.add_argument("--calls", type=int, default=20, help="predict: calls a round")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     with tempfile.TemporaryDirectory(prefix="ab_steps_") as links:
