@@ -114,7 +114,11 @@ def evaluate_rolling(predictor, test: MultivariateSeries, n_p: int, n_h: int,
     ``predictor`` needs ``predict_batch((batch, n_p, d) array) ->
     list[FutureSet]`` and a ``model_id`` attribute; the forecaster and both
     baselines qualify.  Windows go to ``predict_batch`` in chunks of at
-    most 64.  With ``collect_predictions`` the return value is
+    most 64, each a view of the series, window ``w`` at row ``w * n_h``;
+    the forecaster then runs its encoders' max-pool blocks on the union of
+    a chunk's windows, which overlap when ``n_h < n_p`` (see
+    :class:`~multifuture.model.ConvEncoder`).  With ``collect_predictions``
+    the return value is
     ``(report, predictions)`` where predictions is a list of per-window
     ``(truth (d, n_h), FutureSet)`` pairs.  A non-finite test span, or
     one shorter than ``n_p + n_h`` hours, raises ``ValueError``.

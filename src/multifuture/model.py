@@ -34,8 +34,8 @@ decoder (``None`` for ``non_separated``, which gets the unit multiplier and
 zero offset instead).  Each decoder runs all of its member's futures at
 once and returns them on a leading axis.  ``model_ensemble`` has ``f``
 single-future members with ``member{i}.`` parameter names; the other
-variants have one member.  The forward pass joins the members' futures in
-order and recombines them once.  Every module takes and stores its
+variants have one member.  The forward pass joins the members' outputs in
+order.  Every module takes and stores its
 parameters in the model's one :class:`~multifuture.nn.layers.Parameters`.
 
 A no-grad forward pass of exactly one window does not run the ops.  It
@@ -46,7 +46,14 @@ its single-window counterpart, the module's ``serving_plan`` (next to its
 :meth:`Member.from_config` and :meth:`Member.forward`.  A
 :class:`Forecaster` builds its plan the first time it serves a window
 and keeps it in a per-model pool (:meth:`Forecaster._serve`).  Batches
-and every pass that builds a graph run the ops.
+and every pass that builds a graph run the ops, with one exception: a
+no-grad batch of windows that overlap in one series, such as
+:func:`~multifuture.evaluation.evaluate_rolling`'s chunks, runs each
+encoder's max-pool blocks once per distinct row of the windows' union
+(:class:`ConvEncoder`), bit-identical to the ops.  The joined outputs
+recombine into futures only where those are read
+(:attr:`_ForwardTensors.futures`, read by the losses); prediction
+recombines in float64 instead.
 """
 
 from __future__ import annotations
@@ -161,14 +168,41 @@ class FutureSet:
                 raise ValueError("activations are not on the probability simplex")
 
 
+def _window_step(windows, n_p: int) -> int | None:
+    """The step ``s`` when ``windows`` is an array of two or more ``n_p``-row
+    windows whose strides put window ``i`` at row ``i * s`` of one buffer,
+    with ``0 <= s < n_p``, else None.  Element ``(i, t, j)`` then lies at
+    the same bytes as ``(i', t', j)`` whenever ``i * s + t == i' * s + t'``.
+    """
+    if not isinstance(windows, np.ndarray) or windows.ndim != 3 or len(windows) < 2:
+        return None
+    window_stride, row_stride = windows.strides[:2]
+    if row_stride == 0 or window_stride % row_stride:
+        return None
+    step = window_stride // row_stride
+    return step if 0 <= step < n_p == windows.shape[1] else None
+
+
 def check_windows(inputs, n_p: int, d: int, dtype, single: bool = False) -> np.ndarray:
     """One ``(n_p, d)`` window or, unless ``single``, a ``(batch, n_p, d)``
     batch as a ``(batch, n_p, d)`` array of ``dtype``, finite after the cast.
+
+    Windows that overlap in one series (:func:`_window_step`) keep that
+    layout: the cast copies each series row once, into a read-only view
+    with the same overlap, which :meth:`ConvEncoder.forward` detects.
     """
-    arr = np.asarray(inputs, dtype=dtype)
-    if arr.shape[-2:] != (n_p, d) or arr.ndim not in ((2,) if single else (2, 3)):
-        raise ValueError(f"expected a ({n_p}, {d}) window, got shape {np.shape(inputs)}")
-    if not np.isfinite(arr).all():
+    step = None if single else _window_step(inputs, n_p)
+    if step is not None and inputs.shape[2] == d:
+        as_strided = np.lib.stride_tricks.as_strided
+        rows = np.asarray(as_strided(inputs, ((len(inputs) - 1) * step + n_p, d),
+                                     inputs.strides[1:], writeable=False), dtype=dtype)
+        arr = as_strided(rows, inputs.shape, (step * rows.strides[0], *rows.strides),
+                         writeable=False)
+    else:
+        arr = rows = np.asarray(inputs, dtype=dtype)
+        if arr.shape[-2:] != (n_p, d) or arr.ndim not in ((2,) if single else (2, 3)):
+            raise ValueError(f"expected a ({n_p}, {d}) window, got shape {np.shape(inputs)}")
+    if not np.isfinite(rows).all():
         raise ValueError(f"({n_p}, {d}) input window holds non-finite values "
                          f"in {np.dtype(dtype).name}")
     return arr.reshape(-1, n_p, d)
@@ -195,6 +229,12 @@ class ConvEncoder:
     ``(batch, length, channels)`` data.  Padding keeps convolutions
     length-preserving so only the max pooling halves the sequence, and the
     last block's mean pool collapses whatever length remains to 1.
+
+    A no-grad pass over windows that overlap in one series (their strides
+    say so: :func:`_window_step`) runs the max-pool blocks once per
+    distinct row of the windows' union (``ops._union_max_blocks``, the
+    "fragments" of dense max-pooling CNN scanning), then the last block on
+    each window, bit-identical to the block-by-block pass.
     """
 
     def __init__(self, name: str, config: ModelConfig, table: Parameters):
@@ -207,12 +247,15 @@ class ConvEncoder:
 
     def forward(self, x: Tensor) -> Tensor:
         """(batch, n_p, d) -> (batch, 1, channels)."""
-        h = x
-        last = len(self.convs) - 1
-        for b, conv in enumerate(self.convs):
-            h = ops.encoder_block(h, conv.weight, conv.bias, self.padding,
-                                  "mean" if b == last else "max")
-        return h
+        *blocks, last = self.convs
+        step = (_window_step(x.data, self.length) if blocks and not is_grad_enabled()
+                else None)
+        if step is not None:
+            x = Tensor(ops._union_max_blocks(x.data, step, blocks, self.padding))
+        else:
+            for conv in blocks:
+                x = ops.encoder_block(x, conv.weight, conv.bias, self.padding, "max")
+        return ops.encoder_block(x, last.weight, last.bias, self.padding, "mean")
 
     def serving_plan(self, dtype) -> _ServingPlan:
         """:meth:`forward` for one window; each block's pooled ReLU is
@@ -269,9 +312,10 @@ class BankShapeDecoder:
         """(batch, 1, channels) -> shape predictions (f, batch, d, n_h),
         activations (f, batch, d, n_s)."""
         logits = ops.stacked_conv(z, self.regressors.weight, self.regressors.bias)
-        r = ops.softmax(logits.reshape(-1, z.shape[0], logits.shape[-1]))
+        g = len(logits.data)  # f * d; sized explicitly, so an empty batch reshapes
+        r = ops.softmax(logits.reshape(g, z.shape[0], logits.shape[-1]))
         alpha = ops.stacked_matmul(r, self.banks.weight)
-        return tuple(t.reshape(-1, self.d, *t.shape[1:]).swapaxes(1, 2)
+        return tuple(t.reshape(g // self.d, self.d, *t.shape[1:]).swapaxes(1, 2)
                      for t in (alpha, r))
 
     def serving_plan(self, dtype) -> _ServingPlan:
@@ -460,19 +504,23 @@ class Member(NamedTuple):
 class _ForwardTensors(NamedTuple):
     """Graph-connected outputs of one batched forward pass, stacked over futures."""
 
-    futures: Tensor             # (f, batch, d, n_h)
     shape_preds: Tensor         # (f, batch, d, n_h)
     scale_mul: Tensor           # (f, batch, d)
     scale_add: Tensor           # (f, batch, d)
     activations: Tensor | None  # (f, batch, d, n_s), None for tconv decoders
 
+    @property
+    def futures(self) -> Tensor:
+        """The ``(f, batch, d, n_h)`` futures, recombined on each read: only
+        the losses read them, and prediction recombines in float64."""
+        return combine(self.shape_preds, self.scale_mul, self.scale_add)
+
     @classmethod
     def join(cls, outputs) -> _ForwardTensors:
         """The members' :meth:`Member.forward` outputs, their futures
-        joined in order and recombined once."""
+        joined in order."""
         shapes, acts, muls, adds = zip(*outputs)
-        shape_preds, mul, add = concat(shapes), concat(muls), concat(adds)
-        return cls(combine(shape_preds, mul, add), shape_preds, mul, add,
+        return cls(concat(shapes), concat(muls), concat(adds),
                    None if acts[0] is None else concat(acts))
 
 

@@ -37,6 +37,17 @@ masks only its backward pass reads, and :func:`stacked_conv` reads a
 kernel-1 input without upsampling as its columns, so a batch served
 through the ops pays for little beyond the forward arithmetic.
 
+A no-grad batch of windows that overlap in one series skips
+:func:`encoder_block` for an encoder's max-pool blocks:
+:func:`_union_max_blocks` runs them on the union of the windows' rows
+(the "fragments" of dense max-pooling CNN scanning; Giusti et al.,
+"Fast Image Scanning with Deep Max-Pooling Convolutional Neural
+Networks", ICIP 2013).  Each block is one gather of im2col columns from
+a table of distinct rows, one GEMM plus the bias, two gathers, a max and
+a ReLU (:func:`_union_block_kernel`), on index maps that
+:func:`_union_plan` caches per shape.  It adds no arithmetic of its own,
+so its output is bit-identical to the block-by-block pass.
+
 The reference ops (:func:`conv1d`, :func:`tconv1d`, :func:`relu`,
 :func:`maxpool1d`, :func:`adaptive_avgpool1d`, :func:`linear`,
 :func:`upsample_nearest` and the tensor ``@``) take
@@ -47,7 +58,7 @@ against them.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -440,6 +451,124 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
             _accumulate(x, dx, owned=True)
 
     return _from_op(buffers.out, parents, bwd)
+
+
+class _UnionBlock(NamedTuple):
+    """One max-pool encoder block of a :class:`_UnionPlan`: index maps over
+    the block's distinct conv rows and distinct pooled outputs."""
+
+    cols: np.ndarray   # (conv rows, kernel): each conv row's im2col taps, as value-table rows
+    left: np.ndarray   # (pooled rows,): the conv row in each pooled output's left place
+    right: np.ndarray  # (pooled rows,): the conv row in its right place
+
+
+class _UnionPlan(NamedTuple):
+    """The index maps of :func:`_union_max_blocks`, made by :func:`_union_plan`."""
+
+    rows: int                        # the series rows the windows cover
+    blocks: tuple[_UnionBlock, ...]  # the max-pool blocks, in order
+    last: np.ndarray                 # (batch, length): each window's input to the last block
+
+
+def _own_keys(shared: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``keys`` (non-negative) where ``shared``, elsewhere a negative key of
+    the window's own row, unique to it."""
+    return np.where(shared, keys, -1 - np.arange(keys.size).reshape(keys.shape))
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For ``(batch, length)`` keys: the index of each key among the
+    distinct keys, shaped like ``keys``, and the window and row of each
+    distinct key's first occurrence."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return (inverse.reshape(keys.shape), *np.divmod(first, keys.shape[1]))
+
+
+@lru_cache(maxsize=32)
+def _union_plan(batch: int, step: int, length: int, kernel: int,
+                blocks: int) -> _UnionPlan:
+    """The union plan of ``batch`` windows of ``length`` rows, window ``i``
+    at row ``i * step`` of one series (``0 <= step < length``), through
+    ``blocks`` max-pool encoder blocks of an odd ``kernel``.
+
+    A block reads a value table: its distinct input rows, then one zero row
+    for the padding.  Block 0's table is the series rows.  At block ``b``
+    a conv row ``t`` of the window starting at ``start`` is keyed by
+    ``start + (t << b)`` when every input it reads is shared, that is, in
+    the window and itself keyed so.  Windows that agree on such a key agree
+    on every input the row reads, so the row is computed once.  A row that
+    reads padding, or an own input next to a window edge, is the window's
+    own.  A pooled output is shared, keyed by its left conv row, when both
+    its conv rows are.  The distinct pooled outputs are the next block's
+    table.  Each block has at least one window's conv rows, so at least two.
+    The arrays are read-only; the plan is cached, since it depends on the
+    shapes alone.
+    """
+    pad = kernel // 2
+    starts = np.arange(batch)[:, None] * step
+    table = starts + np.arange(length)  # each window's input rows, as table rows
+    n_rows = rows = (batch - 1) * step + length
+    shared = np.ones(length, bool)
+    plan = []
+    for b in range(blocks):
+        n_conv, half = length - length % 2, length // 2  # the conv rows the pool reads
+        taps = np.arange(n_conv)[:, None] + np.arange(kernel) - pad
+        inside = (taps >= 0) & (taps < length)
+        taps = np.clip(taps, 0, length - 1)
+        conv_shared = (inside & shared[taps]).all(axis=1)
+        conv_keys = _own_keys(conv_shared, starts + (np.arange(n_conv) << b))
+        conv, window, row = _distinct(conv_keys)
+        cols = np.where(inside[row], table[window[:, None], taps[row]], n_rows)
+        shared = conv_shared[0::2] & conv_shared[1::2]
+        table, window, row = _distinct(_own_keys(shared, conv_keys[:, 0::2]))
+        plan.append(_UnionBlock(cols, conv[window, 2 * row], conv[window, 2 * row + 1]))
+        n_rows, length = len(window), half
+    for array in (table, *(a for block in plan for a in block)):
+        array.flags.writeable = False
+    return _UnionPlan(rows, tuple(plan), table)
+
+
+def _union_block_kernel(values: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                        block: _UnionBlock) -> np.ndarray:
+    """One max-pool block on the union: :func:`_encoder_block_kernel`'s
+    arithmetic on each distinct conv row of the ``(rows + 1, c_in)`` value
+    table ``values`` (its last row zero), and the next block's table.
+
+    Every conv row gets the same dot products, bias add, max and ReLU as in
+    a per-window pass, and the GEMM has at least two rows: a GEMM row's
+    bits do not depend on the row count from two rows up, while a one-row
+    product takes another BLAS path.
+    """
+    cols = values.take(block.cols, axis=0)  # (conv rows, kernel, c_in)
+    z = np.matmul(cols.reshape(len(cols), -1), weight.reshape(-1, weight.shape[-1]))
+    z += bias
+    out = np.empty((len(block.left) + 1, z.shape[1]), z.dtype)
+    out[-1] = 0
+    pooled = out[:-1]
+    # Max-pool before the ReLU, as the per-window kernel does.
+    np.maximum(z.take(block.left, axis=0), z.take(block.right, axis=0), out=pooled)
+    np.maximum(pooled, 0, out=pooled)
+    return out
+
+
+def _union_max_blocks(x: np.ndarray, step: int, convs, padding: int) -> np.ndarray:
+    """The input to an encoder's last block, ``(batch, length, channels)``,
+    from its max-pool blocks ``convs`` run on the union of ``x``'s windows.
+
+    ``x`` is ``(batch, length, c_in)``, window ``i`` at row ``i * step`` of
+    one series (``0 <= step < length``, checked by the caller), so rows
+    that the strides place at the same bytes hold the same values.  The
+    output equals that of :func:`encoder_block` run block by block on each
+    window, bit for bit.
+    """
+    batch, length, c_in = x.shape
+    plan = _union_plan(batch, step, length, 2 * padding + 1, len(convs))
+    values = np.zeros((plan.rows + 1, c_in), x.dtype)
+    values[:-1] = np.lib.stride_tricks.as_strided(x, (plan.rows, c_in), x.strides[1:],
+                                                  writeable=False)
+    for block, conv in zip(plan.blocks, convs):
+        values = _union_block_kernel(values, conv.weight.data, conv.bias.data, block)
+    return values.take(plan.last, axis=0)
 
 
 def _stacked_gemm_weight(weight: np.ndarray) -> np.ndarray:

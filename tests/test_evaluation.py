@@ -23,7 +23,7 @@ from multifuture.model import (
     FutureSet,
     ModelConfig,
 )
-from multifuture.nn import Tensor
+from multifuture.nn import Tensor, ops
 from multifuture.training import (
     ZNORM_EPSILON,
     TrainConfig,
@@ -272,6 +272,30 @@ class TestBatchedServing:
         for metric in ("rmse", "nrmse", "oracle_rmse", "oracle_nrmse"):
             assert getattr(report, metric) == pytest.approx(
                 getattr(expected, metric), rel=BATCH_TOL)
+
+    def test_chunks_run_the_encoders_on_the_union(self, monkeypatch):
+        n_p, n_h, n_windows = 16, 8, 70
+        series = generate(GeneratorConfig(n_hours=n_p + n_h * n_windows, seed=1))
+        config = ModelConfig(n_p=n_p, n_h=n_h, n_s=4, channels=8)
+        model = Forecaster(config, seed=0)
+        plan, plans = ops._union_plan, []
+        monkeypatch.setattr(ops, "_union_plan",
+                            lambda *args: plans.append(args) or plan(*args))
+
+        class Copying:  # the same model, on stacked copies of the windows
+            model_id = model.model_id
+
+            def predict_batch(self, windows):
+                return model.predict_batch(np.ascontiguousarray(windows))
+
+        expected = evaluate_rolling(Copying(), series, n_p, n_h)
+        assert not plans
+        report = evaluate_rolling(model, series, n_p, n_h)
+        blocks = config.encoder_blocks - 1
+        # both encoder towers of each chunk: 64 windows, then 6
+        assert plans == [(64, n_h, n_p, config.kernel, blocks)] * 2 + \
+            [(6, n_h, n_p, config.kernel, blocks)] * 2
+        assert report.to_json() == expected.to_json()
 
 
 class TestNearestNeighbor:

@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multifuture.model import (
     VARIANTS,
@@ -227,6 +229,16 @@ class TestModelForward:
         assert fs.futures.shape == (cfg.f, cfg.d, cfg.n_h)
         assert fs.shape_preds.shape == (cfg.f, cfg.d, cfg.n_h)
         fs.validate()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_empty_batch_predicts_no_future_sets(self, variant):
+        cfg = small_config(variant=variant, n_h=16)
+        model = Forecaster(cfg, seed=0)
+        view = np.lib.stride_tricks.sliding_window_view(
+            random_window(cfg), cfg.n_p, axis=0)[:0].swapaxes(1, 2)
+        for windows in (np.zeros((0, cfg.n_p, cfg.d)), view):
+            assert windows.shape == (0, cfg.n_p, cfg.d)
+            assert model.predict_batch(windows) == []
 
     def test_f3_default(self):
         model = Forecaster(ModelConfig(n_p=16, d=2, f=3, n_s=4, channels=8), seed=0)
@@ -658,6 +670,104 @@ class TestServingPlan:
         finally:
             if enabled:
                 gc.enable()
+
+
+def window_view(series: np.ndarray, n_p: int, step: int, batch: int) -> np.ndarray:
+    """``batch`` windows of ``n_p`` rows of ``series``, window ``i`` at row
+    ``i * step``, as a view; step 0 broadcasts the first window."""
+    if step == 0:
+        return np.broadcast_to(series[:n_p], (batch, n_p, series.shape[1]))
+    windows = np.lib.stride_tricks.sliding_window_view(series, n_p, axis=0)
+    return windows[::step][:batch].swapaxes(1, 2)
+
+
+class TestUnionEncoder:
+    """A no-grad pass over windows that overlap in one series runs the
+    encoders' max-pool blocks on the windows' union."""
+
+    FIELDS = ("futures", "shape_preds", "scale_mul", "scale_add", "activations")
+
+    @settings(max_examples=150)
+    @given(variant=st.sampled_from(VARIANTS), dtype=st.sampled_from([np.float32, np.float64]),
+           kernel=st.sampled_from([1, 3, 5]), n_p=st.integers(2, 80), d=st.integers(1, 3),
+           fortran=st.booleans(), cast=st.booleans(), seed=st.integers(0, 2 ** 16),
+           data=st.data())
+    def test_a_window_view_predicts_its_contiguous_copy(self, variant, dtype, kernel, n_p,
+                                                        d, fortran, cast, seed, data):
+        step = data.draw(st.integers(0, n_p + 1), label="step")
+        batch = data.draw(st.integers(0, 70), label="batch")
+        cfg = ModelConfig(n_p=n_p, n_h=16 if variant == "tconv_decoder" else 4, d=d,
+                          f=1 + seed % 3, n_s=3, channels=4, kernel=kernel, variant=variant)
+        model = Forecaster(cfg, seed=seed, dtype=dtype)
+        rng = np.random.default_rng(seed)
+        series = rng.standard_normal((max(batch - 1, 0) * step + n_p, d)) * 3
+        series = (np.asfortranarray if fortran else np.ascontiguousarray)(
+            series, dtype=np.float64 if cast else dtype)
+        view = window_view(series, n_p, step, batch)
+        gemm_rows = []
+        block_kernel = ops._union_block_kernel
+
+        def spy(values, weight, bias, block):
+            gemm_rows.append(len(block.cols))
+            return block_kernel(values, weight, bias, block)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ops, "_union_block_kernel", spy)
+            got = model.predict_batch(view)
+            union = bool(gemm_rows)
+            expected = model.predict_batch(np.ascontiguousarray(view))
+        assert union == (batch >= 2 and step < n_p and cfg.encoder_blocks >= 2)
+        towers = {id(e) for m in model.members for e in (m.shape_encoder, m.scale_encoder)}
+        assert len(gemm_rows) == (len(towers) * (cfg.encoder_blocks - 1) if union else 0)
+        assert min(gemm_rows, default=2) >= 2  # never a one-row GEMM
+        assert len(got) == len(expected) == batch
+        for a, b in zip(got, expected):
+            for name in self.FIELDS:
+                u, v = getattr(a, name), getattr(b, name)
+                assert (u is None) == (v is None) and (u is None or u.tobytes() == v.tobytes()), name
+        if batch:
+            i = data.draw(st.integers(0, batch - 1), label="window")
+            single = model.predict_futures(view[i])
+            # a batch of one multiplies one-row GEMMs, which round differently
+            tol = 4 * np.finfo(dtype).eps
+            for name in self.FIELDS:
+                u, v = getattr(single, name), getattr(got[i], name)
+                if u is not None:
+                    assert np.all(np.abs(u - v) <= tol * np.maximum(np.abs(v), 1)), name
+
+    def test_every_union_gemm_has_two_rows_or_more(self):
+        plan = ops._union_plan.__wrapped__  # not the cache: these plans are used once
+        for kernel in (1, 3, 5):
+            for n_p in range(4, 21):
+                blocks = ModelConfig(n_p=n_p).encoder_blocks - 1
+                for batch in (2, 3):
+                    for step in range(n_p):
+                        for block in plan(batch, step, n_p, kernel, blocks).blocks:
+                            assert len(block.cols) >= 2, (kernel, n_p, batch, step)
+
+    def test_the_plan_computes_each_shared_row_once(self):
+        # the reference encoder's rolling evaluation: 28 windows 24 hours apart
+        cfg = ModelConfig()
+        plan = ops._union_plan(28, cfg.n_h, cfg.n_p, cfg.kernel, cfg.encoder_blocks - 1)
+        assert plan.rows == 27 * 24 + 168
+        # 4704, 2352, 1176, 560, 280 and 112 conv rows per window pass: the
+        # union computes 5.4, 4.6, 3.8, 3.1 and 1.4 times fewer in blocks 0-4
+        assert [len(block.cols) for block in plan.blocks] == [870, 516, 312, 182, 202, 112]
+        assert plan.last.shape == (28, cfg.n_p >> len(plan.blocks))
+        # the last block reads every distinct pooled output of the one before
+        assert np.array_equal(np.unique(plan.last), np.arange(len(plan.blocks[-1].left)))
+
+    def test_a_graph_pass_does_not_take_the_union(self, monkeypatch):
+        calls = spy_on(monkeypatch, ("_union_plan",))
+        cfg = small_config()
+        model = Forecaster(cfg, seed=0)
+        series = np.random.default_rng(0).standard_normal((cfg.n_p + 8, cfg.d))
+        view = window_view(series, cfg.n_p, 2, 5)
+        fwd = model.forward_tensors(view)
+        assert fwd.shape_preds.requires_grad and not calls
+        with no_grad():
+            model.forward_tensors(view)
+        assert calls["_union_plan"] == 2  # once per encoder tower
 
 
 class TestParameterTable:

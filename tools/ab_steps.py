@@ -17,9 +17,14 @@ share a phase that way.  What a round times:
               batch 64, timed per iteration through its ``progress``
               callback; the first iteration is dropped and the round reads
               the median of the rest.
-``predict``   the median of ``CALLS`` ``predict_batch`` calls on the
-              first ``--windows`` windows of the held-out span.
+``predict``   the median of ``CALLS`` ``predict_batch`` calls on a stacked
+              copy of the first ``--windows`` windows of the held-out span.
 ``evaluate``  one ``evaluate_rolling`` call over the held-out span.
+
+The held-out span is the benchmark's (``perfbench/workloads.py``): the
+series after ``TRAIN_HOURS``, split by ``data.split_by_date`` with a
+``WARMUP_HOURS`` warm-up, which gives 28 rolling windows at the default
+horizons.
 
 Each side builds its own series and untrained model from seed ``SEED``
 (the generator is bit-identical across checkouts that pin it).  The script
@@ -36,6 +41,7 @@ import statistics
 import sys
 import tempfile
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +49,7 @@ import numpy as np
 SIDES = ("parent", "change")
 SERIES_HOURS = 1512
 TRAIN_HOURS = 840
+WARMUP_HOURS = 168
 BATCH_SIZE = 64
 ITERS = 5  # timed training iterations a round
 CALLS = 20  # predict_batch calls a round
@@ -80,7 +87,8 @@ def make_timer(mf, args):
 
         return round_
     model = mf.Forecaster(config, seed=SEED)
-    test = series.slice(TRAIN_HOURS, SERIES_HOURS)
+    boundary = series.start_timestamp + timedelta(hours=TRAIN_HOURS)
+    test = mf.data.split_by_date(series, boundary, WARMUP_HOURS)[1]
     if args.mode == "evaluate":
         def round_():
             start = time.perf_counter()
