@@ -38,16 +38,12 @@ variants have one member.  The forward pass joins the members' outputs in
 order.  Every module takes and stores its
 parameters in the model's one :class:`~multifuture.nn.layers.Parameters`.
 
-A no-grad forward pass of exactly one window does not run the ops.  It
-runs a serving plan: :meth:`Member.serving_plan` swaps each module for
-its single-window counterpart, the module's ``serving_plan`` (next to its
-``forward``), which runs the ops' kernels on buffers allocated once, and
-:meth:`Member.forward` runs on the result, so the variant logic stays in
-:meth:`Member.from_config` and :meth:`Member.forward`.  A
-:class:`Forecaster` builds its plan the first time it serves a window
-and keeps it in a per-model pool (:meth:`Forecaster._serve`).  Batches
-and every pass that builds a graph run the ops, with one exception: a
-no-grad batch of windows that overlap in one series, such as
+Each module writes its forward pass once, through the ops.  A no-grad
+pass over exactly one window replays the ops' steps that
+:class:`~multifuture.nn.tensor.capture` recorded the first time the
+model served a window (:meth:`Forecaster._serve`).  Batches and every
+pass that builds a graph run the ops, with one exception: a no-grad
+batch of windows that overlap in one series, such as
 :func:`~multifuture.evaluation.evaluate_rolling`'s chunks, runs each
 encoder's max-pool blocks once per distinct row of the windows' union
 (:class:`ConvEncoder`), bit-identical to the ops.  The joined outputs
@@ -59,7 +55,6 @@ recombines in float64 instead.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -67,7 +62,7 @@ import numpy as np
 
 from .nn import ops
 from .nn.layers import Parameters, Take, initializer
-from .nn.tensor import Tensor, concat, is_grad_enabled, no_grad
+from .nn.tensor import Tensor, capture, concat, is_grad_enabled, no_grad
 
 __all__ = [
     "VARIANTS",
@@ -208,19 +203,6 @@ def check_windows(inputs, n_p: int, d: int, dtype, single: bool = False) -> np.n
     return arr.reshape(-1, n_p, d)
 
 
-class _ServingPlan(NamedTuple):
-    """A module's single-window counterpart, built by its ``serving_plan``.
-
-    ``forward`` takes and returns what the module's ``forward`` does for a
-    batch of one window under :class:`~multifuture.nn.tensor.no_grad`,
-    bit for bit.  It runs the ops' kernels on buffers allocated when the
-    plan was built, and reads every weight through its stored tensor on
-    each call.  Every tensor a decoder's plan returns is a fresh copy.
-    """
-
-    forward: Callable
-
-
 class ConvEncoder:
     """Conv/ReLU/MaxPool blocks ending in Conv/ReLU/AdaptiveAvgPool.
 
@@ -257,33 +239,6 @@ class ConvEncoder:
                 x = ops.encoder_block(x, conv.weight, conv.bias, self.padding, "max")
         return ops.encoder_block(x, last.weight, last.bias, self.padding, "mean")
 
-    def serving_plan(self, dtype) -> _ServingPlan:
-        """:meth:`forward` for one window; each block's pooled ReLU is
-        written into the interior of the next block's padded input."""
-        pad, length = self.padding, self.length
-        kernel, c_out = 2 * pad + 1, self.convs[-1].weight.shape[3]
-        first, cols, gather = ops._planned_cols(
-            (1, length, self.convs[0].weight.shape[2]), pad, kernel, dtype)
-        blocks = []
-        for conv in self.convs[:-1]:
-            out, *next_cols = ops._planned_cols((1, length // 2, c_out), pad, kernel, dtype)
-            blocks.append((gather, cols, conv,
-                           ops._block_buffers(1, length, c_out, "max", dtype, out)))
-            cols, gather = next_cols
-            length //= 2
-        last = ops._block_buffers(1, length, c_out, "mean", dtype)
-        blocks.append((gather, cols, self.convs[-1], last))
-        h = Tensor(last.out)
-
-        def forward(x: Tensor) -> Tensor:
-            np.copyto(first, x.data)
-            for gather, cols, conv, buffers in blocks:
-                gather()
-                ops._encoder_block_kernel(cols, conv.weight.data, conv.bias.data, buffers)
-            return h
-
-        return _ServingPlan(forward)
-
 
 class BankShapeDecoder:
     """Softmax-regression mixtures over per-feature template banks, for all
@@ -317,26 +272,6 @@ class BankShapeDecoder:
         alpha = ops.stacked_matmul(r, self.banks.weight)
         return tuple(t.reshape(g // self.d, self.d, *t.shape[1:]).swapaxes(1, 2)
                      for t in (alpha, r))
-
-    def serving_plan(self, dtype) -> _ServingPlan:
-        """:meth:`forward` for one window."""
-        regressors, banks, d = self.regressors, self.banks, self.d
-        g, n_s, channels = regressors.weight.shape
-        h, cols, _ = ops._planned_cols((1, 1, channels), 0, 1, dtype)
-        logit_rows = np.empty((g, 1, n_s), dtype)  # the GEMM's output
-        r, row_stats = np.empty_like(logit_rows), np.empty((g, 1, 1), dtype)
-        alpha = np.empty((g, 1, banks.weight.shape[2]), dtype)
-
-        def forward(z: Tensor) -> tuple[Tensor, Tensor]:
-            np.copyto(h, z.data)
-            ops._stacked_conv_kernel(cols, regressors.weight.data, regressors.bias.data,
-                                     False, logit_rows)
-            ops._softmax_kernel(logit_rows, r, row_stats)
-            ops._stacked_matmul_kernel(r, banks.weight.data, alpha)
-            return tuple(Tensor(t.reshape(-1, d, *t.shape[1:]).swapaxes(1, 2).copy())
-                         for t in (alpha, r))
-
-        return _ServingPlan(forward)
 
 
 class TConvShapeDecoder:
@@ -387,39 +322,6 @@ class TConvShapeDecoder:
         alpha = ops.stacked_conv(z, output.weight, output.bias, n_h)  # (f, batch, n_h, d)
         return alpha.swapaxes(2, 3), None
 
-    def serving_plan(self, dtype) -> _ServingPlan:
-        """:meth:`forward` for one window; each layer's upsampled ReLU is
-        written into the interior of the next layer's padded input."""
-        *hidden, output = self.layers
-        f, kernel, channels, d = output.weight.shape
-        h, cols, gather = ops._planned_cols((1, 1, channels), 0, 1, dtype)
-        steps, length = [], 1
-        for layer, out_length in zip(hidden, self.length_schedule()):
-            out, *next_cols = ops._planned_cols((f, 1, out_length, channels),
-                                                kernel // 2, kernel, dtype)
-            conv = np.empty((f, 1, length, channels), dtype)
-            steps.append((gather, cols, layer, conv.reshape(f, length, channels), conv,
-                          ops._nearest(length, out_length), out))
-            cols, gather = next_cols
-            length = out_length
-        last_gather, last_cols = gather, cols
-        alpha = np.empty((f, length, d), dtype)  # (f, batch * n_h, d)
-
-        def forward(z: Tensor) -> tuple[Tensor, None]:
-            np.copyto(h, z.data)
-            for gather, cols, layer, gemm_out, conv, idx, out in steps:
-                gather()
-                ops._stacked_conv_kernel(cols, layer.weight.data, layer.bias.data, True,
-                                         gemm_out)
-                # idx is in range, so "clip" only spares take's buffered copy
-                conv.take(idx, axis=2, out=out, mode="clip")
-            last_gather()
-            ops._stacked_conv_kernel(last_cols, output.weight.data, output.bias.data,
-                                     False, alpha)
-            return Tensor(alpha.swapaxes(1, 2)[:, None].copy()), None
-
-        return _ServingPlan(forward)
-
 
 class ScaleDecoder:
     """Linear maps from the encoder vector to d (multiplier, offset) pairs,
@@ -436,21 +338,6 @@ class ScaleDecoder:
         """(batch, 1, channels) -> multiplier (f, batch, d), offset (f, batch, d)."""
         out = ops.stacked_conv(z, self.linears.weight, self.linears.bias)
         return out[:, :, 0, :self.d], out[:, :, 0, self.d:]
-
-    def serving_plan(self, dtype) -> _ServingPlan:
-        """:meth:`forward` for one window."""
-        linears, d = self.linears, self.d
-        f, two_d, channels = linears.weight.shape
-        h, cols, _ = ops._planned_cols((1, 1, channels), 0, 1, dtype)
-        out = np.empty((f, 1, two_d), dtype)  # (f, batch, 2 * d): the GEMM's output
-
-        def forward(z: Tensor) -> tuple[Tensor, Tensor]:
-            np.copyto(h, z.data)
-            ops._stacked_conv_kernel(cols, linears.weight.data, linears.bias.data, False,
-                                     out)
-            return Tensor(out[:, :, :d].copy()), Tensor(out[:, :, d:].copy())
-
-        return _ServingPlan(forward)
 
 
 class Member(NamedTuple):
@@ -477,16 +364,6 @@ class Member(NamedTuple):
                    decoder(prefix + "shape_decoder", config, table),
                    None if config.variant == "non_separated"
                    else ScaleDecoder(prefix + "scale_decoder", config, table))
-
-    def serving_plan(self, dtype) -> Member:
-        """This member with each module replaced by its
-        :class:`_ServingPlan`, so that :meth:`forward` serves one window; a
-        shared encoder stays shared."""
-        plans = {}
-        for module in self:
-            if module is not None and id(module) not in plans:
-                plans[id(module)] = module.serving_plan(dtype)
-        return Member(*(plans.get(id(module)) for module in self))
 
     def forward(self, x: Tensor) -> tuple[Tensor, Tensor | None, Tensor, Tensor]:
         """(batch, n_p, d) -> shapes, activations, multipliers and offsets."""
@@ -541,8 +418,8 @@ class Forecaster:
         self.dtype = np.dtype(dtype).type
         self.model_id = f"{config.variant}_f{config.f}"
         self.table = Parameters(take or initializer(np.random.default_rng(seed), dtype))
-        # serving plans not in use, each a list of members (see _serve)
-        self._plans: list[list[Member]] = []
+        # serving plans not in use, each (window, steps, outputs) (see _serve)
+        self._plans: list[tuple] = []
         if config.variant != "model_ensemble":
             self.members = [Member.from_config(config, self.table)]
         else:  # f single-future members
@@ -583,21 +460,30 @@ class Forecaster:
 
     def _serve(self, x: Tensor) -> _ForwardTensors:
         """The no-grad forward pass of one validated window, bit-identical
-        to the ops', through a serving plan: the members' serving plans,
-        built the first time the model serves a window.
+        to the ops': copies of the outputs of a plan, the members' forward
+        passes captured on the plan's own window and replayed on this one.
 
         Plans not in use wait in the model's pool; a call takes one and
-        puts it back, and builds another when none is free, so threads
+        puts it back, and captures another when none is free, so threads
         serving at once never share buffers.
         """
         try:
-            members = self._plans.pop()
+            window, steps, outputs = self._plans.pop()
         except IndexError:
-            members = [m.serving_plan(self.dtype) for m in self.members]
+            window = np.array(x.data, order="C")  # the input the steps read
+            with capture() as recorded:
+                outputs = [m.forward(Tensor(window)) for m in self.members]
+            steps = recorded.steps
+        else:
+            np.copyto(window, x.data)
+            for step in steps:
+                step()
         try:
-            return _ForwardTensors.join(m.forward(x) for m in members)
+            return _ForwardTensors.join(
+                [None if t is None else Tensor(t.data.copy()) for t in out]
+                for out in outputs)
         finally:
-            self._plans.append(members)
+            self._plans.append((window, steps, outputs))
 
     def _forward(self, x: Tensor) -> _ForwardTensors:
         """Forward pass of the ops from a validated ``(batch, n_p, d)`` tensor."""

@@ -16,26 +16,30 @@ gradient, so under an oracle loss only each row's winning future does
 backward work.
 
 The forward arithmetic of :func:`encoder_block`, :func:`stacked_conv`,
-:func:`softmax` and :func:`stacked_matmul` is written once, in private
-kernels that write into the buffers they are given.  The ops call them
-with fresh buffers.  A model's serving plan (``multifuture.model``)
-calls them with buffers it allocated once, with :func:`_planned_cols`
-for its im2col, so a served window is bit-identical to the ops' forward
-pass without a tensor, closure or argument check per layer.
+:func:`softmax` and :func:`stacked_matmul` is one step per call, run by
+``nn.tensor._run``: it fills the op's im2col columns and runs the op's
+private kernel on buffers the op allocated, reading each weight through
+its tensor.  :class:`~multifuture.nn.tensor.capture` records the steps,
+and a model serves one window by replaying those of its own forward pass
+(``multifuture.model``), bit-identical to the ops and without a tensor,
+closure or argument check per layer.
 
-:func:`encoder_block` copies its im2col columns from a read-only
-window view that :func:`_kernel_major_cols` builds straight from the
-padded input's strides; ``sliding_window_view``'s argument checks cost
-more than a batch-1 GEMM.  :func:`stacked_conv` upsamples its input
-before it convolves, so a layer's nearest upsampling, zero padding and
-im2col window are one ``np.take`` of the layer below's output
-(:func:`_gather_cols`), run on groups of whole futures whose columns fit
-``_GROUP_BYTES``.  When an op's output will keep no backward closure
-(under :class:`~multifuture.nn.tensor.no_grad`, or when no input requires
-grad: the predicate ``_from_op`` applies), the op computes none of the
-masks only its backward pass reads, and :func:`stacked_conv` reads a
-kernel-1 input without upsampling as its columns, so a batch served
-through the ops pays for little beyond the forward arithmetic.
+:func:`encoder_block` reads its input inside zero margins: a max-pool
+block writes its output into such a buffer, which a next block with the
+same padding reads in place, and any other input is copied into one.
+The im2col columns are copied from a read-only window view of that
+buffer, built from its strides (:func:`_planned_cols`);
+``sliding_window_view``'s argument checks cost more than a batch-1 GEMM.
+:func:`stacked_conv` upsamples its input before it convolves, so a
+layer's nearest upsampling, zero padding and im2col window are one
+``np.take`` of the layer below's output (:func:`_gather_cols`), run on
+groups of whole futures whose columns fit ``_GROUP_BYTES``; a
+C-contiguous kernel-1 input without upsampling is its own columns.  When
+an op's output will keep no backward closure (under
+:class:`~multifuture.nn.tensor.no_grad`, or when no input requires grad:
+the predicate ``_from_op`` applies), the op computes none of the masks
+only its backward pass reads, so a batch served through the ops pays for
+little beyond the forward arithmetic.
 
 A no-grad batch of windows that overlap in one series skips
 :func:`encoder_block` for an encoder's max-pool blocks:
@@ -63,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import Tensor, _accumulate, _builds_graph, _from_op
+from .tensor import Tensor, _accumulate, _builds_graph, _from_op, _run
 
 __all__ = [
     "relu",
@@ -120,7 +124,8 @@ def _softmax_kernel(x: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis, computed with max subtraction."""
     out_data = np.empty_like(x.data)
-    _softmax_kernel(x.data, out_data, np.empty((*x.shape[:-1], 1), x.dtype))
+    _run(partial(_softmax_kernel, x.data, out_data, np.empty((*x.shape[:-1], 1), x.dtype)),
+         out_data)
 
     def bwd(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
@@ -256,63 +261,48 @@ def adaptive_avgpool1d(x: Tensor) -> Tensor:
     return _from_op(out if batched else out[0], (x,), bwd)
 
 
-def _kernel_major_windows(xp: np.ndarray, kernel: int) -> np.ndarray:
-    """The read-only ``(..., rows, length, kernel, channels)`` window view
-    of C-contiguous padded ``(..., rows, length + kernel - 1, channels)``
-    data, built from its strides, the kernel axis stepping like the time
-    axis."""
+def _no_gather() -> None:
+    """The gather of columns that are a view of their input."""
+
+
+def _padded_input(x: Tensor, pad: int):
+    """``x``'s ``(..., rows, length, channels)`` data inside a buffer with
+    ``pad`` zero time steps of margin on each side, and the function that
+    copies it there.  That buffer is the one :func:`encoder_block` wrote
+    ``x`` into when its margin is ``pad`` and ``x`` still holds that data:
+    nothing copies then."""
+    xp = getattr(x, "_padded", None)
+    *lead, length, channels = x.shape
+    if xp is not None and x.data.base is xp and xp.shape[-2] == length + 2 * pad:
+        return xp, _no_gather
+    xp = np.zeros((*lead, length + 2 * pad, channels), x.dtype)
+    return xp, partial(np.copyto, xp[..., pad:pad + length, :], x.data)
+
+
+def _planned_cols(xp: np.ndarray, kernel: int):
+    """The C-contiguous ``(..., rows * l_out, kernel * channels)`` im2col of
+    C-contiguous padded ``(..., rows, l_out + kernel - 1, channels)`` data
+    ``xp`` (row ``(i, t)`` is ``xp[..., i, t:t+kernel, :]``), and the
+    function that copies it there from a window view built from ``xp``'s
+    strides.  For a kernel of 1 it is a view of ``xp`` and the function does
+    nothing.  A larger kernel's window view never reshapes to the columns as
+    a view: for several rows the reshape copies, and for one row it is a
+    view with overlapping rows, which ``np.matmul`` copies on every call.
+    """
     *lead, rows, padded_length, channels = xp.shape
+    l_out = padded_length - kernel + 1
+    if kernel == 1:
+        return xp.reshape(*lead, rows * l_out, channels), _no_gather
     *outer, time_step, channel_step = xp.strides
-    windows = np.ndarray((*lead, rows, padded_length - kernel + 1, kernel, channels),
-                         xp.dtype, xp, 0, (*outer, time_step, time_step, channel_step))
+    windows = np.ndarray((*lead, rows, l_out, kernel, channels), xp.dtype, xp, 0,
+                         (*outer, time_step, time_step, channel_step))
     windows.flags.writeable = False
-    return windows
-
-
-def _kernel_major_cols(xp: np.ndarray, kernel: int) -> np.ndarray:
-    """im2col of padded ``(..., rows, length + kernel - 1, channels)`` data.
-
-    Returns ``(..., rows * length, kernel * channels)``, C-contiguous: row
-    ``(i, t)`` is the contiguous run ``xp[..., i, t:t+kernel, :]``.  The
-    window view is built over a C-contiguous ``xp`` (copied first if it is
-    not) and copied, except for a kernel of 1, where it is a view of
-    ``xp``.  One row and a larger kernel would reshape to a view with
-    overlapping rows, which ``np.matmul`` copies into a temporary on every
-    call; the copy holds the same values, so a GEMM gives the same bits.
-    """
-    windows = _kernel_major_windows(np.ascontiguousarray(xp), kernel)
-    *lead, rows, length, _, channels = windows.shape
-    return np.ascontiguousarray(windows.reshape(*lead, rows * length, kernel * channels))
-
-
-def _planned_cols(shape: tuple[int, ...], pad: int, kernel: int, dtype):
-    """Buffers, allocated once, for the im2col of an input of fixed
-    ``shape`` ``(..., rows, length, channels)``: ``(interior, cols,
-    gather)``.
-
-    ``interior`` is the input's place inside a zeroed buffer with ``pad``
-    time steps of margin on each side, and ``cols`` holds the values of
-    :func:`_kernel_major_cols` of that buffer, C-contiguous, once
-    ``gather()`` has copied them there from the buffer's window view.
-    Where that reshape is a C-contiguous view (a kernel of 1), ``cols`` is
-    the view and ``gather`` does nothing.  For one row and a larger kernel
-    it is a view with overlapping rows, which ``np.matmul`` would copy into
-    a temporary on every call; ``cols`` holds the same values, so the GEMM
-    gives the same bits.
-    """
-    *lead, rows, length, channels = shape
-    xp = np.zeros((*lead, rows, length + 2 * pad, channels), dtype)
-    windows = _kernel_major_windows(xp, kernel)
-    cols = windows.reshape(*lead, rows * length, kernel * channels)
-    if cols.flags.c_contiguous:
-        return xp[..., pad:pad + length, :], cols, lambda: None
-    cols = np.empty(cols.shape, dtype)
-    return (xp[..., pad:pad + length, :], cols,
-            partial(np.copyto, cols.reshape(windows.shape), windows))
+    cols = np.empty((*lead, rows * l_out, kernel * channels), xp.dtype)
+    return cols, partial(np.copyto, cols.reshape(windows.shape), windows)
 
 
 def _kernel_major_uncols(dcols: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`_kernel_major_cols` for ``(rows, length, kernel,
+    """Adjoint of :func:`_planned_cols`' columns for ``(rows, length, kernel,
     channels)`` column gradients: the padded ``(rows, length + kernel - 1,
     channels)`` input gradient."""
     rows, length, kernel, channels = dcols.shape
@@ -322,43 +312,18 @@ def _kernel_major_uncols(dcols: np.ndarray) -> np.ndarray:
     return dxp
 
 
-class _BlockBuffers(NamedTuple):
-    """The arrays :func:`_encoder_block_kernel` writes for one block, with
-    the views of them it reads; made by :func:`_block_buffers`."""
-
-    z: np.ndarray            # (batch, l_conv, c_out) convolution output
-    gemm_out: np.ndarray     # z as the GEMM's (batch * l_conv, c_out) output
-    pairs: tuple[np.ndarray, np.ndarray] | None  # z's even and odd steps (max pool)
-    scratch: np.ndarray      # the larger of each pair, or (mean pool) the ReLU of z
-    out: np.ndarray          # the pooled ReLU
-
-
-def _block_buffers(batch: int, l_conv: int, c_out: int, pool: str, dtype,
-                   out: np.ndarray | None = None) -> _BlockBuffers:
-    """Fresh buffers for an encoder block with ``l_conv`` conv outputs; a
-    given ``out`` (``(batch, l_conv // 2, c_out)`` for ``pool="max"``,
-    ``(batch, 1, c_out)`` for ``"mean"``) receives the pooled ReLU."""
-    z = np.empty((batch, l_conv, c_out), dtype)
-    if pool == "max":
-        half = l_conv // 2
-        pairs = z[:, 0:2 * half:2], z[:, 1:2 * half:2]
-        scratch = np.empty((batch, half, c_out), dtype)
-    else:
-        pairs, scratch = None, np.empty_like(z)
-    if out is None:
-        out = np.empty((batch, 1, c_out), dtype) if pairs is None else np.empty_like(scratch)
-    return _BlockBuffers(z, z.reshape(batch * l_conv, c_out), pairs, scratch, out)
-
-
 def _encoder_block_kernel(cols: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                          buffers: _BlockBuffers) -> None:
-    """:func:`encoder_block`'s arithmetic into ``buffers``.
+                          buffers: tuple) -> None:
+    """:func:`encoder_block`'s arithmetic into ``buffers``, ``(z, gemm_out,
+    pairs, scratch, out)``.
 
-    ``z`` gets the convolution of the ``(batch * l_conv, kernel * c_in)``
-    im2col columns with the ``(1, kernel, c_in, c_out)`` ``weight``, plus
-    ``bias``.  With ``pairs`` (max pooling) ``scratch`` gets the larger of
-    each pair of time steps and ``out`` its ReLU; without, ``scratch`` gets
-    the ReLU of ``z`` and ``out`` its mean over time.
+    The ``(batch, l_conv, c_out)`` ``z``, through its ``(batch * l_conv,
+    c_out)`` view ``gemm_out``, gets the convolution of the ``(batch *
+    l_conv, kernel * c_in)`` im2col columns with the ``(1, kernel, c_in,
+    c_out)`` ``weight``, plus ``bias``.  With ``pairs``, ``z``'s even and
+    odd steps (max pooling), ``scratch`` gets the larger of each pair and
+    ``out`` its ReLU; without, ``scratch`` gets the ReLU of ``z`` and
+    ``out`` its mean over time.
     """
     z, gemm_out, pairs, scratch, out = buffers
     np.matmul(cols, weight.reshape(cols.shape[1], -1), out=gemm_out)
@@ -411,46 +376,60 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
             f"kernel {kernel} and padding {padding} leave {l_conv} conv outputs "
             f"from length {length}; {pool} pooling needs at least {min_conv}"
         )
-    if padding:
-        xp = np.zeros((n, length + 2 * padding, c_in), dtype=xd.dtype)
-        xp[:, padding:padding + length] = xd
-    else:
-        xp = xd
-    cols = _kernel_major_cols(xp, kernel)
-    w2 = wd.reshape(kernel * c_in, c_out)
-    buffers = _block_buffers(n, l_conv, c_out, pool, np.result_type(xd, wd))
-    _encoder_block_kernel(cols, wd, bias.data, buffers)
-    parents = (x, weight, bias)
-    if not _builds_graph(parents):  # inference: no backward-only state
-        return _from_op(buffers.out, parents, None)
-    half = l_conv // 2
+    xp, fill = _padded_input(x, padding)
+    cols, gather = _planned_cols(xp, kernel)
+    dtype, half = np.result_type(xd, wd), l_conv // 2
+    z = np.empty((n, l_conv, c_out), dtype)
     if pool == "max":
-        left, right = buffers.pairs
-        active = buffers.scratch > 0
-        right_wins = right > left  # strict: ties take the left
+        pairs = z[:, 0:2 * half:2], z[:, 1:2 * half:2]
+        scratch = np.empty((n, half, c_out), dtype)
+        # the pooled ReLU goes inside the margins a next block pads with
+        padded = np.zeros((n, half + 2 * padding, c_out), dtype)
+        out = padded[:, padding:padding + half]
     else:
-        active = buffers.z > 0
+        pairs, scratch, padded = None, np.empty_like(z), None
+        out = np.empty((n, 1, c_out), dtype)
+    buffers = z, z.reshape(n * l_conv, c_out), pairs, scratch, out
 
-    def bwd(g):
+    def step():
+        fill()
+        gather()
+        _encoder_block_kernel(cols, weight.data, bias.data, buffers)
+
+    _run(step, out)
+    parents = (x, weight, bias)
+    bwd = None
+    if _builds_graph(parents):  # otherwise no backward-only state
+        w2 = wd.reshape(kernel * c_in, c_out)
         if pool == "max":
-            g_act = g * active
-            gz = np.zeros((n, l_conv, c_out), dtype=g_act.dtype)
-            odd = gz[:, 1:2 * half:2]
-            np.multiply(g_act, right_wins, out=odd)
-            np.subtract(g_act, odd, out=gz[:, 0:2 * half:2])
+            left, right = pairs
+            active = scratch > 0
+            right_wins = right > left  # strict: ties take the left
         else:
-            gz = (g / l_conv) * active
-        g2 = gz.reshape(n * l_conv, c_out)
-        if weight.requires_grad:
-            _accumulate(weight, (cols.T @ g2).reshape(wd.shape), owned=True)
-        if bias.requires_grad:
-            _accumulate(bias, g2.sum(axis=0, keepdims=True), owned=True)
-        if x.requires_grad:
-            dxp = _kernel_major_uncols((g2 @ w2.T).reshape(n, l_conv, kernel, c_in))
-            dx = dxp[:, padding:padding + length] if padding else dxp
-            _accumulate(x, dx, owned=True)
+            active = z > 0
 
-    return _from_op(buffers.out, parents, bwd)
+        def bwd(g):
+            if pool == "max":
+                g_act = g * active
+                gz = np.zeros((n, l_conv, c_out), dtype=g_act.dtype)
+                odd = gz[:, 1:2 * half:2]
+                np.multiply(g_act, right_wins, out=odd)
+                np.subtract(g_act, odd, out=gz[:, 0:2 * half:2])
+            else:
+                gz = (g / l_conv) * active
+            g2 = gz.reshape(n * l_conv, c_out)
+            if weight.requires_grad:
+                _accumulate(weight, (cols.T @ g2).reshape(wd.shape), owned=True)
+            if bias.requires_grad:
+                _accumulate(bias, g2.sum(axis=0, keepdims=True), owned=True)
+            if x.requires_grad:
+                dxp = _kernel_major_uncols((g2 @ w2.T).reshape(n, l_conv, kernel, c_in))
+                dx = dxp[:, padding:padding + length] if padding else dxp
+                _accumulate(x, dx, owned=True)
+
+    result = _from_op(out, parents, bwd)
+    result._padded = padded
+    return result
 
 
 class _UnionBlock(NamedTuple):
@@ -610,24 +589,31 @@ def _gather_index(length: int, out_length: int, kernel: int) -> np.ndarray:
     return index
 
 
-def _gather_cols(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _gather_cols(x: np.ndarray, out: np.ndarray):
     """im2col of ``(..., rows, length, channels)`` data, nearest-upsampled
     to ``out_length`` and zero-padded by ``kernel // 2``, in one gather.
 
-    ``out`` is ``(..., rows, out_length, kernel, channels)``; it receives
-    the values that :func:`_kernel_major_cols` gives of that padded,
-    upsampled input, and is returned as the ``(..., rows * out_length,
-    kernel * channels)`` columns, a view.
+    ``out`` is ``(..., rows, out_length, kernel, channels)``.  Returns the
+    ``(..., rows * out_length, kernel * channels)`` columns, a view of
+    ``out``, and a function that gathers into ``out`` the values that
+    :func:`_planned_cols` gives of that padded, upsampled input.
     """
     *lead, rows, out_length, kernel, channels = out.shape
-    # the index is in range, so "clip" only spares take's buffered copy
-    np.take(x, _gather_index(x.shape[-2], out_length, kernel), axis=-2, out=out,
-            mode="clip")
+    index = _gather_index(x.shape[-2], out_length, kernel)
     pad = kernel // 2
-    for k in range(pad):  # tap k reads left padding, tap kernel-1-k right
-        out[..., :pad - k, k, :] = 0
-        out[..., max(out_length - pad + k, 0):, kernel - 1 - k, :] = 0
-    return out.reshape(*lead, rows * out_length, kernel * channels)
+    # tap k reads left padding in its first pad - k steps, tap kernel-1-k
+    # right padding in its last
+    taps = ([out[..., :pad - k, k, :] for k in range(pad)]
+            + [out[..., max(out_length - pad + k, 0):, kernel - 1 - k, :]
+               for k in range(pad)])
+
+    def gather():
+        # the index is in range, so "clip" only spares take's buffered copy
+        np.take(x, index, axis=-2, out=out, mode="clip")
+        for tap in taps:
+            tap.fill(0)
+
+    return out.reshape(*lead, rows * out_length, kernel * channels), gather
 
 
 def _stacked_conv_kernel(cols: np.ndarray, weight: np.ndarray, bias: np.ndarray,
@@ -704,7 +690,7 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
         raise ValueError(f"out_length {out_length} smaller than input length {length}")
     pad = kernel // 2
     w2 = _stacked_gemm_weight(wd)
-    gathered = kernel > 1 or out_length != length
+    gathered = kernel > 1 or out_length != length or not xd.flags.c_contiguous
 
     def cols_buffer(rows):
         """A buffer for the gathered columns of ``(..., rows, length, c_in)``
@@ -715,9 +701,9 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
 
     def cols_of(rows, out):
         """The im2col columns of input rows, gathered into the leading rows
-        of ``out``."""
-        if not gathered:
-            return _kernel_major_cols(rows, 1)
+        of ``out`` by the function returned with them."""
+        if not gathered:  # C-contiguous rows are their own columns
+            return rows.reshape(*rows.shape[:-3], rows.shape[-3] * length, c_in), _no_gather
         return _gather_cols(rows, out[:len(rows)])
 
     future_bytes = n * out_length * kernel * c_in * xd.itemsize
@@ -728,11 +714,18 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
     buffer = cols_buffer(xd if shared else xd[:step])
     z = np.empty((f, n, out_length, c_out), np.result_type(xd, wd))
     gemm_out = z.reshape(f, n * out_length, c_out)
-    for lo in range(0, f, step):
-        group = slice(lo, lo + step)
-        cols = cols_of(xd if shared else xd[group], buffer)
-        _stacked_conv_kernel(cols, wd[group], bias.data[group], relu, gemm_out[group])
-    del buffer, cols
+
+    # the step holds each group's columns and gather as a default, so a
+    # recorded step keeps the buffer and otherwise it is freed with the step
+    def forward(groups=[(*cols_of(xd if shared else xd[group], buffer), group)
+                        for group in (slice(lo, lo + step) for lo in range(0, f, step))]):
+        for cols, gather, group in groups:
+            gather()
+            _stacked_conv_kernel(cols, weight.data[group], bias.data[group], relu,
+                                 gemm_out[group])
+
+    _run(forward, z)
+    del buffer, forward
     parents = (x, weight, bias)
     # the ReLU ran in place, and z > 0 exactly where its input was
     active = z > 0 if relu and _builds_graph(parents) else None
@@ -743,7 +736,8 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
         if relu:
             gz *= active[fi, ri]
         rows = xd[ri] if shared else xd[fi, ri]
-        cols = cols_of(rows, cols_buffer(rows))
+        cols, gather = cols_of(rows, cols_buffer(rows))
+        gather()
         dw, db = np.zeros_like(wd), np.zeros_like(bias.data)
         dw2 = dw.swapaxes(1, 2) if linear else dw.reshape(w2.shape)
         dcols = np.empty_like(cols) if x.requires_grad else None
@@ -772,9 +766,9 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
     return _from_op(z, parents, bwd)
 
 
-def _stacked_matmul_kernel(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`stacked_matmul`'s arithmetic into ``out``, which it returns."""
-    return np.matmul(x, w, out=out)
+def _stacked_matmul_kernel(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """:func:`stacked_matmul`'s arithmetic into ``out``."""
+    np.matmul(x, w, out=out)
 
 
 def stacked_matmul(x: Tensor, weight: Tensor) -> Tensor:
@@ -800,8 +794,9 @@ def stacked_matmul(x: Tensor, weight: Tensor) -> Tensor:
         dw[active] = _flush_tiny(np.matmul(xd[active].swapaxes(1, 2), g[active]))
         _accumulate(weight, dw, owned=True)
 
-    return _from_op(_stacked_matmul_kernel(xd, w, np.empty(
-        (len(w), xd.shape[1], w.shape[2]), np.result_type(xd, w))), (x, weight), bwd)
+    out = np.empty((len(w), xd.shape[1], w.shape[2]), np.result_type(xd, w))
+    _run(lambda: _stacked_matmul_kernel(xd, weight.data, out), out)
+    return _from_op(out, (x, weight), bwd)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

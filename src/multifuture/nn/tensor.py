@@ -10,15 +10,21 @@ implemented here; the neural-network layers live in
 Operations preserve the dtype of their inputs.  Models are built in float32
 by default, while the finite-difference gradient checks construct the same
 graphs from float64 arrays.
+
+Each op that computes a new array runs its arithmetic as one step over
+buffers it allocated (:func:`_run`).  :class:`capture` records the steps,
+so a forward pass can be replayed in place on new input, bit-identical
+to running the ops again.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import partial
 
 import numpy as np
 
-__all__ = ["Tensor", "concat", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "concat", "no_grad", "capture", "is_grad_enabled"]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -47,10 +53,31 @@ def is_grad_enabled() -> bool:
     return getattr(_thread_state, "grad_enabled", True)
 
 
+class capture(no_grad):
+    """:class:`no_grad`, recording the steps of the ops run inside it in
+    ``steps``: run in order after new values are written into the captured
+    input, they recompute every output in place.  An op whose output is
+    neither written by its step nor a view of an input raises
+    ``RuntimeError``, since a replay would leave it stale."""
+
+    def __enter__(self):
+        super().__enter__()
+        self.steps, self._written = [], None  # the owner of the last step's output
+        self._outer = getattr(_thread_state, "capture", None)
+        _thread_state.capture = self
+        return self
+
+    def __exit__(self, *exc):
+        _thread_state.capture = self._outer
+        return super().__exit__(*exc)
+
+
 class Tensor:
     """N-dimensional real array with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    # _padded, when an op sets it, is a buffer whose interior along the
+    # second-to-last axis is ``data``, between margins the op keeps zero
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_padded")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -217,7 +244,7 @@ class Tensor:
         return _from_op(out_data, (self,), bwd)
 
     def swapaxes(self, axis1: int, axis2: int):
-        out_data = np.ascontiguousarray(self.data.swapaxes(axis1, axis2))
+        out_data = _contiguous(self.data.swapaxes(axis1, axis2))
 
         def bwd(g):
             _accumulate(self, g.swapaxes(axis1, axis2))
@@ -227,14 +254,14 @@ class Tensor:
     def __getitem__(self, key):
         # Basic (slice/int/ellipsis) indexing only: indices never repeat,
         # so the backward scatter is a plain assignment.
-        out_data = self.data[key]
+        out_data = np.atleast_1d(self.data[key])
 
         def bwd(g):
             buf = np.zeros_like(self.data)
             buf[key] = g
             _accumulate(self, buf)
 
-        return _from_op(np.ascontiguousarray(out_data), (self,), bwd)
+        return _from_op(_contiguous(out_data), (self,), bwd)
 
 
 def concat(tensors) -> Tensor:
@@ -269,6 +296,31 @@ def _builds_graph(parents) -> bool:
     return is_grad_enabled() and any(p.requires_grad for p in parents)
 
 
+def _owner(data: np.ndarray) -> np.ndarray:
+    """The array that owns ``data``'s memory (numpy points a view's
+    ``base`` at it)."""
+    return data if data.base is None else data.base
+
+
+def _run(step, out: np.ndarray) -> None:
+    """Run ``step``, an op's forward arithmetic into ``out`` over buffers
+    the op allocated; under :class:`capture`, record it for replay."""
+    step()
+    recording = getattr(_thread_state, "capture", None)
+    if recording is not None:
+        recording.steps.append(step)
+        recording._written = _owner(out)
+
+
+def _contiguous(view: np.ndarray) -> np.ndarray:
+    """``view`` if it is C-contiguous, else a copy made by a step."""
+    if view.flags.c_contiguous:
+        return view
+    out = np.empty(view.shape, view.dtype)
+    _run(partial(np.copyto, out, view), out)
+    return out
+
+
 def _from_op(data, parents, backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -278,6 +330,13 @@ def _from_op(data, parents, backward_fn) -> Tensor:
         out._parents = parents
         out._backward_fn = backward_fn
     else:
+        recording = getattr(_thread_state, "capture", None)
+        if recording is not None:
+            owner = _owner(data)
+            if owner is not recording._written and all(owner is not _owner(p.data)
+                                                       for p in parents):
+                raise RuntimeError(f"an op under capture computed a {data.shape} array "
+                                   "without a recorded step")
         out.requires_grad = False
         out._parents = ()
         out._backward_fn = None

@@ -1,8 +1,8 @@
 """Straightforward implementations kept as the references that the
 program's faster code must match bit for bit: the nearest-neighbour
 baseline's vectorised full scan, which its pruned scan must reproduce, and
-the ``sliding_window_view`` im2col that ``nn.ops._kernel_major_cols``
-builds from strides."""
+the ``sliding_window_view`` im2col that ``nn.ops._planned_cols`` and
+``nn.ops._gather_cols`` build from strides and index maps."""
 
 import numpy as np
 

@@ -27,6 +27,7 @@ from multifuture.model import (
     shape_encoder_forward,
 )
 from multifuture.nn import AdamState, Tensor, adam_step, grad_check, no_grad, ops
+from multifuture.nn.tensor import _accumulate, _from_op
 from multifuture.persistence import MANIFEST_NAME, load_shape_banks, save, save_shape_banks
 from multifuture.training import _oracle_batch_loss
 
@@ -443,6 +444,36 @@ class TestTConvDecoder:
         assert all(not layer.weight.grad[i].any() and not layer.bias.grad[i].any()
                    for layer in model.members[0].shape_decoder.layers for i in idle)
 
+    def _initial_oracle_loss(self, seed):
+        """The oracle loss of a float64 model at its initial weights, whose
+        zero biases put the pre-activations behind an all-dead ReLU row
+        exactly on the kink, and the tensors to check."""
+        cfg = replace(self.CONFIG, n_p=8, channels=4)
+        model = Forecaster(cfg, seed=seed, dtype=np.float64)
+        rng = np.random.default_rng(5 + seed)
+        x = Tensor(rng.standard_normal((2, cfg.n_p, cfg.d)), requires_grad=True)
+        truth = rng.standard_normal((2, cfg.d, cfg.n_h))
+
+        def oracle_loss(*_):
+            return _oracle_batch_loss(model._forward(x), truth, 1.0, 0)[0]
+
+        return oracle_loss, [x] + model.parameters()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_oracle_loss_gradient_at_initial_weights(self, seed):
+        err = grad_check(*self._initial_oracle_loss(seed))
+        assert err < 1e-3  # criterion 1's bound
+        assert 0 < err.skipped < 0.05
+
+    def test_a_gradient_two_percent_off_fails_at_initial_weights(self):
+        oracle_loss, tensors = self._initial_oracle_loss(0)
+
+        def off(*_):  # every gradient 2% too large
+            loss = oracle_loss()
+            return _from_op(loss.data, (loss,), lambda g: _accumulate(loss, 1.02 * g))
+
+        assert grad_check(off, tensors) > 1e-3
+
     def test_empty_batch_predicts_no_future_sets(self):
         # the per-future, upsampling layers gather no columns
         model = Forecaster(self.CONFIG, seed=0)
@@ -554,8 +585,9 @@ class TestMembers:
         for f in (3, 12):
             cfg = small_config(f=f)
             model = Forecaster(cfg, seed=0)
+            model.predict_futures(random_window(cfg, 0))  # captures by running the ops
             calls.clear()
-            model.predict_futures(random_window(cfg))
+            model.predict_futures(random_window(cfg, 1))
             counts.append(dict(calls))
         blocks = small_config().encoder_blocks
         assert counts[0] == counts[1] == dict(zip(kernels, (2 * blocks, 2, 1, 1)))

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multifuture.nn import (
@@ -18,7 +18,7 @@ from multifuture.nn import (
     no_grad,
 )
 from multifuture.nn import layers, ops
-from multifuture.nn.tensor import _accumulate, _from_op
+from multifuture.nn.tensor import _accumulate, _from_op, capture
 from nn_reference import kernel_major_cols
 
 
@@ -231,7 +231,7 @@ def _block_params(w, b):
     return np.ascontiguousarray(w.transpose(2, 1, 0))[None], b[None]
 
 
-def _padded_input(rng, shape, layout, dtype):
+def _laid_out(rng, shape, layout, dtype):
     """A ``shape`` array in ``layout``: C-contiguous, a sliced view (offset
     start, every other channel), a transposed view or one running backwards
     in time."""
@@ -246,28 +246,60 @@ def _padded_input(rng, shape, layout, dtype):
     return rng.standard_normal(shape).astype(dtype)[..., ::-1, :]
 
 
+def _zero_padded(x, pad):
+    xp = np.zeros((*x.shape[:-2], x.shape[-2] + 2 * pad, x.shape[-1]), x.dtype)
+    xp[..., pad:pad + x.shape[-2], :] = x
+    return xp
+
+
+def _planned_cols_of(x, pad, kernel):
+    """``ops._planned_cols``' columns of ``x`` zero-padded by
+    ``ops._padded_input``, and their window-view reference."""
+    xp, fill = ops._padded_input(Tensor(x), pad)
+    cols, gather = ops._planned_cols(xp, kernel)
+    fill()
+    gather()
+    return cols, kernel_major_cols(_zero_padded(x, pad), kernel)
+
+
 class TestKernelMajorCols:
     @given(lead=st.lists(st.integers(1, 3), min_size=1, max_size=2),
            kernel=st.sampled_from([1, 3, 5]),
            length=st.integers(1, 7),
+           pad=st.integers(0, 3),
            channels=st.integers(1, 4),
            layout=st.sampled_from(["contiguous", "sliced", "transposed", "reversed"]),
            dtype=st.sampled_from([np.float32, np.float64]),
            seed=st.integers(0, 2 ** 16))
     @settings(max_examples=150)
-    def test_matches_the_window_view_reference(self, lead, kernel, length, channels,
+    def test_matches_the_window_view_reference(self, lead, kernel, length, pad, channels,
                                                layout, dtype, seed):
-        shape = (*lead, length + kernel - 1, channels)  # 3-D or 4-D
-        xp = _padded_input(np.random.default_rng(seed), shape, layout, dtype)
-        assert xp.shape == shape
-        before = xp.copy()
-        got = ops._kernel_major_cols(xp, kernel)
-        want = kernel_major_cols(xp, kernel)
-        assert got.shape == want.shape == (*lead[:-1], lead[-1] * length,
-                                           kernel * channels)
+        l_out = length + 2 * pad - kernel + 1
+        assume(l_out >= 1)
+        shape = (*lead, length, channels)  # 3-D or 4-D
+        x = _laid_out(np.random.default_rng(seed), shape, layout, dtype)
+        assert x.shape == shape
+        before = x.copy()
+        got, want = _planned_cols_of(x, pad, kernel)
+        assert got.shape == want.shape == (*lead[:-1], lead[-1] * l_out, kernel * channels)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert got.flags.c_contiguous  # one row and kernel > 1: no overlapping view
-        assert xp.tobytes() == before.tobytes()
+        assert x.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_planned_cols_follow_their_input(self, rows, kernel):
+        # each gather copies the buffer's current values, so a captured step
+        # that rewrites the buffer and gathers again sees the new input
+        rng = np.random.default_rng(rows * 10 + kernel)
+        pad = kernel // 2
+        xp = np.zeros((rows, 5 + 2 * pad, 3), np.float32)
+        cols, gather = ops._planned_cols(xp, kernel)
+        for _ in range(2):
+            xp[:, pad:pad + 5] = rng.standard_normal((rows, 5, 3))
+            gather()
+            want = kernel_major_cols(xp, kernel)
+            assert want.any() and cols.tobytes() == want.tobytes()
 
 
 class TestGatherCols:
@@ -285,12 +317,11 @@ class TestGatherCols:
         x = np.random.default_rng(seed).standard_normal(
             (*lead, length, channels)).astype(dtype)
         out_length, pad = length + extra, kernel // 2
-        xp = np.zeros((*lead, out_length + 2 * pad, channels), dtype)
-        xp[..., pad:pad + out_length, :] = np.take(x, ops._nearest(length, out_length),
-                                                   axis=-2)
-        want = ops._kernel_major_cols(xp, kernel)
+        xp = _zero_padded(np.take(x, ops._nearest(length, out_length), axis=-2), pad)
+        want = kernel_major_cols(xp, kernel)
         out = np.full((*lead, out_length, kernel, channels), np.nan, dtype)
-        got = ops._gather_cols(x, out)
+        got, gather = ops._gather_cols(x, out)
+        gather()
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
         assert np.shares_memory(got, out)
@@ -340,6 +371,28 @@ class TestEncoderBlock:
         np.testing.assert_allclose(fused[1].grad[0].transpose(2, 1, 0), ref[1].grad,
                                    **tol)
         np.testing.assert_allclose(fused[2].grad[0], ref[2].grad, **tol)
+
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_a_block_reads_the_block_below_inside_its_margins(self, padding):
+        # a block with the padding of the block below reads its output in
+        # place, inside zero margins; any other block copies it
+        rng = np.random.default_rng(padding)
+        x = Tensor(rng.standard_normal((2, 12, 3)), requires_grad=True)
+        w1, b1, w2, b2 = (Tensor(a, requires_grad=True) for a in (
+            *_block_params(rng.standard_normal((4, 3, 3)), rng.standard_normal(4)),
+            *_block_params(rng.standard_normal((4, 4, 5)), rng.standard_normal(4))))
+        h = ops.encoder_block(x, w1, b1, padding, "max")
+        rebound = ops.encoder_block(x, w1, b1, padding, "max")
+        rebound.data = rebound.data * 2  # no longer the data inside its margins
+        for below, pad in [(h, padding), (h, 2 - padding), (rebound, padding)]:
+            got = ops.encoder_block(below, w2, b2, pad, "mean")
+            want = ops.encoder_block(Tensor(below.data.copy()), w2, b2, pad, "mean")
+            assert got.data.tobytes() == want.data.tobytes()
+        assert np.shares_memory(h.data, h._padded)
+        assert not h._padded[:, :padding].any()
+        assert not h._padded[:, padding + h.shape[1]:].any()
+        ops.encoder_block(h, w2, b2, padding, "mean").sum().backward()
+        assert x.grad.any() and w1.grad.any()
 
     def test_tie_routes_to_first(self):
         # identity kernel: the pre-activations are the input itself
@@ -955,3 +1008,36 @@ class TestTensorBasics:
             h = ops.adaptive_avgpool1d(h) if block == 6 else ops.maxpool1d(h)
             lengths.append(h.shape[-1])
         assert lengths == [84, 42, 21, 10, 5, 2, 1]
+
+
+class TestCapture:
+    def test_replayed_steps_recompute_the_outputs(self):
+        # a reshape is a view of its input; a swapaxes that copies records a
+        # step; a rebound weight is read through its tensor
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((2, 3, 4)))
+        w = Tensor(rng.standard_normal((2, 4, 5)))
+
+        def forward(x):
+            return ops.softmax(ops.stacked_matmul(x, w).reshape(2, 15)).swapaxes(0, 1)
+
+        with capture() as recorded:
+            out = forward(x)
+        new = rng.standard_normal(x.shape)
+        x.data[...] = new
+        w.data = w.data * 2
+        for step in recorded.steps:
+            step()
+        with no_grad():
+            want = forward(Tensor(new))
+        assert len(recorded.steps) == 3
+        assert out.data.tobytes() == want.data.tobytes()
+
+    def test_an_array_without_a_recorded_step_raises(self):
+        a, b = Tensor(np.ones((2, 3))), Tensor(np.zeros((1, 3)))
+        with capture():
+            with pytest.raises(RuntimeError, match="without a recorded step"):
+                concat([a, b])
+            with pytest.raises(RuntimeError, match="without a recorded step"):
+                a + b
+        assert (a + b).shape == (2, 3)  # outside capture, as before

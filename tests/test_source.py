@@ -165,3 +165,30 @@ def test_oracle_rule_written_once():
              for path in sorted(SRC.rglob("*.py"))}
     assert {name: fns for name, fns in found.items() if fns} == {
         "training.py": ["rmse", "_score"]}
+
+
+OP_KERNELS = ("_encoder_block_kernel", "_stacked_conv_kernel", "_softmax_kernel",
+              "_stacked_matmul_kernel")
+
+
+def kernel_calls(sources: dict[str, str]) -> list[str]:
+    """Each call of a private op kernel in ``sources`` (file name -> text)."""
+    return [f"{path} line {line}: {name}" for path, source in sources.items()
+            for name in OP_KERNELS for line in calls_named(source, name)]
+
+
+def test_guard_flags_a_kernel_call():
+    sources = {"model.py": "def plan(cols, w, b, out):\n"
+                           "    ops._stacked_conv_kernel(cols, w, b, False, out)\n"
+                           "    return _softmax_kernel\n",
+               "data.py": "_encoder_block_kernel(cols, w, b, buffers)\n"}
+    assert kernel_calls(sources) == ["model.py line 2: _stacked_conv_kernel",
+                                     "data.py line 1: _encoder_block_kernel"]
+
+
+def test_op_kernels_are_called_from_the_ops_only():
+    # each module writes its forward pass once, through the ops; a served
+    # window replays the steps the ops recorded
+    sources = {str(path.relative_to(SRC)): path.read_text()
+               for path in sorted(SRC.rglob("*.py")) if path != SRC / "nn" / "ops.py"}
+    assert kernel_calls(sources) == []
