@@ -25,6 +25,7 @@ from itertools import chain
 
 import numpy as np
 
+from .model import _check_integer
 from .persistence import _write_atomic
 
 __all__ = [
@@ -215,6 +216,8 @@ class GeneratorConfig:
     merchant_id: str = "merchant_0000"
 
     def __post_init__(self):
+        for name in ("n_hours", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.n_hours < 1:
             raise ValueError("n_hours must be >= 1")
         if not 0.0 <= self.regime_switch_prob <= 1.0:
@@ -516,6 +519,9 @@ def split_by_date(series: MultivariateSeries, train_end: datetime,
     """
     if train_end.tzinfo is None:
         raise ValueError("train_end must be timezone-aware")
+    _check_integer("warmup_hours", warmup_hours)
+    if warmup_hours < 0:
+        raise ValueError(f"warmup_hours must be >= 0, got {warmup_hours}")
     offset = train_end.astimezone(timezone.utc) - series.start_timestamp
     hours, remainder = divmod(offset, _HOUR)
     if remainder:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import MultivariateSeries
 from .model import FutureSet, check_windows
-from .training import ZNORM_EPSILON, _score, _series_windows, z_normalize
+from .training import ZNORM_EPSILON, _score, _series_values, _series_windows, z_normalize
 
 __all__ = [
     "WindowRecord",
@@ -124,7 +124,7 @@ def evaluate_rolling(predictor, test: MultivariateSeries, n_p: int, n_h: int,
     one shorter than ``n_p + n_h`` hours, raises ``ValueError``.
     """
     # Window w is hours w * n_h .. w * n_h + n_p + n_h - 1; (windows, d, n_p + n_h)
-    spans = _series_windows(test, n_p, n_h)[::n_h]
+    spans = _series_windows(_series_values(test), n_p, n_h)[::n_h]
     inputs = spans[:, :, :n_p].swapaxes(1, 2)                    # (windows, n_p, d)
     truth = spans[:, :, n_p:]                                    # (windows, d, n_h)
     future_sets = [fs for start in range(0, len(spans), _EVAL_BATCH)
@@ -270,7 +270,7 @@ class NearestNeighborBaseline:
     model_id = "nearest_neighbor"
 
     def __init__(self, train: MultivariateSeries, n_p: int, n_h: int):
-        windows = _series_windows(train, n_p, n_h)    # (starts, d, n_p + n_h)
+        windows = _series_windows(_series_values(train), n_p, n_h)  # (starts, d, n_p + n_h)
         self.n_p = n_p
         self.n_h = n_h
         # (starts, d, n_h), copied because the caller may write to its array
@@ -341,7 +341,7 @@ class RidgeBaseline:
         if not (np.isfinite(lam) and lam > 0):
             raise ValueError(f"lam must be positive and finite, got {lam}")
         # Time-major (windows, n_p + n_h, d); only x and y are allocated.
-        windows = _series_windows(train, n_p, n_h).swapaxes(1, 2)
+        windows = _series_windows(_series_values(train), n_p, n_h).swapaxes(1, 2)
         n_windows, _, self.d = windows.shape
         self.n_p = n_p
         self.n_h = n_h
@@ -365,7 +365,7 @@ class RidgeBaseline:
         windows = check_windows(windows, self.n_p, self.d, np.float64)
         features = np.empty((len(windows), self.coefficients.shape[0]))
         features[:, 0] = 1.0
-        features[:, 1:] = windows.reshape(len(windows), -1)
+        features[:, 1:] = windows.reshape(len(windows), self.n_p * self.d)
         raw = (features @ self.coefficients).reshape(-1, self.n_h, self.d)
         return _future_sets(raw.swapaxes(1, 2))
 

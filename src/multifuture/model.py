@@ -91,6 +91,13 @@ VARIANTS = (
 _TCONV_BLOCKS = 5
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a Python
+    or numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters.
@@ -111,11 +118,11 @@ class ModelConfig:
     variant: str = "full"
 
     def __post_init__(self):
-        if self.n_p < 2:
-            raise ValueError(f"n_p must be >= 2, got {self.n_p}")
-        for name in ("n_h", "d", "f", "n_s", "channels", "kernel"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("n_p", "n_h", "d", "f", "n_s", "channels", "kernel"):
+            value, least = getattr(self, name), 2 if name == "n_p" else 1
+            _check_integer(name, value)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.kernel % 2 == 0:
             raise ValueError(f"kernel must be odd, got {self.kernel}")
         if self.variant not in VARIANTS:
@@ -221,7 +228,6 @@ class ConvEncoder:
 
     def __init__(self, name: str, config: ModelConfig, table: Parameters):
         self.length = config.n_p
-        self.padding = config.kernel // 2
         in_channels = [config.d] + [config.channels] * (config.encoder_blocks - 1)
         self.convs = [table.stack([table.take(f"{name}.conv{b}",
                                               (config.channels, in_ch, config.kernel))])
@@ -233,11 +239,11 @@ class ConvEncoder:
         step = (_window_step(x.data, self.length) if blocks and not is_grad_enabled()
                 else None)
         if step is not None:
-            x = Tensor(ops._union_max_blocks(x.data, step, blocks, self.padding))
+            x = Tensor(ops._union_max_blocks(x.data, step, blocks))
         else:
             for conv in blocks:
-                x = ops.encoder_block(x, conv.weight, conv.bias, self.padding, "max")
-        return ops.encoder_block(x, last.weight, last.bias, self.padding, "mean")
+                x = ops.encoder_block(x, conv.weight, conv.bias, "max")
+        return ops.encoder_block(x, last.weight, last.bias, "mean")
 
 
 class BankShapeDecoder:

@@ -26,7 +26,7 @@ closure or argument check per layer.
 
 :func:`encoder_block` reads its input inside zero margins: a max-pool
 block writes its output into such a buffer, which a next block with the
-same padding reads in place, and any other input is copied into one.
+same kernel reads in place, and any other input is copied into one.
 The im2col columns are copied from a read-only window view of that
 buffer, built from its strides (:func:`_planned_cols`);
 ``sliding_window_view``'s argument checks cost more than a batch-1 GEMM.
@@ -340,15 +340,14 @@ def _encoder_block_kernel(cols: np.ndarray, weight: np.ndarray, bias: np.ndarray
         np.true_divide(out, np.intp(z.shape[1]), out=out, casting="unsafe")
 
 
-def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
-                  pool: str) -> Tensor:
+def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, pool: str) -> Tensor:
     """Fused conv1d + ReLU + pooling on channels-last data.
 
     ``x`` is ``(batch, length, channels_in)``; ``weight`` is one layer in
     :func:`stacked_conv`'s ``(1, kernel, channels_in, channels_out)``
-    layout and ``bias`` is ``(1, channels_out)``.  The convolution (stride
-    1, symmetric zero padding) has ``l_conv = length + 2*padding - kernel
-    + 1`` outputs.  ``pool="max"`` returns ``(batch, l_conv // 2,
+    layout, with an odd kernel, and ``bias`` is ``(1, channels_out)``.  The
+    convolution (stride 1, zero padding ``kernel // 2``) is
+    length-preserving.  ``pool="max"`` returns ``(batch, length // 2,
     channels_out)`` and equals ``maxpool1d(relu(conv1d(...)))``: an odd
     trailing element is dropped and ties route the gradient to the first
     index.  ``pool="mean"`` returns ``(batch, 1, channels_out)`` and equals
@@ -369,17 +368,17 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
         )
     if pool not in ("max", "mean"):
         raise ValueError(f"pool must be 'max' or 'mean', got {pool!r}")
-    l_conv = length + 2 * padding - kernel + 1
-    min_conv = 2 if pool == "max" else 1
-    if l_conv < min_conv:
-        raise ValueError(
-            f"kernel {kernel} and padding {padding} leave {l_conv} conv outputs "
-            f"from length {length}; {pool} pooling needs at least {min_conv}"
-        )
+    if kernel % 2 == 0:
+        raise ValueError(f"kernel must be odd, got {kernel}")
+    min_length = 2 if pool == "max" else 1
+    if length < min_length:
+        raise ValueError(f"{pool} pooling needs a length of at least {min_length}, "
+                         f"got {length}")
+    padding = kernel // 2
     xp, fill = _padded_input(x, padding)
     cols, gather = _planned_cols(xp, kernel)
-    dtype, half = np.result_type(xd, wd), l_conv // 2
-    z = np.empty((n, l_conv, c_out), dtype)
+    dtype, half = np.result_type(xd, wd), length // 2
+    z = np.empty((n, length, c_out), dtype)
     if pool == "max":
         pairs = z[:, 0:2 * half:2], z[:, 1:2 * half:2]
         scratch = np.empty((n, half, c_out), dtype)
@@ -389,7 +388,7 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
     else:
         pairs, scratch, padded = None, np.empty_like(z), None
         out = np.empty((n, 1, c_out), dtype)
-    buffers = z, z.reshape(n * l_conv, c_out), pairs, scratch, out
+    buffers = z, z.reshape(n * length, c_out), pairs, scratch, out
 
     def step():
         fill()
@@ -411,19 +410,19 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
         def bwd(g):
             if pool == "max":
                 g_act = g * active
-                gz = np.zeros((n, l_conv, c_out), dtype=g_act.dtype)
+                gz = np.zeros((n, length, c_out), dtype=g_act.dtype)
                 odd = gz[:, 1:2 * half:2]
                 np.multiply(g_act, right_wins, out=odd)
                 np.subtract(g_act, odd, out=gz[:, 0:2 * half:2])
             else:
-                gz = (g / l_conv) * active
-            g2 = gz.reshape(n * l_conv, c_out)
+                gz = (g / length) * active
+            g2 = gz.reshape(n * length, c_out)
             if weight.requires_grad:
                 _accumulate(weight, (cols.T @ g2).reshape(wd.shape), owned=True)
             if bias.requires_grad:
                 _accumulate(bias, g2.sum(axis=0, keepdims=True), owned=True)
             if x.requires_grad:
-                dxp = _kernel_major_uncols((g2 @ w2.T).reshape(n, l_conv, kernel, c_in))
+                dxp = _kernel_major_uncols((g2 @ w2.T).reshape(n, length, kernel, c_in))
                 dx = dxp[:, padding:padding + length] if padding else dxp
                 _accumulate(x, dx, owned=True)
 
@@ -530,7 +529,7 @@ def _union_block_kernel(values: np.ndarray, weight: np.ndarray, bias: np.ndarray
     return out
 
 
-def _union_max_blocks(x: np.ndarray, step: int, convs, padding: int) -> np.ndarray:
+def _union_max_blocks(x: np.ndarray, step: int, convs) -> np.ndarray:
     """The input to an encoder's last block, ``(batch, length, channels)``,
     from its max-pool blocks ``convs`` run on the union of ``x``'s windows.
 
@@ -541,7 +540,7 @@ def _union_max_blocks(x: np.ndarray, step: int, convs, padding: int) -> np.ndarr
     window, bit for bit.
     """
     batch, length, c_in = x.shape
-    plan = _union_plan(batch, step, length, 2 * padding + 1, len(convs))
+    plan = _union_plan(batch, step, length, convs[0].weight.shape[1], len(convs))
     values = np.zeros((plan.rows + 1, c_in), x.dtype)
     values[:-1] = np.lib.stride_tricks.as_strided(x, (plan.rows, c_in), x.strides[1:],
                                                   writeable=False)

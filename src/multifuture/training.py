@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import ExpertClassifier, Forecaster, FutureSet, ModelConfig
+from .model import ExpertClassifier, Forecaster, FutureSet, ModelConfig, _check_integer
 from .nn import ops
 from .nn.optim import AdamState, adam_step
 from .nn.tensor import Tensor, no_grad
@@ -71,6 +71,8 @@ class TrainConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
+        for name in ("n_iter", "batch_size", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.n_iter < 0 or self.batch_size < 1:
             raise ValueError("n_iter must be >= 0 and batch_size >= 1")
         if not (np.isfinite(self.learning_rate) and np.isfinite(self.gamma)):
@@ -171,6 +173,7 @@ def oracle_index(future_set: FutureSet, truth) -> int:
 def compute_loss(future_set: FutureSet, truth, i_oc: int,
                  gamma: float = 1.0) -> LossRecord:
     """Evaluate the oracle loss of a prediction set at a given index."""
+    _check_integer("i_oc", i_oc)
     if not 1 <= i_oc <= future_set.f:
         raise ValueError(f"i_oc {i_oc} out of range [1..{future_set.f}]")
     truth = np.asarray(truth, dtype=np.float64)
@@ -203,13 +206,12 @@ def _check_horizons(n_p, n_h) -> None:
             raise ValueError(f"{name} must be a positive integer, got {hours!r}")
 
 
-def _series_windows(series, n_p: int, n_h: int) -> np.ndarray:
-    """Every ``n_p + n_h``-hour window of a validated series, as the
-    read-only ``(starts, d, n_p + n_h)`` view: window ``w`` is hours
-    ``w .. w + n_p + n_h - 1``, the first ``n_p`` its input and the rest its
-    target."""
+def _series_windows(values: np.ndarray, n_p: int, n_h: int) -> np.ndarray:
+    """Every ``n_p + n_h``-hour window of ``values``, a series checked by
+    :func:`_series_values`, as the read-only ``(starts, d, n_p + n_h)``
+    view: window ``w`` is hours ``w .. w + n_p + n_h - 1``, the first
+    ``n_p`` its input and the rest its target."""
     _check_horizons(n_p, n_h)
-    values = _series_values(series)
     if len(values) < n_p + n_h:
         raise ValueError(f"series of {len(values)} hours is shorter than "
                          f"n_p + n_h = {n_p + n_h}")
@@ -225,8 +227,7 @@ class _WindowPool:
         _check_horizons(n_p, n_h)
         pool = series if isinstance(series, (list, tuple)) else [series]
         hours = n_p + n_h
-        window_view = np.lib.stride_tricks.sliding_window_view
-        self.views = [window_view(v, hours, axis=0).swapaxes(1, 2)
+        self.views = [_series_windows(v, n_p, n_h).swapaxes(1, 2)
                       for v in map(_series_values, pool) if len(v) >= hours]
         if not self.views:
             raise ValueError(f"series too short: need at least {hours} hours")

@@ -255,6 +255,14 @@ class TestSplitByDate:
         rejoined = np.concatenate([train.values, test.values[168:]])
         assert np.array_equal(rejoined, series.values)
 
+    @pytest.mark.parametrize("warmup,problem", [(-5, "be >= 0, got -5"),
+                                                (2.5, "be an integer, got 2.5")])
+    def test_bad_warmup_rejected(self, warmup, problem):
+        series = self._month_series()
+        boundary = series.start_timestamp + timedelta(days=23)
+        with pytest.raises(ValueError, match=f"warmup_hours must {problem}"):
+            split_by_date(series, boundary, warmup_hours=warmup)
+
     def test_boundary_outside_span_rejected(self):
         series = self._month_series()
         with pytest.raises(ValueError, match="outside"):

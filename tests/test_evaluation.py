@@ -591,6 +591,14 @@ def test_every_batch_predictor_rejects_a_bad_window(month_series, make,
         make(month_series).predict_batch(windows)
 
 
+@pytest.mark.parametrize("make", [
+    lambda s: NearestNeighborBaseline(s, _N_P, _N_H),
+    lambda s: RidgeBaseline(s, _N_P, _N_H),
+], ids=["nearest_neighbor", "ridge"])
+def test_every_baseline_predicts_no_future_sets_for_an_empty_batch(month_series, make):
+    assert make(month_series).predict_batch(np.empty((0, _N_P, 4))) == []
+
+
 @pytest.mark.parametrize("consume", [
     lambda s, n_p, n_h: sample_minibatch(s, n_p, n_h, 4, np.random.default_rng(0)),
     lambda s, n_p, n_h: evaluate_rolling(StubPredictor(np.ones((1, 4, 8))), s, n_p, n_h),

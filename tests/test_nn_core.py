@@ -340,15 +340,17 @@ class TestEncoderBlock:
         probe = Tensor(rng.standard_normal((batch, out_len, 4)))
 
         def closure(x, w, b):
-            out = ops.encoder_block(x, w, b, kernel // 2, pool)
+            out = ops.encoder_block(x, w, b, pool)
             assert out.shape == (batch, out_len, 4)
             return (out * probe).sum()
 
         assert grad_check(closure, [x, w, b]) < 1e-3
 
     @pytest.mark.parametrize("pool", ["max", "mean"])
+    # ``padding`` is the reference conv1d's: kernel // 2, which the fused
+    # block takes from its kernel
     @pytest.mark.parametrize("kernel,padding,length", [(3, 1, 21), (5, 2, 5),
-                                                       (3, 0, 9)])
+                                                       (1, 0, 9)])
     def test_matches_composed_ops(self, pool, kernel, padding, length):
         rng = np.random.default_rng(length)
         x = rng.standard_normal((3, length, 4))
@@ -357,7 +359,7 @@ class TestEncoderBlock:
         fused = [Tensor(a.copy(), requires_grad=True) for a in (x, *_block_params(w, b))]
         ref = [Tensor(a.copy(), requires_grad=True)
                for a in (np.ascontiguousarray(x.transpose(0, 2, 1)), w, b)]
-        out = ops.encoder_block(*fused, padding, pool)
+        out = ops.encoder_block(*fused, pool)
         out_ref = _composed_block(*ref, padding, pool)
         probe = rng.standard_normal(out.shape)
         (out * Tensor(probe)).sum().backward()
@@ -374,24 +376,29 @@ class TestEncoderBlock:
 
     @pytest.mark.parametrize("padding", [0, 1, 2])
     def test_a_block_reads_the_block_below_inside_its_margins(self, padding):
-        # a block with the padding of the block below reads its output in
-        # place, inside zero margins; any other block copies it
+        # a block with the kernel of the block below (kernel 1, 3 or 5) reads
+        # its output in place, inside zero margins of kernel // 2; any other
+        # block copies it
         rng = np.random.default_rng(padding)
         x = Tensor(rng.standard_normal((2, 12, 3)), requires_grad=True)
-        w1, b1, w2, b2 = (Tensor(a, requires_grad=True) for a in (
-            *_block_params(rng.standard_normal((4, 3, 3)), rng.standard_normal(4)),
-            *_block_params(rng.standard_normal((4, 4, 5)), rng.standard_normal(4))))
-        h = ops.encoder_block(x, w1, b1, padding, "max")
-        rebound = ops.encoder_block(x, w1, b1, padding, "max")
+
+        def block_params(c_in, kernel):
+            return [Tensor(a, requires_grad=True) for a in _block_params(
+                rng.standard_normal((4, c_in, kernel)), rng.standard_normal(4))]
+
+        w1, b1 = block_params(3, 2 * padding + 1)
+        same, other = block_params(4, 2 * padding + 1), block_params(4, 5 - 2 * padding)
+        h = ops.encoder_block(x, w1, b1, "max")
+        rebound = ops.encoder_block(x, w1, b1, "max")
         rebound.data = rebound.data * 2  # no longer the data inside its margins
-        for below, pad in [(h, padding), (h, 2 - padding), (rebound, padding)]:
-            got = ops.encoder_block(below, w2, b2, pad, "mean")
-            want = ops.encoder_block(Tensor(below.data.copy()), w2, b2, pad, "mean")
+        for below, (w2, b2) in [(h, same), (h, other), (rebound, same)]:
+            got = ops.encoder_block(below, w2, b2, "mean")
+            want = ops.encoder_block(Tensor(below.data.copy()), w2, b2, "mean")
             assert got.data.tobytes() == want.data.tobytes()
         assert np.shares_memory(h.data, h._padded)
         assert not h._padded[:, :padding].any()
         assert not h._padded[:, padding + h.shape[1]:].any()
-        ops.encoder_block(h, w2, b2, padding, "mean").sum().backward()
+        ops.encoder_block(h, *same, "mean").sum().backward()
         assert x.grad.any() and w1.grad.any()
 
     def test_tie_routes_to_first(self):
@@ -399,7 +406,7 @@ class TestEncoderBlock:
         x = Tensor(np.array([[[2.0], [2.0], [1.0], [3.0]]]), requires_grad=True)
         w = Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
         b = Tensor(np.zeros((1, 1)), requires_grad=True)
-        out = ops.encoder_block(x, w, b, 0, "max")
+        out = ops.encoder_block(x, w, b, "max")
         np.testing.assert_array_equal(out.data, [[[2.0], [3.0]]])
         out.sum().backward()
         np.testing.assert_array_equal(x.grad, [[[1.0], [0.0], [0.0], [1.0]]])
@@ -409,7 +416,7 @@ class TestEncoderBlock:
                    requires_grad=True)
         w = Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
         b = Tensor(np.zeros((1, 1)), requires_grad=True)
-        out = ops.encoder_block(x, w, b, 0, "max")
+        out = ops.encoder_block(x, w, b, "max")
         np.testing.assert_array_equal(out.data, [[[0.0], [0.5]]])
         out.sum().backward()
         np.testing.assert_array_equal(x.grad, [[[0.0], [0.0], [1.0], [0.0]]])
@@ -421,7 +428,7 @@ class TestEncoderBlock:
         tensors = [Tensor(rng.standard_normal(shape).astype(dtype),
                           requires_grad=True)
                    for shape in ((2, 10, 3), (1, 3, 3, 4), (1, 4))]
-        out = ops.encoder_block(*tensors, 1, pool)
+        out = ops.encoder_block(*tensors, pool)
         assert out.dtype == dtype
         out.sum().backward()
         assert all(t.grad.dtype == dtype for t in tensors)
@@ -430,17 +437,19 @@ class TestEncoderBlock:
         x = Tensor(np.zeros((1, 4, 2)))
         w, b = Tensor(np.zeros((1, 3, 2, 3))), Tensor(np.zeros((1, 3)))
         with pytest.raises(ValueError, match="weight"):  # checkpoint layout
-            ops.encoder_block(x, Tensor(np.zeros((3, 2, 3))), b, 1, "max")
+            ops.encoder_block(x, Tensor(np.zeros((3, 2, 3))), b, "max")
         with pytest.raises(ValueError, match="bias"):
-            ops.encoder_block(x, w, Tensor(np.zeros(3)), 1, "max")
+            ops.encoder_block(x, w, Tensor(np.zeros(3)), "max")
         with pytest.raises(ValueError, match="pool"):
-            ops.encoder_block(x, w, b, 1, "sum")
+            ops.encoder_block(x, w, b, "sum")
         with pytest.raises(ValueError, match="channels"):
-            ops.encoder_block(Tensor(np.zeros((1, 4, 5))), w, b, 1, "max")
+            ops.encoder_block(Tensor(np.zeros((1, 4, 5))), w, b, "max")
         with pytest.raises(ValueError, match="channels"):
-            ops.encoder_block(Tensor(np.zeros((4, 2))), w, b, 1, "max")
+            ops.encoder_block(Tensor(np.zeros((4, 2))), w, b, "max")
+        with pytest.raises(ValueError, match="kernel must be odd"):
+            ops.encoder_block(x, Tensor(np.zeros((1, 2, 2, 3))), b, "max")
         with pytest.raises(ValueError, match="at least 2"):
-            ops.encoder_block(Tensor(np.zeros((1, 3, 2))), w, b, 0, "max")
+            ops.encoder_block(Tensor(np.zeros((1, 1, 2))), w, b, "max")
 
 
 def _decoder_chain(x, per_future, out_length):
@@ -695,7 +704,7 @@ class TestNoGradParity:
         x = Tensor(rng.standard_normal((2, 9, 3)).astype(np.float32), requires_grad=True)
         w, b = (Tensor(a.astype(np.float32), requires_grad=True) for a in _block_params(
             rng.standard_normal((4, 3, kernel)), rng.standard_normal(4)))
-        self._check(ops.encoder_block, x, w, b, kernel // 2, pool)
+        self._check(ops.encoder_block, x, w, b, pool)
 
     @pytest.mark.parametrize("out_length", [None, 11])
     @pytest.mark.parametrize("shared", [True, False])

@@ -139,9 +139,14 @@ def test_ops_stack_no_weights_per_call():
 
 
 def test_series_windows_cut_in_training_only():
-    # evaluation reads every (input, target) window from training's
-    # validated view instead of cutting its own
+    # evaluation and the training sampler read every (input, target) window
+    # from training's validated view instead of cutting their own
     assert calls_named((SRC / "evaluation.py").read_text(), "sliding_window_view") == []
+    training = (SRC / "training.py").read_text()
+    assert callers_of(training, "sliding_window_view") == ["_series_windows"]
+    # and no other function calls it through another name
+    assert len([node for node in ast.walk(ast.parse(training))
+                if getattr(node, "attr", None) == "sliding_window_view"]) == 1
 
 
 def callers_of(source: str, name: str) -> list[str]:

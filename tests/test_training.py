@@ -186,6 +186,32 @@ class TestComputeLoss:
             record.rmse_term + gamma * record.nrmse_term, rel=1e-9, abs=1e-9)
 
 
+def _loss_at(i_oc):
+    rng = np.random.default_rng(7)
+    return compute_loss(random_future_set(rng, 2, 2, 8), rng.standard_normal((2, 8)), i_oc)
+
+
+_COUNTS = [
+    *((ModelConfig, name, valid) for name, valid in
+      (("n_p", 16), ("n_h", 24), ("d", 4), ("f", 3), ("n_s", 32), ("channels", 8),
+       ("kernel", 3))),
+    *((TrainConfig, name, valid) for name, valid in
+      (("n_iter", 2), ("batch_size", 4), ("seed", 0))),
+    *((GeneratorConfig, name, valid) for name, valid in (("n_hours", 48), ("seed", 0))),
+    (_loss_at, "i_oc", 1),
+]
+
+
+@pytest.mark.parametrize("owner,name,valid", _COUNTS,
+                         ids=[f"{owner.__name__}.{name}" for owner, name, _ in _COUNTS])
+@pytest.mark.parametrize("bad", [lambda v: v + 0.5, float, str],
+                         ids=["fraction", "float", "str"])
+def test_a_non_integer_count_raises_a_value_error_naming_it(owner, name, valid, bad):
+    owner(**{name: np.int64(valid)})  # a numpy integer is an integer
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+        owner(**{name: bad(valid)})
+
+
 class TestOracleMinMonotonicity:
     def test_subset_never_beats_superset(self):
         rng = np.random.default_rng(8)
