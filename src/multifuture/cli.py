@@ -40,6 +40,7 @@ from .model import (
     ExpertClassifier,
     Forecaster,
     ModelConfig,
+    _check_numbers,
     count_parameters,
 )
 from .training import TrainConfig, train, write_loss_trace
@@ -68,6 +69,8 @@ class PathsSection:
 class SplitSection:
     train_hours: int = 552          # 23 days
 
+    __post_init__ = _check_numbers
+
 
 @dataclass(frozen=True)
 class DataSection:
@@ -76,6 +79,7 @@ class DataSection:
     scope: str = "merchant"  # or "category": sample windows across all merchants
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.scope not in ("merchant", "category"):
             raise ValueError(f"scope must be merchant|category, got {self.scope!r}")
         if self.merchants < 1:

@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .model import _check_integer
+from .model import _as_count, _check_numbers
 from .persistence import _write_atomic
 
 __all__ = [
@@ -185,6 +185,7 @@ class RegimeSpec:
     phase_hours: float = 0.0
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.amplitude < 0:
             raise ValueError("regime amplitude must be >= 0")
 
@@ -216,22 +217,21 @@ class GeneratorConfig:
     merchant_id: str = "merchant_0000"
 
     def __post_init__(self):
-        for name in ("n_hours", "seed"):
-            _check_integer(name, getattr(self, name))
+        _check_numbers(self)
         if self.n_hours < 1:
             raise ValueError("n_hours must be >= 1")
         if not 0.0 <= self.regime_switch_prob <= 1.0:
             raise ValueError("regime_switch_prob must be in [0, 1]")
-        if self.daily_amp < 0 or self.weekly_amp < 0 or self.noise_std < 0:
-            raise ValueError("amplitudes and noise_std must be >= 0")
+        for name in ("daily_amp", "weekly_amp", "noise_std"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.regimes:
             raise ValueError("at least one regime is required")
         if len(self.base_levels) != 4:
             raise ValueError("base_levels must have 4 entries")
-        if not 0.0 <= self.base_levels[1] <= 1.0:
-            raise ValueError("unique-card fraction must be in [0, 1]")
-        if not 0.0 <= self.base_levels[3] <= 1.0:
-            raise ValueError("base approval rate must be in [0, 1]")
+        for i, what in ((1, "unique-card fraction"), (3, "base approval rate")):
+            if not 0.0 <= self.base_levels[i] <= 1.0:
+                raise ValueError(f"base_levels[{i}], the {what}, must be in [0, 1]")
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
@@ -519,8 +519,7 @@ def split_by_date(series: MultivariateSeries, train_end: datetime,
     """
     if train_end.tzinfo is None:
         raise ValueError("train_end must be timezone-aware")
-    _check_integer("warmup_hours", warmup_hours)
-    if warmup_hours < 0:
+    if _as_count("warmup_hours", warmup_hours) < 0:
         raise ValueError(f"warmup_hours must be >= 0, got {warmup_hours}")
     offset = train_end.astimezone(timezone.utc) - series.start_timestamp
     hours, remainder = divmod(offset, _HOUR)

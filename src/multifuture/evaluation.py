@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import MultivariateSeries
-from .model import FutureSet, check_windows
+from .model import FutureSet, _as_real, check_windows
 from .training import ZNORM_EPSILON, _score, _series_values, _series_windows, z_normalize
 
 __all__ = [
@@ -338,8 +338,8 @@ class RidgeBaseline:
 
     def __init__(self, train: MultivariateSeries, n_p: int, n_h: int,
                  lam: float = 1.0):
-        if not (np.isfinite(lam) and lam > 0):
-            raise ValueError(f"lam must be positive and finite, got {lam}")
+        if _as_real("lam", lam) <= 0:
+            raise ValueError(f"lam must be positive, got {lam}")
         # Time-major (windows, n_p + n_h, d); only x and y are allocated.
         windows = _series_windows(_series_values(train), n_p, n_h).swapaxes(1, 2)
         n_windows, _, self.d = windows.shape

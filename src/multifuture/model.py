@@ -27,11 +27,12 @@ Variants:
 
 All six are a list of :class:`Member` networks, built in
 :class:`Forecaster`'s constructor and :meth:`Member.from_config`, the only
-code that reads the variant.  A member
-is a shape encoder, a scale encoder (the same object for
-``shared_encoder`` and ``non_separated``), one shape decoder and one scale
-decoder (``None`` for ``non_separated``, which gets the unit multiplier and
-zero offset instead).  Each decoder runs all of its member's futures at
+model code that reads the variant (``training.train`` and the CLI's config
+overrides read it too, to train ``one_loss`` with gamma 0).  A member is a
+shape encoder, a scale encoder (the same object for ``shared_encoder`` and
+``non_separated``), one shape decoder and one scale decoder (``None`` for
+``non_separated``, which gets the unit multiplier and zero offset
+instead).  Each decoder runs all of its member's futures at
 once and returns them on a leading axis.  ``model_ensemble`` has ``f``
 single-future members with ``member{i}.`` parameter names; the other
 variants have one member.  The forward pass joins the members' outputs in
@@ -54,9 +55,12 @@ recombines in float64 instead.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
+import types
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -89,13 +93,50 @@ VARIANTS = (
 )
 
 _TCONV_BLOCKS = 5
+_hints = functools.cache(get_type_hints)  # resolving string annotations is slow
 
 
-def _check_integer(name: str, value) -> None:
-    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a Python
-    or numpy integer."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _as_number(tp, name: str, value):
+    """The one rule for a config's or an argument's numbers: ``value`` as a
+    field of type ``tp`` holds it.  ``int`` takes a count (a Python or numpy
+    integer) and ``float`` a real (a finite Python or numpy number) as a plain
+    ``int`` or ``float``, never a bool; ``X | None`` and a tuple (given as a
+    tuple or list) apply that to their items, and any other type takes
+    ``value``."""
+    if tp in (int, float):
+        return (_as_count if tp is int else _as_real)(name, value)
+    args = get_args(tp)
+    if isinstance(tp, types.UnionType):
+        return None if value is None else _as_number(args[0], name, value)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (tuple, list)):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        if args[0] in (int, float):
+            value = [_as_number(args[0], f"{name}[{i}]", v) for i, v in enumerate(value)]
+        return tuple(value)
+    return value
+
+
+def _as_count(name: str, value) -> int:
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _as_real(name: str, value) -> float:
+    # math.isfinite overflows on a Python int beyond the float range
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)
+            and (abs(value) <= sys.float_info.max if isinstance(value, int)
+                 else math.isfinite(value))):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_numbers(config) -> None:
+    """Store each field of dataclass ``config`` as :func:`_as_number` gives it."""
+    for name, tp in _hints(type(config)).items():
+        object.__setattr__(config, name, _as_number(tp, name, getattr(config, name)))
 
 
 @dataclass(frozen=True)
@@ -118,9 +159,9 @@ class ModelConfig:
     variant: str = "full"
 
     def __post_init__(self):
+        _check_numbers(self)
         for name in ("n_p", "n_h", "d", "f", "n_s", "channels", "kernel"):
             value, least = getattr(self, name), 2 if name == "n_p" else 1
-            _check_integer(name, value)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.kernel % 2 == 0:
@@ -194,16 +235,21 @@ def check_windows(inputs, n_p: int, d: int, dtype, single: bool = False) -> np.n
     with the same overlap, which :meth:`ConvEncoder.forward` detects.
     """
     step = None if single else _window_step(inputs, n_p)
-    if step is not None and inputs.shape[2] == d:
-        as_strided = np.lib.stride_tricks.as_strided
-        rows = np.asarray(as_strided(inputs, ((len(inputs) - 1) * step + n_p, d),
-                                     inputs.strides[1:], writeable=False), dtype=dtype)
-        arr = as_strided(rows, inputs.shape, (step * rows.strides[0], *rows.strides),
-                         writeable=False)
-    else:
-        arr = rows = np.asarray(inputs, dtype=dtype)
-        if arr.shape[-2:] != (n_p, d) or arr.ndim not in ((2,) if single else (2, 3)):
-            raise ValueError(f"expected a ({n_p}, {d}) window, got shape {np.shape(inputs)}")
+    try:
+        if step is not None and inputs.shape[2] == d:
+            as_strided = np.lib.stride_tricks.as_strided
+            rows = np.asarray(as_strided(inputs, ((len(inputs) - 1) * step + n_p, d),
+                                         inputs.strides[1:], writeable=False),
+                              dtype=dtype)
+            arr = as_strided(rows, inputs.shape, (step * rows.strides[0], *rows.strides),
+                             writeable=False)
+        else:
+            arr = rows = np.asarray(inputs, dtype=dtype)
+    except (TypeError, ValueError):  # not numbers, or a ragged nesting
+        raise ValueError(f"expected a ({n_p}, {d}) window, got {type(inputs).__name__} "
+                         f"that numpy cannot convert to {np.dtype(dtype).name}") from None
+    if arr.shape[-2:] != (n_p, d) or arr.ndim not in ((2,) if single else (2, 3)):
+        raise ValueError(f"expected a ({n_p}, {d}) window, got shape {np.shape(inputs)}")
     if not np.isfinite(rows).all():
         raise ValueError(f"({n_p}, {d}) input window holds non-finite values "
                          f"in {np.dtype(dtype).name}")
@@ -575,7 +621,7 @@ def shape_encoder_forward(model: Forecaster, window: np.ndarray) -> np.ndarray:
 
 
 def _check_future(model: Forecaster, decoder_index: int) -> None:
-    if not 0 <= decoder_index < model.config.f:
+    if not 0 <= _as_count("decoder_index", decoder_index) < model.config.f:
         raise ValueError(f"decoder_index {decoder_index} is outside "
                          f"[0, {model.config.f})")
 

@@ -513,9 +513,10 @@ def _union_block_kernel(values: np.ndarray, weight: np.ndarray, bias: np.ndarray
     table ``values`` (its last row zero), and the next block's table.
 
     Every conv row gets the same dot products, bias add, max and ReLU as in
-    a per-window pass, and the GEMM has at least two rows: a GEMM row's
-    bits do not depend on the row count from two rows up, while a one-row
-    product takes another BLAS path.
+    a per-window pass, and the GEMM has at least two rows: a one-row product
+    takes another BLAS path, and on OpenBLAS's SkylakeX (AVX-512) sgemm
+    kernel a row's bits do not depend on the row count from two rows up.
+    On its Haswell (AVX2) kernel they do (ROADMAP item 16).
     """
     cols = values.take(block.cols, axis=0)  # (conv rows, kernel, c_in)
     z = np.matmul(cols.reshape(len(cols), -1), weight.reshape(-1, weight.shape[-1]))

@@ -16,7 +16,6 @@ import functools
 import json
 import math
 import os
-import sys
 import tempfile
 import types
 import typing
@@ -26,6 +25,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .model import ExpertClassifier, Forecaster, ModelConfig
+from .model import _as_number, _check_numbers, _hints
 from .nn.layers import LayerParams, Take
 from .nn.tensor import Tensor
 
@@ -59,10 +59,10 @@ def from_payload(cls, payload, where: str, error: type[Exception]):
     """Build dataclass ``cls`` from decoded JSON, checking every field's type.
 
     Nested dataclasses, ``tuple[X, ...]`` fields (JSON lists) and ``X | None``
-    fields are converted recursively; a float field accepts a JSON integer,
-    and a bool is never a number.  Unknown keys, missing or wrongly typed
-    fields and the dataclass's own ``ValueError`` raise ``error`` naming the
-    field's path (``where`` is the path of ``payload``).
+    fields are converted recursively, and numbers by the constructors' rule,
+    :func:`~multifuture.model._as_number`.  Unknown keys, missing or wrongly
+    typed fields and the dataclass's own ``ValueError`` raise ``error`` naming
+    the field's path (``where`` is the path of ``payload``).
     """
     if not isinstance(payload, dict):
         raise error(f"{where} must be an object, got {payload!r}")
@@ -82,20 +82,22 @@ def from_payload(cls, payload, where: str, error: type[Exception]):
         raise error(f"{where}: {exc}") from None
 
 
-@functools.cache  # resolving string annotations dominates a manifest read
+@functools.cache  # a manifest reads one schema per parameter entry
 def _schema(cls) -> dict[str, tuple[object, bool]]:
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     return {f.name: (hints[f.name], f.default is f.default_factory is MISSING)
             for f in fields(cls)}
 
 
 def _convert(tp, value, where: str, name: str, error: type[Exception]):
-    if tp is float:
-        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-            return float(value)
-    elif tp in _TYPE_NAMES:
-        if type(value) is tp:
+    if tp is str:
+        if type(value) is str:
             return value
+    elif tp in (int, float):  # the constructors' count and real rule
+        try:
+            return _as_number(tp, name, value)
+        except ValueError:
+            pass
     elif is_dataclass(tp):
         return from_payload(tp, value, f"{where}.{name}", error)
     elif isinstance(tp, types.UnionType):  # X | None
@@ -144,6 +146,7 @@ class _Manifest:  # field order is manifest.json's key order
     parameters: tuple[_Entry, ...]
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.kind not in _KINDS:
             raise ValueError(f"unknown checkpoint kind {self.kind!r}")
         if self.variant and self.variant != self.config.variant:

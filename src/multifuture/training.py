@@ -24,7 +24,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import ExpertClassifier, Forecaster, FutureSet, ModelConfig, _check_integer
+from .model import ExpertClassifier, Forecaster, FutureSet, ModelConfig
+from .model import _as_count, _check_numbers
 from .nn import ops
 from .nn.optim import AdamState, adam_step
 from .nn.tensor import Tensor, no_grad
@@ -71,13 +72,9 @@ class TrainConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        for name in ("n_iter", "batch_size", "seed"):
-            _check_integer(name, getattr(self, name))
+        _check_numbers(self)
         if self.n_iter < 0 or self.batch_size < 1:
             raise ValueError("n_iter must be >= 0 and batch_size >= 1")
-        if not (np.isfinite(self.learning_rate) and np.isfinite(self.gamma)):
-            raise ValueError(f"learning_rate and gamma must be finite, got "
-                             f"{self.learning_rate} and {self.gamma}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.gamma < 0:
@@ -173,8 +170,7 @@ def oracle_index(future_set: FutureSet, truth) -> int:
 def compute_loss(future_set: FutureSet, truth, i_oc: int,
                  gamma: float = 1.0) -> LossRecord:
     """Evaluate the oracle loss of a prediction set at a given index."""
-    _check_integer("i_oc", i_oc)
-    if not 1 <= i_oc <= future_set.f:
+    if not 1 <= _as_count("i_oc", i_oc) <= future_set.f:
         raise ValueError(f"i_oc {i_oc} out of range [1..{future_set.f}]")
     truth = np.asarray(truth, dtype=np.float64)
     rmses, nrmses, _ = _score(future_set.futures, future_set.shape_preds, truth)
@@ -202,7 +198,7 @@ def _series_values(series) -> np.ndarray:
 
 def _check_horizons(n_p, n_h) -> None:
     for name, hours in (("n_p", n_p), ("n_h", n_h)):
-        if not isinstance(hours, (int, np.integer)) or hours < 1:
+        if _as_count(name, hours) < 1:
             raise ValueError(f"{name} must be a positive integer, got {hours!r}")
 
 
@@ -244,6 +240,8 @@ def sample_minibatch(series, n_p: int, n_h: int, n_b: int,
     passes a :class:`_WindowPool` of the same horizons, built once per run,
     so its series are not checked again on every call.
     """
+    if _as_count("n_b", n_b) < 0:
+        raise ValueError(f"n_b must be >= 0, got {n_b}")
     pool = series if isinstance(series, _WindowPool) else _WindowPool(series, n_p, n_h)
     views = pool.views
     which = (np.zeros(n_b, dtype=int) if len(views) == 1

@@ -91,6 +91,8 @@ class TestGenerator:
             GeneratorConfig(regimes=())
         with pytest.raises(ValueError):
             GeneratorConfig(noise_std=-0.1)
+        with pytest.raises(ValueError, match="^regimes must be a list, got 5"):
+            GeneratorConfig(regimes=5)
 
     def test_continuations_share_history(self):
         cfg = GeneratorConfig(seed=3)

@@ -510,8 +510,9 @@ class TestRidge:
                                    rtol=1e-4, atol=1e-6)
 
     def test_lambda_must_be_positive(self, month_series):
-        for lam in (0.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="positive"):
+        for lam, problem in ((0.0, "positive"), (np.nan, "a finite number"),
+                             (np.inf, "a finite number")):
+            with pytest.raises(ValueError, match=f"^lam must be {problem}"):
                 RidgeBaseline(month_series, 24, 6, lam=lam)
 
     def test_future_set_contract(self, month_series):
@@ -610,8 +611,29 @@ def test_every_baseline_predicts_no_future_sets_for_an_empty_batch(month_series,
 ])
 def test_every_window_consumer_rejects_a_bad_horizon(month_series, consume,
                                                      n_p, n_h, name):
-    with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+    problem = "an integer" if n_p == 2.5 else "a positive integer"
+    with pytest.raises(ValueError, match=f"{name} must be {problem}"):
         consume(month_series, n_p, n_h)
+
+
+_SMALL = ModelConfig(n_p=16, n_h=8, d=4, f=2, n_s=2, channels=4)
+_PREDICTORS = {
+    "forecaster": lambda series: Forecaster(_SMALL).predict_futures,
+    "expert": lambda series: ExpertClassifier(_SMALL).predict_proba,
+    "nearest_neighbor": lambda series: NearestNeighborBaseline(series, 16, 8).predict_futures,
+    "ridge": lambda series: RidgeBaseline(series, 16, 8).predict_futures,
+}
+
+
+@pytest.mark.parametrize("predictor", _PREDICTORS)
+@pytest.mark.parametrize("window", [
+    {}, np.full((16, 4), {}, dtype=object), [[1.0] * 4, [1.0]],
+], ids=["dict", "object_array", "ragged"])
+def test_a_window_numpy_cannot_convert_raises_a_value_error(month_series, predictor,
+                                                             window):
+    predict = _PREDICTORS[predictor](month_series)
+    with pytest.raises(ValueError, match=r"^expected a \(16, 4\) window, got "):
+        predict(window)
 
 
 def test_report_json_bytes():

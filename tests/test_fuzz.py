@@ -9,7 +9,8 @@ with the boundary's typed error: a bare ``TypeError``, ``KeyError`` or
 import json
 import os
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict, fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -17,19 +18,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from nn_reference import full_scan, full_scan_distances, normalized_windows
 
-from multifuture.cli import CliError, RunConfig, main
+from multifuture.cli import CliError, DataSection, RunConfig, SplitSection, main
 from multifuture.data import (
     CsvFormatError,
     GeneratorConfig,
     MultivariateSeries,
+    RegimeSpec,
     generate,
     load_csv,
     save_csv,
 )
 from multifuture.evaluation import NearestNeighborBaseline, RidgeBaseline, evaluate_rolling
 from multifuture.model import VARIANTS, Forecaster, ModelConfig
-from multifuture.persistence import BLOB_NAME, MANIFEST_NAME, CheckpointError, load, save
-from multifuture.training import ZNORM_EPSILON, z_normalize
+from multifuture.persistence import (
+    BLOB_NAME,
+    MANIFEST_NAME,
+    CheckpointError,
+    from_payload,
+    load,
+    save,
+)
+from multifuture.training import ZNORM_EPSILON, TrainConfig, z_normalize
 
 CFG = ModelConfig(n_p=8, n_h=4, d=2, f=2, n_s=2, channels=2)
 MODEL = Forecaster(CFG, seed=0)
@@ -180,6 +189,54 @@ def test_cli_main_returns_status_on_random_config(payload):
             json.dump(payload, fh)
         assert main(["generate", "--config", path,
                      "--out", os.path.join(tmp, "data")]) in (0, 1)
+
+
+# Python and numpy counts and reals, bools, non-finite floats and strings.
+_NUMBERS = (st.integers(-3, 400) | st.integers() | st.integers(-2**63, 2**63 - 1).map(np.int64)
+            | st.floats() | st.floats(width=32).map(np.float32) | st.booleans()
+            | st.sampled_from([np.True_, np.nan, np.inf, -np.inf]) | st.text(max_size=3))
+_CONFIGS = (ModelConfig, TrainConfig, GeneratorConfig, DataSection, SplitSection)
+
+
+def _numbers(cls) -> dict[str, type]:
+    """The ``int`` and ``float`` fields of dataclass ``cls``."""
+    return {name: tp for name, tp in get_type_hints(cls).items() if tp in (int, float)}
+
+
+@st.composite
+def config_cases(draw):
+    """A config class, keyword numbers for up to three of its number fields,
+    and for the generator a ``base_levels`` list and one or two regimes'."""
+    cls = draw(st.sampled_from(_CONFIGS))
+    names = draw(st.lists(st.sampled_from(sorted(_numbers(cls))), unique=True, max_size=3))
+    kwargs = {name: draw(_NUMBERS) for name in names}
+    regimes = []
+    if cls is GeneratorConfig:
+        if draw(st.booleans()):
+            kwargs["base_levels"] = draw(st.lists(_NUMBERS, min_size=4, max_size=4))
+        regimes = draw(st.lists(st.dictionaries(st.sampled_from(sorted(_numbers(RegimeSpec))),
+                                                _NUMBERS, max_size=2), min_size=1, max_size=2))
+    return cls, kwargs, regimes
+
+
+@settings(max_examples=300)
+@given(config_cases())
+def test_a_config_names_a_bad_number_or_round_trips_through_json(case):
+    cls, kwargs, regimes = case
+    drawn = [*kwargs, *(name for regime in regimes for name in regime)]
+    try:
+        if regimes:
+            kwargs["regimes"] = [RegimeSpec(**regime) for regime in regimes]
+        config = cls(**kwargs)
+    except ValueError as exc:
+        assert any(name in str(exc) for name in drawn), exc
+        return
+    for owner in (config, *getattr(config, "regimes", ())):
+        assert {name: type(getattr(owner, name)) for name in _numbers(type(owner))} \
+            == _numbers(type(owner))
+    assert all(type(level) is float for level in getattr(config, "base_levels", ()))
+    payload = json.loads(json.dumps(asdict(config)))
+    assert from_payload(cls, payload, "config", ValueError) == config
 
 
 @st.composite

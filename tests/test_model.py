@@ -1,5 +1,6 @@
 """Tests for the forecaster: architecture arithmetic, variants, contracts."""
 
+import contextlib
 import gc
 import hashlib
 import json
@@ -240,6 +241,20 @@ class TestModelForward:
         for windows in (np.zeros((0, cfg.n_p, cfg.d)), view):
             assert windows.shape == (0, cfg.n_p, cfg.d)
             assert model.predict_batch(windows) == []
+
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_empty_stack_gives_empty_tensors(self, variant, grad):
+        cfg = small_config(variant=variant, n_h=16)
+        model = Forecaster(cfg, seed=0)
+        with contextlib.nullcontext() if grad else no_grad():
+            fwd = model.forward_tensors(np.zeros((0, cfg.n_p, cfg.d)))
+        assert fwd.futures.shape == fwd.shape_preds.shape == (cfg.f, 0, cfg.d, cfg.n_h)
+        assert fwd.scale_mul.shape == fwd.scale_add.shape == (cfg.f, 0, cfg.d)
+        if variant == "tconv_decoder":
+            assert fwd.activations is None
+        else:
+            assert fwd.activations.shape == (cfg.f, 0, cfg.d, cfg.n_s)
 
     def test_f3_default(self):
         model = Forecaster(ModelConfig(n_p=16, d=2, f=3, n_s=4, channels=8), seed=0)

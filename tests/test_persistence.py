@@ -54,6 +54,18 @@ class TestRoundTrip:
             assert np.array_equal(model.predict_futures(window).futures,
                                   loaded.predict_futures(window).futures)
 
+    def test_numpy_counts_round_trip(self, tmp_path):
+        config = ModelConfig(**{k: np.int64(v) if isinstance(v, int) else v
+                                for k, v in asdict(CFG).items()})
+        model = Forecaster(config, seed=2)
+        save(model, tmp_path / "ckpt", training_seed=np.int64(3))
+        loaded = load(tmp_path / "ckpt")
+        assert loaded.config == config == CFG
+        assert _read_manifest(tmp_path / "ckpt").training_seed == 3
+        window = _window()
+        assert np.array_equal(model.predict_futures(window).futures,
+                              loaded.predict_futures(window).futures)
+
     def test_manifest_parameter_count_matches(self, tmp_path):
         model = Forecaster(CFG, seed=0)
         save(model, tmp_path / "ckpt")

@@ -126,16 +126,24 @@ def calls_named(source: str, name: str) -> list[int]:
             and getattr(c.func, "attr", getattr(c.func, "id", None)) == name]
 
 
+def references(source: str, name: str) -> list[int]:
+    """Lines of ``source`` that name ``name``, as a variable or an attribute,
+    so that a function bound to another name first is still seen."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if getattr(n, "id", None) == name or getattr(n, "attr", None) == name)
+
+
 def test_guard_flags_a_stack_call():
     source = ("import numpy as np\nfrom numpy import stack\n"
               "def f(ws):\n    return np.stack(ws), stack(ws)\n"
-              "np.concatenate([np.hstack([])])\n")
+              "np.concatenate([np.hstack([])])\njoin = np.stack\n")
     assert calls_named(source, "stack") == [4, 4]
+    assert references(source, "stack") == [4, 4, 6]
 
 
 def test_ops_stack_no_weights_per_call():
     # a decoder's weights are stacked once, when the model is built
-    assert calls_named((SRC / "nn" / "ops.py").read_text(), "stack") == []
+    assert references((SRC / "nn" / "ops.py").read_text(), "stack") == []
 
 
 def test_series_windows_cut_in_training_only():
@@ -145,8 +153,7 @@ def test_series_windows_cut_in_training_only():
     training = (SRC / "training.py").read_text()
     assert callers_of(training, "sliding_window_view") == ["_series_windows"]
     # and no other function calls it through another name
-    assert len([node for node in ast.walk(ast.parse(training))
-                if getattr(node, "attr", None) == "sliding_window_view"]) == 1
+    assert len(references(training, "sliding_window_view")) == 1
 
 
 def callers_of(source: str, name: str) -> list[str]:
@@ -176,19 +183,22 @@ OP_KERNELS = ("_encoder_block_kernel", "_stacked_conv_kernel", "_softmax_kernel"
               "_stacked_matmul_kernel")
 
 
-def kernel_calls(sources: dict[str, str]) -> list[str]:
-    """Each call of a private op kernel in ``sources`` (file name -> text)."""
+def kernel_references(sources: dict[str, str]) -> list[str]:
+    """Each reference to a private op kernel in ``sources`` (file name -> text)."""
     return [f"{path} line {line}: {name}" for path, source in sources.items()
-            for name in OP_KERNELS for line in calls_named(source, name)]
+            for name in OP_KERNELS for line in references(source, name)]
 
 
 def test_guard_flags_a_kernel_call():
     sources = {"model.py": "def plan(cols, w, b, out):\n"
                            "    ops._stacked_conv_kernel(cols, w, b, False, out)\n"
                            "    return _softmax_kernel\n",
-               "data.py": "_encoder_block_kernel(cols, w, b, buffers)\n"}
-    assert kernel_calls(sources) == ["model.py line 2: _stacked_conv_kernel",
-                                     "data.py line 1: _encoder_block_kernel"]
+               "data.py": "_encoder_block_kernel(cols, w, b, buffers)\n",
+               "layers.py": "mix = ops._stacked_matmul_kernel\nmix(a, b, out)\n"}
+    assert kernel_references(sources) == ["model.py line 2: _stacked_conv_kernel",
+                                          "model.py line 3: _softmax_kernel",
+                                          "data.py line 1: _encoder_block_kernel",
+                                          "layers.py line 1: _stacked_matmul_kernel"]
 
 
 def test_op_kernels_are_called_from_the_ops_only():
@@ -196,4 +206,4 @@ def test_op_kernels_are_called_from_the_ops_only():
     # window replays the steps the ops recorded
     sources = {str(path.relative_to(SRC)): path.read_text()
                for path in sorted(SRC.rglob("*.py")) if path != SRC / "nn" / "ops.py"}
-    assert kernel_calls(sources) == []
+    assert kernel_references(sources) == []

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multifuture import training
-from multifuture.data import GeneratorConfig, generate
+from multifuture.data import GeneratorConfig, RegimeSpec, generate
+from multifuture.evaluation import RidgeBaseline
 from multifuture.model import Forecaster, FutureSet, ModelConfig
 from multifuture.training import (
     LossRecord,
@@ -186,6 +187,10 @@ class TestComputeLoss:
             record.rmse_term + gamma * record.nrmse_term, rel=1e-9, abs=1e-9)
 
 
+def _batch_of(n_b):
+    return sample_minibatch(np.ones((30, 2)), 16, 8, n_b, np.random.default_rng(0))
+
+
 def _loss_at(i_oc):
     rng = np.random.default_rng(7)
     return compute_loss(random_future_set(rng, 2, 2, 8), rng.standard_normal((2, 8)), i_oc)
@@ -199,16 +204,44 @@ _COUNTS = [
       (("n_iter", 2), ("batch_size", 4), ("seed", 0))),
     *((GeneratorConfig, name, valid) for name, valid in (("n_hours", 48), ("seed", 0))),
     (_loss_at, "i_oc", 1),
+    (_batch_of, "n_b", 4),
 ]
 
 
 @pytest.mark.parametrize("owner,name,valid", _COUNTS,
                          ids=[f"{owner.__name__}.{name}" for owner, name, _ in _COUNTS])
-@pytest.mark.parametrize("bad", [lambda v: v + 0.5, float, str],
-                         ids=["fraction", "float", "str"])
+@pytest.mark.parametrize("bad", [lambda v: v + 0.5, float, str, bool],
+                         ids=["fraction", "float", "str", "bool"])
 def test_a_non_integer_count_raises_a_value_error_naming_it(owner, name, valid, bad):
     owner(**{name: np.int64(valid)})  # a numpy integer is an integer
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+        owner(**{name: bad(valid)})
+
+
+def _ridge(lam):
+    return RidgeBaseline(np.ones((40, 2)), 8, 4, lam=lam)
+
+
+_REALS = [
+    *((TrainConfig, name, valid) for name, valid in
+      (("gamma", 1.0), ("learning_rate", 1e-3))),
+    *((GeneratorConfig, name, valid) for name, valid in
+      (("daily_amp", 0.6), ("weekly_amp", 0.25), ("noise_std", 0.05),
+       ("regime_switch_prob", 0.3))),
+    *((RegimeSpec, name, valid) for name, valid in
+      (("amplitude", 1.0), ("phase_hours", 0.0))),
+    (_ridge, "lam", 1.0),
+]
+
+
+@pytest.mark.parametrize("owner,name,valid", _REALS,
+                         ids=[f"{owner.__name__}.{name}" for owner, name, _ in _REALS])
+@pytest.mark.parametrize("bad", [str, bool, lambda v: np.nan, lambda v: np.inf,
+                                 lambda v: -np.inf],
+                         ids=["str", "bool", "nan", "inf", "-inf"])
+def test_a_non_real_raises_a_value_error_naming_it(owner, name, valid, bad):
+    owner(**{name: np.float32(valid)})  # a numpy number is a real
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number, got"):
         owner(**{name: bad(valid)})
 
 
@@ -225,6 +258,16 @@ class TestOracleMinMonotonicity:
 
 
 class TestSampleMinibatch:
+    def test_no_windows_is_an_empty_batch(self):
+        inputs, targets = sample_minibatch(np.ones((30, 2)), 16, 8, 0,
+                                           np.random.default_rng(0))
+        assert (inputs.dtype, inputs.shape) == (np.float64, (0, 16, 2))
+        assert (targets.dtype, targets.shape) == (np.float64, (0, 8, 2))
+
+    def test_a_negative_batch_size_is_named(self):
+        with pytest.raises(ValueError, match="^n_b must be >= 0, got -1"):
+            _batch_of(-1)
+
     def test_single_window_series(self):
         values = np.arange(48.0).reshape(24, 2)
         rng = np.random.default_rng(0)
@@ -266,7 +309,8 @@ class TestSampleMinibatch:
     def test_bad_horizon_named_before_the_length_filter(self, n_p, n_h, name):
         # every series is too short for any horizon, so only the horizon check
         # can name the problem
-        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+        problem = "an integer" if n_p == 2.5 else "a positive integer"
+        with pytest.raises(ValueError, match=f"{name} must be {problem}"):
             sample_minibatch(np.ones((5, 2)), n_p, n_h, 4, np.random.default_rng(0))
 
     def test_each_series_is_checked_once_per_call(self, monkeypatch):
@@ -374,7 +418,7 @@ class TestTrain:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_config_rejects_a_non_finite_value(self, field, value):
         # rejected up front, not blamed on the model as a non-finite loss
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
             TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("variant", ["shared_encoder", "non_separated",
