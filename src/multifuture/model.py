@@ -101,8 +101,8 @@ def _as_number(tp, name: str, value):
     field of type ``tp`` holds it.  ``int`` takes a count (a Python or numpy
     integer) and ``float`` a real (a finite Python or numpy number) as a plain
     ``int`` or ``float``, never a bool; ``X | None`` and a tuple (given as a
-    tuple or list) apply that to their items, and any other type takes
-    ``value``."""
+    tuple or list) apply that to their items, and any other type, such as
+    ``str`` or a dataclass, takes an instance of it."""
     if tp in (int, float):
         return (_as_count if tp is int else _as_real)(name, value)
     args = get_args(tp)
@@ -111,9 +111,9 @@ def _as_number(tp, name: str, value):
     if get_origin(tp) is tuple:
         if not isinstance(value, (tuple, list)):
             raise ValueError(f"{name} must be a list, got {value!r}")
-        if args[0] in (int, float):
-            value = [_as_number(args[0], f"{name}[{i}]", v) for i, v in enumerate(value)]
-        return tuple(value)
+        return tuple(_as_number(args[0], f"{name}[{i}]", v) for i, v in enumerate(value))
+    if not isinstance(value, tp):
+        raise ValueError(f"{name} must be a {tp.__name__}, got {value!r}")
     return value
 
 

@@ -5,7 +5,7 @@ It steps a plain list of tensors, such as a model's ``parameters()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -17,12 +17,18 @@ __all__ = ["AdamState", "adam_step"]
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the step counter."""
+    """Per-parameter first/second moments plus the step counter.
+
+    ``scratch`` holds, per dtype, the two buffers :func:`adam_step` computes
+    in, each as large as the largest moment of that dtype; the first step
+    allocates them.
+    """
 
     step_count: int
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
     learning_rate: float = 1e-3
+    scratch: dict = field(default_factory=dict, repr=False, compare=False)
     beta1: ClassVar[float] = 0.9
     beta2: ClassVar[float] = 0.999
     epsilon: ClassVar[float] = 1e-8
@@ -42,6 +48,9 @@ def adam_step(params: list[Tensor], state: AdamState) -> AdamState:
 
     Every trainable tensor must carry a populated gradient.  After the
     update all gradients are zeroed and ``step_count`` is incremented.
+    Each tensor's update runs the ufuncs of ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + (1 - b2) g^2`` and ``p -= lr m_hat / (sqrt(v_hat) + eps)``
+    in that order, into the two scratch buffers instead of temporaries.
     """
     if len(params) != len(state.first_moment):
         raise ValueError("parameter list does not match optimizer state")
@@ -59,12 +68,24 @@ def adam_step(params: list[Tensor], state: AdamState) -> AdamState:
         if not t.requires_grad:
             continue
         g = t.grad
+        a, b = _scratch(state, m)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=a)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / bias1
-        v_hat = v / bias2
-        t.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        v += np.multiply(1.0 - b2, np.multiply(g, g, out=a), out=a)
+        m_hat = np.divide(m, bias1, out=a)
+        v_hat = np.divide(v, bias2, out=b)
+        step = np.multiply(state.learning_rate, m_hat, out=a)
+        denom = np.add(np.sqrt(v_hat, out=b), state.epsilon, out=b)
+        t.data -= np.divide(step, denom, out=a)
         t.grad = None
     return state
+
+
+def _scratch(state: AdamState, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two scratch arrays of ``m``'s shape and dtype, views of ``state.scratch``."""
+    buf = state.scratch.get(m.dtype)
+    if buf is None:
+        size = max(x.size for x in state.first_moment if x.dtype == m.dtype)
+        buf = state.scratch[m.dtype] = np.empty((2, size), m.dtype)
+    return buf[0, :m.size].reshape(m.shape), buf[1, :m.size].reshape(m.shape)

@@ -113,7 +113,16 @@ class Tensor:
     # -- autodiff machinery -------------------------------------------------
 
     def backward(self):
-        """Accumulate gradients of a scalar into every reachable tensor."""
+        """Accumulate gradients of a scalar into every reachable leaf.
+
+        The graph lives until this call: each node is released once its
+        backward function has run (or once it is known that no gradient
+        reaches it), dropping its parents, its closure with the arrays the
+        op saved, and its ``.grad``.  Leaves (tensors no op made, such as
+        parameters) keep their gradients, so when this returns nothing of
+        the graph is left but the nodes' ``data``.  A second call through a
+        released node raises ``RuntimeError``.
+        """
         if self.data.size != 1:
             raise ValueError(
                 f"backward() needs a scalar, got shape {self.data.shape}"
@@ -134,14 +143,19 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in visited:
                     work.append((parent, False))
         _accumulate(self, np.ones_like(self.data))
-        for node in reversed(topo):
-            if node.grad is None:
-                # No gradient reached this node (see concat): skip its
-                # subgraph, and give a reachable leaf an exact zero.
-                if node._backward_fn is None:
+        # Popped in reverse topological order: every child of a node is
+        # released before it, so a released node is freed as soon as the
+        # loop moves on.
+        while topo:
+            node = topo.pop()
+            if node._backward_fn is None:
+                if node.grad is None:
+                    # No gradient reached this leaf (see concat): an exact zero.
                     node.grad = np.zeros_like(node.data)
-            elif node._backward_fn is not None:
+                continue
+            if node.grad is not None:  # else skip its subgraph (see concat)
                 node._backward_fn(node.grad)
+            node.grad, node._parents, node._backward_fn = None, (), _released
 
     # -- arithmetic -----------------------------------------------------
 
@@ -294,6 +308,12 @@ def _builds_graph(parents) -> bool:
     ``parents``: grad mode is on and some parent requires grad.  An op
     computes backward-only state only when this holds."""
     return is_grad_enabled() and any(p.requires_grad for p in parents)
+
+
+def _released(grad) -> None:
+    """The backward function of a node that :meth:`Tensor.backward` released."""
+    raise RuntimeError("backward() reached a graph node that an earlier backward() "
+                       "released; run the forward pass again to build a new graph")
 
 
 def _owner(data: np.ndarray) -> np.ndarray:

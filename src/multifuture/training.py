@@ -18,6 +18,7 @@ take their errors and winners from it.
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -270,11 +271,32 @@ def _oracle_batch_loss(fwd, truth, gamma: float, iteration: int):
                             nrmse_term, winners.sum(axis=1).tolist())
 
 
+def _pin_allocator() -> None:
+    """Keep the memory a training step frees in the process.
+
+    Each backward pass frees its whole graph, and glibc would then trim its
+    heap and return large blocks to the system, so the next forward pass
+    would fault the same pages in again.  Serving every block under 32 MiB
+    from the heap, and trimming only past 256 MiB free at its top, keeps
+    them.  This only changes where memory comes from, never a value.  It
+    does nothing where the C library or its ``mallopt`` cannot be found.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's ceiling for its dynamic one
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def _fit(series, params, config: ModelConfig, train_config: TrainConfig,
          seed: int, loss_of):
     """Step Adam on ``loss_of(inputs, truth) -> (loss, total)`` over seeded
     mini-batches, with float32 ``(batch, d, n_h)`` truth; yield after each
-    step, or raise :class:`TrainingDiverged` on a non-finite total."""
+    step, or raise :class:`TrainingDiverged` on a non-finite total.  Each
+    step's backward pass releases its graph (see :meth:`Tensor.backward`),
+    so a step holds one graph; :func:`_pin_allocator` runs first."""
+    _pin_allocator()
     pool = _WindowPool(series, config.n_p, config.n_h)
     state = AdamState.init(params, learning_rate=train_config.learning_rate)
     rng = np.random.default_rng(seed)

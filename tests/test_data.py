@@ -94,6 +94,14 @@ class TestGenerator:
         with pytest.raises(ValueError, match="^regimes must be a list, got 5"):
             GeneratorConfig(regimes=5)
 
+    def test_a_regime_that_is_not_a_regime_spec_raises_naming_it(self):
+        with pytest.raises(ValueError, match=r"^regimes\[1\] must be a RegimeSpec, got 5"):
+            GeneratorConfig(regimes=(RegimeSpec(), 5))
+
+    def test_a_merchant_id_that_is_not_a_string_raises_naming_it(self):
+        with pytest.raises(ValueError, match="^merchant_id must be a str, got 3"):
+            GeneratorConfig(merchant_id=3)
+
     def test_continuations_share_history(self):
         cfg = GeneratorConfig(seed=3)
         history_a, futures_a = sample_continuations(cfg, 168, 24, 5)

@@ -1,5 +1,6 @@
 """Tests for the differentiation engine: ops, Adam, gradient checking."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -837,6 +838,53 @@ class TestUpsampleNearest:
             ops.upsample_nearest(Tensor([[1.0, 2.0, 3.0]]), 2)
 
 
+class TestGraphRelease:
+    """backward() releases the graph it walks: each step of training holds
+    one graph, not the last step's as well."""
+
+    @staticmethod
+    def _block_graph():
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((2, 8, 3)), requires_grad=True)
+        w, b = (Tensor(a, requires_grad=True)
+                for a in _block_params(rng.standard_normal((4, 3, 3)),
+                                       rng.standard_normal(4)))
+        hidden = ops.encoder_block(x, w, b, "max")
+        return (x, w, b), hidden, (hidden * hidden).sum()
+
+    def test_a_non_leaf_drops_its_gradient(self):
+        _, hidden, loss = self._block_graph()
+        loss.backward()
+        assert hidden.grad is None and loss.grad is None
+        assert hidden._parents == () and loss._parents == ()
+
+    def test_leaves_keep_their_gradients(self):
+        leaves, _, loss = self._block_graph()
+        loss.backward()
+        for leaf in leaves:
+            assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+            assert np.any(leaf.grad != 0)
+
+    def test_the_arrays_an_op_saved_are_freed(self):
+        _, hidden, loss = self._block_graph()
+        fn = hidden._backward_fn
+        saved = dict(zip(fn.__code__.co_freevars,
+                         (cell.cell_contents for cell in fn.__closure__)))
+        cols = weakref.ref(saved["cols"])
+        del fn, saved
+        assert cols() is not None
+        loss.backward()
+        assert cols() is None
+
+    def test_a_second_backward_raises(self):
+        _, hidden, loss = self._block_graph()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            (hidden * 2.0).sum().backward()  # a new graph on a released node
+
+
 class TestAdam:
     def _params(self, value):
         return [Tensor(np.array([value], dtype=np.float64), requires_grad=True)]
@@ -880,6 +928,32 @@ class TestAdam:
         params[0].grad = np.ones(1)
         adam_step(params, AdamState.init(params))
         assert params[0].grad is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_steps_match_the_textbook_update_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(0)
+        shapes = [(3, 4), (7,), (2, 2, 5)]
+        params = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+                  for s in shapes]
+        expected = [p.data.copy() for p in params]
+        m, v = [np.zeros_like(e) for e in expected], [np.zeros_like(e) for e in expected]
+        state = AdamState.init(params)
+        b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+        for step in range(1, 5):
+            grads = [rng.standard_normal(s).astype(dtype) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = g.copy()
+            adam_step(params, state)
+            for e, mi, vi, g in zip(expected, m, v, grads):
+                mi *= b1
+                mi += (1.0 - b1) * g
+                vi *= b2
+                vi += (1.0 - b2) * (g * g)
+                e -= lr * (mi / (1.0 - b1 ** step)) / (
+                    np.sqrt(vi / (1.0 - b2 ** step)) + eps)
+            for p, e in zip(params, expected):
+                assert p.data.tobytes() == e.tobytes()
+        assert [buf.shape for buf in state.scratch.values()] == [(2, 20)]
 
     def test_defaults(self):
         state = AdamState.init(self._params(0.0))

@@ -2,6 +2,8 @@
 
 import hashlib
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -430,6 +432,73 @@ class TestTrain:
         assert len(trace) == 3
         fs = model.predict_futures(_tiny_series().values[:16])
         fs.validate()
+
+
+class TestTrainingMemory:
+    CONFIG = dict(n_p=32, n_h=16, d=4, f=3, n_s=4, channels=8)
+    BATCH = 32
+
+    def test_a_step_holds_one_graph(self):
+        # the traced peak over iterations 2-4 against one forward plus
+        # backward from a fresh model; with the last step's graph still
+        # alive the ratio is about 1.5
+        cfg, series = ModelConfig(**self.CONFIG), _tiny_series()
+        tcfg = TrainConfig(n_iter=4, batch_size=self.BATCH, seed=0)
+        train(series, cfg, replace(tcfg, n_iter=1))  # warm every cache first
+        inputs, targets = sample_minibatch(series, cfg.n_p, cfg.n_h, self.BATCH,
+                                           np.random.default_rng(0))
+        truth = np.ascontiguousarray(targets.transpose(0, 2, 1), dtype=np.float32)
+        peaks = []
+
+        def progress(record):
+            if record.iteration in (0, 3):
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            if record.iteration == 0:
+                tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            model = Forecaster(cfg, seed=0)
+            training._oracle_batch_loss(model.forward_tensors(inputs), truth,
+                                        1.0, 0)[0].backward()
+            one_step = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            del model
+            tracemalloc.start()
+            train(series, cfg, tcfg, progress)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.25 * one_step, (peaks[1] / one_step, peaks, one_step)
+
+
+class TestAllocatorPin:
+    class _Libc:
+        def __init__(self):
+            self.calls = []
+
+        def mallopt(self, param, value):
+            self.calls.append((param, value))
+            return 1
+
+    def test_pins_the_mmap_and_trim_thresholds(self, monkeypatch):
+        libc = self._Libc()
+        monkeypatch.setattr(training.ctypes, "CDLL", lambda name: libc)
+        train(_tiny_series(), ModelConfig(**SMALL_MODEL),
+              TrainConfig(n_iter=1, batch_size=4))
+        assert libc.calls == [(-3, 32 << 20), (-1, 256 << 20)]
+
+    @pytest.mark.parametrize("libc", [OSError, object()], ids=["no_libc", "no_mallopt"])
+    def test_is_a_silent_noop_without_mallopt(self, monkeypatch, libc):
+        def cdll(name):
+            if libc is OSError:
+                raise OSError("libc not found")
+            return libc
+
+        monkeypatch.setattr(training.ctypes, "CDLL", cdll)
+        assert training._pin_allocator() is None
+        _, trace = train(_tiny_series(), ModelConfig(**SMALL_MODEL),
+                         TrainConfig(n_iter=2, batch_size=4))
+        assert len(trace) == 2
 
 
 class TestTrainExpert:

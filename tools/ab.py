@@ -22,7 +22,12 @@ process, as packages ``ab_parent`` and ``ab_change``, so a slow phase of
 the machine hits both sides alike; separate processes cannot share a
 phase that way.  Each side builds its own series and untrained model from
 seed ``SEED`` (the generator is bit-identical across checkouts that pin
-it) and runs once before the first round.  A round reads, in ms:
+it) and runs once before the first round.  The two sides also share one
+C allocator: settings one side makes (training pins glibc's mmap and
+trim thresholds) hold for the other side too, and what one side frees
+shapes the heap the other allocates from.  So judge memory, page faults
+and any allocator effect with ``pairs``, whose sides are separate
+processes.  A round reads, in ms:
 
 ``train``     one public ``train`` call of ``ITERS`` + 1 iterations at
               batch 64, timed per iteration through its ``progress``
