@@ -1,20 +1,19 @@
 """Command-line pipeline: generate, train, evaluate, predict, ablate.
 
 Every command reads a JSON run configuration (strictly validated: unknown
-keys are rejected), applies any flag overrides, and echoes the effective
-configuration into its output directory so results can be reproduced
-exactly.  Artifacts are written atomically; exit status is nonzero exactly
+and repeated keys are rejected), applies any flag overrides, and echoes the
+effective configuration into its output directory so results can be
+reproduced exactly.  Artifacts are written atomically; exit status is nonzero exactly
 when a command fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from datetime import timedelta
 from itertools import product
 
@@ -116,14 +115,8 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except FileNotFoundError:
-            raise CliError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config file {path} is not valid JSON: {exc}") from None
-        return cls.from_payload(payload)
+        return cls.from_payload(persistence._read_json(
+            path, CliError, f"config file not found: {path}"))
 
     def data_dir(self) -> str:
         if self.paths.data_dir:
@@ -157,8 +150,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _echo_config(config: RunConfig, out_dir: str) -> None:
-    _write_text(os.path.join(out_dir, "effective_config.json"),
-                json.dumps(asdict(config), indent=2) + "\n")
+    persistence._write_json(os.path.join(out_dir, "effective_config.json"), config)
 
 
 def _say(message: str) -> None:
@@ -168,28 +160,20 @@ def _say(message: str) -> None:
 # -- data loading --------------------------------------------------------------
 
 
-def _merchant_path(data_dir: str, merchant: str) -> str:
-    return os.path.join(data_dir, f"{merchant}.csv")
-
-
 def _load_training_series(config: RunConfig) -> list[MultivariateSeries]:
     """The merchant's series, or every generated merchant's in category scope."""
     data_dir = config.data_dir()
     if config.data.scope == "category":
         manifest_path = os.path.join(data_dir, "dataset_manifest.json")
-        try:
-            with open(manifest_path) as fh:
-                manifest = json.load(fh)
-        except FileNotFoundError:
-            raise CliError(
-                f"category scope needs {manifest_path} (run `generate` first)"
-            ) from None
+        manifest = persistence._read_json(
+            manifest_path, CliError,
+            f"category scope needs {manifest_path} (run `generate` first)")
         files = persistence.from_payload(_DatasetManifest, manifest,
                                          "dataset_manifest", CliError).files
         sources = [(os.path.join(data_dir, entry.file), entry.merchant_id)
                    for entry in files]
     else:
-        path = _merchant_path(data_dir, config.data.merchant)
+        path = os.path.join(data_dir, f"{config.data.merchant}.csv")
         if not os.path.exists(path):
             raise CliError(f"no data for {config.data.merchant!r} at {path}")
         sources = [(path, config.data.merchant)]
@@ -228,9 +212,8 @@ def cmd_generate(config: RunConfig, out_dir: str) -> int:
         save_csv(series, os.path.join(out_dir, filename))
         entries.append(_DatasetFile(merchant_id, filename, seed))
         _say(f"wrote {filename} ({len(series)} hours)")
-    manifest = _DatasetManifest(tuple(entries), config.generator)
-    _write_text(os.path.join(out_dir, "dataset_manifest.json"),
-                json.dumps(asdict(manifest), indent=2) + "\n")
+    persistence._write_json(os.path.join(out_dir, "dataset_manifest.json"),
+                            _DatasetManifest(tuple(entries), config.generator))
     _echo_config(config, out_dir)
     print(out_dir)
     return 0
@@ -262,8 +245,7 @@ def cmd_train(config: RunConfig, out_dir: str) -> int:
         "parameter_count": counts._asdict(),
         "wall_time_s": wall,
     }
-    _write_text(os.path.join(out_dir, "run_summary.json"),
-                json.dumps(summary, indent=2) + "\n")
+    persistence._write_json(os.path.join(out_dir, "run_summary.json"), summary)
     _echo_config(config, out_dir)
     _say(f"trained {model.model_id} in {wall:.1f}s "
          f"({counts.total} parameters)")
@@ -334,7 +316,7 @@ def cmd_predict(checkpoint: str, input_csv: str, expert: str | None,
         classifier = persistence.load(expert)
         if not isinstance(classifier, ExpertClassifier):
             raise CliError("expert checkpoint does not hold an expert classifier")
-        ours, theirs = asdict(model.config), asdict(classifier.config)
+        ours, theirs = vars(model.config), vars(classifier.config)
         differ = [f"{k}={theirs[k]!r} (forecaster: {ours[k]!r})"
                   for k in ours if theirs[k] != ours[k]]
         if differ:
@@ -388,8 +370,7 @@ def cmd_predict(checkpoint: str, input_csv: str, expert: str | None,
         "model_id": model.model_id, "n_p": n_p, "n_h": n_h,
         "futures": futures.f, "expert": expert,
     }
-    _write_text(os.path.join(out_dir, "effective_config.json"),
-                json.dumps(run_info, indent=2) + "\n")
+    persistence._write_json(os.path.join(out_dir, "effective_config.json"), run_info)
     print(os.path.join(out_dir, "futures.csv"))
     return 0
 

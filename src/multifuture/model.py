@@ -66,7 +66,7 @@ import numpy as np
 
 from .nn import ops
 from .nn.layers import Parameters, Take, initializer
-from .nn.tensor import Tensor, capture, concat, is_grad_enabled, no_grad
+from .nn.tensor import Tensor, _from_op, capture, concat, is_grad_enabled, no_grad
 
 __all__ = [
     "VARIANTS",
@@ -285,7 +285,7 @@ class ConvEncoder:
         step = (_window_step(x.data, self.length) if blocks and not is_grad_enabled()
                 else None)
         if step is not None:
-            x = Tensor(ops._union_max_blocks(x.data, step, blocks))
+            x = _from_op(ops._union_max_blocks(x.data, step, blocks), (x,), None)
         else:
             for conv in blocks:
                 x = ops.encoder_block(x, conv.weight, conv.bias, "max")

@@ -6,8 +6,8 @@ and ``params.f32``, the raw little-endian float32 concatenation of the
 parameters in manifest order.  The blob carries no header or timestamps,
 so identical models serialize to identical bytes.
 
-:func:`from_payload` type-checks every JSON payload the program reads
-(manifests and run configurations) against a dataclass schema.
+Every JSON file the program reads goes through :func:`_read_json` and
+:func:`from_payload`, which type-checks it against a dataclass schema.
 """
 
 from __future__ import annotations
@@ -90,10 +90,7 @@ def _schema(cls) -> dict[str, tuple[object, bool]]:
 
 
 def _convert(tp, value, where: str, name: str, error: type[Exception]):
-    if tp is str:
-        if type(value) is str:
-            return value
-    elif tp in (int, float):  # the constructors' count and real rule
+    if tp in (int, float, str):  # the constructors' rule
         try:
             return _as_number(tp, name, value)
         except ValueError:
@@ -109,6 +106,35 @@ def _convert(tp, value, where: str, name: str, error: type[Exception]):
                      for i, v in enumerate(value))
     expected = _TYPE_NAMES.get(tp, "a list")
     raise error(f"{where} field {name!r} must be {expected}, got {value!r}")
+
+
+def _read_json(path: str, error: type[Exception], missing: str):
+    """The JSON value in file ``path``, or ``error(missing)`` if there is no
+    such file.  A file it cannot read, bytes that are not UTF-8, text that is
+    not JSON, nesting past the recursion limit and a key repeated in one
+    object raise ``error`` naming ``path``."""
+    try:
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode("utf-8"), object_pairs_hook=_unique_keys)
+    except FileNotFoundError:
+        raise error(missing) from None
+    except OSError as exc:  # a directory, or no permission to read
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path} is not valid JSON: {exc}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"key {next(k for k in record if keys.count(k) > 1)!r} is repeated")
+    return record
+
+
+def _write_json(path: str, record) -> None:
+    # default=vars writes a dataclass field by field: asdict's bytes, no deep copy
+    _write_atomic(path, (json.dumps(record, default=vars, indent=2) + "\n").encode())
 
 
 def _write_atomic(path: str, payload: bytes) -> None:
@@ -187,10 +213,7 @@ def _write_checkpoint(directory, kind: str, config: ModelConfig,
         created_utc=datetime.now(timezone.utc).isoformat(),
         parameters=tuple(entries))
     os.makedirs(directory, exist_ok=True)
-    # default=vars walks the dataclasses field by field; asdict would
-    # deep-copy every entry first and write the same bytes.
-    _write_atomic(os.path.join(directory, MANIFEST_NAME),
-                  (json.dumps(manifest, default=vars, indent=2) + "\n").encode())
+    _write_json(os.path.join(directory, MANIFEST_NAME), manifest)
     _write_atomic(os.path.join(directory, BLOB_NAME), b"".join(chunks))
 
 
@@ -212,13 +235,7 @@ def save_shape_banks(model: Forecaster, directory) -> None:
 
 def _read_manifest(directory) -> _Manifest:
     path = os.path.join(directory, MANIFEST_NAME)
-    try:
-        with open(path, "rb") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        raise CheckpointError(f"no manifest at {path}") from None
-    except ValueError as exc:  # malformed JSON or text encoding
-        raise CheckpointError(f"corrupt manifest at {path}: {exc}") from None
+    manifest = _read_json(path, CheckpointError, f"no manifest at {path}")
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != FORMAT_VERSION:
         raise CheckpointError(

@@ -10,6 +10,7 @@ import json
 import os
 import tempfile
 from dataclasses import asdict, fields
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -189,6 +190,78 @@ def test_cli_main_returns_status_on_random_config(payload):
             json.dump(payload, fh)
         assert main(["generate", "--config", path,
                      "--out", os.path.join(tmp, "data")]) in (0, 1)
+
+
+# The three JSON files the program reads, each as a valid record and as the
+# same record with a repeated key: a run config, a category-scope dataset
+# manifest and a checkpoint manifest.
+_JSON_INPUTS = {
+    "config": (b'{"data": {"merchants": 1}}',
+               b'{"data": {"merchants": 1}, "data": {"merchants": 1}}'),
+    "dataset_manifest": (b'{"files": [], "generator": {}}',
+                         b'{"files": [], "files": [], "generator": {}}'),
+    "manifest": (MANIFEST, MANIFEST.replace(b"{", b'{"kind": "forecaster", ', 1)),
+}
+_JSON_FAULTS = {  # fault: what it puts at the input's path, from (valid, repeated)
+    "missing": lambda path, valid, repeated: None,
+    "directory": lambda path, valid, repeated: path.mkdir(),
+    "non_utf8": lambda path, valid, repeated: path.write_bytes(b"\xff" + valid),
+    "truncated": lambda path, valid, repeated: path.write_bytes(valid[:len(valid) // 2]),
+    "deep": lambda path, valid, repeated: path.write_bytes(b"[" * 100_000 + b"]" * 100_000),
+    "repeated_key": lambda path, valid, repeated: path.write_bytes(repeated),
+}
+
+
+def _json_input_error(tmp: Path, name: str, fault: str, capsys) -> tuple[str, str]:
+    """The path of input ``name`` with ``fault``, and the message of its
+    boundary's typed error: ``main``'s status 1 with one ``error:`` line,
+    or ``load``'s ``CheckpointError``."""
+    path = tmp / (MANIFEST_NAME if name == "manifest" else f"{name}.json")
+    _JSON_FAULTS[fault](path, *_JSON_INPUTS[name])
+    if name == "manifest":
+        (tmp / BLOB_NAME).write_bytes(BLOB)
+        with pytest.raises(CheckpointError) as raised:
+            load(tmp)
+        return str(path), str(raised.value)
+    config = path
+    if name == "dataset_manifest":  # category scope reads it before training
+        config = tmp / "config.json"
+        config.write_text(json.dumps({"paths": {"data_dir": str(tmp)},
+                                      "data": {"scope": "category"}}))
+    command = "generate" if name == "config" else "train"
+    capsys.readouterr()
+    assert main([command, "--config", str(config), "--out", str(tmp / "out")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+    return str(path), line
+
+
+@pytest.mark.parametrize("fault", _JSON_FAULTS)
+@pytest.mark.parametrize("name", _JSON_INPUTS)
+def test_a_faulty_json_input_gives_the_typed_error_naming_its_file(
+        name, fault, tmp_path, capsys):
+    path, message = _json_input_error(tmp_path, name, fault, capsys)
+    assert path in message
+
+
+@settings(max_examples=100)
+@given(st.binary(max_size=40) | mutated(_JSON_INPUTS["config"][0]))
+@example(b"{}")
+@example(b"[" * 100_000)
+def test_any_bytes_as_a_config_give_a_status(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert main(["generate", "--config", path,
+                     "--out", os.path.join(tmp, "data")]) in (0, 1)
+
+
+@settings(max_examples=100)
+@given(st.binary(max_size=200))
+@example(b"[" * 100_000)
+def test_any_bytes_as_a_manifest_raise_checkpoint_error(data):
+    assert _load_checkpoint(data, BLOB) is None  # None: CheckpointError
 
 
 # Python and numpy counts and reals, bools, non-finite floats and strings.

@@ -18,6 +18,7 @@ from multifuture.nn import (
     initializer,
     no_grad,
 )
+from multifuture.model import Forecaster, ModelConfig
 from multifuture.nn import layers, ops
 from multifuture.nn.tensor import _accumulate, _from_op, capture
 from nn_reference import kernel_major_cols
@@ -1124,3 +1125,13 @@ class TestCapture:
             with pytest.raises(RuntimeError, match="without a recorded step"):
                 a + b
         assert (a + b).shape == (2, 3)  # outside capture, as before
+
+    def test_the_union_encoder_is_not_captured_silently(self):
+        # the max-pool blocks over overlapping windows run outside any op's
+        # step, so a replay would reuse their input to the last block
+        model = Forecaster(ModelConfig(n_p=8, n_h=4, d=2, f=2, n_s=2, channels=2), seed=0)
+        series = np.random.default_rng(0).standard_normal((11, 2)).astype(np.float32)
+        windows = np.lib.stride_tricks.sliding_window_view(series, 8, axis=0).swapaxes(1, 2)
+        assert windows.shape == (4, 8, 2)
+        with capture(), pytest.raises(RuntimeError, match="without a recorded step"):
+            model.forward_tensors(windows)

@@ -11,11 +11,12 @@ Every mode runs ``--rounds`` rounds of :func:`alternate` and reports each
 metric through :func:`summarize`.
 
 ``pairs WORKLOAD`` runs ``perfbench/run.py --workload WORKLOAD --seed S+r
---seconds 25 --trace 0`` in round ``r``, each side with its checkout's own
-``perfbench/run.py``.  It appends every result line, with its side, round
-and seed, to ``.bench_out/ab.jsonl`` beside this file's checkout, reports
-each side's failed and attempted operations (:func:`operations`), then
-the end-to-end metrics of ``BENCHMARK.json``.
+--seconds T --trace 0`` in round ``r``, each side with its checkout's own
+``perfbench/run.py``; ``T`` is ``BENCHMARK.json``'s ``run_seconds``.  It
+appends every result line, with its side, round and seed, to
+``.bench_out/ab.jsonl`` beside this file's checkout, reports each side's
+failed and attempted operations (:func:`operations`), then the
+end-to-end metrics of ``BENCHMARK.json``.
 
 The other modes import both checkouts' ``src/multifuture`` into this one
 process, as packages ``ab_parent`` and ``ab_change``, so a slow phase of
@@ -61,7 +62,6 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 LOG = ROOT / ".bench_out" / "ab.jsonl"
 SIDES = ("parent", "change")
-SECONDS = 25  # the benchmark's run length
 SERIES_HOURS = 1512
 TRAIN_HOURS = 840
 WARMUP_HOURS = 168
@@ -123,13 +123,14 @@ def operations(rows: dict[str, list[dict]]) -> list[str]:
             for side, side_rows in _complete(rows).items()]
 
 
-def benchmark_row(side: str, r: int, checkout: Path, workload: str, seed: int) -> dict:
+def benchmark_row(side: str, r: int, checkout: Path, workload: str, seed: int,
+                  seconds: int) -> dict:
     """The metrics' values and the failed and attempted operations of one
-    untraced benchmark run in ``checkout``, logged as ``side``'s run in
-    round ``r``."""
+    untraced benchmark run of ``seconds`` in ``checkout``, logged as
+    ``side``'s run in round ``r``."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(SECONDS), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"run in {checkout} (seed {seed}) failed:\n{done.stderr[-2000:]}")
@@ -207,10 +208,11 @@ def main(argv=None) -> int:
         parser.error("pairs takes a WORKLOAD, and no other mode does")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if args.mode == "pairs":
-        end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-        metrics = [(metric["name"], metric["better"]) for metric in end_to_end]
+        benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+        metrics = [(metric["name"], metric["better"]) for metric in benchmark["end_to_end"]]
         rows = alternate(args.rounds, lambda side, r: benchmark_row(
-            side, r, checkouts[side], args.workload, args.first_seed + r))
+            side, r, checkouts[side], args.workload, args.first_seed + r,
+            benchmark["run_seconds"]))
         print("\n".join(operations(rows)))
     else:
         timers = {side: make_timer(import_checkout(side, checkouts[side]), args)
