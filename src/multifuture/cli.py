@@ -97,6 +97,10 @@ class _DatasetManifest:  # dataset_manifest.json, as `generate` writes it
     files: tuple[_DatasetFile, ...]
     generator: GeneratorConfig
 
+    def __post_init__(self):
+        if not self.files:
+            raise ValueError("files lists no merchant")
+
 
 @dataclass
 class RunConfig:

@@ -30,6 +30,8 @@ same kernel reads in place, and any other input is copied into one.
 The im2col columns are copied from a read-only window view of that
 buffer, built from its strides (:func:`_planned_cols`);
 ``sliding_window_view``'s argument checks cost more than a batch-1 GEMM.
+The graph holds that buffer anyway, so the backward pass copies the
+columns again instead of keeping them, ``kernel`` times the input's size.
 :func:`stacked_conv` upsamples its input before it convolves, so a
 layer's nearest upsampling, zero padding and im2col window are one
 ``np.take`` of the layer below's output (:func:`_gather_cols`), run on
@@ -399,17 +401,20 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, pool: str) -> Tensor:
     parents = (x, weight, bias)
     bwd = None
     if _builds_graph(parents):  # otherwise no backward-only state
+        # Only what costs more than a copy to rebuild is saved: the
+        # backward regathers the columns from ``xp``, which the graph holds
+        # anyway (the block below's output, or block 0's small copy), and a
+        # max-pool block reads its ReLU mask off ``out``.
         w2 = wd.reshape(kernel * c_in, c_out)
         if pool == "max":
             left, right = pairs
-            active = scratch > 0
             right_wins = right > left  # strict: ties take the left
         else:
             active = z > 0
 
         def bwd(g):
             if pool == "max":
-                g_act = g * active
+                g_act = g * (out > 0)  # out > 0 exactly where max(left, right) > 0
                 gz = np.zeros((n, length, c_out), dtype=g_act.dtype)
                 odd = gz[:, 1:2 * half:2]
                 np.multiply(g_act, right_wins, out=odd)
@@ -418,7 +423,10 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, pool: str) -> Tensor:
                 gz = (g / length) * active
             g2 = gz.reshape(n * length, c_out)
             if weight.requires_grad:
+                cols, gather = _planned_cols(xp, kernel)
+                gather()
                 _accumulate(weight, (cols.T @ g2).reshape(wd.shape), owned=True)
+                del cols, gather
             if bias.requires_grad:
                 _accumulate(bias, g2.sum(axis=0, keepdims=True), owned=True)
             if x.requires_grad:
@@ -727,14 +735,13 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
     _run(forward, z)
     del buffer, forward
     parents = (x, weight, bias)
-    # the ReLU ran in place, and z > 0 exactly where its input was
-    active = z > 0 if relu and _builds_graph(parents) else None
 
     def bwd(g):
         fi, ri = np.nonzero(g.any(axis=(2, 3)))  # (future, row) pairs, by future
         gz = g[fi, ri]
         if relu:
-            gz *= active[fi, ri]
+            # the ReLU ran in place, and z > 0 exactly where its input was
+            gz *= z[fi, ri] > 0
         rows = xd[ri] if shared else xd[fi, ri]
         cols, gather = cols_of(rows, cols_buffer(rows))
         gather()

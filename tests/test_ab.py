@@ -1,6 +1,8 @@
 """The A/B tool's summary of its rounds (``tools/ab.py``)."""
 
 import importlib.util
+import json
+import tracemalloc
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
@@ -40,3 +42,18 @@ def test_summary_of_no_complete_round():
                         {"parent": [0.4], "change": []}) == "predict_ms_p50: no complete round"
     assert ab.operations(rows) == ["parent: 0 failed of 0 operations",
                                    "change: 0 failed of 0 operations"]
+
+
+def test_train_rounds_read_the_step_time_and_the_peak_of_one_traced_step(capsys):
+    # both sides are this checkout; one round of full f=3 at batch 64
+    assert ab.main([str(ab.ROOT), str(ab.ROOT), "train", "--rounds", "1",
+                    "--variant", "full", "--f", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [json.loads(line.split(": ", 1)[1]) for line in lines[:2]]
+    assert [line.split(":")[0] for line in lines] == [
+        "round 0 parent", "round 0 change", "train_ms", "step_peak_mb"]
+    for row in rows:
+        assert set(row) == {"train_ms", "step_peak_mb"}
+        # an encoder block saves no im2col columns: about 29 MiB if it did
+        assert 0 < row["step_peak_mb"] <= 17 and row["train_ms"] > 0
+    assert not tracemalloc.is_tracing()

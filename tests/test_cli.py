@@ -357,18 +357,28 @@ class TestConfigValidation:
         assert main(["train", "--config", str(bad)]) == 1
         assert re.search(f"error: {message}", capsys.readouterr().err)
 
-    def test_dataset_manifest_without_files(self, workdir, capsys):
+    @staticmethod
+    def _train_on_manifest(workdir, capsys, manifest: str) -> list[str]:
+        """``main train``'s stderr lines in category scope, after writing
+        ``manifest`` as the generated data's dataset manifest."""
         tmp_path, config = workdir
         data_dir = _generate(workdir)
-        (data_dir / "dataset_manifest.json").write_text('{"generator": {}}')
+        (data_dir / "dataset_manifest.json").write_text(manifest)
         payload = json.loads(open(config).read())
         payload["data"]["scope"] = "category"
         category = tmp_path / "category.json"
         category.write_text(json.dumps(payload))
         capsys.readouterr()
         assert main(["train", "--config", str(category)]) == 1
+        return capsys.readouterr().err.splitlines()
+
+    def test_dataset_manifest_without_files(self, workdir, capsys):
         assert "error: dataset_manifest field 'files' is missing" \
-            in capsys.readouterr().err
+            in self._train_on_manifest(workdir, capsys, '{"generator": {}}')
+
+    def test_dataset_manifest_listing_no_files(self, workdir, capsys):
+        assert self._train_on_manifest(workdir, capsys, '{"files": [], "generator": {}}') \
+            == ["error: dataset_manifest: files lists no merchant"]
 
     def test_even_kernel_rejected(self, workdir, capsys):
         tmp_path, config = workdir

@@ -198,7 +198,8 @@ def test_cli_main_returns_status_on_random_config(payload):
 _JSON_INPUTS = {
     "config": (b'{"data": {"merchants": 1}}',
                b'{"data": {"merchants": 1}, "data": {"merchants": 1}}'),
-    "dataset_manifest": (b'{"files": [], "generator": {}}',
+    "dataset_manifest": (b'{"files": [{"merchant_id": "m", "file": "m.csv", "seed": 0}], '
+                         b'"generator": {}}',
                          b'{"files": [], "files": [], "generator": {}}'),
     "manifest": (MANIFEST, MANIFEST.replace(b"{", b'{"kind": "forecaster", ', 1)),
 }

@@ -220,6 +220,22 @@ class TestSoftmax:
             assert np.all((t.grad == 0) | (np.abs(t.grad) >= tiny))
 
 
+def _cell_value(cell):
+    """A closure cell's value, or None for a cell not yet assigned."""
+    try:
+        return cell.cell_contents
+    except ValueError:
+        return None
+
+
+def _saved(fn) -> dict:
+    """The arrays and tensors a backward closure holds, by name (a name
+    that only another branch of the op assigns is left out)."""
+    cells = zip(fn.__code__.co_freevars, fn.__closure__)
+    return {name: value for name, cell in cells
+            if isinstance(value := _cell_value(cell), (np.ndarray, Tensor))}
+
+
 def _composed_block(x, w, b, padding, pool):
     """relu(conv1d) then pooling on channels-first data: the reference."""
     h = ops.relu(ops.conv1d(x, w, b, padding=padding))
@@ -347,6 +363,26 @@ class TestEncoderBlock:
             return (out * probe).sum()
 
         assert grad_check(closure, [x, w, b]) < 1e-3
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_grad_check_of_chained_max_blocks(self, kernel):
+        # the second block reads the first's output inside its margins, and
+        # both backward passes regather their columns from those buffers
+        rng = np.random.default_rng(kernel)
+        x = Tensor(rng.standard_normal((3, 12, 2)), requires_grad=True)
+        params = [Tensor(a, requires_grad=True)
+                  for c_in in (2, 4) for a in _block_params(
+                      rng.standard_normal((4, c_in, kernel)) * 0.5,
+                      rng.standard_normal(4) * 0.1)]
+        probe = Tensor(rng.standard_normal((3, 3, 4)))
+
+        def closure(x, w1, b1, w2, b2):
+            h = ops.encoder_block(x, w1, b1, "max")
+            out = ops.encoder_block(h, w2, b2, "max")
+            assert np.shares_memory(h.data, _saved(out._backward_fn)["xp"])
+            return (out * probe).sum()
+
+        assert grad_check(closure, [x, *params]) < 1e-3
 
     @pytest.mark.parametrize("pool", ["max", "mean"])
     # ``padding`` is the reference conv1d's: kernel // 2, which the fused
@@ -868,14 +904,42 @@ class TestGraphRelease:
 
     def test_the_arrays_an_op_saved_are_freed(self):
         _, hidden, loss = self._block_graph()
-        fn = hidden._backward_fn
-        saved = dict(zip(fn.__code__.co_freevars,
-                         (cell.cell_contents for cell in fn.__closure__)))
-        cols = weakref.ref(saved["cols"])
-        del fn, saved
-        assert cols() is not None
+        right_wins = weakref.ref(_saved(hidden._backward_fn)["right_wins"])
+        assert right_wins() is not None
         loss.backward()
-        assert cols() is None
+        assert right_wins() is None
+
+    def test_encoder_blocks_save_no_im2col_columns(self):
+        # each block's backward regathers its (rows, kernel * c_in) columns
+        # from the padded input the graph holds anyway
+        cfg = ModelConfig(n_p=32, n_h=8, d=2, f=2, n_s=2, channels=4)
+        windows = np.random.default_rng(0).standard_normal((3, cfg.n_p, cfg.d))
+        loss = Forecaster(cfg, seed=0).forward_tensors(windows).futures.sum()
+        blocks, work, seen = [], [loss], set()
+        while work:
+            node = work.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                work.extend(node._parents)
+                if node._backward_fn is not None and (
+                        node._backward_fn.__qualname__ == "encoder_block.<locals>.bwd"):
+                    blocks.append(_saved(node._backward_fn))
+        assert len(blocks) == 2 * cfg.encoder_blocks  # both towers
+        for saved in blocks:
+            _, kernel, c_in, c_out = saved["weight"].shape
+            assert kernel * c_in != c_out
+            assert all(a.shape[-1] != kernel * c_in for a in saved.values()), \
+                {name: a.shape for name, a in saved.items()}
+
+    def test_a_relu_layer_saves_no_mask(self):
+        # stacked_conv's ReLU backward reads its output on the winning rows
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((2, 3, 5, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 3, 4, 6)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
+        out = ops.stacked_conv(x, w, b, relu=True)
+        assert all(a.dtype != bool for a in _saved(out._backward_fn).values()
+                   if isinstance(a, np.ndarray))
 
     def test_a_second_backward_raises(self):
         _, hidden, loss = self._block_graph()

@@ -3,7 +3,7 @@
 Usage, from anywhere::
 
     python3 tools/ab.py PARENT CHANGE pairs WORKLOAD [--first-seed S]
-    python3 tools/ab.py PARENT CHANGE train [--variant V] [--f F]
+    python3 tools/ab.py PARENT CHANGE train [--variant V] [--f F]   (default tconv_decoder, f=12)
     python3 tools/ab.py PARENT CHANGE predict [--windows W]
     python3 tools/ab.py PARENT CHANGE evaluate
 
@@ -30,10 +30,13 @@ shapes the heap the other allocates from.  So judge memory, page faults
 and any allocator effect with ``pairs``, whose sides are separate
 processes.  A round reads, in ms:
 
-``train``     one public ``train`` call of ``ITERS`` + 1 iterations at
+``train``     one public ``train`` call of ``ITERS`` + 2 iterations at
               batch 64, timed per iteration through its ``progress``
               callback; the first iteration is dropped and the round reads
-              the median of the rest.
+              the median of the next ``ITERS``.  The last iteration is
+              untimed: ``tracemalloc`` traces it alone, and the round also
+              reads its peak as ``step_peak_mb`` (MiB), the most memory the
+              step allocated above what was in use just before it.
 ``predict``   the median of ``CALLS`` ``predict_batch`` calls on a stacked
               copy of the first ``--windows`` windows of the held-out span.
 ``evaluate``  one ``evaluate_rolling`` call over the held-out span.
@@ -54,6 +57,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from datetime import timedelta
 from pathlib import Path
 
@@ -154,22 +158,33 @@ def import_checkout(side: str, checkout: Path):
     return package
 
 
-def make_timer(mf, args):
+def make_round(mf, args):
     """A function that runs one round of ``args.mode`` on package ``mf`` and
-    returns its time in seconds."""
+    returns its row, ``{metric: value}``."""
     series = mf.data.generate(mf.data.GeneratorConfig(n_hours=SERIES_HOURS,
                                                       seed=SEED))
     config = mf.ModelConfig(variant=args.variant, f=args.f)
     train_split = series.values[:TRAIN_HOURS]
     if args.mode == "train":
-        train_config = mf.TrainConfig(n_iter=ITERS + 1, batch_size=BATCH_SIZE,
+        train_config = mf.TrainConfig(n_iter=ITERS + 2, batch_size=BATCH_SIZE,
                                       seed=SEED)
 
         def round_():
-            stamps = [time.perf_counter()]
-            mf.train(train_split, config, train_config,
-                     lambda _: stamps.append(time.perf_counter()))
-            return statistics.median(b - a for a, b in zip(stamps[1:], stamps[2:]))
+            stamps, peak = [time.perf_counter()], []
+
+            def progress(record):
+                if record.iteration <= ITERS:
+                    stamps.append(time.perf_counter())
+                    if record.iteration == ITERS:  # trace the last step only
+                        tracemalloc.start()
+                else:
+                    peak.append(tracemalloc.get_traced_memory()[1])
+                    tracemalloc.stop()
+
+            mf.train(train_split, config, train_config, progress)
+            return {"train_ms": 1e3 * statistics.median(
+                        b - a for a, b in zip(stamps[1:], stamps[2:])),
+                    "step_peak_mb": peak[0] / 2 ** 20}
 
         return round_
     model = mf.Forecaster(config, seed=SEED)
@@ -187,7 +202,7 @@ def make_timer(mf, args):
             start = time.perf_counter()
             work()
             times.append(time.perf_counter() - start)
-        return statistics.median(times)
+        return {f"{args.mode}_ms": 1e3 * statistics.median(times)}
 
     return round_
 
@@ -215,12 +230,12 @@ def main(argv=None) -> int:
             benchmark["run_seconds"]))
         print("\n".join(operations(rows)))
     else:
-        timers = {side: make_timer(import_checkout(side, checkouts[side]), args)
+        rounds = {side: make_round(import_checkout(side, checkouts[side]), args)
                   for side in SIDES}
-        for side in SIDES:  # warm both sides before the first timed round
-            timers[side]()
-        metrics = [(f"{args.mode}_ms", "lower")]
-        rows = alternate(args.rounds, lambda side, r: {metrics[0][0]: timers[side]() * 1e3})
+        # warm both sides before the first timed round
+        warm = {side: rounds[side]() for side in SIDES}
+        metrics = [(name, "lower") for name in warm["parent"]]
+        rows = alternate(args.rounds, lambda side, r: rounds[side]())
     for name, better in metrics:
         print(summarize(name, better, {side: [row[name] for row in rows[side]]
                                        for side in SIDES}))
