@@ -336,15 +336,17 @@ class TConvShapeDecoder:
     1 -> 2 -> 4 -> 8 -> 16 -> n_h progression, with the last upsample forced
     to the output horizon.  Every layer runs as one
     :func:`~multifuture.nn.ops.stacked_conv` over a leading future axis, on
-    channels-last data; the transposed convolutions run as the equal
-    kernel-reversed "same" convolutions.  Each upsampling runs in the layer
-    above it: ``stacked_conv`` upsamples its input, so ``tconv{b}`` reads
-    the layer below upsampled to ``length_schedule()[b]`` and the output
-    conv reads it upsampled to ``n_h``, which takes the upsampling, padding
-    and im2col of a layer in one gather.  Each future has its own
-    parameters, named ``{name}{i}.input_linear``, ``{name}{i}.tconv{b}`` and
-    ``{name}{i}.output_conv`` and drawn future by future; ``layers[l]``
-    stores layer ``l`` of every future as one tensor.
+    channels-last data, and the seven as one
+    :func:`~multifuture.nn.ops.conv_stack` node, whose backward pass runs
+    on the (future, row) pairs that won; the transposed convolutions run as
+    the equal kernel-reversed "same" convolutions.  Each upsampling runs in
+    the layer above it: ``stacked_conv`` upsamples its input, so
+    ``tconv{b}`` reads the layer below upsampled to ``length_schedule()[b]``
+    and the output conv reads it upsampled to ``n_h``, which takes the
+    upsampling, padding and im2col of a layer in one gather.  Each future
+    has its own parameters, named ``{name}{i}.input_linear``,
+    ``{name}{i}.tconv{b}`` and ``{name}{i}.output_conv`` and drawn future by
+    future; ``layers[l]`` stores layer ``l`` of every future as one tensor.
     """
 
     def __init__(self, name: str, config: ModelConfig, table: Parameters):
@@ -366,13 +368,9 @@ class TConvShapeDecoder:
 
     def forward(self, z: Tensor) -> tuple[Tensor, None]:
         """(batch, 1, channels) -> shape predictions (f, batch, d, n_h)."""
-        *hidden, output = self.layers
-        *lengths, n_h = self.length_schedule()
-        # tconv b upsamples its input to lengths[b], the output conv to n_h
-        for layer, length in zip(hidden, [None, *lengths]):
-            z = ops.stacked_conv(z, layer.weight, layer.bias, length, relu=True)
-        alpha = ops.stacked_conv(z, output.weight, output.bias, n_h)  # (f, batch, n_h, d)
-        return alpha.swapaxes(2, 3), None
+        # tconv b upsamples its input to length_schedule()[b], the output conv to n_h
+        alpha = ops.conv_stack(z, self.layers, [None, *self.length_schedule()])
+        return alpha.swapaxes(2, 3), None  # (f, batch, n_h, d) -> (f, batch, d, n_h)
 
 
 class ScaleDecoder:
@@ -418,15 +416,22 @@ class Member(NamedTuple):
                    else ScaleDecoder(prefix + "scale_decoder", config, table))
 
     def forward(self, x: Tensor) -> tuple[Tensor, Tensor | None, Tensor, Tensor]:
-        """(batch, n_p, d) -> shapes, activations, multipliers and offsets."""
-        # one node per encoder, so a shared encoder's gradient sums in one order
+        """(batch, n_p, d) -> shapes, activations, multipliers and offsets.
+
+        ``Tensor.backward`` runs the branch built last first.  Separate
+        encoders build the scale branch first, so the backward pass finishes
+        the shape branch, and frees its decoder's arrays, before it starts
+        the scale encoder.  A shared encoder is one node whose gradient sums
+        the shape decoder's futures after the scale decoder's.
+        """
+        if self.scale_encoder is not self.shape_encoder:
+            scale = self.scale_decoder.forward(self.scale_encoder.forward(x))
+            return *self.shape_decoder.forward(self.shape_encoder.forward(x)), *scale
         h = self.shape_encoder.forward(x)
         shapes, acts = self.shape_decoder.forward(h)
         if self.scale_decoder is None:  # raw-unit shapes
             ones = np.ones(shapes.shape[:3], shapes.dtype)
             return shapes, acts, Tensor(ones), Tensor(np.zeros_like(ones))
-        if self.scale_encoder is not self.shape_encoder:
-            h = self.scale_encoder.forward(x)
         return shapes, acts, *self.scale_decoder.forward(h)
 
 

@@ -13,7 +13,9 @@ one batched GEMM (the tconv decoder's layers and, as kernel-1
 convolutions, every linear map), and :func:`stacked_matmul` mixes the
 bank decoders' templates.  Their backward passes skip what gets no
 gradient, so under an oracle loss only each row's winning future does
-backward work.
+backward work.  :func:`conv_stack` runs the tconv decoder's layers as one
+node, whose backward pass carries that work's compact rows from layer to
+layer instead of dense arrays.
 
 The forward arithmetic of :func:`encoder_block`, :func:`stacked_conv`,
 :func:`softmax` and :func:`stacked_matmul` is one step per call, run by
@@ -69,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import Tensor, _accumulate, _builds_graph, _from_op, _run
+from .tensor import Tensor, _accumulate, _builds_graph, _from_op, _run, no_grad
 
 __all__ = [
     "relu",
@@ -80,6 +82,7 @@ __all__ = [
     "adaptive_avgpool1d",
     "encoder_block",
     "stacked_conv",
+    "conv_stack",
     "stacked_matmul",
     "linear",
     "upsample_nearest",
@@ -419,9 +422,11 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, pool: str) -> Tensor:
                 odd = gz[:, 1:2 * half:2]
                 np.multiply(g_act, right_wins, out=odd)
                 np.subtract(g_act, odd, out=gz[:, 0:2 * half:2])
+                del g_act, odd
             else:
                 gz = (g / length) * active
             g2 = gz.reshape(n * length, c_out)
+            del gz
             if weight.requires_grad:
                 cols, gather = _planned_cols(xp, kernel)
                 gather()
@@ -430,7 +435,9 @@ def encoder_block(x: Tensor, weight: Tensor, bias: Tensor, pool: str) -> Tensor:
             if bias.requires_grad:
                 _accumulate(bias, g2.sum(axis=0, keepdims=True), owned=True)
             if x.requires_grad:
-                dxp = _kernel_major_uncols((g2 @ w2.T).reshape(n, length, kernel, c_in))
+                dcols = (g2 @ w2.T).reshape(n, length, kernel, c_in)
+                del g2  # before the input gradient's buffer is allocated
+                dxp = _kernel_major_uncols(dcols)
                 dx = dxp[:, padding:padding + length] if padding else dxp
                 _accumulate(x, dx, owned=True)
 
@@ -664,16 +671,14 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
     input as its columns.
 
     The backward pass keeps only the (future, row) pairs whose output
-    gradient is not all zero, and runs one GEMM per future that has any
-    for its weight and input gradients.  A future with none gets an
-    exactly-zero slice of the weight and bias gradients, so under an
-    oracle loss only the winning decoder of each row does backward work.
-    This relies only on each output row reading its own input row, never
-    on the loss.  The input gradient of those rows is formed at
-    ``out_length`` (col2im), the duplicated steps of the upsampling are
-    summed back to ``length`` and the rows are scattered into the input's
-    gradient.  A shared input adds the futures' gradients one at a time, in
-    order, as ``f`` separate layers would.
+    gradient is not all zero and runs :func:`_stacked_conv_backward` on
+    them: one GEMM per future that has any for its weight and input
+    gradients.  A future with none gets an exactly-zero slice of the weight
+    and bias gradients, so under an oracle loss only the winning decoder of
+    each row does backward work.  This relies only on each output row
+    reading its own input row, never on the loss.  The rows' input
+    gradients are then scattered into the input's gradient
+    (:func:`_accumulate_rows`).
     """
     xd, wd = x.data, weight.data
     f = wd.shape[0]
@@ -696,20 +701,12 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
     out_length = length if out_length is None else out_length
     if out_length < length:
         raise ValueError(f"out_length {out_length} smaller than input length {length}")
-    pad = kernel // 2
-    w2 = _stacked_gemm_weight(wd)
     gathered = kernel > 1 or out_length != length or not xd.flags.c_contiguous
 
-    def cols_buffer(rows):
-        """A buffer for the gathered columns of ``(..., rows, length, c_in)``
-        input rows, or None if their columns are a view of them."""
-        if gathered:
-            return np.empty((*rows.shape[:-2], out_length, kernel, c_in), xd.dtype)
-        return None
-
     def cols_of(rows, out):
-        """The im2col columns of input rows, gathered into the leading rows
-        of ``out`` by the function returned with them."""
+        """The im2col columns of ``(..., rows, length, c_in)`` input rows,
+        gathered into the leading rows of ``out`` by the function returned
+        with them."""
         if not gathered:  # C-contiguous rows are their own columns
             return rows.reshape(*rows.shape[:-3], rows.shape[-3] * length, c_in), _no_gather
         return _gather_cols(rows, out[:len(rows)])
@@ -719,7 +716,8 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
     # The columns are allocated before the output, as a plain
     # ``np.matmul(cols, w2)`` does; allocating the output first made this op
     # up to twice as slow at f=12 and a batch of 28.
-    buffer = cols_buffer(xd if shared else xd[:step])
+    lead = (n,) if shared else (min(step, f), n)  # the rows a group gathers
+    buffer = np.empty((*lead, out_length, kernel, c_in), xd.dtype) if gathered else None
     z = np.empty((f, n, out_length, c_out), np.result_type(xd, wd))
     gemm_out = z.reshape(f, n * out_length, c_out)
 
@@ -734,7 +732,6 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
 
     _run(forward, z)
     del buffer, forward
-    parents = (x, weight, bias)
 
     def bwd(g):
         fi, ri = np.nonzero(g.any(axis=(2, 3)))  # (future, row) pairs, by future
@@ -742,35 +739,132 @@ def stacked_conv(x: Tensor, weight: Tensor, bias: Tensor,
         if relu:
             # the ReLU ran in place, and z > 0 exactly where its input was
             gz *= z[fi, ri] > 0
-        rows = xd[ri] if shared else xd[fi, ri]
-        cols, gather = cols_of(rows, cols_buffer(rows))
-        gather()
-        dw, db = np.zeros_like(wd), np.zeros_like(bias.data)
-        dw2 = dw.swapaxes(1, 2) if linear else dw.reshape(w2.shape)
-        dcols = np.empty_like(cols) if x.requires_grad else None
-        futures, starts = np.unique(fi, return_index=True)
-        ends = [*starts[1:], fi.size]
-        for j, lo, hi in zip(futures, starts, ends):
-            gj = gz[lo:hi].reshape(-1, c_out)
-            dw2[j] = cols[lo * out_length:hi * out_length].T @ gj
-            db[j] = gj.sum(axis=0)
-            if dcols is not None:
-                np.matmul(gj, w2[j].T, out=dcols[lo * out_length:hi * out_length])
+        dw, db, drows = _stacked_conv_backward(xd[ri] if shared else xd[fi, ri], wd, fi,
+                                               gz, x.requires_grad)
         _accumulate(weight, dw, owned=True)
         _accumulate(bias, db, owned=True)
-        if dcols is None:
-            return
-        dxp = _kernel_major_uncols(dcols.reshape(fi.size, out_length, kernel, c_in))
-        drows = dxp[:, pad:pad + out_length]
-        if out_length != length:  # each input step sums the steps it fed
-            folds = np.flatnonzero(np.diff(_nearest(length, out_length), prepend=-1))
-            drows = np.add.reduceat(drows, folds, axis=1)
-        for lo, hi in zip(starts, ends) if shared else [(0, fi.size)]:
-            dx = np.zeros_like(xd)
-            dx[(ri[lo:hi],) if shared else (fi, ri)] = drows[lo:hi]
-            _accumulate(x, dx, owned=True)
+        if drows is not None:
+            _accumulate_rows(x, fi, ri, drows)
 
-    return _from_op(z, parents, bwd)
+    return _from_op(z, (x, weight, bias), bwd)
+
+
+def _stacked_conv_backward(rows: np.ndarray, wd: np.ndarray, fi: np.ndarray,
+                           gz: np.ndarray, input_grad: bool):
+    """One :func:`stacked_conv` layer's backward pass on the (future, row)
+    pairs that carry gradient.
+
+    ``rows`` holds the pairs' C-contiguous ``(pairs, length, c_in)`` input
+    rows, ``gz`` their ``(pairs, out_length, c_out)`` output gradients
+    after the ReLU, and ``fi`` their futures, in non-decreasing order.  One
+    GEMM per future with pairs gives its weight and input gradients, and a
+    future with none gets an exactly-zero slice of the ``wd``-shaped weight
+    and ``(f, c_out)`` bias gradients.  Returns those two and, if
+    ``input_grad``, the pairs' ``(pairs, length, c_in)`` input gradients:
+    formed at ``out_length`` (col2im), with the duplicated steps of the
+    upsampling summed back to ``length``.
+    """
+    linear = wd.ndim == 3
+    kernel = 1 if linear else wd.shape[1]
+    pairs, length, c_in = rows.shape
+    out_length, c_out = gz.shape[1:]
+    if kernel > 1 or out_length != length:
+        cols, gather = _gather_cols(rows, np.empty((pairs, out_length, kernel, c_in),
+                                                   rows.dtype))
+        gather()
+    else:  # C-contiguous rows are their own columns
+        cols = rows.reshape(pairs * length, c_in)
+    w2 = _stacked_gemm_weight(wd)
+    dw, db = np.zeros_like(wd), np.zeros((len(wd), c_out), wd.dtype)
+    dw2 = dw.swapaxes(1, 2) if linear else dw.reshape(w2.shape)
+    dcols = np.empty_like(cols) if input_grad else None
+    futures, starts = np.unique(fi, return_index=True)
+    for j, lo, hi in zip(futures, starts, [*starts[1:], pairs]):
+        gj = gz[lo:hi].reshape(-1, c_out)
+        dw2[j] = cols[lo * out_length:hi * out_length].T @ gj
+        db[j] = gj.sum(axis=0)
+        if dcols is not None:
+            np.matmul(gj, w2[j].T, out=dcols[lo * out_length:hi * out_length])
+    if dcols is None:
+        return dw, db, None
+    del cols
+    pad = kernel // 2
+    drows = _kernel_major_uncols(dcols.reshape(pairs, out_length, kernel, c_in))
+    drows = drows[:, pad:pad + out_length]
+    if out_length != length:  # each input step sums the steps it fed
+        folds = np.flatnonzero(np.diff(_nearest(length, out_length), prepend=-1))
+        drows = np.add.reduceat(drows, folds, axis=1)
+    return dw, db, drows
+
+
+def _accumulate_rows(x: Tensor, fi: np.ndarray, ri: np.ndarray, drows: np.ndarray) -> None:
+    """Add the input gradients ``drows`` of (future, row) pairs ``(fi,
+    ri)``, sorted by future, into ``x``'s gradient.  A shared ``(batch,
+    length, c_in)`` input adds the futures' gradients one at a time, in
+    order, as ``f`` separate layers would."""
+    if x.data.ndim == 4:
+        dx = np.zeros_like(x.data)
+        dx[fi, ri] = drows
+        _accumulate(x, dx, owned=True)
+        return
+    _, starts = np.unique(fi, return_index=True)
+    for lo, hi in zip(starts, [*starts[1:], fi.size]):
+        dx = np.zeros_like(x.data)
+        dx[ri[lo:hi]] = drows[lo:hi]
+        _accumulate(x, dx, owned=True)
+
+
+def conv_stack(x: Tensor, layers, out_lengths) -> Tensor:
+    """:func:`stacked_conv` layers run one on the other, each but the last
+    followed by a ReLU, as one graph node.
+
+    ``layers`` holds each layer's ``(weight, bias)`` and ``out_lengths``
+    its ``out_length``.  The forward pass is the layers' own
+    :func:`stacked_conv` calls, so it runs, and records under
+    :class:`~multifuture.nn.tensor.capture`, the same steps.  The backward
+    pass reads the (future, row) pairs that carry gradient off the output
+    gradient, gathers every hidden layer's output on those pairs and frees
+    the dense outputs, then carries compact gradients down the layers
+    (:func:`_stacked_conv_backward`).  A pair whose gradient becomes all
+    zero is dropped, so every GEMM gets the rows, in the order, that
+    separate :func:`stacked_conv` nodes would give it, and the same bits;
+    under an oracle loss the layers' backward never touches a dense array.
+    """
+    hidden, z = [], x
+    with no_grad():
+        for i, ((weight, bias), out_length) in enumerate(zip(layers, out_lengths)):
+            z = stacked_conv(z, weight, bias, out_length, relu=i < len(layers) - 1)
+            hidden.append(z.data)
+    out = hidden.pop()
+
+    def bwd(g):
+        fi, ri = np.nonzero(g.any(axis=(2, 3)))  # (future, row) pairs, by future
+        outputs = [h[fi, ri] for h in hidden]  # each hidden layer's, on those pairs
+        hidden.clear()
+        gz = g[fi, ri]
+        for i in reversed(range(len(layers))):
+            weight, bias = layers[i]
+            if i < len(outputs):
+                # the ReLU ran in place, and its output > 0 exactly where its input was
+                gz *= outputs.pop() > 0
+            if i:
+                rows = outputs[-1]
+            else:
+                rows = x.data[ri] if x.data.ndim == 3 else x.data[fi, ri]
+            dw, db, drows = _stacked_conv_backward(rows, weight.data, fi, gz,
+                                                   i > 0 or x.requires_grad)
+            _accumulate(weight, dw, owned=True)
+            _accumulate(bias, db, owned=True)
+            if drows is None:
+                return
+            if not i:
+                _accumulate_rows(x, fi, ri, drows)
+                return
+            live = drows.any(axis=(1, 2))  # pairs the layer below still gets gradient on
+            fi, ri, gz = fi[live], ri[live], drows[live]
+            outputs = [o[live] for o in outputs]
+
+    return _from_op(out, (x, *(t for layer in layers for t in layer)), bwd)
 
 
 def _stacked_matmul_kernel(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:

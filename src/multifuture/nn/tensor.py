@@ -19,8 +19,10 @@ to running the ops again.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,6 +32,11 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 
 # Guard for the sqrt subgradient at exactly zero.
 _SQRT_TINY = 1e-12
+
+# Each tensor's creation number, the order Tensor.backward runs nodes in
+# reverse; a count's next() is atomic under the GIL.
+_sequence = itertools.count()
+_creation = attrgetter("_seq")
 
 # Per-thread so read-only inference in one thread cannot disturb graph
 # construction in another.
@@ -77,7 +84,8 @@ class Tensor:
 
     # _padded, when an op sets it, is a buffer whose interior along the
     # second-to-last axis is ``data``, between margins the op keeps zero
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_padded")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_padded",
+                 "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -88,6 +96,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward_fn = None
+        self._seq = next(_sequence)
 
     # -- basic introspection ------------------------------------------------
 
@@ -115,6 +124,12 @@ class Tensor:
     def backward(self):
         """Accumulate gradients of a scalar into every reachable leaf.
 
+        Nodes run their backward functions in reverse creation order (each
+        tensor takes a sequence number when it is made), which is a reverse
+        topological order, since an op's output is made after its inputs.
+        So of two branches built one after the other, the later one runs its
+        whole backward pass first.
+
         The graph lives until this call: each node is released once its
         backward function has run (or once it is known that no gradient
         reaches it), dropping its parents, its closure with the arrays the
@@ -127,27 +142,19 @@ class Tensor:
             raise ValueError(
                 f"backward() needs a scalar, got shape {self.data.shape}"
             )
-        topo = []
-        visited = set()
-        work = [(self, False)]
+        reached, work = {id(self): self}, [self]
         while work:
-            node, expanded = work.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            work.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
-                    work.append((parent, False))
+            for parent in work.pop()._parents:
+                if parent.requires_grad and id(parent) not in reached:
+                    reached[id(parent)] = parent
+                    work.append(parent)
+        order = sorted(reached.values(), key=_creation)
+        del reached
         _accumulate(self, np.ones_like(self.data))
-        # Popped in reverse topological order: every child of a node is
-        # released before it, so a released node is freed as soon as the
-        # loop moves on.
-        while topo:
-            node = topo.pop()
+        # Popped last-made first: every child of a node is released before
+        # it, so a released node is freed as soon as the loop moves on.
+        while order:
+            node = order.pop()
             if node._backward_fn is None:
                 if node.grad is None:
                     # No gradient reached this leaf (see concat): an exact zero.
@@ -345,6 +352,7 @@ def _from_op(data, parents, backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out._seq = next(_sequence)
     if _builds_graph(parents):
         out.requires_grad = True
         out._parents = parents

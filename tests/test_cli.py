@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +150,25 @@ class TestTrain:
         assert not out.exists()
 
 
+class TestSeedFlag:
+    def test_generate_seed_overrides_the_generator_seed(self, workdir):
+        tmp_path, config = workdir
+        assert main(["generate", "--config", config, "--seed", "5"]) == 0
+        manifest = json.loads((tmp_path / "data" / "dataset_manifest.json").read_text())
+        assert manifest["generator"]["seed"] == 5
+        assert [entry["seed"] for entry in manifest["files"]] == [5, 6]
+
+    def test_train_seed_overrides_the_training_seed(self, workdir):
+        tmp_path, config = workdir
+        _generate(workdir)
+        out = tmp_path / "seeded"
+        assert main(["train", "--config", config, "--seed", "3", "--out", str(out)]) == 0
+        assert json.loads((out / "effective_config.json").read_text())["train"]["seed"] == 3
+        manifest = json.loads((out / "checkpoint" / "manifest.json").read_text())
+        assert manifest["training_seed"] == 3
+        assert json.loads(Path(config).read_text())["train"]["seed"] == 0
+
+
 class TestEvaluateAndPredict:
     @pytest.fixture()
     def trained(self, workdir):
@@ -266,6 +286,50 @@ class TestEvaluateAndPredict:
         assert "f=3 (forecaster: 2)" in capsys.readouterr().err
         assert not (out / "futures.csv").exists()
 
+    @pytest.mark.parametrize("command,message", [
+        (["evaluate", "--checkpoint", "{expert}"], "checkpoint does not hold a forecaster"),
+        (["evaluate", "--checkpoint", "{short}"],
+         "checkpoint horizons (32, 24) do not match config (48, 24)"),
+        (["predict", "--checkpoint", "{expert}", "--input", "{csv}"],
+         "checkpoint does not hold a forecaster"),
+        (["predict", "--checkpoint", "{model}", "--input", "{csv}", "--expert", "{model}"],
+         "expert checkpoint does not hold an expert classifier"),
+    ], ids=["evaluate_expert", "evaluate_other_horizons", "predict_expert",
+            "predict_forecaster_as_expert"])
+    def test_checkpoint_the_command_cannot_use_rejected(self, workdir, capsys, command,
+                                                        message):
+        from multifuture import ExpertClassifier, Forecaster, ModelConfig, save
+
+        tmp_path, config = workdir
+        data_dir = _generate(workdir)
+        model_config = ModelConfig(**SMALL_CONFIG["model"])
+        save(ExpertClassifier(model_config, seed=0), tmp_path / "expert")
+        save(Forecaster(model_config, seed=0), tmp_path / "model")
+        save(Forecaster(ModelConfig(**{**SMALL_CONFIG["model"], "n_p": 32}), seed=0),
+             tmp_path / "short")
+        paths = {name: tmp_path / name for name in ("expert", "model", "short")}
+        args = [arg.format(csv=data_dir / "merchant_0000.csv", **paths) for arg in command]
+        if command[0] == "evaluate":
+            args += ["--config", config]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*args, "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_predict_writes_no_mixture_for_a_tconv_decoder(self, workdir):
+        from multifuture import Forecaster, ModelConfig, save
+
+        tmp_path, _ = workdir
+        data_dir = _generate(workdir)
+        config = ModelConfig(**{**SMALL_CONFIG["model"], "variant": "tconv_decoder"})
+        save(Forecaster(config, seed=0), tmp_path / "tconv")
+        out = tmp_path / "pred_tconv"
+        assert main(["predict", "--checkpoint", str(tmp_path / "tconv"),
+                     "--input", str(data_dir / "merchant_0000.csv"), "--out", str(out)]) == 0
+        assert (out / "activations.csv").read_text() == "future,feature\n"
+        assert (out / "futures.csv").exists()
+
     def test_train_artifacts_deterministic(self, workdir):
         tmp_path, config = workdir
         _generate(workdir)
@@ -346,6 +410,8 @@ class TestConfigValidation:
         ("train", "learning_rate", 0.0,
          "config.train: learning_rate must be positive, got 0.0"),
         ("train", "gamma", -1.0, "config.train: gamma must be >= 0, got -1.0"),
+        ("data", "scope", "region",
+         r"config.data: scope must be merchant\|category, got 'region'"),
     ])
     def test_wrongly_typed_value_names_the_field(self, workdir, capsys, section,
                                                  key, value, message):
@@ -379,6 +445,26 @@ class TestConfigValidation:
     def test_dataset_manifest_listing_no_files(self, workdir, capsys):
         assert self._train_on_manifest(workdir, capsys, '{"files": [], "generator": {}}') \
             == ["error: dataset_manifest: files lists no merchant"]
+
+    def test_category_scope_trains_on_every_merchant(self, workdir, capsys, monkeypatch):
+        import multifuture.cli as cli
+
+        tmp_path, config = workdir
+        data_dir = _generate(workdir)
+        payload = json.loads(Path(config).read_text())
+        payload["data"]["scope"] = "category"
+        category = tmp_path / "category.json"
+        category.write_text(json.dumps(payload))
+        read = []
+        monkeypatch.setattr(cli, "load_csv", lambda path, merchant_id: read.append(path)
+                            or load_csv(path, merchant_id))
+        assert main(["train", "--config", str(category), "--out", str(tmp_path / "c")]) == 0
+        assert read == [str(data_dir / f"merchant_000{i}.csv") for i in range(2)]
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(category), "--baseline", "nn",
+                     "--out", str(tmp_path / "e")]) == 1
+        assert ("error: evaluate runs on a single merchant; set data.scope=merchant"
+                in capsys.readouterr().err)
 
     def test_even_kernel_rejected(self, workdir, capsys):
         tmp_path, config = workdir

@@ -52,6 +52,20 @@ class TestSplitMix64:
 
 
 class TestGenerator:
+    @pytest.mark.parametrize("levels,message", [
+        ((1.5, 0.7, 1.0), "base_levels must have 4 entries"),
+        ((1.5, 1.2, 1.0, 0.9), r"base_levels\[1\], the unique-card fraction, must be in"),
+        ((1.5, 0.7, 1.0, -0.1), r"base_levels\[3\], the base approval rate, must be in"),
+    ])
+    def test_bad_base_levels_rejected(self, levels, message):
+        with pytest.raises(ValueError, match=message):
+            GeneratorConfig(base_levels=levels)
+
+    @pytest.mark.parametrize("args", [(0, 24, 5), (168, 0, 5), (168, 24, 0)])
+    def test_continuations_need_positive_sizes(self, args):
+        with pytest.raises(ValueError, match="n_continuations must be >= 1"):
+            sample_continuations(GeneratorConfig(n_hours=240), *args)
+
     def test_deterministic_under_seed(self):
         a = generate(GeneratorConfig(n_hours=200, seed=9))
         b = generate(GeneratorConfig(n_hours=200, seed=9))
@@ -128,6 +142,12 @@ class TestGenerator:
 
 
 class TestCsvRoundTrip:
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.raises(CsvFormatError, match="empty file"):
+            load_csv(path)
+
     def test_small_file(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(
@@ -287,8 +307,28 @@ class TestSplitByDate:
             split_by_date(series,
                           series.start_timestamp + timedelta(minutes=90))
 
+    def test_naive_boundary_rejected(self):
+        series = self._month_series()
+        naive = (series.start_timestamp + timedelta(days=23)).replace(tzinfo=None)
+        with pytest.raises(ValueError, match="train_end must be timezone-aware"):
+            split_by_date(series, naive)
+
 
 class TestMultivariateSeries:
+    def test_validate_rejects_non_finite_values(self):
+        values = np.ones((3, 4))
+        values[1, 2] = np.inf
+        with pytest.raises(ValueError, match="series contains non-finite values"):
+            MultivariateSeries(values).validate()
+
+    @pytest.mark.parametrize("values,names,message", [
+        (np.zeros(4), ("a", "b", "c", "d"), r"values must be \(n, d\), got \(4,\)"),
+        (np.zeros((3, 4)), ("a", "b", "c"), "feature_names do not match the value columns"),
+    ], ids=["one_dimensional", "three_names_for_four_columns"])
+    def test_malformed_values_rejected(self, values, names, message):
+        with pytest.raises(ValueError, match=message):
+            MultivariateSeries(values, feature_names=names)
+
     def test_slice_shifts_timestamp(self):
         series = generate(GeneratorConfig(n_hours=48, seed=0))
         sub = series.slice(10, 20)

@@ -685,6 +685,10 @@ class TestCompare:
         text = table.to_text()
         assert "method" in text and "m0" in text and "m1" in text
 
+    def test_no_reports_rejected(self):
+        with pytest.raises(ValueError, match="no reports to compare"):
+            compare([])
+
     def test_incompatible_reports_rejected(self, month_series):
         a = self._report("a", 0, month_series)
         b = self._report("b", 1, month_series)

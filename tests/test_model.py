@@ -168,6 +168,11 @@ class TestShapeDecoder:
                 assert np.all(alpha[j] >= lo - 1e-6)
                 assert np.all(alpha[j] <= hi + 1e-6)
 
+    def test_a_decoder_without_banks_exposes_no_activations(self):
+        cfg = small_config(variant="tconv_decoder", n_h=16)
+        with pytest.raises(ValueError, match="decoder does not expose template activations"):
+            shape_decoder_forward(Forecaster(cfg, seed=0), np.zeros(cfg.channels), 0)
+
 
 class TestScaleAndCombine:
     def test_zero_weights_zero_output(self):
@@ -424,6 +429,69 @@ class TestInterpretabilityContract:
             rebuilt = fs.activations[i, j] @ bank.data.astype(np.float64)
             np.testing.assert_allclose(fs.shape_preds[i, j], rebuilt,
                                        rtol=1e-4, atol=1e-6)
+
+
+class TestBackwardOrder:
+    @pytest.mark.parametrize("variant", ["full", "tconv_decoder"])
+    def test_separate_encoders_finish_the_shape_branch_first(self, monkeypatch, variant):
+        # under the training loss: the scale branch is built first, and
+        # Tensor.backward runs the nodes last made first
+        model = Forecaster(small_config(variant=variant, n_h=16), seed=0)
+        member = model.members[0]
+        scale = {id(t) for layer in [*member.scale_encoder.convs, member.scale_decoder.linears]
+                 for t in layer}
+        params = {id(t) for t in model.parameters()}
+        order = []  # per parameter gradient, in order: whether the scale branch owns it
+        accumulate = ops._accumulate
+
+        def recording(tensor, grad, owned=False):
+            if id(tensor) in params:
+                order.append(id(tensor) in scale)
+            accumulate(tensor, grad, owned)
+
+        monkeypatch.setattr(ops, "_accumulate", recording)
+        windows = np.stack([random_window(model.config, s) for s in range(3)])
+        truth = np.random.default_rng(1).standard_normal(
+            (3, model.config.d, model.config.n_h)).astype(np.float32)
+        _oracle_batch_loss(model.forward_tensors(windows), truth, 1.0, 0)[0].backward()
+        assert len(order) == len(params) and order == sorted(order)
+
+
+class TestFutureSetValidate:
+    @staticmethod
+    def _future_set():
+        fs = Forecaster(small_config(), seed=0).predict_futures(random_window(small_config()))
+        fs.validate()
+        return fs
+
+    def test_futures_off_the_recombination_rejected(self):
+        fs = self._future_set()
+        fs.futures[1, 0, 3] += 1e-3
+        with pytest.raises(ValueError, match=r"futures do not equal scale_mul\*shape"):
+            fs.validate()
+
+    @pytest.mark.parametrize("edit", ["negative", "sum_above_one"])
+    def test_activations_off_the_simplex_rejected(self, edit):
+        fs = self._future_set()
+        if edit == "negative":  # the same sum, with one weight below zero
+            row = fs.activations[0, 1]
+            row[1] += row[0] + 1e-3
+            row[0] = -1e-3
+        else:
+            fs.activations[0, 1, 0] += 1e-3
+        with pytest.raises(ValueError, match="activations are not on the probability simplex"):
+            fs.validate()
+
+
+class TestWindowStep:
+    def test_windows_whose_strides_are_not_rows_of_one_series_run_the_ops(self):
+        cfg = small_config()
+        windows = np.stack([random_window(cfg, s) for s in range(3)])
+        model = Forecaster(cfg, seed=0)
+        columns_first = np.asfortranarray(windows)  # no window step in rows
+        for got, expected in zip(model.predict_batch(columns_first),
+                                 model.predict_batch(windows)):
+            assert np.array_equal(got.futures, expected.futures)
 
 
 class TestTConvDecoder:

@@ -720,6 +720,112 @@ class TestStackedConv:
             ops.stacked_conv(x, w, b, 3)
 
 
+def _separate_layers(x, layers, out_lengths):
+    """:func:`ops.conv_stack`'s layers as one ``stacked_conv`` node each."""
+    for i, ((weight, bias), out_length) in enumerate(zip(layers, out_lengths)):
+        x = ops.stacked_conv(x, weight, bias, out_length, relu=i < len(layers) - 1)
+    return x
+
+
+class TestConvStack:
+    """The tconv decoder's layers as one node, back-propagated on the
+    (future, row) pairs that carry gradient."""
+
+    DEAD_ROW = 1  # its input is zero, so future 0's first two ReLUs zero it
+
+    def _case(self, dtype):
+        """A tiny tconv decoder's layers and lengths, its ``(batch, 1,
+        channels)`` input and an oracle-style output gradient: each row's
+        winner only, and future 1 wins no row.  Future 0 wins ``DEAD_ROW``,
+        whose first two hidden layers are all zero (negative biases on a
+        zero input), so that pair's gradient ends partway down."""
+        cfg = ModelConfig(n_p=8, n_h=16, d=2, f=3, channels=4, variant="tconv_decoder")
+        decoder = Forecaster(cfg, seed=3, dtype=dtype).members[0].shape_decoder
+        layers = [tuple(layer) for layer in decoder.layers]
+        rng = np.random.default_rng(5)
+        for weight, bias in layers:  # keep every pre-activation off zero
+            bias.data[...] = rng.uniform(0.05, 0.2, bias.shape)
+        for _, bias in layers[:2]:
+            bias.data[0] = -0.05
+        h = rng.standard_normal((4, 1, cfg.channels)) * 5
+        h[self.DEAD_ROW] = 0.0
+        winners = np.array([0, 0, 2, 2])
+        probe = rng.standard_normal((cfg.f, 4, cfg.n_h, cfg.d))
+        probe *= (np.arange(cfg.f)[:, None] == winners)[:, :, None, None]
+        return (Tensor(h.astype(dtype), requires_grad=True), layers,
+                [None, *decoder.length_schedule()], Tensor(probe.astype(dtype)))
+
+    def test_the_case_drops_a_live_pair_partway_down(self):
+        h, layers, lengths, probe = self._case(np.float64)
+        with no_grad():
+            for layer, length in zip(layers[:2], lengths):
+                h = ops.stacked_conv(h, *layer, length, relu=True)
+        second = h.data
+        assert not second[0, self.DEAD_ROW].any() and second[0].any()
+        assert probe.data[0, self.DEAD_ROW].any()  # a live pair at the output
+
+    def test_grad_check(self):
+        h, layers, lengths, probe = self._case(np.float64)
+
+        def closure(*_):
+            return (ops.conv_stack(h, layers, lengths) * probe).sum()
+
+        params = [t for layer in layers for t in layer]
+        assert grad_check(closure, [h, *params]) < 1e-6
+
+    def test_a_future_without_live_rows_gets_exactly_zero_slices(self):
+        h, layers, lengths, probe = self._case(np.float64)
+        (ops.conv_stack(h, layers, lengths) * probe).sum().backward()
+        for weight, bias in layers:
+            for param in (weight, bias):
+                assert param.grad.shape == param.shape
+                assert not param.grad[1].any() and param.grad[[0, 2]].any()
+
+    def test_gradients_are_the_separate_layers_bits(self):
+        runs = []
+        for op in (ops.conv_stack, _separate_layers):
+            h, layers, lengths, probe = self._case(np.float32)
+            out = op(h, layers, lengths)
+            (out * probe).sum().backward()
+            runs.append([out.data, h.grad] + [t.grad for layer in layers for t in layer])
+        for stacked, separate in zip(*runs, strict=True):
+            assert stacked.dtype == separate.dtype == np.float32
+            assert np.array_equal(stacked.view(np.int32), separate.view(np.int32))
+
+    def test_an_input_without_gradient_leaves_the_weights_their_bits(self):
+        # conv_stack, and stacked_conv alone, skip the input gradient of an
+        # input that needs none
+        grads = []
+        for input_grad in (True, False):
+            h, layers, lengths, probe = self._case(np.float32)
+            h.requires_grad = input_grad
+            (ops.conv_stack(h, layers, lengths) * probe).sum().backward()
+            stacked = [t.grad for layer in layers for t in layer]
+            for t in layers[0]:
+                t.grad = None
+            ops.stacked_conv(h, *layers[0], relu=True).sum().backward()
+            grads.append([g.tobytes() for g in stacked + [t.grad for t in layers[0]]])
+            assert (h.grad is not None) == input_grad
+        assert grads[0] == grads[1]
+
+    def test_backward_frees_the_hidden_outputs(self):
+        h, layers, lengths, probe = self._case(np.float32)
+        out = ops.conv_stack(h, layers, lengths)
+        fn = out._backward_fn
+        cells = dict(zip(fn.__code__.co_freevars, fn.__closure__))
+        hidden = [weakref.ref(a) for a in cells["hidden"].cell_contents]
+        assert len(hidden) == len(layers) - 1 and all(ref() is not None for ref in hidden)
+        (out * probe).sum().backward()
+        assert all(ref() is None for ref in hidden)
+
+    def test_no_grad_keeps_no_hidden_output(self):
+        h, layers, lengths, _ = self._case(np.float32)
+        with no_grad():
+            out = ops.conv_stack(h, layers, lengths)
+        assert out._backward_fn is None and out._parents == ()
+        assert out.data.tobytes() == _separate_layers(h, layers, lengths).data.tobytes()
+
+
 class TestNoGradParity:
     """Under ``no_grad`` an op computes no backward-only state and keeps no
     closure, and its output equals the grad-mode output bit for bit."""
@@ -988,6 +1094,24 @@ class TestAdam:
         with pytest.raises(ValueError, match="missing gradient"):
             adam_step(params, state)
 
+    def test_state_of_other_parameters_rejected(self):
+        params = self._params(0.0)
+        params[0].grad = np.ones(1)
+        state = AdamState.init(params)
+        with pytest.raises(ValueError, match="parameter list does not match"):
+            adam_step(params + self._params(1.0), state)
+        wider = [Tensor(np.zeros(2), requires_grad=True)]
+        wider[0].grad = np.ones(2)
+        with pytest.raises(ValueError, match="state shapes do not match"):
+            adam_step(wider, state)
+        assert state.step_count == 0 and params[0].data[0] == 0.0
+
+    def test_a_frozen_tensor_is_left_alone(self):
+        params = self._params(0.0) + [Tensor(np.array([2.0]))]
+        params[0].grad = np.ones(1)
+        adam_step(params, AdamState.init(params))
+        assert params[0].data[0] < 0 and params[1].data[0] == 2.0
+
     def test_grads_zeroed_after_step(self):
         params = self._params(0.0)
         params[0].grad = np.ones(1)
@@ -1027,6 +1151,10 @@ class TestAdam:
 
 
 class TestGradCheck:
+    def test_inputs_must_be_tensors(self):
+        with pytest.raises(TypeError, match="inputs must be Tensors"):
+            grad_check(lambda t: t.sum(), [np.ones(2)])
+
     def test_quadratic_is_exact(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         err = grad_check(lambda t: (t * t).sum(), [x])
@@ -1138,6 +1266,19 @@ class TestTensorBasics:
         x = Tensor(np.arange(6.0).reshape(1, 2, 3), requires_grad=True)
         probe = Tensor(np.arange(6.0).reshape(3, 2, 1) + 1)
         assert grad_check(lambda t: (t.swapaxes(0, 2) * probe).sum(), [x]) < 1e-9
+
+    def test_reference_ops_take_their_documented_arguments(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        assert repr(x) == "Tensor(shape=(2, 3), requires_grad=True)"
+        (x @ np.ones((3, 1))).reshape((2,)).sum().backward()  # an array operand
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+        x.grad = None
+        (x.sum(axis=0) * Tensor(np.array([1.0, 2.0, 3.0]))).sum().backward()
+        np.testing.assert_array_equal(x.grad, [[1, 2, 3], [1, 2, 3]])
+        with pytest.raises(ValueError, match="matmul expects 2-D operands"):
+            x @ Tensor(np.ones(3))
+        with pytest.raises(ValueError, match=r"expected 2-D or 3-D input, got shape \(1, 1, 2, 3\)"):
+            ops.conv1d(Tensor(np.ones((1, 1, 2, 3))), Tensor(np.ones((1, 2, 1))))
 
     def test_dtype_preserved(self):
         assert Tensor(np.zeros(3, dtype=np.float64)).dtype == np.float64

@@ -333,6 +333,31 @@ class TestValidation:
                            match=f"'{first['name']}' is listed twice"):
             load(tmp_path / "ckpt")
 
+    def test_unknown_kind_rejected(self, tmp_path):
+        save(Forecaster(CFG, seed=0), tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["kind"] = "tokenizer"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="unknown checkpoint kind 'tokenizer'"):
+            load(tmp_path / "ckpt")
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        save(Forecaster(CFG, seed=0), tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["parameters"][2]["shape"][-1] = 0
+        manifest_path.write_text(json.dumps(manifest))
+        name = manifest["parameters"][2]["name"]
+        with pytest.raises(CheckpointError, match=f"'{name}' has invalid shape"):
+            load(tmp_path / "ckpt")
+
+    def test_missing_blob(self, tmp_path):
+        save(Forecaster(CFG, seed=0), tmp_path / "ckpt")
+        (tmp_path / "ckpt" / BLOB_NAME).unlink()
+        with pytest.raises(CheckpointError, match=f"no parameter blob at .*{BLOB_NAME}"):
+            load(tmp_path / "ckpt")
+
 
 class TestShapeBankFiles:
     def test_bank_load_replaces_banks_only(self, tmp_path):
@@ -407,6 +432,12 @@ class TestShapeBankFiles:
             load_shape_banks(receiver, tmp_path / "banks")
         for old, (_, bank) in zip(before, receiver.shape_banks()):
             assert np.array_equal(old, bank.data)
+
+    def test_a_model_without_banks_saves_none(self, tmp_path):
+        model = Forecaster(replace(CFG, n_h=16, variant="tconv_decoder"), seed=0)
+        with pytest.raises(CheckpointError, match="model has no shape banks to save"):
+            save_shape_banks(model, tmp_path / "banks")
+        assert not (tmp_path / "banks").exists()
 
     def test_model_checkpoint_rejected_by_bank_load(self, tmp_path):
         model = Forecaster(CFG, seed=0)

@@ -6,9 +6,10 @@ Usage, from anywhere::
     python3 tools/ab.py PARENT CHANGE train [--variant V] [--f F]   (default tconv_decoder, f=12)
     python3 tools/ab.py PARENT CHANGE predict [--windows W]
     python3 tools/ab.py PARENT CHANGE evaluate
+    python3 tools/ab.py PARENT CHANGE bits
 
-Every mode runs ``--rounds`` rounds of :func:`alternate` and reports each
-metric through :func:`summarize`.
+Every mode but ``bits`` runs ``--rounds`` rounds of :func:`alternate` and
+reports each metric through :func:`summarize`.
 
 ``pairs WORKLOAD`` runs ``perfbench/run.py --workload WORKLOAD --seed S+r
 --seconds T --trace 0`` in round ``r``, each side with its checkout's own
@@ -41,6 +42,21 @@ processes.  A round reads, in ms:
               copy of the first ``--windows`` windows of the held-out span.
 ``evaluate``  one ``evaluate_rolling`` call over the held-out span.
 
+``bits`` compares outputs instead of timing them.  For each case of
+``BITS_CASES`` (every variant at the reference config, and f=12 for
+``full``, ``tconv_decoder`` and ``model_ensemble``), each side computes,
+from the same series and seed (:func:`bits_arrays`): the loss terms, the
+oracle histogram and every parameter gradient of ``BITS_STEPS`` public
+``train`` iterations at batch 64, the parameters after those Adam steps,
+one served window (``predict_futures``), ``predict_batch`` of a stacked
+copy of the held-out rolling windows and ``evaluate_rolling``'s report.
+It prints, per case, how many arrays are bit-identical between the sides
+and how many differ, with the largest relative deviation of a differing
+array (its largest absolute difference over the parent's largest
+magnitude), names the running BLAS kernel, and exits 1 if any array
+differs.  The kernel decides float32 bits, so run it under
+``OPENBLAS_CORETYPE=Haswell`` too when a change reorders arithmetic.
+
 The held-out span is the benchmark's (``perfbench/workloads.py``): the
 series after ``TRAIN_HOURS``, split by ``data.split_by_date`` with a
 ``WARMUP_HOURS`` warm-up, which gives 28 rolling windows at the default
@@ -51,6 +67,7 @@ horizons.  Pin the BLAS thread count in the environment (for example
 from __future__ import annotations
 
 import argparse
+import ctypes
 import importlib.util
 import json
 import statistics
@@ -73,6 +90,12 @@ BATCH_SIZE = 64
 ITERS = 5  # timed training iterations a round
 CALLS = 20  # predict_batch calls a round
 SEED = 0
+VARIANTS = ("full", "shared_encoder", "non_separated", "one_loss", "tconv_decoder",
+            "model_ensemble")
+BITS_CASES = ([(variant, 3) for variant in VARIANTS]
+              + [(variant, 12) for variant in ("full", "tconv_decoder", "model_ensemble")])
+BITS_STEPS = 3  # training iterations whose gradients bits mode compares
+BITS_MODEL: dict = {}  # ModelConfig fields over the reference defaults
 
 
 def alternate(rounds: int, run) -> dict[str, list[dict]]:
@@ -151,11 +174,19 @@ def import_checkout(side: str, checkout: Path):
     """The checkout's ``multifuture`` package, imported as ``ab_<side>``; the
     package imports itself relatively."""
     root = checkout / "src" / "multifuture"
+    for name in [name for name in sys.modules if name.split(".")[0] == f"ab_{side}"]:
+        del sys.modules[name]  # an earlier import's submodules would go unbound
     spec = importlib.util.spec_from_file_location(
         f"ab_{side}", root / "__init__.py", submodule_search_locations=[str(root)])
     package = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(package)
     return package
+
+
+def held_out(mf, series):
+    """The held-out span of ``series`` (module docstring)."""
+    boundary = series.start_timestamp + timedelta(hours=TRAIN_HOURS)
+    return mf.data.split_by_date(series, boundary, WARMUP_HOURS)[1]
 
 
 def make_round(mf, args):
@@ -188,8 +219,7 @@ def make_round(mf, args):
 
         return round_
     model = mf.Forecaster(config, seed=SEED)
-    boundary = series.start_timestamp + timedelta(hours=TRAIN_HOURS)
-    test = mf.data.split_by_date(series, boundary, WARMUP_HOURS)[1]
+    test = held_out(mf, series)
     if args.mode == "evaluate":
         calls, work = 1, lambda: mf.evaluate_rolling(model, test, config.n_p, config.n_h)
     else:
@@ -207,11 +237,98 @@ def make_round(mf, args):
     return round_
 
 
+def blas_kernel() -> str:
+    """The sgemm kernel numpy's bundled OpenBLAS runs, or ``"unknown"``."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def bits_arrays(mf, variant: str, f: int) -> dict[str, np.ndarray]:
+    """The arrays that bits mode compares for one case, computed by package
+    ``mf`` (module docstring), by name."""
+    series = mf.data.generate(mf.data.GeneratorConfig(n_hours=SERIES_HOURS, seed=SEED))
+    config = mf.ModelConfig(**{"variant": variant, "f": f, **BITS_MODEL})
+    arrays, adam_step = {}, mf.training.adam_step
+
+    def recording_step(params, state):  # the gradients this step consumes
+        arrays.update((f"step{state.step_count}.grad{i}", p.grad.copy())
+                      for i, p in enumerate(params))
+        return adam_step(params, state)
+
+    mf.training.adam_step = recording_step
+    try:
+        model, trace = mf.train(series.values[:TRAIN_HOURS], config, mf.TrainConfig(
+            n_iter=BITS_STEPS, batch_size=BATCH_SIZE, seed=SEED))
+    finally:
+        mf.training.adam_step = adam_step
+    for record in trace:
+        arrays[f"step{record.iteration}.loss"] = np.array(
+            [record.total_loss, record.rmse_term, record.nrmse_term])
+        arrays[f"step{record.iteration}.oracle"] = np.array(record.oracle_index_histogram)
+    arrays.update((f"param{i}", p.data) for i, p in enumerate(model.parameters()))
+    test = held_out(mf, series)
+    # the rolling windows' inputs, stacked, window w at row w * n_h as
+    # evaluate_rolling cuts them
+    starts = range(0, len(test.values) - config.n_p - config.n_h + 1, config.n_h)
+    windows = np.stack([test.values[s:s + config.n_p] for s in starts])
+    fields = ("futures", "shape_preds", "scale_mul", "scale_add", "activations")
+    served = model.predict_futures(windows[0])
+    batch = model.predict_batch(windows)
+    for name in fields:
+        if getattr(served, name) is not None:
+            arrays[f"served.{name}"] = getattr(served, name)
+            arrays[f"batch.{name}"] = np.stack([getattr(fs, name) for fs in batch])
+    report = mf.evaluate_rolling(model, test, config.n_p, config.n_h)
+    arrays["report"] = np.array([report.rmse, report.nrmse, report.oracle_rmse,
+                                 report.oracle_nrmse])
+    for name in ("oracle_index", "rmse_per_future", "nrmse_per_future"):
+        arrays[f"report.{name}"] = np.array([getattr(w, name) for w in report.per_window])
+    return arrays
+
+
+def compare_bits(parent: dict, change: dict) -> tuple[int, int, float]:
+    """Arrays that are bit-identical between the sides, arrays that differ
+    (in name, shape, dtype or bits), and the largest relative deviation of
+    a differing array of the same shape (0 if none)."""
+    equal, worst = 0, 0.0
+    for name in parent.keys() & change.keys():
+        a, b = parent[name], change[name]
+        if a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes():
+            equal += 1
+        elif a.shape == b.shape:
+            a, b = a.astype(np.float64), b.astype(np.float64)
+            scale = np.abs(a).max(initial=0.0)
+            deviation = np.abs(a - b).max(initial=0.0)
+            worst = max(worst, deviation / scale if scale else np.inf if deviation else 0.0)
+    return equal, len(parent.keys() | change.keys()) - equal, worst
+
+
+def bits(packages) -> int:
+    """Print bits mode's table for ``{side: package}``; 1 if any array differs."""
+    print(f"BLAS kernel: {blas_kernel()}")
+    print(f"{'case':<22}{'arrays':>8}{'equal':>8}{'differ':>8}  max rel dev")
+    totals = [0, 0, 0.0]
+    for variant, f in BITS_CASES:
+        equal, differ, worst = compare_bits(*(bits_arrays(packages[side], variant, f)
+                                              for side in SIDES))
+        totals = [totals[0] + equal, totals[1] + differ, max(totals[2], worst)]
+        print(f"{variant + f' f={f}':<22}{equal + differ:>8}{equal:>8}{differ:>8}  "
+              f"{worst:.3g}", flush=True)
+    print(f"{'all':<22}{sum(totals[:2]):>8}{totals[0]:>8}{totals[1]:>8}  {totals[2]:.3g}")
+    return int(totals[1] > 0)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("mode", choices=("pairs", "train", "predict", "evaluate"))
+    parser.add_argument("mode", choices=("pairs", "train", "predict", "evaluate", "bits"))
     parser.add_argument("workload", nargs="?", help="pairs: the benchmark workload")
     parser.add_argument("--rounds", type=int, default=16)
     parser.add_argument("--first-seed", type=int, default=1, help="pairs: round 0's seed")
@@ -229,6 +346,8 @@ def main(argv=None) -> int:
             side, r, checkouts[side], args.workload, args.first_seed + r,
             benchmark["run_seconds"]))
         print("\n".join(operations(rows)))
+    elif args.mode == "bits":
+        return bits({side: import_checkout(side, checkouts[side]) for side in SIDES})
     else:
         rounds = {side: make_round(import_checkout(side, checkouts[side]), args)
                   for side in SIDES}
